@@ -248,7 +248,13 @@ mod tests {
     }
 
     fn temp_dir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("qrank_cli_test_est");
+        // one directory per test thread: tests run concurrently, and a
+        // rewrite of the snapshot files must not be seen half-done by
+        // another
+        let dir = std::env::temp_dir().join(format!(
+            "qrank_cli_test_est_{:?}",
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

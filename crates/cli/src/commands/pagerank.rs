@@ -133,7 +133,12 @@ mod tests {
     }
 
     fn write_sample_graph() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("qrank_cli_test_pr");
+        // one directory per test thread: tests run concurrently, and a
+        // rewrite of `g.edges` must not be seen half-done by another
+        let dir = std::env::temp_dir().join(format!(
+            "qrank_cli_test_pr_{:?}",
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("g.edges");
         std::fs::write(&path, "# nodes: 4\n0 1\n1 2\n2 0\n3 0\n").unwrap();

@@ -62,17 +62,46 @@ impl CsrGraph {
             out_offsets[i + 1] += out_offsets[i];
         }
         let out_targets: Vec<NodeId> = edges.iter().map(|&(_, v)| v).collect();
+        Self::from_sorted_rows(out_offsets, out_targets, &in_degree)
+    }
 
+    /// Build from finished out-adjacency arrays: `out_targets` holds every
+    /// node's neighbor list, sorted ascending and deduplicated,
+    /// `out_offsets[u]..out_offsets[u + 1]` indexes node `u`'s list, and
+    /// `in_degree[v]` counts the lists that name `v` (every producer has a
+    /// pass over its edges in which counting them is free). Only the
+    /// transposed arrays are derived here, so producers that emit rows in
+    /// order ([`crate::DynamicGraph::graph_at_full`],
+    /// [`Self::restrict_relabel`]) skip the edge-pair detour. Debug builds
+    /// assert the precondition.
+    pub(crate) fn from_sorted_rows(
+        out_offsets: Vec<usize>,
+        out_targets: Vec<NodeId>,
+        in_degree: &[usize],
+    ) -> Self {
+        let num_nodes = in_degree.len();
+        debug_assert_eq!(out_offsets.len(), num_nodes + 1);
+        debug_assert_eq!(out_offsets[num_nodes], out_targets.len());
+        debug_assert!(
+            out_offsets
+                .windows(2)
+                .all(|w| out_targets[w[0]..w[1]].windows(2).all(|p| p[0] < p[1])),
+            "rows must be sorted+dedup"
+        );
         let mut in_offsets = vec![0usize; num_nodes + 1];
         for v in 0..num_nodes {
             in_offsets[v + 1] = in_offsets[v] + in_degree[v];
         }
+        debug_assert_eq!(in_offsets[num_nodes], out_targets.len());
+        // Iterating sources ascending fills each in-list already sorted.
         let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; edges.len()];
-        for &(u, v) in edges {
-            let c = &mut cursor[v as usize];
-            in_sources[*c] = u;
-            *c += 1;
+        let mut in_sources = vec![0 as NodeId; out_targets.len()];
+        for u in 0..num_nodes {
+            for &v in &out_targets[out_offsets[u]..out_offsets[u + 1]] {
+                let c = &mut cursor[v as usize];
+                in_sources[*c] = u as NodeId;
+                *c += 1;
+            }
         }
         CsrGraph {
             out_offsets,
@@ -195,9 +224,8 @@ impl CsrGraph {
     /// 2.7M pages common to all four snapshots.
     ///
     /// This defensive entry point sanitizes `keep`; callers that already
-    /// hold a sorted, deduplicated, in-range list (the snapshot crawler,
-    /// [`crate::DynamicGraph::snapshot_at`]) should use
-    /// [`Self::induced_subgraph_sorted`] and skip the copy.
+    /// hold a sorted, deduplicated, in-range list (the snapshot crawler)
+    /// should use [`Self::induced_subgraph_sorted`] and skip the copy.
     pub fn induced_subgraph(&self, keep: &[NodeId]) -> (CsrGraph, Vec<NodeId>) {
         let mut keep: Vec<NodeId> = keep.to_vec();
         keep.sort_unstable();
@@ -209,15 +237,29 @@ impl CsrGraph {
 
     /// [`Self::induced_subgraph`] for a `keep` list that is already
     /// sorted ascending, deduplicated, and in range. Debug builds assert
-    /// the precondition; release builds trust the caller (the capture
-    /// hot path — the crawler and the dynamic graph — constructs such
-    /// lists by iterating node ids in order).
+    /// the precondition; release builds trust the caller (the crawler
+    /// sorts the ids it captured).
     pub fn induced_subgraph_sorted(&self, keep: &[NodeId]) -> CsrGraph {
         debug_assert!(
             keep.windows(2).all(|w| w[0] < w[1]),
             "keep must be sorted+dedup"
         );
         debug_assert!(keep.last().is_none_or(|&u| (u as usize) < self.num_nodes()));
+        // `keep` is the id prefix `0..k` and no edge touches a node
+        // outside it (a crawl that captured every page born so far): the
+        // subgraph is the same arrays with the isolated tail cut off.
+        let k = keep.len();
+        if keep.last().is_none_or(|&u| u as usize == k - 1)
+            && self.out_offsets[k] == self.num_edges()
+            && self.in_offsets[k] == self.num_edges()
+        {
+            return CsrGraph {
+                out_offsets: self.out_offsets[..=k].to_vec(),
+                out_targets: self.out_targets.clone(),
+                in_offsets: self.in_offsets[..=k].to_vec(),
+                in_sources: self.in_sources.clone(),
+            };
+        }
         let mut old_to_new: Vec<NodeId> = vec![NodeId::MAX; self.num_nodes()];
         for (new, &old) in keep.iter().enumerate() {
             old_to_new[old as usize] = new as NodeId;
@@ -289,29 +331,7 @@ impl CsrGraph {
                 in_degree[v as usize] += 1;
             }
         }
-
-        // Transposed arrays: iterating new sources ascending fills each
-        // in-list already sorted, exactly as `from_sorted_dedup_edges`
-        // would have.
-        let mut in_offsets = vec![0usize; new_n + 1];
-        for v in 0..new_n {
-            in_offsets[v + 1] = in_offsets[v] + in_degree[v];
-        }
-        let mut cursor = in_offsets.clone();
-        let mut in_sources = vec![0 as NodeId; out_targets.len()];
-        for u in 0..new_n {
-            for &v in &out_targets[out_offsets[u]..out_offsets[u + 1]] {
-                let c = &mut cursor[v as usize];
-                in_sources[*c] = u as NodeId;
-                *c += 1;
-            }
-        }
-        CsrGraph {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_sources,
-        }
+        Self::from_sorted_rows(out_offsets, out_targets, &in_degree)
     }
 
     /// Relabel nodes by `perm`, where `perm[old] = new`. `perm` must be a

@@ -40,6 +40,14 @@ impl EdgeEvent {
             EdgeEvent::Added { at, .. } | EdgeEvent::Removed { at, .. } => at,
         }
     }
+
+    /// `(src, dst, is an add)`.
+    fn parts(&self) -> (NodeId, NodeId, bool) {
+        match *self {
+            EdgeEvent::Added { src, dst, .. } => (src, dst, true),
+            EdgeEvent::Removed { src, dst, .. } => (src, dst, false),
+        }
+    }
 }
 
 /// An evolving directed graph recorded as an event log.
@@ -133,55 +141,256 @@ impl DynamicGraph {
         }
     }
 
-    /// Nodes alive at time `t` (created at or before `t`).
+    /// Nodes alive at time `t` (created at or before `t`). Births are
+    /// appended in non-decreasing time order, so the alive nodes are an
+    /// id prefix.
     pub fn nodes_at(&self, t: f64) -> Vec<NodeId> {
-        (0..self.node_birth.len() as NodeId)
-            .filter(|&u| self.node_birth[u as usize] <= t)
-            .collect()
+        let alive = self.node_birth.partition_point(|&born| born <= t);
+        (0..alive as NodeId).collect()
     }
 
     /// Edges alive at time `t`: added at or before `t` and not
     /// subsequently removed at or before `t`. Sorted, deduplicated.
     pub fn edges_at(&self, t: f64) -> Vec<(NodeId, NodeId)> {
-        // Events are time-ordered; replay the prefix.
-        let end = self.events.partition_point(|e| e.at() <= t);
-        let mut alive: std::collections::BTreeSet<(NodeId, NodeId)> =
-            std::collections::BTreeSet::new();
-        for e in &self.events[..end] {
-            match *e {
-                EdgeEvent::Added { src, dst, .. } => {
-                    alive.insert((src, dst));
-                }
-                EdgeEvent::Removed { src, dst, .. } => {
-                    alive.remove(&(src, dst));
-                }
-            }
-        }
-        alive.into_iter().collect()
+        self.graph_at_full(t).edges().collect()
     }
 
     /// Materialize the graph at time `t` over *all ever-created* node ids
     /// (nodes not yet born appear isolated). Use
     /// [`snapshot_at`](Self::snapshot_at) to restrict to alive nodes.
     pub fn graph_at_full(&self, t: f64) -> CsrGraph {
-        CsrGraph::from_sorted_dedup_edges(self.num_nodes(), &self.edges_at(t))
+        self.materialize(t, self.num_nodes())
     }
 
     /// Materialize the graph at time `t`, restricted to nodes alive at
     /// `t`. Returns the relabeled graph plus `new id -> original id`.
     pub fn snapshot_at(&self, t: f64) -> (CsrGraph, Vec<NodeId>) {
-        let full = self.graph_at_full(t);
-        // `nodes_at` yields ascending unique ids, so the fused
-        // restriction can skip the defensive sanitize pass.
+        // The alive nodes are an id prefix and an event can only name
+        // nodes born by its own time, so restricting to them is choosing
+        // the node count: no relabeling, no second pass.
         let alive = self.nodes_at(t);
-        let sub = full.induced_subgraph_sorted(&alive);
-        (sub, alive)
+        (self.materialize(t, alive.len()), alive)
+    }
+
+    /// The graph at time `t` over node ids `0..n`; every event at or
+    /// before `t` must name nodes below `n`.
+    ///
+    /// An edge is alive iff the last event naming it at or before `t` is
+    /// an add. The log is time-ordered, so "last" is "latest position":
+    /// a stable counting sort of the prefix by source, then a stable sort
+    /// of each source's events by destination, leaves every edge's events
+    /// adjacent and in log order, and the final one of each run decides.
+    /// Survivors come out in `(src, dst)` order, which is the CSR row
+    /// layout itself — no edge-pair list, no tree, no hashing. The only
+    /// scratch is one word per prefix event (plus one per event of the
+    /// longest row), freed on return.
+    fn materialize(&self, t: f64, n: usize) -> CsrGraph {
+        let end = self.events.partition_point(|e| e.at() <= t);
+        let prefix = &self.events[..end];
+
+        // `row_end[u]` starts as the first slot of source `u`'s events
+        // and, once the scatter has filled the row, is one past its last.
+        let mut row_end = vec![0usize; n + 1];
+        for e in prefix {
+            row_end[e.parts().0 as usize + 1] += 1;
+        }
+        for u in 0..n {
+            row_end[u + 1] += row_end[u];
+        }
+        // `dst << 1 | is_add`, so that sorting by `>> 1` groups by edge.
+        let mut keyed = vec![0u64; end];
+        for e in prefix {
+            let (src, dst, added) = e.parts();
+            let slot = &mut row_end[src as usize];
+            keyed[*slot] = u64::from(dst) << 1 | u64::from(added);
+            *slot += 1;
+        }
+
+        // Survivors are compacted to the front of `keyed` as they are
+        // found; the write position never overtakes the read position.
+        let mut out_offsets = vec![0usize; n + 1];
+        let mut in_degree = vec![0usize; n];
+        let mut tmp = Vec::new();
+        // node ids are below `n`
+        let dst_bits = usize::BITS - n.leading_zeros();
+        let (mut start, mut kept) = (0, 0);
+        for u in 0..n {
+            let end = row_end[u];
+            sort_row_by_dst(&mut keyed[start..end], &mut tmp, dst_bits);
+            for i in start..end {
+                let k = keyed[i];
+                let last_of_run = i + 1 == end || keyed[i + 1] >> 1 != k >> 1;
+                if last_of_run && k & 1 == 1 {
+                    keyed[kept] = k >> 1;
+                    kept += 1;
+                    in_degree[(k >> 1) as usize] += 1;
+                }
+            }
+            start = end;
+            out_offsets[u + 1] = kept;
+        }
+        let out_targets = keyed[..kept].iter().map(|&dst| dst as NodeId).collect();
+        CsrGraph::from_sorted_rows(out_offsets, out_targets, &in_degree)
+    }
+}
+
+/// Rows shorter than this go to the standard stable sort: a radix pass
+/// pays for 256 counters whatever the row length.
+const RADIX_MIN_ROW: usize = 128;
+
+/// Stable sort of one source's events, keyed `dst << 1 | is_add`, by
+/// destination. Most rows hold a few navigation links; a home page's row
+/// holds a like-link event per page its owner ever liked, thousands of
+/// them, and those take a byte-wise LSD radix sort over the `dst_bits`
+/// bits a node id can occupy — stable by construction and linear in the
+/// row, which keeps the whole materializer linear in the log.
+fn sort_row_by_dst(row: &mut [u64], tmp: &mut Vec<u64>, dst_bits: u32) {
+    if row.len() < RADIX_MIN_ROW {
+        row.sort_by_key(|&k| k >> 1);
+        return;
+    }
+    if tmp.len() < row.len() {
+        tmp.resize(row.len(), 0);
+    }
+    let tmp = &mut tmp[..row.len()];
+    // bit 0 is the add flag; the destination starts at bit 1
+    for shift in (1..=dst_bits).step_by(8) {
+        let digit = |k: u64| (k >> shift) as usize & 0xFF;
+        let mut slot = [0usize; 256];
+        for &k in row.iter() {
+            slot[digit(k)] += 1;
+        }
+        let mut next = 0;
+        for s in &mut slot {
+            let count = *s;
+            *s = next;
+            next += count;
+        }
+        for &k in row.iter() {
+            let s = &mut slot[digit(k)];
+            tmp[*s] = k;
+            *s += 1;
+        }
+        row.copy_from_slice(tmp);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The materializer's oracle: replay the log prefix into an ordered
+    /// set, one insert or remove per event. Obviously right, and what
+    /// `edges_at` did before it became a sort.
+    fn replayed_edges_at(d: &DynamicGraph, t: f64) -> Vec<(NodeId, NodeId)> {
+        let mut alive = BTreeSet::new();
+        for e in d.events.iter().take_while(|e| e.at() <= t) {
+            let (src, dst, added) = e.parts();
+            if added {
+                alive.insert((src, dst));
+            } else {
+                alive.remove(&(src, dst));
+            }
+        }
+        alive.into_iter().collect()
+    }
+
+    /// A generated log, one `(clock, kind, src, dst)` per step. The clock
+    /// advances when `clock == 0`, so most steps share a timestamp with
+    /// their predecessor. `kind` 0 gives birth to a node, 1..=4 adds the
+    /// edge, 5..=7 removes it; endpoints are taken modulo the nodes that
+    /// exist by then, and there are few of them, so duplicate adds,
+    /// removes of absent edges and remove-then-re-add come up constantly.
+    fn arbitrary_log() -> impl Strategy<Value = Vec<(u32, u32, u32, u32)>> {
+        prop::collection::vec((0u32..5, 0u32..8, 0u32..5, 0u32..5), 0..120)
+    }
+
+    /// Build the log; returns it with the last timestamp used.
+    fn build(log: &[(u32, u32, u32, u32)]) -> (DynamicGraph, f64) {
+        let mut d = DynamicGraph::new();
+        let mut now = 0.0;
+        d.add_node(now).unwrap();
+        for &(clock, kind, src, dst) in log {
+            if clock == 0 {
+                now += 1.0;
+            }
+            let n = d.num_nodes() as u32;
+            match kind {
+                0 => {
+                    d.add_node(now).unwrap();
+                }
+                1..=4 => d.add_edge(src % n, dst % n, now).unwrap(),
+                _ => d.remove_edge(src % n, dst % n, now).unwrap(),
+            }
+        }
+        (d, now)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// At every query time — before the first event, on every
+        /// timestamp, between timestamps, after the last — the sort-based
+        /// materializer agrees with the log replay: same edge list, and a
+        /// graph equal in all four CSR arrays (`CsrGraph: PartialEq`
+        /// compares offsets, targets and both transposed arrays).
+        #[test]
+        fn materializer_matches_log_replay(log in arbitrary_log()) {
+            let (d, last) = build(&log);
+            let mut t = -1.0;
+            while t <= last + 1.0 {
+                let oracle = replayed_edges_at(&d, t);
+                prop_assert_eq!(&d.edges_at(t), &oracle, "edges_at({})", t);
+                let reference = CsrGraph::from_sorted_dedup_edges(d.num_nodes(), &oracle);
+                prop_assert_eq!(d.graph_at_full(t), reference, "graph_at_full({})", t);
+                let born: Vec<NodeId> = (0..d.num_nodes() as NodeId)
+                    .filter(|&u| d.node_birth[u as usize] <= t)
+                    .collect();
+                prop_assert_eq!(&d.nodes_at(t), &born, "nodes_at({})", t);
+                let (alive_graph, alive) = d.snapshot_at(t);
+                prop_assert_eq!(alive_graph, reference.induced_subgraph_sorted(&born));
+                prop_assert_eq!(alive, born, "snapshot_at({})", t);
+                t += 0.5;
+            }
+        }
+    }
+
+    #[test]
+    fn long_rows_match_log_replay() {
+        // Rows long enough for the radix sort, over enough nodes that a
+        // destination spans three digits: two sources each add, re-add
+        // and remove their way through destinations scattered over
+        // 70 000 ids.
+        let mut d = DynamicGraph::new();
+        for _ in 0..70_000 {
+            d.add_node(0.0).unwrap();
+        }
+        let mut x = 12345u64;
+        for i in 0..6_000u32 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // 2 000 distinct destinations, so each is hit about thrice
+            let dst = ((x >> 33) % 2_000 * 35) as NodeId;
+            let at = f64::from(i / 500);
+            if (x >> 20).is_multiple_of(3) {
+                d.remove_edge(i % 2, dst, at).unwrap();
+            } else {
+                d.add_edge(i % 2, dst, at).unwrap();
+            }
+        }
+        for t in [-1.0, 0.0, 5.5, 11.0] {
+            let oracle = replayed_edges_at(&d, t);
+            assert_eq!(
+                d.graph_at_full(t),
+                CsrGraph::from_sorted_dedup_edges(70_000, &oracle),
+                "t = {t}"
+            );
+        }
+        assert!(replayed_edges_at(&d, 11.0).len() > 1_000);
+    }
 
     fn sample() -> DynamicGraph {
         let mut d = DynamicGraph::new();

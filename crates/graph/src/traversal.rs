@@ -4,7 +4,78 @@
 //! search from its root page, exactly as the paper's crawler "downloaded
 //! pages from each site until we could not reach any more pages".
 
+use std::collections::VecDeque;
+
 use crate::{CsrGraph, NodeId};
+
+/// Buffers for repeated breadth-first traversals of graphs of one size.
+///
+/// A traversal marks only the nodes it reaches, and the next one starts
+/// by un-marking exactly those, so `k` traversals cost O(Σ reach), not
+/// O(k · n) — what the snapshot crawler needs when it mirrors many small
+/// sites of one big graph.
+#[derive(Debug)]
+pub struct BfsScratch {
+    visited: Vec<bool>,
+    order: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+}
+
+impl BfsScratch {
+    /// Buffers for graphs of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        BfsScratch {
+            visited: vec![false; num_nodes],
+            order: Vec::new(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Breadth-first order of the nodes reachable from any of `starts`,
+    /// each node once, visiting at most `limit` nodes. Out-of-range and
+    /// repeated starts are ignored. The slice is valid until the next
+    /// traversal; it is shorter than `limit` iff the queue ran dry, i.e.
+    /// iff it is the full reachable set.
+    pub fn bfs(&mut self, g: &CsrGraph, starts: &[NodeId], limit: usize) -> &[NodeId] {
+        let BfsScratch {
+            visited,
+            order,
+            queue,
+        } = self;
+        assert_eq!(
+            visited.len(),
+            g.num_nodes(),
+            "scratch sized for another graph"
+        );
+        // Forget the previous traversal: what it marked is what it
+        // returned plus, if the limit cut it short, what was still queued.
+        for u in order.drain(..).chain(queue.drain(..)) {
+            visited[u as usize] = false;
+        }
+        if limit == 0 {
+            return order;
+        }
+        for &s in starts {
+            if (s as usize) < visited.len() && !visited[s as usize] {
+                visited[s as usize] = true;
+                queue.push_back(s);
+            }
+        }
+        while let Some(u) = queue.pop_front() {
+            order.push(u);
+            if order.len() == limit {
+                break;
+            }
+            for &v in g.out_neighbors(u) {
+                if !visited[v as usize] {
+                    visited[v as usize] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        order
+    }
+}
 
 /// Breadth-first order of nodes reachable from `start` (inclusive),
 /// visiting at most `limit` nodes. `limit = usize::MAX` for unbounded.
@@ -12,27 +83,7 @@ use crate::{CsrGraph, NodeId};
 /// This mirrors the paper's per-site crawl cap ("the maximum of 200,000
 /// pages"): traversal stops once `limit` pages have been discovered.
 pub fn bfs_limited(g: &CsrGraph, start: NodeId, limit: usize) -> Vec<NodeId> {
-    if (start as usize) >= g.num_nodes() || limit == 0 {
-        return Vec::new();
-    }
-    let mut visited = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    visited[start as usize] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        if order.len() == limit {
-            break;
-        }
-        for &v in g.out_neighbors(u) {
-            if !visited[v as usize] {
-                visited[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
+    bfs_multi(g, &[start], limit)
 }
 
 /// Breadth-first order of all nodes reachable from `start`.
@@ -40,30 +91,12 @@ pub fn bfs(g: &CsrGraph, start: NodeId) -> Vec<NodeId> {
     bfs_limited(g, start, usize::MAX)
 }
 
-/// Multi-source BFS: nodes reachable from any of `starts`, each node once.
+/// Multi-source BFS: nodes reachable from any of `starts`, each node
+/// once, visiting at most `limit` nodes.
 pub fn bfs_multi(g: &CsrGraph, starts: &[NodeId], limit: usize) -> Vec<NodeId> {
-    let mut visited = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for &s in starts {
-        if (s as usize) < g.num_nodes() && !visited[s as usize] {
-            visited[s as usize] = true;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        if order.len() == limit {
-            break;
-        }
-        for &v in g.out_neighbors(u) {
-            if !visited[v as usize] {
-                visited[v as usize] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
+    let mut scratch = BfsScratch::new(g.num_nodes());
+    scratch.bfs(g, starts, limit);
+    scratch.order
 }
 
 /// Iterative depth-first preorder from `start`.
@@ -106,7 +139,7 @@ pub fn weakly_connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
     let n = g.num_nodes();
     let mut comp = vec![u32::MAX; n];
     let mut num = 0u32;
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = VecDeque::new();
     for s in 0..n {
         if comp[s] != u32::MAX {
             continue;
@@ -176,6 +209,40 @@ mod tests {
         // duplicate and out-of-range sources are ignored
         let got = bfs_multi(&g, &[0, 0, 99], usize::MAX);
         assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_traversals() {
+        // two components and a tail; traversals alternate between capped
+        // (nodes left marked in the queue) and exhaustive
+        let g = CsrGraph::from_edges(
+            9,
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (3, 0),
+                (4, 5),
+                (5, 4),
+                (6, 7),
+            ],
+        );
+        let mut scratch = BfsScratch::new(g.num_nodes());
+        for limit in [1, 2, 3, usize::MAX, 0, 2] {
+            for start in 0..9 {
+                assert_eq!(
+                    scratch.bfs(&g, &[start], limit),
+                    bfs_limited(&g, start, limit),
+                    "start {start}, limit {limit}"
+                );
+            }
+        }
+        assert!(scratch.bfs(&g, &[], usize::MAX).is_empty());
+        assert!(
+            scratch.visited.iter().all(|&v| !v),
+            "a mark outlived its traversal"
+        );
     }
 
     #[test]

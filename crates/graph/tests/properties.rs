@@ -202,6 +202,30 @@ proptest! {
         prop_assert_eq!(fused, reference);
     }
 
+    /// Restricting to an id prefix equals the general fused restriction
+    /// for every prefix length, whether the prefix holds every edge (the
+    /// truncating shortcut applies) or cuts through some.
+    #[test]
+    fn prefix_restriction_matches_general_restriction(
+        edges in arbitrary_edges(24, 120),
+        populated in 1u32..25,
+    ) {
+        // nodes `populated..24` are isolated, like pages not yet born
+        let edges: Vec<(u32, u32)> =
+            edges.iter().map(|&(u, v)| (u % populated, v % populated)).collect();
+        let g = CsrGraph::from_edges(24, &edges);
+        for k in 0..=24usize {
+            let keep: Vec<NodeId> = (0..k as NodeId).collect();
+            let mut old_to_new = vec![NodeId::MAX; 24];
+            old_to_new[..k].copy_from_slice(&keep);
+            prop_assert_eq!(
+                g.induced_subgraph_sorted(&keep),
+                g.restrict_relabel(&old_to_new, k),
+                "prefix {}", k
+            );
+        }
+    }
+
     /// `Snapshot::restrict_to` through the fused path produces the same
     /// snapshot (graph, pages, fingerprint) as rebuilding from the
     /// reference restriction with `Snapshot::new`.

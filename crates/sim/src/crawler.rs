@@ -9,8 +9,8 @@
 //! page cap, and assembly into an externally-identified
 //! [`qrank_graph::Snapshot`].
 
-use qrank_graph::traversal::bfs_limited;
-use qrank_graph::{GraphError, PageId, PageSet, Snapshot, SnapshotSeries};
+use qrank_graph::traversal::BfsScratch;
+use qrank_graph::{CsrGraph, GraphError, NodeId, PageId, PageSet, Snapshot, SnapshotSeries};
 
 use crate::World;
 
@@ -57,6 +57,53 @@ impl Default for Crawler {
     }
 }
 
+/// Mirror every alive root of `roots` in turn, breadth-first, at most
+/// `cap` pages per root, and return the alive pages captured (ascending,
+/// each once — a crawler deduplicates by URL, so the first site to reach
+/// a page wins) plus the number of roots skipped as already covered.
+///
+/// A traversal that stays below the cap drained its queue: what it
+/// returned is the full set reachable from its root, closed under
+/// out-links, and every alive page in it is captured. `closed` is the
+/// union of those sets. A later root inside `closed` can only reach pages
+/// inside `closed`, so its traversal — capped or not — would capture
+/// nothing new and is skipped; the result is the same set for every cap.
+/// On a web where the first root reaches everything this is one
+/// traversal instead of one per site.
+fn mirror_sites(
+    g: &CsrGraph,
+    roots: &[NodeId],
+    alive: impl Fn(NodeId) -> bool,
+    cap: usize,
+) -> (Vec<NodeId>, u64) {
+    let mut scratch = BfsScratch::new(g.num_nodes());
+    let mut reached_by_any = vec![false; g.num_nodes()];
+    let mut closed = vec![false; g.num_nodes()];
+    let mut roots_skipped = 0;
+    for &root in roots {
+        // roots of sites created later don't exist yet
+        if !alive(root) {
+            continue;
+        }
+        if closed[root as usize] {
+            roots_skipped += 1;
+            continue;
+        }
+        let reached = scratch.bfs(g, &[root], cap);
+        let exhausted = reached.len() < cap;
+        for &p in reached {
+            reached_by_any[p as usize] = true;
+            closed[p as usize] |= exhausted;
+        }
+    }
+    // ascending by construction; pages that are reached but not alive
+    // are not captured
+    let captured = (0..g.num_nodes() as NodeId)
+        .filter(|&p| reached_by_any[p as usize] && alive(p))
+        .collect();
+    (captured, roots_skipped)
+}
+
 impl Crawler {
     /// Crawl the world's link structure as of time `t` (which must not
     /// exceed the world's clock) and return a snapshot whose nodes are
@@ -67,36 +114,34 @@ impl Crawler {
             "cannot crawl the future: t={t}, world at {}",
             world.time()
         );
+        let _span = qrank_obs::span!("sim.crawl");
         // memoized: repeated crawls of an unchanged world rebuild nothing
         let g = world.link_graph_arc(t);
-        // Visit each site from its root; a page is captured once even if
-        // reachable from several sites (first crawl wins, like a crawler
-        // deduplicating by URL).
-        let mut captured: Vec<u32> = Vec::new();
-        let mut seen = vec![false; g.num_nodes()];
-        for &root in world.site_roots() {
-            // roots of sites created later than t don't exist yet
-            if world.page(root).created_at > t {
-                continue;
-            }
-            for p in bfs_limited(&g, root, self.max_pages_per_site) {
-                // skip pages born after t (their edges don't exist at t,
-                // but isolated future nodes are present in the full graph)
-                if world.page(p).created_at > t || seen[p as usize] {
-                    continue;
-                }
-                seen[p as usize] = true;
-                captured.push(p);
-            }
-        }
-        captured.sort_unstable();
-        // `captured` is sorted, deduplicated (the `seen` mask), and
-        // in-range, so the snapshot is assembled through the trusted
-        // fused path: single-pass restriction, no defensive re-sort, and
-        // a pre-validated page universe (page ids are the captured node
+        let (captured, roots_skipped) = mirror_sites(
+            &g,
+            world.site_roots(),
+            |p| world.page(p).created_at <= t,
+            self.max_pages_per_site,
+        );
+        // `captured` is sorted, deduplicated, and in-range, so the
+        // snapshot is assembled through the trusted fused path:
+        // single-pass restriction, no defensive re-sort, and a
+        // pre-validated page universe (page ids are the captured node
         // ids, ascending, so no duplicate check is needed either).
         let sub = g.induced_subgraph_sorted(&captured);
         let pages = PageSet::from_sorted(captured.iter().map(|&p| PageId(p as u64)).collect());
+        if qrank_obs::enabled() {
+            let registry = qrank_obs::global();
+            registry
+                .counter("sim.crawl.pages")
+                .add(captured.len() as u64);
+            registry
+                .counter("sim.crawl.edges")
+                .add(sub.num_edges() as u64);
+            registry
+                .counter("sim.crawl.roots_skipped")
+                .add(roots_skipped);
+        }
         Snapshot::from_page_set(t, sub, pages)
     }
 
@@ -174,6 +219,97 @@ mod tests {
         let snap = crawler.crawl(&w, 1.0).unwrap();
         assert!(snap.num_pages() <= 10 * 4, "cap 10 per site, 4 sites");
         assert!(snap.num_pages() >= 10, "should still capture something");
+    }
+
+    const CAPS: [usize; 4] = [1, 10, 37, 200_000];
+
+    /// The crawl as the paper words it, with nothing skipped: every alive
+    /// root gets its own full `bfs_limited`, and the captures are united.
+    fn mirror_sites_naive(
+        g: &CsrGraph,
+        roots: &[NodeId],
+        alive: impl Fn(NodeId) -> bool,
+        cap: usize,
+    ) -> Vec<NodeId> {
+        let mut captured: Vec<NodeId> = roots
+            .iter()
+            .filter(|&&root| alive(root))
+            .flat_map(|&root| qrank_graph::traversal::bfs_limited(g, root, cap))
+            .filter(|&p| alive(p))
+            .collect();
+        captured.sort_unstable();
+        captured.dedup();
+        captured
+    }
+
+    /// `crawl` against a snapshot assembled from the naive capture: same
+    /// pages and same fingerprint (time, page ids, CSR arrays).
+    fn assert_crawl_matches_reference(w: &World, t: f64) {
+        let g = w.link_graph_arc(t);
+        for cap in CAPS {
+            let crawler = Crawler {
+                max_pages_per_site: cap,
+            };
+            let got = crawler.crawl(w, t).unwrap();
+            let captured =
+                mirror_sites_naive(&g, w.site_roots(), |p| w.page(p).created_at <= t, cap);
+            let pages = PageSet::from_sorted(captured.iter().map(|&p| PageId(p as u64)).collect());
+            let want =
+                Snapshot::from_page_set(t, g.induced_subgraph_sorted(&captured), pages).unwrap();
+            assert_eq!(got.pages(), want.pages(), "cap {cap}, t {t}");
+            assert_eq!(got.fingerprint(), want.fingerprint(), "cap {cap}, t {t}");
+        }
+    }
+
+    #[test]
+    fn crawl_matches_per_root_reference_on_a_connected_world() {
+        let mut w = World::bootstrap(config()).unwrap();
+        w.run_until(1.5);
+        assert_crawl_matches_reference(&w, 1.5);
+        // and the point of the closure mask: on a web where the first
+        // root reaches every page, the other three are never traversed
+        let g = w.link_graph_arc(1.5);
+        let (_, skipped) = mirror_sites(&g, w.site_roots(), |_| true, 200_000);
+        assert_eq!(skipped, 3);
+    }
+
+    #[test]
+    fn crawl_matches_per_root_reference_in_the_past() {
+        let mut w = World::bootstrap(config()).unwrap();
+        w.run_until(3.0);
+        // most pages not yet born
+        assert_crawl_matches_reference(&w, 0.5);
+        // no page born, the site roots included: nothing to capture
+        assert_crawl_matches_reference(&w, -1.0);
+        assert_eq!(Crawler::default().crawl(&w, -1.0).unwrap().num_pages(), 0);
+    }
+
+    #[test]
+    fn mirror_sites_matches_per_root_reference_on_disconnected_components() {
+        // three mutually unreachable components: a 5-cycle with a
+        // chord, a 40-page tree, and a chain that runs into a 2-cycle;
+        // node 60 is isolated
+        let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)];
+        edges.extend((1..40).map(|i| (5 + (i - 1) / 3, 5 + i)));
+        edges.extend((45..52).map(|i| (i, i + 1)));
+        edges.push((52, 51));
+        let g = CsrGraph::from_edges(61, &edges);
+        // several roots per component, in an order that puts a root
+        // before and after a traversal that closes over it
+        let roots = [47, 5, 0, 3, 45, 60, 6, 51, 2, 60];
+        let unborn = |p: NodeId| p != 3 && p != 60 && p % 11 != 7;
+        for cap in CAPS {
+            for alive in [&(|_| true) as &dyn Fn(NodeId) -> bool, &unborn] {
+                let (got, skipped) = mirror_sites(&g, &roots, alive, cap);
+                assert_eq!(got, mirror_sites_naive(&g, &roots, alive, cap), "cap {cap}");
+                assert!(skipped as usize <= roots.len());
+            }
+        }
+        // uncapped, everything alive: 47, 5 and 0 close their components,
+        // 45 and 60 are new ground, the other five roots are skipped
+        assert_eq!(mirror_sites(&g, &roots, |_| true, 200_000).1, 5);
+        // no traversal ends below a cap of 1, so nothing is ever skipped
+        assert_eq!(mirror_sites(&g, &roots, |_| true, 1).1, 0);
     }
 
     #[test]

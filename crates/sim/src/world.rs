@@ -32,7 +32,7 @@
 //! per-thread and applied in page order afterwards, keeping the graph
 //! event log identical too.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use qrank_graph::{CsrGraph, DynamicGraph, GraphError, NodeId};
@@ -82,8 +82,10 @@ pub struct World {
     links: DynamicGraph,
     /// Navigation edges that must survive forgetting.
     structural: HashSet<(u32, u32)>,
-    /// `(page, user) -> src` of the like-link the user created.
-    like_link_src: HashMap<(u32, u32), u32>,
+    /// Like-links ever created (telemetry). User `u`'s like of page `p`
+    /// is the link `homepage[u] -> p`, and exists iff `homepage[u] != p`,
+    /// so no per-like record is kept.
+    like_links: usize,
     /// Cached PageRank for the ByPageRank visit model.
     cached_pr: Vec<f64>,
     cached_pr_pages: usize,
@@ -128,7 +130,7 @@ impl World {
             site_pages: vec![Vec::new(); config.num_sites],
             links: DynamicGraph::new(),
             structural: HashSet::new(),
-            like_link_src: HashMap::new(),
+            like_links: 0,
             cached_pr: Vec::new(),
             cached_pr_pages: 0,
             steps_taken: 0,
@@ -211,10 +213,12 @@ impl World {
         }
         self.version += 1;
         self.liked_count[page as usize] += 1;
-        let src = self.homepage.get(user as usize).copied().unwrap_or(page);
+        // Bootstrap creates a user's home page before the user's first
+        // like (which is of that very page, hence no link).
+        let src = self.homepage[user as usize];
         if src != page {
             self.links.add_edge(src, page, self.time)?;
-            self.like_link_src.insert((page, user), src);
+            self.like_links += 1;
         }
         Ok(())
     }
@@ -228,7 +232,7 @@ impl World {
         // draws randomness or branches the simulation, so enabling
         // observability cannot perturb the history (see the obs-on/off
         // fingerprint test in tests/determinism.rs).
-        let links_before = self.like_link_src.len() + self.structural.len();
+        let links_before = self.like_links + self.structural.len();
 
         // 1. Page births.
         let births = sample_poisson(&mut self.rng, cfg.page_birth_rate * cfg.dt);
@@ -263,7 +267,7 @@ impl World {
             self.record_like(p, user)?;
         }
         let links_created =
-            (self.like_link_src.len() + self.structural.len()).saturating_sub(links_before) as u64;
+            (self.like_links + self.structural.len()).saturating_sub(links_before) as u64;
 
         // 3. Forgetting.
         let mut forgets = 0u64;
@@ -396,10 +400,9 @@ impl World {
         if self.liked[page as usize].clear(user) {
             self.version += 1;
             self.liked_count[page as usize] -= 1;
-            if let Some(src) = self.like_link_src.remove(&(page, user)) {
-                if !self.structural.contains(&(src, page)) {
-                    self.links.remove_edge(src, page, self.time)?;
-                }
+            let src = self.homepage[user as usize];
+            if src != page && !self.structural.contains(&(src, page)) {
+                self.links.remove_edge(src, page, self.time)?;
             }
         }
         Ok(())
@@ -575,6 +578,7 @@ impl World {
         if qrank_obs::enabled() {
             qrank_obs::global().counter("sim.graph_cache.miss").inc();
         }
+        let _span = qrank_obs::span!("sim.link_graph");
         let g = Arc::new(self.links.graph_at_full(t));
         *guard = Some(GraphCache {
             version: self.version,

@@ -4,7 +4,8 @@
 //! counter-based stream keyed on `(seed, step, page)`, so chunking the
 //! pages across 1, 2, or 8 workers cannot change a single draw.
 
-use qrank_sim::{QualityDist, SimConfig, VisitModel, World};
+use qrank_graph::Fingerprinter;
+use qrank_sim::{Crawler, QualityDist, SimConfig, VisitModel, World};
 
 fn base_config() -> SimConfig {
     SimConfig {
@@ -31,6 +32,23 @@ fn fingerprint(w: &World) -> Fingerprint {
         (0..n).map(|p| w.awareness(p)).collect(),
         w.link_graph_at(w.time()).edges().collect(),
     )
+}
+
+/// [`fingerprint`] folded into one word, so a history can be pinned as
+/// a constant.
+fn digest(w: &World) -> u64 {
+    let (pages, pops, aware, edges) = fingerprint(w);
+    let mut h = Fingerprinter::new();
+    h.word(pages as u64);
+    h.words(pops.iter().map(|p| p.to_bits()));
+    h.words(aware.iter().map(|a| a.to_bits()));
+    h.word(edges.len() as u64);
+    h.words(
+        edges
+            .iter()
+            .map(|&(s, d)| u64::from(s) << 32 | u64::from(d)),
+    );
+    h.finish()
 }
 
 fn run(cfg: SimConfig, threads: usize, until: f64) -> World {
@@ -71,6 +89,33 @@ fn forgetting_worlds_are_thread_count_independent() {
 }
 
 #[test]
+fn histories_match_golden_digests() {
+    // Computed at commit 0f81405, when every like-link's source was still
+    // recorded in a `HashMap<(page, user), src>`. The simulator now
+    // derives it from `homepage[user]`; these constants prove that no
+    // like, no link and no forget moved. A deliberate change to the
+    // model must re-derive them and say so.
+    const GOLDEN_NO_FORGETTING: u64 = 0x506c_be8b_ec5f_c720;
+    const GOLDEN_FORGETTING: u64 = 0x84c6_41ee_e266_82c3;
+    let forgetting = SimConfig {
+        forget_rate: 1.5,
+        ..base_config()
+    };
+    for threads in [1, 8] {
+        assert_eq!(
+            digest(&run(base_config(), threads, 2.0)),
+            GOLDEN_NO_FORGETTING,
+            "forget_rate 0 history moved at {threads} threads"
+        );
+        assert_eq!(
+            digest(&run(forgetting, threads, 2.0)),
+            GOLDEN_FORGETTING,
+            "forget_rate 1.5 history moved at {threads} threads"
+        );
+    }
+}
+
+#[test]
 fn pagerank_visit_model_is_thread_count_independent() {
     // Exercises the feedback loop: visit weights depend on the cached
     // PageRank, which depends on the like-link graph the visit phase
@@ -103,14 +148,37 @@ fn observability_does_not_perturb_the_history() {
     };
     qrank_obs::set_enabled(false);
     let off = run(cfg, 2, 2.0);
+    let crawled_off = Crawler::default().crawl(&off, 2.0).expect("crawl");
     qrank_obs::set_enabled(true);
     let on = run(cfg, 2, 2.0);
+    let crawled_on = Crawler::default().crawl(&on, 2.0).expect("crawl");
     qrank_obs::set_enabled(false);
     assert_eq!(
         fingerprint(&off),
         fingerprint(&on),
         "history diverged with observability enabled"
     );
+    // the crawl stage's spans and counters are as inert as the step's
+    assert_eq!(
+        crawled_off.fingerprint(),
+        crawled_on.fingerprint(),
+        "crawl diverged with observability enabled"
+    );
+    let seen = qrank_obs::global().snapshot();
+    assert_eq!(
+        seen.counter("sim.crawl.pages"),
+        Some(crawled_on.num_pages() as u64)
+    );
+    assert_eq!(
+        seen.counter("sim.crawl.edges"),
+        Some(crawled_on.graph.num_edges() as u64)
+    );
+    // five sites, one connected web: the first root's traversal covers
+    // the other four
+    assert_eq!(seen.counter("sim.crawl.roots_skipped"), Some(4));
+    for span in ["span.sim.crawl", "span.sim.crawl/sim.link_graph"] {
+        assert_eq!(seen.histogram(span).map(|h| h.count), Some(1), "{span}");
+    }
     // and the telemetry actually recorded the steps it watched
     let steps = qrank_obs::global()
         .snapshot()
