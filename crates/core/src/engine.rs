@@ -49,7 +49,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use qrank_graph::{AlignmentTracker, Snapshot, SnapshotSeries};
+use qrank_graph::{AlignmentTracker, CsrGraph, Snapshot, SnapshotSeries};
 
 use crate::estimator::{PaperEstimator, QualityEstimator};
 use crate::pipeline::{report_from_trajectories, PipelineConfig, PipelineReport};
@@ -273,24 +273,33 @@ impl PipelineEngine {
 
         let columns: Vec<Arc<Vec<f64>>> = {
             let _s = qrank_obs::span!("pipeline.stage.columns");
-            let mut columns = Vec::with_capacity(aligned.len());
+            // Same shape as the restrict stage: the window's cache
+            // misses are solved as one batch — the columns are
+            // independent, so the thread budget goes to whole columns
+            // first — and committed in window order. Each column equals
+            // a lone `metric.compute` of its graph bit for bit.
+            let mut missed: Vec<&Arc<Snapshot>> = Vec::new();
             for snap in &aligned {
-                let fp = snap.fingerprint();
-                if let Some(hit) = self.column_cache.get(&fp) {
+                if self.column_cache.contains_key(&snap.fingerprint()) {
                     self.stats.column_hits += 1;
                     bump("pipeline.stage.column.hit");
-                    columns.push(Arc::clone(hit));
                 } else {
                     self.stats.column_misses += 1;
                     bump("pipeline.stage.column.miss");
-                    let col = Arc::new(self.metric.compute(&snap.graph));
-                    self.column_cache.insert(fp, Arc::clone(&col));
-                    columns.push(col);
+                    missed.push(snap);
                 }
+            }
+            let graphs: Vec<&CsrGraph> = missed.iter().map(|snap| &snap.graph).collect();
+            for (snap, column) in missed.iter().zip(self.metric.compute_many(&graphs)) {
+                self.column_cache
+                    .insert(snap.fingerprint(), Arc::new(column));
             }
             let used: HashSet<u64> = aligned.iter().map(|s| s.fingerprint()).collect();
             self.column_cache.retain(|k, _| used.contains(k));
-            columns
+            aligned
+                .iter()
+                .map(|snap| Arc::clone(&self.column_cache[&snap.fingerprint()]))
+                .collect()
         };
 
         Ok(Some((aligned, columns)))
@@ -495,6 +504,28 @@ mod tests {
             let report = engine.run(&series, &est, 0.05).unwrap();
             assert_reports_equal(&baseline, &report);
         }
+    }
+
+    #[test]
+    fn cold_four_column_run_gives_one_report_at_budgets_1_2_8() {
+        // The column solves follow the process-global budget; this is
+        // the only test in the crate's unit suite that pins it.
+        let est = PaperEstimator {
+            c: 0.1,
+            flat_tolerance: 0.0,
+        };
+        let series = window(0, 4);
+        let mut reports = Vec::new();
+        for threads in [1usize, 2, 8] {
+            qrank_rank::set_thread_budget(threads);
+            let mut engine = PipelineEngine::new(PopularityMetric::paper_pagerank());
+            reports.push(engine.run(&series, &est, 0.05).unwrap());
+            assert_eq!(engine.stats().columns_solved(), 4);
+            assert_eq!(engine.stats().columns_reused(), 0);
+        }
+        qrank_rank::set_thread_budget(0);
+        assert_reports_equal(&reports[0], &reports[1]);
+        assert_reports_equal(&reports[0], &reports[2]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-page popularity trajectories across an aligned snapshot series.
 
-use qrank_graph::{PageId, SnapshotSeries};
+use qrank_graph::{CsrGraph, PageId, SnapshotSeries};
 
 use crate::{CoreError, PopularityMetric};
 
@@ -116,8 +116,8 @@ pub fn compute_trajectories(
     // pure function of its own snapshot, which is what lets the stage
     // engine (`qrank_core::engine`) reuse cached columns across window
     // slides while staying bitwise-identical to this cold path.
-    for snap in series.snapshots() {
-        let scores = metric.compute(&snap.graph);
+    let graphs: Vec<&CsrGraph> = series.snapshots().iter().map(|s| &s.graph).collect();
+    for scores in metric.compute_many(&graphs) {
         debug_assert_eq!(scores.len(), n);
         for (p, &v) in scores.iter().enumerate() {
             values[p].push(v);

@@ -1,0 +1,100 @@
+//! The column stage solves a window's cache misses as one batch on
+//! several threads. Two things must hold whatever the schedule: turning
+//! observability on changes no bit of the report, and the time spent on
+//! worker threads is attributed to the stage that fanned out — not to
+//! root spans that would count the stage twice.
+//!
+//! Observability and the thread budget are process-global, so the whole
+//! scenario lives in one `#[test]`.
+
+use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetric};
+use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
+use qrank_obs as obs;
+
+/// Four crawls of one 300-page site whose links churn with `t`.
+fn series() -> SnapshotSeries {
+    let n = 300u64;
+    let pages: Vec<PageId> = (0..n).map(PageId).collect();
+    let mut series = SnapshotSeries::new();
+    for t in 0..4u64 {
+        let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|u| (u, (u + 1) % n as u32)).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1);
+        for _ in 0..1_500 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            edges.push((((state >> 33) % n) as u32, ((state >> 13) % n) as u32));
+        }
+        let graph = CsrGraph::from_edges(n as usize, &edges);
+        series
+            .push(Snapshot::new(t as f64, graph, pages.clone()).unwrap())
+            .unwrap();
+    }
+    series
+}
+
+fn cold_run(series: &SnapshotSeries) -> PipelineReport {
+    let estimator = PaperEstimator {
+        c: 0.1,
+        flat_tolerance: 0.0,
+    };
+    PipelineEngine::new(PopularityMetric::paper_pagerank())
+        .run(series, &estimator, 0.05)
+        .unwrap()
+}
+
+#[test]
+fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
+    let series = series();
+    // more threads than most CI boxes have: the batch clamps to the
+    // machine, and every assertion below holds for any worker count
+    qrank_rank::set_thread_budget(4);
+
+    obs::set_enabled(false);
+    let off = cold_run(&series);
+    obs::set_enabled(true);
+    obs::reset();
+    let on = cold_run(&series);
+    obs::set_enabled(false);
+    qrank_rank::set_thread_budget(0);
+
+    assert_eq!(off.pages, on.pages);
+    assert_eq!(off.estimates, on.estimates);
+    assert_eq!(off.current, on.current);
+    assert_eq!(off.future, on.future);
+    assert_eq!(off.err_estimate, on.err_estimate);
+    assert_eq!(off.trajectories.values, on.trajectories.values);
+
+    let snap = obs::global().snapshot();
+    let stage = "span.pipeline.run/pipeline.stage.columns";
+    let batch = snap
+        .histogram(&format!("{stage}/rank.solve_many"))
+        .expect("the batch is one span on the calling thread");
+    assert_eq!(batch.count, 1);
+    let solves = snap
+        .histogram(&format!("{stage}/rank.solve_many/rank.gauss_seidel"))
+        .expect("per-column solves record under the batch, on any thread");
+    assert_eq!(solves.count, 4);
+    let roots: Vec<&str> = snap
+        .histograms
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| name.starts_with("span.rank.") || name.starts_with("span.align."))
+        .collect();
+    assert!(
+        roots.is_empty(),
+        "worker spans surfaced as roots: {roots:?}"
+    );
+
+    assert_eq!(snap.counter("rank.solve_many.columns"), Some(4));
+    let workers = snap.counter("rank.solve_many.workers").unwrap();
+    assert!((1..=4).contains(&workers), "workers = {workers}");
+    // wall time of the batch on the caller; per-column time summed over
+    // workers (each column's timer encloses its solve span)
+    let column_ns = snap.counter("rank.solve_many.column_ns").unwrap();
+    assert!(column_ns >= solves.sum, "{column_ns} < {}", solves.sum);
+    assert!(
+        column_ns <= batch.sum * workers,
+        "more column time than {workers} workers had"
+    );
+}

@@ -191,12 +191,12 @@ impl AlignmentTracker {
 }
 
 /// Restrict each snapshot in `snaps` to the shared universe `keep`,
-/// using up to `threads` scoped worker threads.
+/// on up to `threads` threads, the calling thread included.
 ///
 /// Each restriction is a pure function of its input snapshot, so the
-/// work parallelizes without coordination: the input is split into
-/// contiguous chunks, each worker fills a disjoint slice of the output,
-/// and results land in input order. Output is therefore **bitwise
+/// work parallelizes without coordination: every worker fills result
+/// slots no other worker touches ([`crate::par::for_each_slot`]) and
+/// results land in input order. Output is therefore **bitwise
 /// thread-count-independent** — budgets 1, 2, and 8 produce identical
 /// snapshots with identical fingerprints.
 ///
@@ -207,33 +207,17 @@ pub fn restrict_snapshots<S: std::borrow::Borrow<Snapshot> + Sync>(
     keep: &Arc<PageSet>,
     threads: usize,
 ) -> Result<Vec<Snapshot>, GraphError> {
-    let threads = threads.clamp(1, snaps.len().max(1));
-    if threads <= 1 || snaps.len() <= 1 {
-        if qrank_obs::enabled() && !snaps.is_empty() {
-            qrank_obs::global().counter("align.parallel_chunks").inc();
-        }
-        return snaps
-            .iter()
-            .map(|s| s.borrow().restrict_to_set(keep))
-            .collect();
-    }
-    let chunk = snaps.len().div_ceil(threads);
-    let mut slots: Vec<Option<Result<Snapshot, GraphError>>> = Vec::new();
-    slots.resize_with(snaps.len(), || None);
-    std::thread::scope(|scope| {
-        for (out, work) in slots.chunks_mut(chunk).zip(snaps.chunks(chunk)) {
-            scope.spawn(move || {
-                for (slot, snap) in out.iter_mut().zip(work) {
-                    *slot = Some(snap.borrow().restrict_to_set(keep));
-                }
-            });
-        }
-    });
-    if qrank_obs::enabled() {
+    let workers = threads.clamp(1, snaps.len().max(1));
+    if qrank_obs::enabled() && !snaps.is_empty() {
         qrank_obs::global()
             .counter("align.parallel_chunks")
-            .add(snaps.len().div_ceil(chunk) as u64);
+            .add(workers as u64);
     }
+    let mut slots: Vec<Option<Result<Snapshot, GraphError>>> = Vec::new();
+    slots.resize_with(snaps.len(), || None);
+    crate::par::for_each_slot(&mut slots, snaps, workers, |slot, snap| {
+        *slot = Some(snap.borrow().restrict_to_set(keep));
+    });
     slots
         .into_iter()
         .map(|slot| slot.expect("every slot is filled by exactly one worker"))

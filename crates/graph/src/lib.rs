@@ -28,6 +28,8 @@
 //!   generator mirroring the paper's 154-site corpus.
 //! * [`io`] — text edge-list and binary serialization for graphs and
 //!   snapshot series.
+//! * [`par`] — the scoped-thread fan-out shared by window alignment and
+//!   the column-parallel solve (the caller works as one of the threads).
 //!
 //! ## Quick example
 //!
@@ -60,6 +62,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod generators;
 pub mod io;
+pub mod par;
 pub mod relabel;
 pub mod scc;
 pub mod snapshot;

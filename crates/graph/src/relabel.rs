@@ -96,15 +96,18 @@ pub fn forward_vector(v: &[f64], r: &Relabeling) -> Vec<f64> {
 impl CsrGraph {
     /// The same graph with node ids renamed by `r` (`perm[old] = new`).
     ///
+    /// A renaming is a restriction that drops nothing, so this is
+    /// [`CsrGraph::restrict_relabel`] with every node surviving: rows are
+    /// counted, placed and sorted by new id directly, with no edge list
+    /// in between. Neighbor lists are sorted, so the result is the graph
+    /// [`CsrGraph::from_edges`] builds from the mapped edge list —
+    /// including the row order that fixes a solver's summation order.
+    ///
     /// # Panics
-    /// Panics if `r` does not cover exactly this graph's nodes.
+    /// Panics if `r` is not a permutation of exactly this graph's nodes.
     pub fn relabeled(&self, r: &Relabeling) -> CsrGraph {
         assert_eq!(r.len(), self.num_nodes(), "permutation length mismatch");
-        let edges: Vec<(NodeId, NodeId)> = self
-            .edges()
-            .map(|(u, v)| (r.new_id(u), r.new_id(v)))
-            .collect();
-        CsrGraph::from_edges(self.num_nodes(), &edges)
+        self.restrict_relabel(&r.perm, self.num_nodes())
     }
 }
 
@@ -166,6 +169,15 @@ mod tests {
         assert_eq!(g.relabeled(&r), g);
         assert!(!r.is_empty());
         assert_eq!(Relabeling::identity(0).len(), 0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn relabeling_by_a_non_permutation_panics() {
+        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        g.relabeled(&Relabeling {
+            perm: vec![0, 0, 2],
+        });
     }
 
     #[test]

@@ -161,6 +161,32 @@ proptest! {
         }
     }
 
+    /// `relabeled` emits the permuted rows directly; the oracle is the
+    /// edge-list detour it replaced (`from_edges` on the mapped edges).
+    /// Equality covers row order, which fixes a solver's summation
+    /// order and with it the score bits.
+    #[test]
+    fn relabeled_matches_from_edges_on_the_mapped_edge_list(
+        edges in arbitrary_edges(24, 120),
+        shuffle_seed in 0u64..u64::MAX,
+    ) {
+        let g = CsrGraph::from_edges(24, &edges);
+        let mut perm: Vec<NodeId> = (0..24).collect();
+        let mut s = shuffle_seed;
+        for i in (1..perm.len()).rev() {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            perm.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        let mapped: Vec<(NodeId, NodeId)> = g
+            .edges()
+            .map(|(u, v)| (perm[u as usize], perm[v as usize]))
+            .collect();
+        let oracle = CsrGraph::from_edges(24, &mapped);
+        prop_assert_eq!(g.relabeled(&Relabeling { perm }), oracle);
+    }
+
     /// The fused single-pass restriction (`restrict_relabel`) is
     /// edge-for-edge identical to the reference two-pass path
     /// (`induced_subgraph` of the sorted keep set, then `relabeled` into

@@ -10,6 +10,14 @@
 //! places: a `span.<path>` nanosecond histogram in the global registry,
 //! and an event in the [`crate::recorder`] ring. When disabled the
 //! guard is inert — no clock read, no allocation, no lock.
+//!
+//! The stack is per thread, so a span opened on a freshly spawned
+//! worker would record as a *root* and the stage that fanned out would
+//! seem to have done nothing. [`context`] on the spawning thread and
+//! [`adopt`] on the worker carry the path across: worker spans then
+//! record under the stage that spawned them. Their histogram sums are
+//! CPU time summed over workers, which can exceed the wall time of the
+//! enclosing span, recorded once on the spawning thread.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -43,6 +51,24 @@ pub fn enter(name: &'static str) -> SpanGuard {
     SpanGuard {
         start: Some(Instant::now()),
         name,
+    }
+}
+
+/// The calling thread's open spans, outermost first, for a worker
+/// thread to [`adopt`]. Empty when observability is disabled.
+pub fn context() -> Vec<&'static str> {
+    if !crate::enabled() {
+        return Vec::new();
+    }
+    STACK.with(|s| s.borrow().clone())
+}
+
+/// Make `context` (from [`context`] on the spawning thread) this
+/// thread's enclosing spans. Call it first thing on a freshly spawned
+/// worker: it replaces whatever the thread had open.
+pub fn adopt(context: &[&'static str]) {
+    if !context.is_empty() {
+        STACK.with(|s| *s.borrow_mut() = context.to_vec());
     }
 }
 
@@ -106,6 +132,30 @@ mod tests {
         );
         assert!(inner.sum > 0, "elapsed time is never negative or zero here");
         crate::set_enabled(false);
+    }
+
+    #[test]
+    fn worker_spans_record_under_the_adopted_context() {
+        let _serial = crate::test_lock();
+        crate::set_enabled(true);
+        crate::reset();
+        {
+            let _stage = crate::span!("t.stage");
+            let ctx = super::context();
+            assert_eq!(ctx, ["t.stage"]);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    super::adopt(&ctx);
+                    let _g = crate::span!("t.work");
+                });
+            });
+        }
+        let snap = crate::global().snapshot();
+        assert_eq!(snap.histogram("span.t.stage/t.work").unwrap().count, 1);
+        assert!(snap.histogram("span.t.work").is_none(), "no orphan root");
+        assert_eq!(snap.histogram("span.t.stage").unwrap().count, 1);
+        crate::set_enabled(false);
+        assert!(super::context().is_empty());
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::Barrier;
 
 use qrank_graph::CsrGraph;
 
-use crate::power::{apply_scale, inv_out_degrees, PageRankResult};
+use crate::power::{apply_scale, inv_out_degrees, start_vector, PageRankResult};
 use crate::{DanglingStrategy, PageRankConfig};
 
 #[inline]
@@ -148,38 +148,30 @@ pub fn colored_gauss_seidel_warm(
         })
         .collect();
 
-    let init: Vec<f64> = match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|&v| v / sum).collect()
-        }
-        _ => vec![1.0 / n as f64; n],
-    };
+    let mut init = vec![0.0; n];
+    start_vector(&mut init, warm);
     let x: Vec<AtomicU64> = init.iter().map(|&v| AtomicU64::new(v.to_bits())).collect();
+    // w[u] = x[u] / c_u, stored beside x[u] at every write: the pull
+    // reads one random value per edge instead of two and adds the very
+    // products it used to form in place.
+    let w: Vec<AtomicU64> = init
+        .iter()
+        .zip(&inv)
+        .map(|(&x, &i)| AtomicU64::new((x * i).to_bits()))
+        .collect();
     let prev: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     let init_dangling: f64 = (0..n).filter(|&v| inv[v] == 0.0).map(|v| init[v]).sum();
     let barrier = Barrier::new(threads);
-    let chunk = n.div_ceil(threads);
 
     // Every worker runs identical control flow; all reductions are
     // recomputed per worker in node order, so totals (and branches) are
     // bitwise identical everywhere and the barriers stay in lockstep.
     let worker = |tid: usize| -> (usize, bool, Vec<f64>) {
-        let lo = (tid * chunk).min(n);
-        let hi = ((tid + 1) * chunk).min(n);
         let mut dangling_mass = init_dangling;
         let mut residuals = Vec::new();
         let mut converged = false;
         let mut iterations = 0;
         while iterations < config.max_iterations {
-            for v in lo..hi {
-                prev[v].store(x[v].load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            barrier.wait();
             for (ci, class) in coloring.classes.iter().enumerate() {
                 let dangling_share = match config.dangling {
                     DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
@@ -192,7 +184,7 @@ pub fn colored_gauss_seidel_warm(
                     let vu = v as usize;
                     let mut acc = 0.0;
                     for &u in g.in_neighbors(v) {
-                        acc += f64_load(&x[u as usize]) * inv[u as usize];
+                        acc += f64_load(&w[u as usize]);
                     }
                     let mut new_v = teleport + dangling_share + alpha * acc;
                     if inv[vu] == 0.0 && config.dangling == DanglingStrategy::SelfLoop {
@@ -200,13 +192,16 @@ pub fn colored_gauss_seidel_warm(
                         // for x_v (same implicit step as sequential GS)
                         new_v = (teleport + alpha * acc) / (1.0 - alpha);
                     }
+                    // Every node is written exactly once per sweep, here:
+                    // what it held until now is its previous-sweep value.
+                    prev[vu].store(x[vu].load(Ordering::Relaxed), Ordering::Relaxed);
                     f64_store(&x[vu], new_v);
+                    f64_store(&w[vu], new_v * inv[vu]);
                 }
                 barrier.wait();
-                // Every node is written exactly once per sweep (in its
-                // own class), so its pre-class value is prev[v]; the
-                // delta reduction in node order is identical on all
-                // workers.
+                // A node's pre-class value is prev[v] (saved at its one
+                // write); the delta reduction in node order is identical
+                // on all workers.
                 for &v in &class_dangling[ci] {
                     dangling_mass += f64_load(&x[v as usize]) - f64_load(&prev[v as usize]);
                 }

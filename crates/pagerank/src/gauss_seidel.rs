@@ -12,7 +12,7 @@
 
 use qrank_graph::CsrGraph;
 
-use crate::power::{apply_scale, inv_out_degrees, PageRankResult};
+use crate::power::{apply_scale, inv_out_degrees, renormalize, start_vector, PageRankResult};
 use crate::{DanglingStrategy, PageRankConfig};
 
 /// Compute PageRank by Gauss–Seidel iteration.
@@ -37,45 +37,50 @@ pub fn gauss_seidel_warm(
     config: &PageRankConfig,
     warm: Option<&[f64]>,
 ) -> PageRankResult {
+    let mut out = PageRankResult::unsolved(g.num_nodes());
+    gauss_seidel_into(g, config, warm, &mut out);
+    out
+}
+
+/// [`gauss_seidel_warm`] into `out`, which the caller allocated with one
+/// score slot per node ([`PageRankResult::unsolved`]): the iterate lives
+/// in `out.scores` from the first sweep on, so a worker thread solving a
+/// column returns nothing it allocated itself but the residual list.
+pub(crate) fn gauss_seidel_into(
+    g: &CsrGraph,
+    config: &PageRankConfig,
+    warm: Option<&[f64]>,
+    out: &mut PageRankResult,
+) {
     let _span = qrank_obs::span!("rank.gauss_seidel");
     config.validate();
     let n = g.num_nodes();
+    let x = &mut out.scores[..];
+    assert_eq!(x.len(), n, "one score slot per node");
     if n == 0 {
-        return PageRankResult {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: true,
-            residuals: Vec::new(),
-        };
+        out.converged = true;
+        return;
     }
     let inv = inv_out_degrees(g);
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
-    let mut x = match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|&v| v / sum).collect()
-        }
-        _ => vec![1.0 / n as f64; n],
-    };
-    let mut prev = vec![0.0; n];
-    let mut residuals = Vec::new();
-    let mut converged = false;
-    let mut iterations = 0;
+    start_vector(x, warm);
+    // w[u] = x[u] / c_u, refreshed where x[u] is written: the pull below
+    // then costs one random read per edge instead of two, and adds the
+    // very products it used to form in place.
+    let mut w: Vec<f64> = x.iter().zip(&inv).map(|(&x, &i)| x * i).collect();
 
     // Running dangling mass, updated incrementally as nodes change.
     let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
 
-    while iterations < config.max_iterations {
-        prev.copy_from_slice(&x);
+    while out.iterations < config.max_iterations {
+        // L1 distance to the previous sweep, summed in node order as the
+        // values are replaced.
+        let mut r = 0.0;
         for v in 0..n {
             let mut acc = 0.0;
             for &u in g.in_neighbors(v as u32) {
-                acc += x[u as usize] * inv[u as usize];
+                acc += w[u as usize];
             }
             let dangling_share = match config.dangling {
                 DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
@@ -99,32 +104,27 @@ pub fn gauss_seidel_warm(
                 }
                 dangling_mass += new_v - x[v];
             }
+            r += (new_v - x[v]).abs();
             x[v] = new_v;
+            w[v] = new_v * inv[v];
         }
-        let r: f64 = x.iter().zip(prev.iter()).map(|(a, b)| (a - b).abs()).sum();
-        iterations += 1;
-        residuals.push(r);
+        out.iterations += 1;
+        out.residuals.push(r);
         if r < config.tolerance {
-            converged = true;
+            out.converged = true;
             break;
         }
     }
     // GS does not preserve the simplex exactly en route; project back.
-    let sum: f64 = x.iter().sum();
-    if sum > 0.0 {
-        let invs = 1.0 / sum;
-        for v in x.iter_mut() {
-            *v *= invs;
-        }
-    }
-    apply_scale(&mut x, config.scale);
-    qrank_obs::convergence::record_solve("gauss_seidel", n, iterations, converged, &residuals);
-    PageRankResult {
-        scores: x,
-        iterations,
-        converged,
-        residuals,
-    }
+    renormalize(x);
+    apply_scale(x, config.scale);
+    qrank_obs::convergence::record_solve(
+        "gauss_seidel",
+        n,
+        out.iterations,
+        out.converged,
+        &out.residuals,
+    );
 }
 
 #[cfg(test)]

@@ -64,6 +64,6 @@ pub use parallel::{parallel_pagerank, parallel_pagerank_force};
 pub use personalized::personalized_pagerank;
 pub use power::{pagerank, pagerank_warm, PageRankResult};
 pub use solver::{
-    select_solver, set_thread_budget, solve_auto, solve_auto_with, thread_budget, SolverChoice,
-    PARALLEL_MIN_NODES,
+    select_solver, set_thread_budget, solve_auto, solve_auto_with, solve_many, thread_budget,
+    SolverChoice, PARALLEL_MIN_NODES,
 };

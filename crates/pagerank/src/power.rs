@@ -19,6 +19,16 @@ pub struct PageRankResult {
 }
 
 impl PageRankResult {
+    /// An unsolved result over `n` nodes, for a solver to fill in place.
+    pub(crate) fn unsolved(n: usize) -> Self {
+        PageRankResult {
+            scores: vec![0.0; n],
+            iterations: 0,
+            converged: false,
+            residuals: Vec::new(),
+        }
+    }
+
     /// Nodes sorted by descending score (ties by ascending id).
     pub fn ranking(&self) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.scores.len() as u32).collect();
@@ -91,6 +101,26 @@ pub(crate) fn renormalize(scores: &mut [f64]) {
     }
 }
 
+/// Fill `x` with the solvers' starting distribution: `warm` normalized
+/// to sum 1 when it is usable (right length, finite, non-negative,
+/// positive sum — either score scale), else uniform.
+pub(crate) fn start_vector(x: &mut [f64], warm: Option<&[f64]>) {
+    let n = x.len();
+    match warm {
+        Some(w)
+            if w.len() == n
+                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
+                && w.iter().sum::<f64>() > 0.0 =>
+        {
+            let sum: f64 = w.iter().sum();
+            for (x, &v) in x.iter_mut().zip(w) {
+                *x = v / sum;
+            }
+        }
+        _ => x.fill(1.0 / n as f64),
+    }
+}
+
 pub(crate) fn inv_out_degrees(g: &CsrGraph) -> Vec<f64> {
     (0..g.num_nodes() as u32)
         .map(|u| {
@@ -146,17 +176,8 @@ pub fn pagerank_warm(
         };
     }
     let inv = inv_out_degrees(g);
-    let mut x = match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
-            w.iter().map(|&v| v / sum).collect()
-        }
-        _ => vec![1.0 / n as f64; n],
-    };
+    let mut x = vec![0.0; n];
+    start_vector(&mut x, warm);
     let mut next = vec![0.0; n];
     let mut residuals = Vec::new();
     let mut converged = false;

@@ -1,4 +1,5 @@
-//! Automatic solver selection: graph size × thread budget.
+//! Automatic solver selection: graph size × thread budget, one column or
+//! a window of them.
 //!
 //! Callers that just want "the fastest correct PageRank" — the pipeline
 //! in `qrank-core`, the refresh engine in `qrank-serve` — should not
@@ -18,17 +19,30 @@
 //!   into a contiguous prefix (cache locality); coloring makes the
 //!   parallel sweep deterministic for any thread count.
 //!
+//! Equation 1 wants the PageRank of one page set at several crawls, so
+//! the pipeline's unit of work is a *batch* of independent solves.
+//! [`solve_many`] gives the thread budget to whole columns first and only
+//! what is left to the inside of a solve: each column runs the solver
+//! [`select_solver`] picks for the full budget — the scores are those of
+//! one [`solve_auto`] call per graph, bit for bit, because the colored
+//! sweep does not depend on its thread count — while the threads that
+//! actually run (workers × threads inside a solve) never exceed the
+//! machine's available parallelism. [`solve_auto`] is the one-column
+//! batch.
+//!
 //! The thread budget defaults to the machine's available parallelism and
 //! can be pinned globally with [`set_thread_budget`] (used by benchmarks
 //! to measure scaling) or per call.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-use qrank_graph::relabel::{degree_order, forward_vector, inverse_scores};
+use qrank_graph::par::for_each_slot;
+use qrank_graph::relabel::{degree_order, forward_vector};
 use qrank_graph::CsrGraph;
 
 use crate::colored::colored_gauss_seidel_warm;
-use crate::gauss_seidel::gauss_seidel_warm;
+use crate::gauss_seidel::gauss_seidel_into;
 use crate::power::PageRankResult;
 use crate::PageRankConfig;
 
@@ -65,9 +79,12 @@ pub fn thread_budget() -> usize {
     {
         return t;
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    available_cpus()
+}
+
+/// Hardware threads this process may run on (1 when unknown).
+fn available_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// What [`solve_auto`] decided to run.
@@ -104,7 +121,8 @@ pub fn solve_auto(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) -
 /// colored path is bit-identical for any thread count — so two calls
 /// with the same graph, config, and warm vector agree bitwise whenever
 /// they select the same solver (which depends only on `num_nodes` and
-/// `threads`).
+/// `threads`). The colored sweep runs on at most the machine's available
+/// parallelism however large the budget.
 pub fn solve_auto_with(
     g: &CsrGraph,
     config: &PageRankConfig,
@@ -112,7 +130,90 @@ pub fn solve_auto_with(
     threads: usize,
 ) -> PageRankResult {
     let _span = qrank_obs::span!("rank.solve_auto");
-    let choice = select_solver(g.num_nodes(), threads.max(1));
+    solve_batch(&[(g, warm)], config, threads, None)
+        .pop()
+        .expect("one job, one result")
+}
+
+/// Solve a batch of independent graphs — a window's columns — cold
+/// under the global [`thread_budget`], results in input order.
+///
+/// `result[i]` is `solve_auto(graphs[i], config, None)` bit for bit
+/// (scores, iteration count, residuals) at every budget and on every
+/// machine. What the budget changes is the schedule: whole columns are
+/// solved side by side first, the calling thread being one of the
+/// workers, and only threads left over go inside a colored sweep.
+pub fn solve_many(graphs: &[&CsrGraph], config: &PageRankConfig) -> Vec<PageRankResult> {
+    let _span = qrank_obs::span!("rank.solve_many");
+    let jobs: Vec<Job<'_>> = graphs.iter().map(|&g| (g, None)).collect();
+    solve_batch(&jobs, config, thread_budget(), None)
+}
+
+/// A graph to solve and its optional warm start.
+type Job<'a> = (&'a CsrGraph, Option<&'a [f64]>);
+
+/// Split `budget` threads over `columns` independent solves on a machine
+/// with `cpus` hardware threads: `(workers, threads inside each solve)`.
+/// Columns come first — a column on its own thread crosses no barrier —
+/// and `workers × inner` never exceeds `cpus`, so an oversized budget
+/// cannot oversubscribe the machine (eight threads spinning on one
+/// core's barrier was the 18 s → 46 s case).
+fn plan(columns: usize, budget: usize, cpus: usize) -> (usize, usize) {
+    let running = budget.clamp(1, cpus.max(1));
+    let workers = running.min(columns).max(1);
+    (workers, running / workers)
+}
+
+/// The batch entry under every public solve: one [`solve_column`] per
+/// job on [`plan`]'s workers. `forced` overrides [`select_solver`] (for
+/// tests: it makes the colored path reachable on small graphs).
+///
+/// The result vectors are allocated here, on the calling thread, and the
+/// workers fill them: memory a spawned thread allocates comes from that
+/// thread's own malloc arena and stays there after the thread is gone.
+pub(crate) fn solve_batch(
+    jobs: &[Job<'_>],
+    config: &PageRankConfig,
+    budget: usize,
+    forced: Option<SolverChoice>,
+) -> Vec<PageRankResult> {
+    let budget = budget.max(1);
+    let (workers, inner) = plan(jobs.len(), budget, available_cpus());
+    // Summed over columns, where the `rank.solve_many` span is the wall
+    // time of the batch: the ratio is the overlap the workers achieved.
+    let column_ns = qrank_obs::enabled().then(|| {
+        let reg = qrank_obs::global();
+        reg.counter("rank.solve_many.columns")
+            .add(jobs.len() as u64);
+        reg.counter("rank.solve_many.workers").add(workers as u64);
+        reg.counter("rank.solve_many.column_ns")
+    });
+    let mut solved: Vec<PageRankResult> = jobs
+        .iter()
+        .map(|(g, _)| PageRankResult::unsolved(g.num_nodes()))
+        .collect();
+    for_each_slot(&mut solved, jobs, workers, |out, &(g, warm)| {
+        let started = Instant::now();
+        let choice = forced.unwrap_or_else(|| select_solver(g.num_nodes(), budget));
+        solve_column(g, config, warm, choice, inner, out);
+        if let Some(total) = &column_ns {
+            total.add(started.elapsed().as_nanos() as u64);
+        }
+    });
+    solved
+}
+
+/// Solve one graph into `out` (one zeroed score slot per node) with the
+/// chosen solver; a colored sweep runs on `inner` threads, whatever
+/// thread count `choice` names.
+fn solve_column(
+    g: &CsrGraph,
+    config: &PageRankConfig,
+    warm: Option<&[f64]>,
+    choice: SolverChoice,
+    inner: usize,
+    out: &mut PageRankResult,
+) {
     if qrank_obs::enabled() {
         let tag = match choice {
             SolverChoice::GaussSeidel => "rank.choice.gauss_seidel",
@@ -121,8 +222,8 @@ pub fn solve_auto_with(
         qrank_obs::global().counter(tag).inc();
     }
     match choice {
-        SolverChoice::GaussSeidel => gauss_seidel_warm(g, config, warm),
-        SolverChoice::ColoredGaussSeidel { threads } => {
+        SolverChoice::GaussSeidel => gauss_seidel_into(g, config, warm, out),
+        SolverChoice::ColoredGaussSeidel { .. } => {
             // Degree-ordered relabeling: hub rows first for cache
             // locality; scores map back through the inverse permutation.
             let r = degree_order(g);
@@ -134,10 +235,13 @@ pub fn solve_auto_with(
                     w.to_vec() // wrong length: let the solver reject it
                 }
             });
-            let mut result =
-                colored_gauss_seidel_warm(&relabeled, config, warm_fwd.as_deref(), threads);
-            result.scores = inverse_scores(&result.scores, &r);
-            result
+            let solved = colored_gauss_seidel_warm(&relabeled, config, warm_fwd.as_deref(), inner);
+            for (score, &new) in out.scores.iter_mut().zip(&r.perm) {
+                *score = solved.scores[new as usize];
+            }
+            out.iterations = solved.iterations;
+            out.converged = solved.converged;
+            out.residuals = solved.residuals;
         }
     }
 }
@@ -181,6 +285,64 @@ mod tests {
         assert!(thread_budget() >= 1);
     }
 
+    /// Preferential-attachment graphs of the given sizes; size 0 is the
+    /// empty graph.
+    fn webs(sizes: &[usize]) -> Vec<CsrGraph> {
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                if n == 0 {
+                    return CsrGraph::from_edges(0, &[]);
+                }
+                let mut rng = StdRng::seed_from_u64(100 + i as u64);
+                barabasi_albert(n, 3 + i % 3, &mut rng)
+            })
+            .collect()
+    }
+
+    /// What one column was before there was a batch: the kernels called
+    /// directly, the colored one through the degree relabeling.
+    fn reference(g: &CsrGraph, cfg: &PageRankConfig, choice: SolverChoice) -> PageRankResult {
+        match choice {
+            SolverChoice::GaussSeidel => gauss_seidel(g, cfg),
+            SolverChoice::ColoredGaussSeidel { threads } => {
+                let r = degree_order(g);
+                let mut solved =
+                    crate::colored::colored_gauss_seidel(&g.relabeled(&r), cfg, threads);
+                solved.scores = qrank_graph::relabel::inverse_scores(&solved.scores, &r);
+                solved
+            }
+        }
+    }
+
+    #[test]
+    fn batch_equals_one_solve_per_graph_bitwise_with_either_solver_forced() {
+        let cfg = PageRankConfig::default();
+        // more columns than any budget below, fewer, one, none
+        for sizes in [
+            &[700, 40, 1200, 0, 900, 8, 650][..],
+            &[500, 800],
+            &[400],
+            &[],
+        ] {
+            let graphs = webs(sizes);
+            let jobs: Vec<Job<'_>> = graphs.iter().map(|g| (g, None)).collect();
+            for choice in [
+                SolverChoice::GaussSeidel,
+                SolverChoice::ColoredGaussSeidel { threads: 1 },
+            ] {
+                let expect: Vec<PageRankResult> =
+                    graphs.iter().map(|g| reference(g, &cfg, choice)).collect();
+                for budget in [1, 2, 3, 8] {
+                    let got = solve_batch(&jobs, &cfg, budget, Some(choice));
+                    // PageRankResult: scores, iterations, converged, residuals
+                    assert_eq!(got, expect, "{choice:?}, budget {budget}, sizes {sizes:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn relabeled_parallel_path_agrees_with_sequential() {
         // Force the colored path by lowering the budget check: call the
@@ -200,6 +362,68 @@ mod tests {
         let gs = gauss_seidel(&g, &cfg);
         for (a, b) in gs.scores.iter().zip(&back) {
             assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn solve_many_equals_solve_auto_per_graph_at_every_budget() {
+        let cfg = PageRankConfig {
+            dangling: crate::DanglingStrategy::SelfLoop,
+            ..Default::default()
+        };
+        let graphs = webs(&[300, 900, 50, 600, 450]);
+        let jobs: Vec<Job<'_>> = graphs.iter().map(|g| (g, None)).collect();
+        for budget in [1, 2, 3, 8] {
+            let expect: Vec<PageRankResult> = graphs
+                .iter()
+                .map(|g| solve_auto_with(g, &cfg, None, budget))
+                .collect();
+            assert_eq!(
+                solve_batch(&jobs, &cfg, budget, None),
+                expect,
+                "budget {budget}"
+            );
+        }
+        // the public entry: same batch under the global budget
+        let refs: Vec<&CsrGraph> = graphs.iter().collect();
+        let expect: Vec<PageRankResult> =
+            graphs.iter().map(|g| solve_auto(g, &cfg, None)).collect();
+        assert_eq!(solve_many(&refs, &cfg), expect);
+        assert!(solve_many(&[], &cfg).is_empty());
+    }
+
+    #[test]
+    fn warm_starts_reach_the_forced_colored_path_in_original_node_order() {
+        let cfg = PageRankConfig::default();
+        let g = &webs(&[800])[0];
+        let warm: Vec<f64> = (0..800).map(|i| 1.0 + (i % 5) as f64).collect();
+        let colored = SolverChoice::ColoredGaussSeidel { threads: 2 };
+        let got = solve_batch(&[(g, Some(&warm))], &cfg, 2, Some(colored));
+        let r = degree_order(g);
+        let mut expect =
+            colored_gauss_seidel_warm(&g.relabeled(&r), &cfg, Some(&forward_vector(&warm, &r)), 2);
+        expect.scores = qrank_graph::relabel::inverse_scores(&expect.scores, &r);
+        assert_eq!(got, [expect]);
+    }
+
+    #[test]
+    fn the_plan_fills_columns_first_and_never_outruns_the_machine() {
+        // (columns, budget, cpus) -> (workers, threads inside a solve)
+        assert_eq!(plan(4, 2, 2), (2, 1));
+        assert_eq!(plan(4, 8, 8), (4, 2));
+        assert_eq!(plan(3, 8, 8), (3, 2));
+        assert_eq!(plan(1, 8, 8), (1, 8), "one column keeps the whole budget");
+        assert_eq!(plan(4, 8, 1), (1, 1), "budget 8 on one CPU runs one thread");
+        assert_eq!(plan(4, 1, 8), (1, 1));
+        assert_eq!(plan(0, 4, 4), (1, 4));
+        for columns in 0..6 {
+            for budget in 0..10 {
+                for cpus in 0..10 {
+                    let (workers, inner) = plan(columns, budget, cpus);
+                    assert!(workers >= 1 && inner >= 1);
+                    assert!(workers * inner <= budget.clamp(1, cpus.max(1)));
+                }
+            }
         }
     }
 
