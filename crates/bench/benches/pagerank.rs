@@ -7,10 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
-use qrank_rank::adaptive::AdaptiveConfig;
 use qrank_rank::{
-    adaptive, colored_gauss_seidel, extrapolated, gauss_seidel, hits, pagerank, pagerank_warm,
-    parallel_pagerank_force, solve_auto_with, PageRankConfig,
+    colored_gauss_seidel, gauss_seidel, hits, pagerank, pagerank_warm, solve_auto_with,
+    PageRankConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,22 +32,10 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gauss_seidel", n), &g, |b, g| {
             b.iter(|| black_box(gauss_seidel(g, &cfg)))
         });
-        group.bench_with_input(BenchmarkId::new("extrapolated", n), &g, |b, g| {
-            b.iter(|| black_box(extrapolated(g, &cfg, 6)))
-        });
-        group.bench_with_input(BenchmarkId::new("adaptive", n), &g, |b, g| {
-            b.iter(|| black_box(adaptive(g, &cfg, &AdaptiveConfig::default())))
-        });
-        // forced variants: measure the threaded solvers themselves even
-        // below PARALLEL_MIN_NODES, where the public entry points would
-        // fall back to sequential — this group is where the crossover
-        // documented in `qrank_rank::solver` comes from
+        // the threaded sweep itself, even below PARALLEL_MIN_NODES where
+        // `auto` falls back to sequential — this group is where the
+        // crossover documented in `qrank_rank::solver` comes from
         for threads in [2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_{threads}t"), n),
-                &g,
-                |b, g| b.iter(|| black_box(parallel_pagerank_force(g, &cfg, threads))),
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("colored_gs_{threads}t"), n),
                 &g,

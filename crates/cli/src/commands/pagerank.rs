@@ -2,8 +2,8 @@
 
 use qrank_graph::io::read_edge_list;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, indegree_scores, opic, pagerank, parallel_pagerank,
-    solve_auto_with, OpicPolicy, PageRankConfig, ScoreScale,
+    colored_gauss_seidel, gauss_seidel, hits, indegree_scores, pagerank, solve_auto_with,
+    thread_budget, PageRankConfig, ScoreScale,
 };
 
 use crate::args::{parse, write_output, CliError};
@@ -13,17 +13,19 @@ qrank pagerank --graph <file> [options]
 
 options:
   --graph FILE     input edge list
-  --solver NAME    auto | power | gauss-seidel | colored | parallel | hits |
-                   indegree | opic (default power; `auto` picks the fastest
-                   PageRank solver for the graph size and thread budget)
+  --solver NAME    auto | power | gauss-seidel | colored | hits | indegree
+                   (default power; `auto` is the solver `estimate` and
+                   `serve` publish with: Gauss-Seidel, or its colored
+                   schedule on a large graph with threads to spare)
   --damping D      paper-style damping d = teleport probability (default 0.15)
   --scale S        probability | per-page (default per-page, as in the paper)
-  --threads T      parallel solver threads (default 4)
+  --threads T      thread budget of `auto` and `colored` (default:
+                   QRANK_THREADS or available parallelism, as in `estimate`)
   --top K          print only the top K pages (default: all)
   --out FILE       write `node<TAB>score` TSV (default stdout)
   --trace FILE     write the solver's per-iteration convergence trace as
                    `iter<TAB>residual` TSV (PageRank solvers only —
-                   power, gauss-seidel, colored, parallel, auto)";
+                   power, gauss-seidel, colored, auto)";
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
@@ -51,6 +53,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     };
 
     let solver = p.get("solver").unwrap_or("power");
+    let threads: usize = p.get_or("threads", thread_budget(), USAGE)?;
     // PageRank solvers report per-iteration residuals; the other
     // rankers have no convergence trace to write.
     let (scores, residuals) = match solver {
@@ -63,32 +66,15 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             (r.scores, Some(r.residuals))
         }
         "auto" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
             let r = solve_auto_with(&g, &cfg, None, threads);
             (r.scores, Some(r.residuals))
         }
         "colored" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
             let r = colored_gauss_seidel(&g, &cfg, threads);
-            (r.scores, Some(r.residuals))
-        }
-        "parallel" => {
-            let threads: usize = p.get_or("threads", 4, USAGE)?;
-            let r = parallel_pagerank(&g, &cfg, threads);
             (r.scores, Some(r.residuals))
         }
         "hits" => (hits(&g, 1e-10, 200).authorities, None),
         "indegree" => (indegree_scores(&g), None),
-        "opic" => (
-            opic(
-                &g,
-                1.0 - damping,
-                g.num_nodes() * 50,
-                OpicPolicy::RoundRobin,
-            )
-            .scores,
-            None,
-        ),
         other => return Err(CliError::usage(format!("unknown solver `{other}`"), USAGE)),
     };
 
@@ -107,6 +93,15 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         eprintln!("{} iterations traced to {trace_path}", residuals.len());
     }
 
+    let top: usize = p.get_or("top", scores.len(), USAGE)?;
+    write_output(p.get("out"), &render_scores(&scores, top))?;
+    eprintln!("{} nodes scored with `{solver}`", scores.len());
+    Ok(())
+}
+
+/// The `top` best pages as `node<TAB>score` lines, best first (ties by
+/// ascending node id).
+fn render_scores(scores: &[f64], top: usize) -> String {
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| {
         scores[b]
@@ -114,14 +109,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             .expect("no NaN")
             .then(a.cmp(&b))
     });
-    let top: usize = p.get_or("top", scores.len(), USAGE)?;
     let mut out = String::new();
     for &node in order.iter().take(top) {
         out.push_str(&format!("{node}\t{:.10}\n", scores[node]));
     }
-    write_output(p.get("out"), &out)?;
-    eprintln!("{} nodes scored with `{solver}`", scores.len());
-    Ok(())
+    out
 }
 
 #[cfg(test)]
@@ -154,10 +146,8 @@ mod tests {
             "gauss-seidel",
             "auto",
             "colored",
-            "parallel",
             "hits",
             "indegree",
-            "opic",
         ] {
             let out = dir.join(format!("{solver}.tsv"));
             run(&argv(&[
@@ -172,6 +162,39 @@ mod tests {
             let text = std::fs::read_to_string(&out).unwrap();
             assert_eq!(text.lines().count(), 4, "{solver}");
         }
+    }
+
+    #[test]
+    fn auto_without_threads_solves_under_the_global_budget() {
+        // Above PARALLEL_MIN_NODES the budget picks the solver, and with
+        // it the bits: `pagerank --solver auto` must print what
+        // `estimate` would publish, not what a budget of its own picks.
+        let n = qrank_rank::PARALLEL_MIN_NODES;
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let g = qrank_graph::generators::barabasi_albert(n, 3, &mut rng);
+        let dir = write_sample_graph();
+        let dir = dir.parent().unwrap();
+        let (path, out) = (dir.join("large.edges"), dir.join("large.tsv"));
+        let mut text = Vec::new();
+        qrank_graph::io::write_edge_list(&g, &mut text).unwrap();
+        std::fs::write(&path, text).unwrap();
+
+        qrank_rank::set_thread_budget(1);
+        let ran = run(&argv(&[
+            "--graph",
+            path.to_str().unwrap(),
+            "--solver",
+            "auto",
+            "--out",
+            out.to_str().unwrap(),
+        ]));
+        let expect = qrank_rank::solve_auto(&g, &PageRankConfig::paper_style(0.15), None);
+        qrank_rank::set_thread_budget(0);
+        ran.unwrap();
+        assert!(
+            std::fs::read_to_string(&out).unwrap() == render_scores(&expect.scores, n),
+            "auto printed other bits than solve_auto under the same budget"
+        );
     }
 
     #[test]

@@ -14,9 +14,8 @@
 //! > node, never *what* is computed.
 //!
 //! Per-sweep reductions (dangling-mass delta, residual) are computed
-//! redundantly by every worker in node order (the same trick as
-//! [`crate::parallel`]), so workers always agree bitwise on convergence
-//! and no coordinator is needed.
+//! redundantly by every worker in node order, so workers always agree
+//! bitwise on convergence and no coordinator is needed.
 //!
 //! Relative to natural-order Gauss–Seidel the update *schedule* differs,
 //! so the converged vector agrees with [`crate::gauss_seidel()`] only to
@@ -31,7 +30,7 @@ use std::sync::Barrier;
 use qrank_graph::CsrGraph;
 
 use crate::power::{apply_scale, inv_out_degrees, start_vector, PageRankResult};
-use crate::{DanglingStrategy, PageRankConfig};
+use crate::PageRankConfig;
 
 #[inline]
 fn f64_load(a: &AtomicU64) -> f64 {
@@ -46,22 +45,14 @@ fn f64_store(a: &AtomicU64, v: f64) {
 /// A proper coloring of the graph's *conflict* structure (u conflicts
 /// with v when an edge runs between them in either direction), as color
 /// classes of ascending node ids.
-#[derive(Debug, Clone)]
-pub struct Coloring {
+struct Coloring {
     /// `classes[c]` = nodes with color `c`, ascending.
-    pub classes: Vec<Vec<u32>>,
-}
-
-impl Coloring {
-    /// Number of colors used.
-    pub fn num_colors(&self) -> usize {
-        self.classes.len()
-    }
+    classes: Vec<Vec<u32>>,
 }
 
 /// Greedy first-fit coloring in natural node order — deterministic, one
 /// pass over the edges, at most `max_conflict_degree + 1` colors.
-pub fn greedy_coloring(g: &CsrGraph) -> Coloring {
+fn greedy_coloring(g: &CsrGraph) -> Coloring {
     let n = g.num_nodes();
     let mut color = vec![u32::MAX; n];
     // mark[c] == v  <=>  color c is taken by a neighbor of v
@@ -173,10 +164,8 @@ pub fn colored_gauss_seidel_warm(
         let mut iterations = 0;
         while iterations < config.max_iterations {
             for (ci, class) in coloring.classes.iter().enumerate() {
-                let dangling_share = match config.dangling {
-                    DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
-                    _ => 0.0,
-                };
+                // Footnote 2: a dangling page links to every page.
+                let dangling_share = alpha * dangling_mass / n as f64;
                 let cchunk = class.len().div_ceil(threads);
                 let clo = (tid * cchunk).min(class.len());
                 let chi = ((tid + 1) * cchunk).min(class.len());
@@ -186,12 +175,7 @@ pub fn colored_gauss_seidel_warm(
                     for &u in g.in_neighbors(v) {
                         acc += f64_load(&w[u as usize]);
                     }
-                    let mut new_v = teleport + dangling_share + alpha * acc;
-                    if inv[vu] == 0.0 && config.dangling == DanglingStrategy::SelfLoop {
-                        // x_v = teleport + alpha*acc + alpha*x_v, solved
-                        // for x_v (same implicit step as sequential GS)
-                        new_v = (teleport + alpha * acc) / (1.0 - alpha);
-                    }
+                    let new_v = teleport + dangling_share + alpha * acc;
                     // Every node is written exactly once per sweep, here:
                     // what it held until now is its previous-sweep value.
                     prev[vu].store(x[vu].load(Ordering::Relaxed), Ordering::Relaxed);
@@ -311,23 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_with_all_dangling_strategies() {
+    fn matches_power_with_dangling_nodes() {
         let g = CsrGraph::from_edges(9, &[(0, 1), (1, 2), (3, 4), (5, 2), (6, 0)]);
-        for strategy in [
-            DanglingStrategy::LinkToAll,
-            DanglingStrategy::SelfLoop,
-            DanglingStrategy::RemoveAndRenormalize,
-        ] {
-            let cfg = PageRankConfig {
-                dangling: strategy,
-                tolerance: 1e-13,
-                ..Default::default()
-            };
-            let seq = pagerank(&g, &cfg);
-            let col = colored_gauss_seidel(&g, &cfg, 3);
-            for (i, (a, b)) in seq.scores.iter().zip(&col.scores).enumerate() {
-                assert!((a - b).abs() < 1e-7, "{strategy:?} node {i}: {a} vs {b}");
-            }
+        let cfg = PageRankConfig {
+            tolerance: 1e-13,
+            ..Default::default()
+        };
+        let seq = pagerank(&g, &cfg);
+        let col = colored_gauss_seidel(&g, &cfg, 3);
+        for (i, (a, b)) in seq.scores.iter().zip(&col.scores).enumerate() {
+            assert!((a - b).abs() < 1e-7, "node {i}: {a} vs {b}");
         }
     }
 

@@ -1,25 +1,5 @@
 //! PageRank configuration.
 
-/// How to treat dangling nodes (pages with no outgoing links).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DanglingStrategy {
-    /// The paper's footnote 2: "If a page has no outgoing link, we assume
-    /// that it has outgoing links to every single Web page." The dangling
-    /// page's rank mass is spread uniformly (equivalently: over the
-    /// teleport distribution). This is also the standard fix.
-    #[default]
-    LinkToAll,
-    /// Rank mass of a dangling page stays on the page (self-loop). Tends
-    /// to inflate sinks; provided for ablations.
-    SelfLoop,
-    /// Dangling mass is discarded: the iteration solves the affine system
-    /// `x = (1−α)/N + α·M·x` with the dangling columns zeroed, and the
-    /// final vector is renormalized to sum 1. (Known as "strongly
-    /// preferential" removal; the per-solver trajectories differ but the
-    /// fixed point is unique, so every solver returns the same scores.)
-    RemoveAndRenormalize,
-}
-
 /// Output scale of the scores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScoreScale {
@@ -44,8 +24,6 @@ pub struct PageRankConfig {
     pub tolerance: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
-    /// Dangling-node handling.
-    pub dangling: DanglingStrategy,
     /// Output scale.
     pub scale: ScoreScale,
 }
@@ -56,7 +34,6 @@ impl Default for PageRankConfig {
             follow_prob: 0.85,
             tolerance: 1e-10,
             max_iterations: 200,
-            dangling: DanglingStrategy::default(),
             scale: ScoreScale::default(),
         }
     }
@@ -94,7 +71,6 @@ mod tests {
     fn default_is_standard() {
         let c = PageRankConfig::default();
         assert_eq!(c.follow_prob, 0.85);
-        assert_eq!(c.dangling, DanglingStrategy::LinkToAll);
         assert_eq!(c.scale, ScoreScale::Probability);
         c.validate();
     }

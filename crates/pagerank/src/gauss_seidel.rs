@@ -13,7 +13,7 @@
 use qrank_graph::CsrGraph;
 
 use crate::power::{apply_scale, inv_out_degrees, renormalize, start_vector, PageRankResult};
-use crate::{DanglingStrategy, PageRankConfig};
+use crate::PageRankConfig;
 
 /// Compute PageRank by Gauss–Seidel iteration.
 ///
@@ -82,26 +82,13 @@ pub(crate) fn gauss_seidel_into(
             for &u in g.in_neighbors(v as u32) {
                 acc += w[u as usize];
             }
-            let dangling_share = match config.dangling {
-                DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
-                _ => 0.0,
-            };
-            let mut new_v = teleport + dangling_share + alpha * acc;
+            // Footnote 2: a dangling page links to every page. For a
+            // dangling v, its own mass is inside `dangling_mass` at its
+            // *old* value — the implicit self term is not solved for,
+            // consistent with the Jacobi step.
+            let dangling_share = alpha * dangling_mass / n as f64;
+            let new_v = teleport + dangling_share + alpha * acc;
             if inv[v] == 0.0 {
-                match config.dangling {
-                    DanglingStrategy::LinkToAll => {
-                        // v's own mass was inside dangling_mass; the pull
-                        // above already included it, consistent with the
-                        // Jacobi step. Solve the implicit self term:
-                        // new_v = base + alpha * x_v / n, where base used
-                        // the *old* x_v — acceptable within GS semantics.
-                    }
-                    DanglingStrategy::SelfLoop => {
-                        // x_v = teleport + alpha*acc + alpha*x_v
-                        new_v = (teleport + alpha * acc) / (1.0 - alpha);
-                    }
-                    DanglingStrategy::RemoveAndRenormalize => {}
-                }
                 dangling_mass += new_v - x[v];
             }
             r += (new_v - x[v]).abs();
@@ -167,35 +154,14 @@ mod tests {
     fn matches_power_with_dangling_nodes() {
         // graph with many dangling nodes
         let g = CsrGraph::from_edges(8, &[(0, 1), (0, 2), (1, 3), (2, 4), (5, 6)]);
-        for strategy in [DanglingStrategy::LinkToAll, DanglingStrategy::SelfLoop] {
-            let cfg = PageRankConfig {
-                dangling: strategy,
-                tolerance: 1e-13,
-                ..Default::default()
-            };
-            let a = pagerank(&g, &cfg);
-            let b = gauss_seidel(&g, &cfg);
-            for (i, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
-                assert!(
-                    (x - y).abs() < 1e-7,
-                    "{strategy:?} node {i}: power {x} vs gs {y}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn matches_power_with_renormalize_strategy() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 2), (4, 5)]);
         let cfg = PageRankConfig {
-            dangling: DanglingStrategy::RemoveAndRenormalize,
             tolerance: 1e-13,
             ..Default::default()
         };
         let a = pagerank(&g, &cfg);
         let b = gauss_seidel(&g, &cfg);
-        for (x, y) in a.scores.iter().zip(&b.scores) {
-            assert!((x - y).abs() < 1e-7, "power {x} vs gs {y}");
+        for (i, (x, y)) in a.scores.iter().zip(&b.scores).enumerate() {
+            assert!((x - y).abs() < 1e-7, "node {i}: power {x} vs gs {y}");
         }
     }
 

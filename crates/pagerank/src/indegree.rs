@@ -15,22 +15,6 @@ pub fn indegree_scores(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
-/// In-degree normalized to sum to 1 (a probability-style popularity
-/// vector comparable to PageRank's scale). An edgeless graph yields the
-/// uniform distribution: every page is equally (un)popular.
-pub fn normalized_indegree(g: &CsrGraph) -> Vec<f64> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let total = g.num_edges();
-    if total == 0 {
-        return vec![1.0 / n as f64; n];
-    }
-    let inv = 1.0 / total as f64;
-    (0..n as u32).map(|v| g.in_degree(v) as f64 * inv).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,24 +26,8 @@ mod tests {
     }
 
     #[test]
-    fn normalized_sums_to_one() {
-        let g = CsrGraph::from_edges(4, &[(0, 2), (1, 2), (3, 2), (2, 0)]);
-        let nd = normalized_indegree(&g);
-        assert!((nd.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((nd[2] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edgeless_graph_is_uniform() {
-        let g = CsrGraph::from_edges(5, &[]);
-        let nd = normalized_indegree(&g);
-        assert_eq!(nd, vec![0.2; 5]);
-    }
-
-    #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(0, &[]);
         assert!(indegree_scores(&g).is_empty());
-        assert!(normalized_indegree(&g).is_empty());
     }
 }

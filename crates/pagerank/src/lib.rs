@@ -5,27 +5,25 @@
 //! easily substitute the number of links"), so this crate provides:
 //!
 //! * [`pagerank()`] — power-iteration PageRank with configurable damping,
-//!   dangling-node strategy (including the paper's footnote-2 convention
-//!   that a page with no outgoing links implicitly links to every page),
-//!   tolerance, and score scale (probability, or the paper's
-//!   one-per-page scale — "we used 1 as the initial PageRank value").
+//!   tolerance, and score scale (probability, or the paper's one-per-page
+//!   scale — "we used 1 as the initial PageRank value"). The reference:
+//!   the simulator's visit model and the tests compare against it.
 //! * [`gauss_seidel()`] — in-place Gauss–Seidel iteration; fewer sweeps to
 //!   the same tolerance.
-//! * [`extrapolated()`] — Aitken Δ² extrapolation (Kamvar et al., cited as
-//!   \[12\] in the paper) to accelerate convergence.
-//! * [`adaptive()`] — adaptive PageRank (\[11\]): converged pages freeze.
-//! * [`parallel`] — multithreaded pull-based power iteration.
-//! * [`personalized`] — topic-sensitive PageRank (\[10\]) with an
-//!   arbitrary preference vector.
+//! * [`colored_gauss_seidel()`] — the same sweep over a graph coloring,
+//!   threaded, bit-identical for every thread count.
+//! * [`solve_auto`] / [`solve_many`] — what the pipeline calls: one of the
+//!   two Gauss–Seidel schedules, picked by graph size and thread budget
+//!   ([`select_solver`]), for one graph or a window's columns.
 //! * [`hits()`] — Kleinberg's Hub & Authority (\[13\]), the other
 //!   second-generation metric the paper discusses.
-//! * [`opic()`] — Abiteboul et al.'s adaptive on-line page importance
-//!   (\[1\]): crawl-time importance without global iteration.
 //! * [`indegree`] — raw link-count popularity, the paper's footnote-4
 //!   alternative to PageRank inside the quality estimator.
 //!
-//! All solvers agree with each other (tested), so callers can pick by
-//! performance.
+//! The three PageRank kernels are schedules for one fixed point and agree
+//! to solver tolerance (tested); each is bit-deterministic on its own.
+//! All follow the paper's footnote 2: a page with no outgoing links is
+//! taken to link to every page, so its rank mass is spread uniformly.
 //!
 //! ## Convention
 //!
@@ -39,29 +37,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod colored;
 pub mod config;
-pub mod extrapolation;
 pub mod gauss_seidel;
 pub mod hits;
 pub mod indegree;
-pub mod opic;
-pub mod parallel;
-pub mod personalized;
 pub mod power;
 pub mod solver;
 
-pub use adaptive::adaptive;
-pub use colored::{colored_gauss_seidel, colored_gauss_seidel_warm, greedy_coloring, Coloring};
-pub use config::{DanglingStrategy, PageRankConfig, ScoreScale};
-pub use extrapolation::extrapolated;
+pub use colored::{colored_gauss_seidel, colored_gauss_seidel_warm};
+pub use config::{PageRankConfig, ScoreScale};
 pub use gauss_seidel::{gauss_seidel, gauss_seidel_warm};
 pub use hits::{hits, HitsResult};
-pub use indegree::{indegree_scores, normalized_indegree};
-pub use opic::{opic, OpicPolicy, OpicResult};
-pub use parallel::{parallel_pagerank, parallel_pagerank_force};
-pub use personalized::personalized_pagerank;
+pub use indegree::indegree_scores;
 pub use power::{pagerank, pagerank_warm, PageRankResult};
 pub use solver::{
     select_solver, set_thread_budget, solve_auto, solve_auto_with, solve_many, thread_budget,

@@ -2,7 +2,7 @@
 
 use qrank_graph::CsrGraph;
 
-use crate::{DanglingStrategy, PageRankConfig, ScoreScale};
+use crate::{PageRankConfig, ScoreScale};
 
 /// Result of a PageRank computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +14,7 @@ pub struct PageRankResult {
     /// Whether the tolerance was met before the iteration cap.
     pub converged: bool,
     /// L1 residual after each iteration (probability scale); useful for
-    /// convergence studies and the extrapolation/adaptive comparisons.
+    /// convergence studies.
     pub residuals: Vec<f64>,
 }
 
@@ -42,11 +42,11 @@ impl PageRankResult {
     }
 }
 
-/// One pull-style power iteration step shared by the sequential solvers.
+/// One pull-style power iteration step.
 ///
 /// `x` must be a probability vector; writes the next iterate into `next`
 /// and returns the L1 residual.
-pub(crate) fn step(
+fn step(
     g: &CsrGraph,
     config: &PageRankConfig,
     inv_out_degree: &[f64],
@@ -57,16 +57,13 @@ pub(crate) fn step(
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
 
-    // Mass sitting on dangling nodes this iteration.
+    // Mass sitting on dangling nodes this iteration; footnote 2 of the
+    // paper: a page without out-links links to every page.
     let dangling_mass: f64 = (0..n)
         .filter(|&u| inv_out_degree[u] == 0.0)
         .map(|u| x[u])
         .sum();
-
-    let dangling_share = match config.dangling {
-        DanglingStrategy::LinkToAll => alpha * dangling_mass / n as f64,
-        DanglingStrategy::SelfLoop | DanglingStrategy::RemoveAndRenormalize => 0.0,
-    };
+    let dangling_share = alpha * dangling_mass / n as f64;
 
     for (v, slot) in next.iter_mut().enumerate() {
         let mut acc = 0.0;
@@ -75,22 +72,12 @@ pub(crate) fn step(
         }
         *slot = teleport + dangling_share + alpha * acc;
     }
-    if config.dangling == DanglingStrategy::SelfLoop {
-        for u in 0..n {
-            if inv_out_degree[u] == 0.0 {
-                next[u] += alpha * x[u];
-            }
-        }
-    }
-    // RemoveAndRenormalize iterates the raw affine map (a contraction);
-    // the solver renormalizes once at the end.
 
     x.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum()
 }
 
-/// Renormalize to the probability simplex (used by solvers for the
-/// [`DanglingStrategy::RemoveAndRenormalize`] final projection and to
-/// clean up accumulated floating-point drift).
+/// Renormalize to the probability simplex: the Gauss–Seidel sweeps do
+/// not preserve it en route.
 pub(crate) fn renormalize(scores: &mut [f64]) {
     let sum: f64 = scores.iter().sum();
     if sum > 0.0 {
@@ -192,9 +179,6 @@ pub fn pagerank_warm(
             break;
         }
     }
-    if config.dangling == DanglingStrategy::RemoveAndRenormalize {
-        renormalize(&mut x);
-    }
     apply_scale(&mut x, config.scale);
     qrank_obs::convergence::record_solve("power", n, iterations, converged, &residuals);
     PageRankResult {
@@ -210,7 +194,7 @@ mod tests {
     use super::*;
     use qrank_graph::GraphBuilder;
 
-    pub(crate) fn cycle(n: usize) -> CsrGraph {
+    fn cycle(n: usize) -> CsrGraph {
         let mut b = GraphBuilder::with_nodes(n);
         for i in 0..n {
             b.add_edge(i as u32, ((i + 1) % n) as u32);
@@ -252,35 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn scores_sum_to_one_with_dangling_under_all_strategies() {
+    fn scores_sum_to_one_with_dangling_nodes() {
         let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (3, 2)]); // 2,4 dangling
-        for strategy in [
-            DanglingStrategy::LinkToAll,
-            DanglingStrategy::SelfLoop,
-            DanglingStrategy::RemoveAndRenormalize,
-        ] {
-            let cfg = PageRankConfig {
-                dangling: strategy,
-                ..Default::default()
-            };
-            let r = pagerank(&g, &cfg);
-            let sum: f64 = r.scores.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-8, "{strategy:?}: sum {sum}");
-        }
-    }
-
-    #[test]
-    fn self_loop_strategy_inflates_dangling_nodes() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]); // 2 dangling
-        let link_all = pagerank(&g, &PageRankConfig::default());
-        let self_loop = pagerank(
-            &g,
-            &PageRankConfig {
-                dangling: DanglingStrategy::SelfLoop,
-                ..Default::default()
-            },
-        );
-        assert!(self_loop.scores[2] > link_all.scores[2]);
+        let r = pagerank(&g, &PageRankConfig::default());
+        let sum: f64 = r.scores.iter().sum();
+        assert!((sum - 1.0).abs() < 1e-8, "sum {sum}");
     }
 
     #[test]

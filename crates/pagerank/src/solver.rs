@@ -7,8 +7,8 @@
 //! machine:
 //!
 //! * **Small graphs** (the overwhelming majority of snapshots): the
-//!   sequential in-place Gauss–Seidel sweep wins. Parallel solvers cross
-//!   two-plus barriers per iteration, and below
+//!   sequential in-place Gauss–Seidel sweep wins. The threaded sweep
+//!   crosses a barrier per color and one more per iteration, and below
 //!   [`PARALLEL_MIN_NODES`] that synchronization costs more than the
 //!   whole sweep (measured in the `pagerank_solvers` bench group; on the
 //!   bench host the crossover sits near 10⁵ nodes, and the threshold is
@@ -46,10 +46,9 @@ use crate::gauss_seidel::gauss_seidel_into;
 use crate::power::PageRankResult;
 use crate::PageRankConfig;
 
-/// Below this node count every parallel solver loses to sequential
+/// Below this node count the threaded colored sweep loses to sequential
 /// Gauss–Seidel (barrier synchronization dwarfs per-iteration work);
-/// callers no longer need to know that — [`solve_auto`] and
-/// [`crate::parallel_pagerank`] fall back automatically.
+/// callers need not know that — [`solve_auto`] falls back automatically.
 pub const PARALLEL_MIN_NODES: usize = 100_000;
 
 /// 0 = "auto" (use available parallelism).
@@ -94,7 +93,10 @@ pub enum SolverChoice {
     GaussSeidel,
     /// Degree-relabeled multi-color parallel Gauss–Seidel.
     ColoredGaussSeidel {
-        /// Worker threads the sweep will use.
+        /// The thread budget the choice was made for. The sweep itself
+        /// runs on what [`solve_many`]'s schedule leaves inside a solve,
+        /// never more than the machine has; the scores do not depend on
+        /// either number.
         threads: usize,
     },
 }
@@ -214,13 +216,6 @@ fn solve_column(
     inner: usize,
     out: &mut PageRankResult,
 ) {
-    if qrank_obs::enabled() {
-        let tag = match choice {
-            SolverChoice::GaussSeidel => "rank.choice.gauss_seidel",
-            SolverChoice::ColoredGaussSeidel { .. } => "rank.choice.colored",
-        };
-        qrank_obs::global().counter(tag).inc();
-    }
     match choice {
         SolverChoice::GaussSeidel => gauss_seidel_into(g, config, warm, out),
         SolverChoice::ColoredGaussSeidel { .. } => {
@@ -367,10 +362,7 @@ mod tests {
 
     #[test]
     fn solve_many_equals_solve_auto_per_graph_at_every_budget() {
-        let cfg = PageRankConfig {
-            dangling: crate::DanglingStrategy::SelfLoop,
-            ..Default::default()
-        };
+        let cfg = PageRankConfig::default();
         let graphs = webs(&[300, 900, 50, 600, 450]);
         let jobs: Vec<Job<'_>> = graphs.iter().map(|g| (g, None)).collect();
         for budget in [1, 2, 3, 8] {

@@ -12,8 +12,7 @@ use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_obs as obs;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, pagerank, parallel_pagerank_force, solve_auto_with,
-    PageRankConfig, PageRankResult,
+    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, PageRankConfig, PageRankResult,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,18 +66,15 @@ fn every_solver_records_one_residual_per_iteration() {
     let colored = colored_gauss_seidel(&graph(313), &cfg, 4);
     assert_trace_matches("colored", 313, &colored);
 
-    let parallel = parallel_pagerank_force(&graph(314), &cfg, 4);
-    assert_trace_matches("parallel", 314, &parallel);
-
-    // solve_auto on a sub-threshold graph dispatches to sequential GS
-    // and tags the choice.
+    // solve_auto on a sub-threshold graph dispatches to sequential GS,
+    // and the per-solver counter is the record of which solver ran.
     let auto = solve_auto_with(&graph(315), &cfg, None, 4);
     assert_trace_matches("gauss_seidel", 315, &auto);
-    let chosen = obs::global()
+    let solved = obs::global()
         .snapshot()
-        .counter("rank.choice.gauss_seidel")
+        .counter("rank.solve.gauss_seidel")
         .unwrap_or(0);
-    assert!(chosen >= 1, "solve_auto must tag its solver choice");
+    assert!(solved >= 1, "every solve counts under its solver's name");
     obs::set_enabled(false);
 }
 

@@ -1,7 +1,6 @@
 //! Cross-crate analytics integration: the cohort-bias closed forms, the
-//! rank-shift machinery, OPIC-vs-PageRank on simulated crawls, and the
-//! structural realism of the simulated web (power law + clustering +
-//! small world).
+//! rank-shift machinery, and the structural realism of the simulated web
+//! (power law + clustering + small world).
 
 use qrank::core::ranking::{mean_rank_of, rank_shift};
 use qrank::graph::clustering::average_clustering;
@@ -9,7 +8,7 @@ use qrank::graph::stats::{degree_power_law_alpha, DegreeKind};
 use qrank::model::cohort::{
     hidden_gems, pairwise_inversion_rate, time_to_overtake, CohortEnv, CohortPage,
 };
-use qrank::rank::{opic, pagerank, OpicPolicy, PageRankConfig};
+use qrank::rank::{pagerank, PageRankConfig};
 use qrank::sim::{Crawler, QualityDist, SimConfig, World};
 
 fn mature_world(seed: u64) -> World {
@@ -145,21 +144,6 @@ fn quality_reranking_promotes_young_quality_pages() {
             "gems should rank better under quality: {by_truth} vs {by_pr}"
         );
     }
-}
-
-#[test]
-fn opic_approximates_pagerank_on_simulated_crawl() {
-    let w = mature_world(9);
-    let snap = Crawler::default().crawl(&w, w.time()).expect("crawl");
-    let pr = pagerank(&snap.graph, &PageRankConfig::default());
-    let op = opic(
-        &snap.graph,
-        0.85,
-        snap.graph.num_nodes() * 100,
-        OpicPolicy::RoundRobin,
-    );
-    let rho = qrank::core::correlation::spearman(&pr.scores, &op.scores);
-    assert!(rho > 0.9, "OPIC should track PageRank: spearman {rho}");
 }
 
 #[test]

@@ -1,11 +1,8 @@
-//! All PageRank solvers agree on realistic (simulated-crawl) graphs, and
+//! Every PageRank path agrees on realistic (simulated-crawl) graphs, and
 //! the ranking substrate behaves sanely on web-shaped inputs.
 
 use qrank::graph::generators::{barabasi_albert, site_structured, SiteWebParams};
-use qrank::rank::adaptive::AdaptiveConfig;
-use qrank::rank::{
-    adaptive, extrapolated, gauss_seidel, pagerank, parallel_pagerank, PageRankConfig,
-};
+use qrank::rank::{colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, PageRankConfig};
 use qrank::sim::{Crawler, SimConfig, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,15 +33,13 @@ fn all_solvers_agree_on_simulated_crawl() {
     assert!(reference.converged);
 
     let gs = gauss_seidel(&g, &cfg);
-    let ex = extrapolated(&g, &cfg, 6);
-    let par = parallel_pagerank(&g, &cfg, 4);
-    let ad = adaptive(&g, &cfg, &AdaptiveConfig::default());
+    let colored = colored_gauss_seidel(&g, &cfg, 3);
+    let auto = solve_auto_with(&g, &cfg, None, 4);
 
     for (name, scores) in [
         ("gauss-seidel", &gs.scores),
-        ("extrapolated", &ex.scores),
-        ("parallel", &par.scores),
-        ("adaptive", &ad.result.scores),
+        ("colored", &colored.scores),
+        ("auto", &auto.scores),
     ] {
         for (i, (a, b)) in reference.scores.iter().zip(scores.iter()).enumerate() {
             assert!((a - b).abs() < 1e-6, "{name} node {i}: {a} vs {b}");
