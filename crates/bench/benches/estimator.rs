@@ -49,7 +49,7 @@ fn bench_estimators(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pipeline(c: &mut Criterion) {
+fn bench_run_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
     // pre-crawl a small world once; the bench measures estimation only
@@ -73,5 +73,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_estimators, bench_pipeline);
+criterion_group!(benches, bench_estimators, bench_run_pipeline);
 criterion_main!(benches);

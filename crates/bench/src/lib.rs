@@ -24,7 +24,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod obs;
 pub mod scenario;
 pub mod table;
 pub mod traffic;

@@ -44,7 +44,7 @@ mod enabled {
 
     use qrank_chaos::{FaultKind, FaultPlan, FaultRule};
     use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
-    use qrank_serve::json::Obj;
+    use qrank_obs::json::Obj;
     use qrank_serve::{
         parse_deltas, serve, spawn_refresh_worker_with, DurabilityConfig, EdgeDelta, FsyncPolicy,
         RefreshConfig, RefreshEngine, RefreshMsg, RefreshWorkerOptions, RetryPolicy, ServerConfig,

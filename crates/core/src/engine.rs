@@ -51,8 +51,8 @@ use std::sync::Arc;
 
 use qrank_graph::{AlignmentTracker, CsrGraph, Snapshot, SnapshotSeries};
 
-use crate::estimator::{PaperEstimator, QualityEstimator};
-use crate::pipeline::{report_from_trajectories, PipelineConfig, PipelineReport};
+use crate::estimator::QualityEstimator;
+use crate::pipeline::{report_from_trajectories, PipelineReport};
 use crate::{CoreError, PopularityMetric, PopularityTrajectories};
 
 /// Cache traffic of the most recent [`PipelineEngine::run`], per stage.
@@ -111,9 +111,6 @@ pub struct PipelineEngine {
     /// Aligned-snapshot fingerprint → that snapshot's popularity column
     /// (`scores[node]` under [`Self::metric`]).
     column_cache: HashMap<u64, Arc<Vec<f64>>>,
-    /// Worker threads for the parallel align stage; `None` follows the
-    /// process-global [`qrank_rank::thread_budget`].
-    threads: Option<usize>,
     stats: StageStats,
 }
 
@@ -125,7 +122,6 @@ impl PipelineEngine {
             tracker: AlignmentTracker::new(),
             restrict_cache: HashMap::new(),
             column_cache: HashMap::new(),
-            threads: None,
             stats: StageStats::default(),
         }
     }
@@ -133,19 +129,6 @@ impl PipelineEngine {
     /// The metric this engine's columns are computed under.
     pub fn metric(&self) -> &PopularityMetric {
         &self.metric
-    }
-
-    /// Pin the align stage to `threads` worker threads (0 restores the
-    /// process-global [`qrank_rank::thread_budget`] default). Purely a
-    /// scheduling knob: the align output is bitwise identical at every
-    /// budget.
-    pub fn set_thread_budget(&mut self, threads: usize) {
-        self.threads = (threads > 0).then_some(threads);
-    }
-
-    /// Worker threads the align stage will use.
-    pub fn thread_budget(&self) -> usize {
-        self.threads.unwrap_or_else(qrank_rank::thread_budget)
     }
 
     /// Cache traffic of the most recent [`run`](PipelineEngine::run).
@@ -250,7 +233,8 @@ impl PipelineEngine {
                     missed_at.push(i);
                 }
             }
-            let built = qrank_graph::restrict_snapshots(&missed, &common, self.thread_budget())?;
+            let built =
+                qrank_graph::restrict_snapshots(&missed, &common, qrank_rank::thread_budget())?;
             for (i, restricted) in missed_at.into_iter().zip(built) {
                 let snap = &series.snapshots()[i];
                 let built = Arc::new(restricted);
@@ -304,28 +288,18 @@ impl PipelineEngine {
 
         Ok(Some((aligned, columns)))
     }
-
-    /// [`run`](PipelineEngine::run) with a [`PipelineConfig`]'s paper
-    /// estimator and report filter. The config's metric is ignored — the
-    /// engine always solves under the metric it was constructed with.
-    pub fn run_config(
-        &mut self,
-        series: &SnapshotSeries,
-        config: &PipelineConfig,
-    ) -> Result<PipelineReport, CoreError> {
-        let estimator = PaperEstimator {
-            c: config.c,
-            flat_tolerance: config.flat_tolerance,
-        };
-        self.run(series, &estimator, config.min_relative_change)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::PaperEstimator;
     use crate::pipeline::run_pipeline_with;
     use qrank_graph::{CsrGraph, PageId};
+
+    /// The thread budget is process-global; the two tests that pin it
+    /// take turns so each runs at the budgets it names.
+    static BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn snap(time: f64, n: u32, edges: &[(u32, u32)], pages: &[u64]) -> Snapshot {
         Snapshot::new(
@@ -487,29 +461,31 @@ mod tests {
 
     #[test]
     fn parallel_align_is_thread_count_independent() {
+        // The align stage follows the same process-global budget as the
+        // column solves; five snapshots give it more misses than threads.
+        let _pinned = BUDGET.lock().unwrap();
         let est = PaperEstimator {
             c: 0.1,
             flat_tolerance: 0.0,
         };
         let series = window(0, 5);
         let baseline = {
+            qrank_rank::set_thread_budget(1);
             let mut engine = PipelineEngine::new(PopularityMetric::paper_pagerank());
-            engine.set_thread_budget(1);
-            assert_eq!(engine.thread_budget(), 1);
             engine.run(&series, &est, 0.05).unwrap()
         };
         for threads in [2usize, 8] {
+            qrank_rank::set_thread_budget(threads);
             let mut engine = PipelineEngine::new(PopularityMetric::paper_pagerank());
-            engine.set_thread_budget(threads);
             let report = engine.run(&series, &est, 0.05).unwrap();
             assert_reports_equal(&baseline, &report);
         }
+        qrank_rank::set_thread_budget(0);
     }
 
     #[test]
     fn cold_four_column_run_gives_one_report_at_budgets_1_2_8() {
-        // The column solves follow the process-global budget; this is
-        // the only test in the crate's unit suite that pins it.
+        let _pinned = BUDGET.lock().unwrap();
         let est = PaperEstimator {
             c: 0.1,
             flat_tolerance: 0.0,
@@ -548,9 +524,12 @@ mod tests {
     #[test]
     fn engine_rejects_short_and_disjoint_series() {
         let mut engine = PipelineEngine::new(PopularityMetric::InDegree);
-        let cfg = PipelineConfig::default();
+        let est = PaperEstimator {
+            c: 0.1,
+            flat_tolerance: 0.0,
+        };
         assert!(matches!(
-            engine.run_config(&window(0, 2), &cfg),
+            engine.run(&window(0, 2), &est, 0.05),
             Err(CoreError::BadSeries(_))
         ));
         let mut disjoint = SnapshotSeries::new();
@@ -558,7 +537,7 @@ mod tests {
             disjoint.push(snap(t as f64, 1, &[], &[100 + t])).unwrap();
         }
         assert!(matches!(
-            engine.run_config(&disjoint, &cfg),
+            engine.run(&disjoint, &est, 0.05),
             Err(CoreError::BadSeries(_))
         ));
     }

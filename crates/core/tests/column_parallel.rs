@@ -4,6 +4,10 @@
 //! worker threads is attributed to the stage that fanned out — not to
 //! root spans that would count the stage twice.
 //!
+//! The same engine then slides its window by one crawl, and the solver's
+//! own counters must agree with the stage cache that exactly one column
+//! was solved.
+//!
 //! Observability and the thread budget are process-global, so the whole
 //! scenario lives in one `#[test]`.
 
@@ -11,12 +15,12 @@ use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetri
 use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_obs as obs;
 
-/// Four crawls of one 300-page site whose links churn with `t`.
-fn series() -> SnapshotSeries {
+/// Crawls `times` of one 300-page site whose links churn with `t`.
+fn crawls(times: std::ops::Range<u64>) -> SnapshotSeries {
     let n = 300u64;
     let pages: Vec<PageId> = (0..n).map(PageId).collect();
     let mut series = SnapshotSeries::new();
-    for t in 0..4u64 {
+    for t in times {
         let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|u| (u, (u + 1) % n as u32)).collect();
         let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(t + 1);
         for _ in 0..1_500 {
@@ -33,28 +37,28 @@ fn series() -> SnapshotSeries {
     series
 }
 
-fn cold_run(series: &SnapshotSeries) -> PipelineReport {
+fn run(engine: &mut PipelineEngine, series: &SnapshotSeries) -> PipelineReport {
     let estimator = PaperEstimator {
         c: 0.1,
         flat_tolerance: 0.0,
     };
-    PipelineEngine::new(PopularityMetric::paper_pagerank())
-        .run(series, &estimator, 0.05)
-        .unwrap()
+    engine.run(series, &estimator, 0.05).unwrap()
 }
 
 #[test]
 fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
-    let series = series();
+    let series = crawls(0..4);
+    let cold_engine = || PipelineEngine::new(PopularityMetric::paper_pagerank());
     // more threads than most CI boxes have: the batch clamps to the
     // machine, and every assertion below holds for any worker count
     qrank_rank::set_thread_budget(4);
 
     obs::set_enabled(false);
-    let off = cold_run(&series);
+    let off = run(&mut cold_engine(), &series);
     obs::set_enabled(true);
     obs::reset();
-    let on = cold_run(&series);
+    let mut engine = cold_engine();
+    let on = run(&mut engine, &series);
     obs::set_enabled(false);
     qrank_rank::set_thread_budget(0);
 
@@ -97,4 +101,16 @@ fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
         column_ns <= batch.sum * workers,
         "more column time than {workers} workers had"
     );
+
+    // Slide the warm engine's window by one crawl: the stage cache says
+    // one column was solved, and the solver counted exactly that solve.
+    obs::set_enabled(true);
+    obs::reset();
+    run(&mut engine, &crawls(1..5));
+    obs::set_enabled(false);
+    assert_eq!(engine.stats().columns_solved(), 1);
+    assert_eq!(engine.stats().columns_reused(), 3);
+    let snap = obs::global().snapshot();
+    assert_eq!(snap.counter("rank.solve.gauss_seidel"), Some(1));
+    assert_eq!(snap.counter("rank.solve_many.columns"), Some(1));
 }

@@ -12,11 +12,13 @@
 //!   coherent view with a k-way merge — responses are bitwise identical
 //!   to an unsharded store for any shard count.
 //! * **Refresh worker** ([`refresh`]) — ingests edge deltas into a
-//!   [`qrank_graph::DynamicGraph`], re-ranks the snapshot window with
-//!   warm-started solves (reusing the previous generation's trajectory
-//!   columns when the window only grew), and publishes new store
-//!   generations — per-shard swaps, view sealed last — without ever
-//!   blocking readers.
+//!   [`qrank_graph::DynamicGraph`], re-ranks the snapshot window through
+//!   a [`qrank_core::PipelineEngine`] (every column is solved cold from
+//!   the metric's canonical start and cached by its aligned snapshot's
+//!   fingerprint, so an append or a window slide solves one column and
+//!   reuses the rest, bit for bit), and publishes new store generations
+//!   — per-shard swaps, view sealed last — without ever blocking
+//!   readers.
 //! * **Durability** ([`durability`]) — optional crash safety: every
 //!   ingested delta is journaled to a `qrank-wal` write-ahead log (one
 //!   per shard, LSN-aligned, under `shard-NNN/` subtrees when sharded)
@@ -26,10 +28,11 @@
 //!   recovers a data directory to bitwise-identical published scores.
 //! * **Front end** ([`server`]) — a fixed-size thread-pool TCP server
 //!   speaking a line-delimited JSON protocol (`score <page>`,
-//!   `topk <n>`, `stats`, `metrics`, `health`, `trace …`), with an LRU
-//!   cache for `topk` responses, per-request latency counters backed by
-//!   a `qrank-obs` registry, and draining shutdown. The `metrics` verb
-//!   answers in the Prometheus text format, terminated by `# EOF`.
+//!   `topk <n>`, `stats`, `metrics`, `health`, `ready`, `trace …`,
+//!   `shutdown`), with an LRU cache for `topk` responses, per-request
+//!   latency counters backed by a `qrank-obs` registry, and draining
+//!   shutdown. The `metrics` verb answers in the Prometheus text format,
+//!   terminated by `# EOF`.
 //! * **Tracing** — with `--trace-sample N` (ServerConfig
 //!   `trace_sample`), every N-th request gets a [`qrank_obs::Trace`]
 //!   with per-stage latency attribution (parse → store read → cache
@@ -78,11 +81,6 @@ pub mod refresh;
 pub mod server;
 pub mod shard;
 pub mod store;
-
-/// JSON emission lives in `qrank-obs` now (the whole workspace renders
-/// JSON); re-exported here so `qrank_serve::json::{Obj, array}` keeps
-/// working for existing callers.
-pub use qrank_obs::json;
 
 pub use cache::LruCache;
 pub use durability::{DurabilityConfig, RecoveryReport, RetryPolicy};

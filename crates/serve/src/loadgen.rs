@@ -18,8 +18,9 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use qrank_obs::json::{array, Obj};
+
 use crate::error::ServeError;
-use crate::json::{array, Obj};
 
 /// Load-generation parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]

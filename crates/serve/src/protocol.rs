@@ -19,9 +19,9 @@
 
 use qrank_core::Trend;
 use qrank_graph::PageId;
+use qrank_obs::json::{array, Obj};
 use qrank_obs::Tracer;
 
-use crate::json::{array, Obj};
 use crate::metrics::MetricsSnapshot;
 use crate::shard::ShardView;
 use crate::store::{PageScores, ScoreStore};

@@ -381,13 +381,6 @@ impl RefreshEngine {
         self.pipeline.stats()
     }
 
-    /// Pin the stage engine's parallel align stage to `threads` workers
-    /// (0 restores the process-global default). Scheduling only —
-    /// published scores are bitwise identical at every budget.
-    pub fn set_thread_budget(&mut self, threads: usize) {
-        self.pipeline.set_thread_budget(threads);
-    }
-
     /// Diff `snap` against the engine's current state, producing the
     /// delta that replays it.
     fn delta_from_snapshot(&self, snap: &Snapshot) -> EdgeDelta {

@@ -16,31 +16,20 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use qrank_chaos::{FaultKind, FaultPlan, FaultRule};
-use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
+use qrank_graph::PageId;
 use qrank_serve::{
     serve, spawn_refresh_worker_with, DurabilityConfig, EdgeDelta, FsyncPolicy, RefreshConfig,
     RefreshEngine, RefreshMsg, RefreshWorkerOptions, RetryPolicy, ServerConfig, ShardedStore,
 };
+
+mod common;
+use common::seed_series;
 
 /// The installed plan is process-global; serialize the tests that arm
 /// one so they do not observe each other's hit counters.
 fn armed() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn seed_series(snapshots: usize) -> SnapshotSeries {
-    let pages: Vec<PageId> = (0..6).map(PageId).collect();
-    let base = vec![(3u32, 2u32), (4, 2), (5, 2), (2, 0), (0, 2), (1, 0)];
-    let riser: Vec<(u32, u32)> = vec![(3, 1), (4, 1), (5, 1), (0, 1), (2, 1)];
-    let mut s = SnapshotSeries::new();
-    for i in 0..snapshots {
-        let mut edges = base.clone();
-        edges.extend_from_slice(&riser[..(i + 1).min(riser.len())]);
-        s.push(Snapshot::new(i as f64, CsrGraph::from_edges(6, &edges), pages.clone()).unwrap())
-            .unwrap();
-    }
-    s
 }
 
 fn delta(time: f64) -> EdgeDelta {

@@ -7,34 +7,19 @@
 //! `qrank_core::run_pipeline` over the equivalent snapshot series to
 //! within 1e-9 relative error.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use qrank_core::{run_pipeline, PipelineConfig};
-use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
+use qrank_graph::PageId;
 use qrank_serve::{
     serve, spawn_refresh_worker, EdgeDelta, RefreshConfig, RefreshEngine, RefreshMsg, ScoreStore,
     ServerConfig, ShardedStore, StoreHandle,
 };
 
-/// The same growing 6-page web as the refresh unit tests: one page
-/// steadily gains in-links, snapshot `i` is captured at time `i`.
-fn seed_series(snapshots: usize) -> SnapshotSeries {
-    let pages: Vec<PageId> = (0..6).map(PageId).collect();
-    let base = vec![(3u32, 2u32), (4, 2), (5, 2), (2, 0), (0, 2), (1, 0)];
-    let riser: Vec<(u32, u32)> = vec![(3, 1), (4, 1), (5, 1), (0, 1), (2, 1)];
-    let mut s = SnapshotSeries::new();
-    for i in 0..snapshots {
-        let mut edges = base.clone();
-        edges.extend_from_slice(&riser[..(i + 1).min(riser.len())]);
-        s.push(Snapshot::new(i as f64, CsrGraph::from_edges(6, &edges), pages.clone()).unwrap())
-            .unwrap();
-    }
-    s
-}
+mod common;
+use common::{seed_series, Client};
 
 /// Pull a numeric field out of a one-line JSON response.
 fn json_num(line: &str, key: &str) -> f64 {
@@ -50,54 +35,6 @@ fn json_num(line: &str, key: &str) -> f64 {
     rest[..end]
         .parse()
         .unwrap_or_else(|_| panic!("non-numeric {key:?} in {line}"))
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to test server");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn request(&mut self, line: &str) -> String {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        let mut response = String::new();
-        self.reader
-            .read_line(&mut response)
-            .expect("server response");
-        assert!(response.ends_with('\n'), "truncated response {response:?}");
-        response.trim().to_string()
-    }
-
-    /// For multi-line responses (`metrics`, `trace report`): read until
-    /// the `# EOF` terminator, returning every line before it.
-    fn request_multiline(&mut self, line: &str) -> Vec<String> {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        let mut lines = Vec::new();
-        loop {
-            let mut response = String::new();
-            self.reader
-                .read_line(&mut response)
-                .expect("server response");
-            let trimmed = response.trim_end().to_string();
-            if trimmed == "# EOF" {
-                return lines;
-            }
-            lines.push(trimmed);
-        }
-    }
 }
 
 fn relative_diff(a: f64, b: f64) -> f64 {

@@ -6,24 +6,12 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_serve::{
     handle_request, EdgeDelta, LruCache, Metrics, RefreshConfig, RefreshEngine, ShardedStore,
 };
 
-fn seed_series(snapshots: usize) -> SnapshotSeries {
-    let pages: Vec<PageId> = (0..6).map(PageId).collect();
-    let base = vec![(3u32, 2u32), (4, 2), (5, 2), (2, 0), (0, 2), (1, 0)];
-    let riser: Vec<(u32, u32)> = vec![(3, 1), (4, 1), (5, 1), (0, 1), (2, 1)];
-    let mut s = SnapshotSeries::new();
-    for i in 0..snapshots {
-        let mut edges = base.clone();
-        edges.extend_from_slice(&riser[..(i + 1).min(riser.len())]);
-        s.push(Snapshot::new(i as f64, CsrGraph::from_edges(6, &edges), pages.clone()).unwrap())
-            .unwrap();
-    }
-    s
-}
+mod common;
+use common::seed_series;
 
 /// Is `s` a valid Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
 fn valid_metric_name(s: &str) -> bool {

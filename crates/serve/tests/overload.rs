@@ -13,24 +13,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_serve::{
     serve, Cost, RefreshConfig, RefreshEngine, ServerConfig, ShardedStore, ShedPolicy,
 };
 
-fn seed_series(snapshots: usize) -> SnapshotSeries {
-    let pages: Vec<PageId> = (0..6).map(PageId).collect();
-    let base = vec![(3u32, 2u32), (4, 2), (5, 2), (2, 0), (0, 2), (1, 0)];
-    let riser: Vec<(u32, u32)> = vec![(3, 1), (4, 1), (5, 1), (0, 1), (2, 1)];
-    let mut s = SnapshotSeries::new();
-    for i in 0..snapshots {
-        let mut edges = base.clone();
-        edges.extend_from_slice(&riser[..(i + 1).min(riser.len())]);
-        s.push(Snapshot::new(i as f64, CsrGraph::from_edges(6, &edges), pages.clone()).unwrap())
-            .unwrap();
-    }
-    s
-}
+mod common;
+use common::{seed_series, Client};
 
 fn server_with(handle: &Arc<ShardedStore>, cfg: ServerConfig) -> qrank_serve::ServerHandle {
     RefreshEngine::from_series(
@@ -40,33 +28,6 @@ fn server_with(handle: &Arc<ShardedStore>, cfg: ServerConfig) -> qrank_serve::Se
     )
     .unwrap();
     serve(Arc::clone(handle), &cfg).unwrap()
-}
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
-
-    fn request(&mut self, line: &str) -> String {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .unwrap();
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        response
-    }
 }
 
 #[test]

@@ -8,25 +8,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_serve::{
     handle_request, serve, LruCache, Metrics, RefreshConfig, RefreshEngine, ServerConfig,
     ShardedStore, MAX_LINE_BYTES,
 };
 
-fn seed_series(snapshots: usize) -> SnapshotSeries {
-    let pages: Vec<PageId> = (0..6).map(PageId).collect();
-    let base = vec![(3u32, 2u32), (4, 2), (5, 2), (2, 0), (0, 2), (1, 0)];
-    let riser: Vec<(u32, u32)> = vec![(3, 1), (4, 1), (5, 1), (0, 1), (2, 1)];
-    let mut s = SnapshotSeries::new();
-    for i in 0..snapshots {
-        let mut edges = base.clone();
-        edges.extend_from_slice(&riser[..(i + 1).min(riser.len())]);
-        s.push(Snapshot::new(i as f64, CsrGraph::from_edges(6, &edges), pages.clone()).unwrap())
-            .unwrap();
-    }
-    s
-}
+mod common;
+use common::seed_series;
 
 fn start_server(shards: usize) -> qrank_serve::ServerHandle {
     let handle = Arc::new(ShardedStore::new(shards));
