@@ -49,7 +49,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use qrank_graph::{AlignmentTracker, CsrGraph, Snapshot, SnapshotSeries};
+use qrank_graph::{pages_fingerprint, CsrGraph, PageSet, Snapshot, SnapshotSeries};
 
 use crate::estimator::QualityEstimator;
 use crate::pipeline::{report_from_trajectories, PipelineReport};
@@ -83,6 +83,33 @@ impl StageStats {
     }
 }
 
+fn too_few_snapshots(got: usize) -> CoreError {
+    CoreError::BadSeries(format!(
+        "need >= 3 snapshots (estimation window + held-out future), got {got}"
+    ))
+}
+
+fn no_common_pages() -> CoreError {
+    CoreError::BadSeries("no pages common to all snapshots".into())
+}
+
+/// Whether [`PipelineEngine::run`] accepts `series`, with the error it
+/// would return if not.
+///
+/// A run fails on the window's *shape* alone — fewer than three
+/// snapshots, or no page common to all of them — never on a solved
+/// value, so a caller replaying a log of windows can tell which of them
+/// produced a report without solving any.
+pub fn check_window(series: &SnapshotSeries) -> Result<(), CoreError> {
+    if series.len() < 3 {
+        return Err(too_few_snapshots(series.len()));
+    }
+    if series.common_pages().is_empty() {
+        return Err(no_common_pages());
+    }
+    Ok(())
+}
+
 fn bump(name: &'static str) {
     if qrank_obs::enabled() {
         qrank_obs::global().counter(name).inc();
@@ -104,7 +131,11 @@ fn bump(name: &'static str) {
 #[derive(Debug)]
 pub struct PipelineEngine {
     metric: PopularityMetric,
-    tracker: AlignmentTracker,
+    /// The last window's common page set under its fingerprint. The
+    /// `Arc` is replaced only when the fingerprint changes, so aligned
+    /// snapshots of successive windows over one common set share one
+    /// page universe by pointer.
+    common: Option<(u64, Arc<PageSet>)>,
     /// `(raw snapshot fingerprint, common-set fingerprint)` → the
     /// snapshot restricted to that common set.
     restrict_cache: HashMap<(u64, u64), Arc<Snapshot>>,
@@ -119,7 +150,7 @@ impl PipelineEngine {
     pub fn new(metric: PopularityMetric) -> Self {
         PipelineEngine {
             metric,
-            tracker: AlignmentTracker::new(),
+            common: None,
             restrict_cache: HashMap::new(),
             column_cache: HashMap::new(),
             stats: StageStats::default(),
@@ -148,15 +179,10 @@ impl PipelineEngine {
         let _span = qrank_obs::span!("pipeline.run");
         self.stats = StageStats::default();
         if series.len() < 3 {
-            return Err(CoreError::BadSeries(format!(
-                "need >= 3 snapshots (estimation window + held-out future), got {}",
-                series.len()
-            )));
+            return Err(too_few_snapshots(series.len()));
         }
         let Some((aligned, columns)) = self.stages(series)? else {
-            return Err(CoreError::BadSeries(
-                "no pages common to all snapshots".into(),
-            ));
+            return Err(no_common_pages());
         };
 
         let traj = {
@@ -205,12 +231,19 @@ impl PipelineEngine {
     ) -> Result<Option<(Vec<Arc<Snapshot>>, Vec<Arc<Vec<f64>>>)>, CoreError> {
         let aligned = {
             let _s = qrank_obs::span!("pipeline.stage.align");
-            self.tracker.realign(series);
-            if self.tracker.common_pages().is_empty() {
+            let ids = series.common_pages();
+            if ids.is_empty() {
                 return Ok(None);
             }
-            let common_fp = self.tracker.common_fingerprint();
-            let common = Arc::clone(self.tracker.common_page_set());
+            let common_fp = pages_fingerprint(&ids);
+            let common = match &self.common {
+                Some((fp, set)) if *fp == common_fp => Arc::clone(set),
+                _ => {
+                    let set = PageSet::from_sorted(ids);
+                    self.common = Some((common_fp, Arc::clone(&set)));
+                    set
+                }
+            };
 
             // Partition the window into cache hits and misses, then
             // restrict all misses in one parallel batch (each
@@ -512,12 +545,31 @@ mod tests {
         };
         let mut engine = PipelineEngine::new(PopularityMetric::InDegree);
         engine.run(&window(0, 4), &est, 0.05).unwrap();
-        // Every cached aligned snapshot holds the tracker's common page
+        // Every cached aligned snapshot holds the engine's common page
         // universe by pointer, not a private copy.
-        let common = engine.tracker.common_page_set();
+        let (fp, common) = engine.common.clone().expect("a run records its common set");
+        assert_eq!(fp, pages_fingerprint(common.ids()));
         assert_eq!(engine.restrict_cache.len(), 4);
         for snap in engine.restrict_cache.values() {
-            assert!(Arc::ptr_eq(snap.page_set(), common));
+            assert!(Arc::ptr_eq(snap.page_set(), &common));
+        }
+        // A slide over the same pages keeps that universe: the one new
+        // aligned snapshot joins it instead of bringing its own.
+        engine.run(&window(1, 5), &est, 0.05).unwrap();
+        assert_eq!(engine.stats().restrict_misses, 1);
+        for snap in engine.restrict_cache.values() {
+            assert!(Arc::ptr_eq(snap.page_set(), &common));
+        }
+        // A changed common set replaces it for the whole window.
+        let mut shrunk = window(2, 5);
+        shrunk
+            .push(snap(5.0, 4, &[(0, 1), (1, 2)], &[10, 11, 12, 13]))
+            .unwrap();
+        engine.run(&shrunk, &est, 0.05).unwrap();
+        let (_, smaller) = engine.common.clone().unwrap();
+        assert_eq!(smaller.len(), 4);
+        for snap in engine.restrict_cache.values() {
+            assert!(Arc::ptr_eq(snap.page_set(), &smaller));
         }
     }
 
@@ -528,17 +580,21 @@ mod tests {
             c: 0.1,
             flat_tolerance: 0.0,
         };
-        assert!(matches!(
-            engine.run(&window(0, 2), &est, 0.05),
-            Err(CoreError::BadSeries(_))
-        ));
         let mut disjoint = SnapshotSeries::new();
         for t in 0..3u64 {
             disjoint.push(snap(t as f64, 1, &[], &[100 + t])).unwrap();
         }
-        assert!(matches!(
-            engine.run(&disjoint, &est, 0.05),
-            Err(CoreError::BadSeries(_))
-        ));
+        // `check_window` predicts the verdict, word for word, without
+        // solving anything.
+        for bad in [window(0, 2), disjoint] {
+            let refused = engine.run(&bad, &est, 0.05).unwrap_err();
+            assert!(matches!(refused, CoreError::BadSeries(_)));
+            assert_eq!(
+                check_window(&bad).unwrap_err().to_string(),
+                refused.to_string()
+            );
+        }
+        assert!(check_window(&window(0, 3)).is_ok());
+        assert!(engine.run(&window(0, 3), &est, 0.05).is_ok());
     }
 }

@@ -51,7 +51,7 @@ pub mod smoothing;
 pub mod trajectory;
 
 pub use classify::{classify_trend, Trend};
-pub use engine::{PipelineEngine, StageStats};
+pub use engine::{check_window, PipelineEngine, StageStats};
 pub use error::CoreError;
 pub use estimator::{
     CurrentPopularity, DerivativeOnly, LogisticFit, PaperEstimator, QualityEstimator,

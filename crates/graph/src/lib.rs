@@ -69,7 +69,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod traversal;
 
-pub use align::{restrict_snapshots, AlignmentTracker, Realignment};
+pub use align::restrict_snapshots;
 pub use bowtie::{BowTie, BowTieRegion};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;

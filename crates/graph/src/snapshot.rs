@@ -15,6 +15,7 @@
 //! ids (or a sorted view of them), so the alignment hot path never
 //! constructs a `HashMap` (a CI grep guard keeps it that way).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -37,8 +38,8 @@ impl std::fmt::Display for PageId {
 /// identity of `node`, plus a lookup structure for the reverse mapping.
 ///
 /// Always handled as `Arc<PageSet>` so every snapshot aligned to the
-/// same universe — and the [`crate::AlignmentTracker`] window — shares
-/// one allocation. Lookups never hash: when the ids are sorted ascending
+/// same universe shares one allocation. Lookups never hash: when the ids
+/// are sorted ascending
 /// (the common case — crawler captures and common-page intersections are
 /// sorted by construction) [`node_of`](PageSet::node_of) is a direct
 /// binary search; otherwise a sorted permutation built once at
@@ -128,11 +129,11 @@ impl PageSet {
         self.node_of(page).is_some()
     }
 
-    /// The ids in ascending order (a cheap copy of `ids` when already
-    /// sorted; the stored permutation applied otherwise).
-    pub fn sorted_ids(&self) -> Vec<PageId> {
+    /// The ids in ascending order: a borrow of `ids` when already
+    /// sorted, the stored permutation applied otherwise.
+    pub fn sorted_ids(&self) -> Cow<'_, [PageId]> {
         match &self.order {
-            None => self.ids.clone(),
+            None => Cow::Borrowed(&self.ids),
             Some(order) => order.iter().map(|&n| self.ids[n as usize]).collect(),
         }
     }
@@ -243,7 +244,23 @@ impl Snapshot {
     /// copy, and the restriction is a single fused pass
     /// ([`CsrGraph::restrict_relabel`]) — no intermediate edge list, no
     /// second relabel pass, no hashing.
+    ///
+    /// When `keep` lists exactly this snapshot's pages in this snapshot's
+    /// node order the restriction is the identity: the result is this
+    /// graph under the shared `keep`, fingerprint carried over (it covers
+    /// the time, the graph and the page ids, all unchanged) — what the
+    /// fused pass would rebuild, without the pass or the re-hash. A
+    /// window whose snapshots all hold the same pages takes this path on
+    /// every restriction; a growing crawl never does.
     pub fn restrict_to_set(&self, keep: &Arc<PageSet>) -> Result<Snapshot, GraphError> {
+        if keep.ids() == self.pages.ids() {
+            return Ok(Snapshot {
+                time: self.time,
+                graph: self.graph.clone(),
+                pages: Arc::clone(keep),
+                fingerprint: self.fingerprint,
+            });
+        }
         let graph = {
             let _span = qrank_obs::span!("align.restrict");
             let mut old_to_new = vec![NodeId::MAX; self.graph.num_nodes()];
@@ -338,21 +355,21 @@ impl SnapshotSeries {
     /// "2.7 million pages were common in all four snapshots" step.
     ///
     /// Computed by merging the sorted views of each snapshot's
-    /// [`PageSet`] — O(total pages) with no hashing. Sliding-window
-    /// consumers that re-intersect on every refresh should maintain a
-    /// [`crate::AlignmentTracker`] instead and use
-    /// [`aligned_with`](SnapshotSeries::aligned_with).
+    /// [`PageSet`] — O(total pages), no hashing, no state: a sliding
+    /// window re-intersects on every refresh with this same merge, which
+    /// at a handful of snapshots is cheaper than keeping presence counts
+    /// per page. Ids already sorted are read in place; only the running
+    /// intersection is owned.
     pub fn common_pages(&self) -> Vec<PageId> {
-        let live = self.snapshots();
-        let Some(first) = live.first() else {
+        let mut sorted = self.snapshots().iter().map(|s| s.page_set().sorted_ids());
+        let Some(first) = sorted.next() else {
             return Vec::new();
         };
-        let mut common = first.page_set().sorted_ids();
-        for s in &live[1..] {
+        let mut common = first.into_owned();
+        for other in sorted {
             if common.is_empty() {
                 break;
             }
-            let other = s.page_set().sorted_ids();
             let (mut i, mut j, mut k) = (0, 0, 0);
             while i < common.len() && j < other.len() {
                 match common[i].cmp(&other[j]) {
@@ -375,31 +392,12 @@ impl SnapshotSeries {
     /// *aligned* series: node `i` is the same page in every snapshot,
     /// and every aligned snapshot shares one `Arc`'d page universe.
     pub fn aligned_to_common(&self) -> Result<SnapshotSeries, GraphError> {
-        self.aligned_to(&PageSet::from_sorted(self.common_pages()))
-    }
-
-    /// Restrict every snapshot to `keep` — the shared implementation
-    /// under [`aligned_to_common`](SnapshotSeries::aligned_to_common)
-    /// and [`aligned_with`](SnapshotSeries::aligned_with).
-    pub fn aligned_to(&self, keep: &Arc<PageSet>) -> Result<SnapshotSeries, GraphError> {
+        let keep = PageSet::from_sorted(self.common_pages());
         let mut out = SnapshotSeries::new();
         for s in self.snapshots() {
-            out.push(s.restrict_to_set(keep)?)?;
+            out.push(s.restrict_to_set(&keep)?)?;
         }
         Ok(out)
-    }
-
-    /// Align via an [`crate::AlignmentTracker`]: the tracker reconciles
-    /// its incremental per-page presence counts with this window (no
-    /// from-scratch intersection when the windows overlap) and the
-    /// aligned snapshots share the tracker's common page universe.
-    pub fn aligned_with(
-        &self,
-        tracker: &mut crate::AlignmentTracker,
-    ) -> Result<SnapshotSeries, GraphError> {
-        tracker.realign(self);
-        let keep = Arc::clone(tracker.common_page_set());
-        self.aligned_to(&keep)
     }
 
     /// Check that all snapshots share an identical page labeling.
@@ -503,6 +501,20 @@ mod tests {
         series.push(snap(0.0, &[], &[4, 1, 3])).unwrap();
         series.push(snap(1.0, &[], &[3, 9, 4])).unwrap();
         assert_eq!(series.common_pages(), vec![PageId(3), PageId(4)]);
+        // sorted (borrowed) and unsorted (permuted) views merge alike,
+        // whichever comes first
+        let mut mixed = SnapshotSeries::new();
+        mixed.push(snap(0.0, &[], &[1, 3, 4, 8])).unwrap();
+        mixed.push(snap(1.0, &[], &[8, 4, 2, 3])).unwrap();
+        mixed.push(snap(2.0, &[], &[3, 4, 8, 9])).unwrap();
+        assert_eq!(mixed.common_pages(), vec![PageId(3), PageId(4), PageId(8)]);
+        mixed.pop_front();
+        assert_eq!(mixed.common_pages(), vec![PageId(3), PageId(4), PageId(8)]);
+        // the inputs are read, never reordered
+        assert_eq!(
+            mixed.snapshots()[0].pages(),
+            &[PageId(8), PageId(4), PageId(2), PageId(3)]
+        );
     }
 
     #[test]
@@ -538,24 +550,25 @@ mod tests {
     }
 
     #[test]
-    fn aligned_with_tracker_matches_aligned_to_common() {
-        let mut series = SnapshotSeries::new();
-        series.push(snap(0.0, &[(0, 1)], &[1, 2, 3])).unwrap();
-        series.push(snap(1.0, &[(1, 0)], &[2, 3, 4])).unwrap();
-        let mut tracker = crate::AlignmentTracker::new();
-        let via_tracker = series.aligned_with(&mut tracker).unwrap();
-        let direct = series.aligned_to_common().unwrap();
-        assert_eq!(via_tracker.len(), direct.len());
-        for (a, b) in via_tracker.snapshots().iter().zip(direct.snapshots()) {
-            assert_eq!(a.fingerprint(), b.fingerprint());
-            assert_eq!(a.pages(), b.pages());
-            assert_eq!(a.graph, b.graph);
-        }
-        // the aligned snapshots borrow the tracker's universe
-        assert!(Arc::ptr_eq(
-            via_tracker.snapshots()[0].page_set(),
-            tracker.common_page_set()
-        ));
+    fn identity_restriction_shares_keep_and_carries_the_fingerprint() {
+        // unsorted labels: identity means "same ids in the same node
+        // order", not "sorted"
+        let s = snap(1.5, &[(0, 1), (1, 2), (2, 0)], &[30, 10, 20]);
+        let ids = |pages: &[u64]| pages.iter().map(|&p| PageId(p)).collect::<Vec<_>>();
+        let keep = PageSet::new(ids(&[30, 10, 20])).unwrap();
+        let r = s.restrict_to_set(&keep).unwrap();
+        assert!(Arc::ptr_eq(r.page_set(), &keep));
+        assert!(!Arc::ptr_eq(r.page_set(), s.page_set()));
+        assert_eq!(r.graph, s.graph);
+        assert_eq!(r.fingerprint(), s.fingerprint());
+        assert_eq!(r.time, s.time);
+        // the same pages in another order is a relabel, not the identity
+        let reordered = s.restrict_to(&ids(&[10, 20, 30])).unwrap();
+        assert_ne!(reordered.fingerprint(), s.fingerprint());
+        assert_eq!(
+            reordered.graph.edges().collect::<Vec<_>>(),
+            vec![(0, 1), (1, 2), (2, 0)]
+        );
     }
 
     #[test]

@@ -278,6 +278,46 @@ proptest! {
         prop_assert_eq!(restricted.fingerprint(), reference.fingerprint());
     }
 
+    /// Restricting a snapshot to exactly its own pages in its own node
+    /// order skips the fused pass; what comes back is what the pass
+    /// would have built — the four CSR arrays, the fingerprint — under
+    /// the caller's `Arc`, whether the labels are sorted or not.
+    #[test]
+    fn identity_restriction_matches_the_fused_pass(
+        edges in arbitrary_edges(16, 80),
+        shuffle_seed in 0u64..u64::MAX,
+        sorted in 0u8..2,
+    ) {
+        let g = CsrGraph::from_edges(16, &edges);
+        let mut pages: Vec<PageId> = (0..16u64).map(|p| PageId(p * 7 + 1)).collect();
+        if sorted == 0 {
+            let mut s = shuffle_seed;
+            for i in (1..pages.len()).rev() {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                pages.swap(i, (s >> 33) as usize % (i + 1));
+            }
+        }
+        let snap = Snapshot::new(2.5, g.clone(), pages.clone()).unwrap();
+        let keep = PageSet::new(pages).unwrap();
+
+        let shortcut = snap.restrict_to_set(&keep).unwrap();
+
+        let identity: Vec<NodeId> = (0..16).collect();
+        let fused = Snapshot::from_page_set(
+            2.5,
+            g.restrict_relabel(&identity, 16),
+            std::sync::Arc::clone(&keep),
+        )
+        .unwrap();
+        prop_assert_eq!(&shortcut.graph, &fused.graph);
+        prop_assert_eq!(shortcut.fingerprint(), fused.fingerprint());
+        prop_assert_eq!(shortcut.time.to_bits(), fused.time.to_bits());
+        prop_assert!(std::sync::Arc::ptr_eq(shortcut.page_set(), &keep));
+        prop_assert!(std::sync::Arc::ptr_eq(fused.page_set(), &keep));
+    }
+
     /// Aligning a series puts every snapshot on one shared `Arc` page
     /// universe — pointer equality, not just equal contents.
     #[test]

@@ -37,7 +37,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use qrank_core::{PaperEstimator, PipelineEngine, PopularityMetric};
+use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetric};
 use qrank_graph::{DynamicGraph, NodeId, PageId, Snapshot, SnapshotSeries};
 use qrank_obs::trace::{ActiveTrace, Tracer};
 
@@ -170,9 +170,10 @@ impl RefreshEngine {
     /// `refresh` trace with the full stage breakdown — wal append →
     /// apply → snapshot → engine → checkpoint — and feeds the cycle's
     /// wall time into the tracer's per-verb histograms and SLO monitor.
-    /// Recovery replay during [`RefreshEngine::open_durable`] happens
-    /// before any tracer can be attached and stays span-level
-    /// (`refresh.recover`).
+    /// Recovery in [`RefreshEngine::open_durable`] happens before any
+    /// tracer can be attached and stays span-level (`refresh.recover`
+    /// over `refresh.restore`, `refresh.replay` and one
+    /// `refresh.rerank`).
     pub fn set_tracer(&mut self, tracer: Option<Arc<Tracer>>) {
         self.tracer = tracer;
     }
@@ -198,14 +199,21 @@ impl RefreshEngine {
     }
 
     /// Open a *durable* engine rooted at `dur.dir`: recover the newest
-    /// valid checkpoint, replay the WAL tail through the normal ingest
-    /// path, and journal every subsequent ingest write-ahead.
+    /// valid checkpoint, replay the WAL tail's effect on engine state,
+    /// rank the window the tail leaves once, and journal every
+    /// subsequent ingest write-ahead.
     ///
     /// The recovered engine publishes exactly what the uninterrupted
-    /// process would have: the checkpoint pins the window and generation
+    /// process would have. The checkpoint pins the window and generation
     /// bitwise (snapshots are rebuilt so `snapshot_at` cannot tell the
-    /// difference — see [`crate::durability`]), and replayed deltas run
-    /// through the same `ingest` code that produced them.
+    /// difference — see [`crate::durability`]). Each tail record then
+    /// changes the graph and the window as its live ingest did and bumps
+    /// the generation iff that ingest published — a question of window
+    /// shape ([`qrank_core::check_window`]), not of solved values — so
+    /// nothing is solved for generations no reader will ever see. A
+    /// published store is a pure function of its window, hence one rank
+    /// of the final window at the final generation serves the same bytes
+    /// as a rank per record.
     ///
     /// `seed` is only consulted when the directory holds no history at
     /// all (fresh deployment): its snapshots are ingested — and
@@ -228,36 +236,45 @@ impl RefreshEngine {
         let mut report = opened.report;
         report.replayed_records = opened.deltas.len() as u64;
         if let Some(payload) = &opened.checkpoint {
-            let state = durability::decode_state(payload)?;
-            engine.restore(state)?;
+            let _s = qrank_obs::span!("refresh.restore");
+            engine.restore(durability::decode_state(payload)?)?;
             report.checkpoint_generation = Some(engine.generation);
         }
-        // Replay gets its own span so flight-recorder timelines separate
-        // "reading the log" (wal open + merge) from "re-running its
-        // deltas".
-        let replay_span = qrank_obs::span!("refresh.replay");
-        for (lsn, delta) in &opened.deltas {
-            // A rejected delta left the original process's state exactly
-            // as the partial apply did; replaying it does the same, so
-            // record the rejection and keep going — both histories agree.
-            if let Err(e) = engine.ingest_inner(delta, false, &mut None) {
-                report.replay_errors.push(format!("lsn {lsn}: {e}"));
+        {
+            let _s = qrank_obs::span!("refresh.replay");
+            for (lsn, delta) in &opened.deltas {
+                // A rejected delta left the original process's state
+                // exactly as the partial apply did; replaying it does
+                // the same, so record the rejection and keep going —
+                // both histories agree.
+                if let Err(e) = engine.replay(delta) {
+                    report.replay_errors.push(format!("lsn {lsn}: {e}"));
+                }
             }
         }
-        drop(replay_span);
+        // One rank for the whole tail. An engine's snapshots only ever
+        // gain pages, so once a window has a common page every later one
+        // does: if any generation was published, the final window is the
+        // newest of them. A window that never published (still filling,
+        // or pageless so far) left readers nothing, and leaves them
+        // nothing here.
+        if qrank_core::check_window(&engine.series).is_ok() {
+            engine.republish()?;
+        }
         engine.journal = Some(opened.journal);
         if report.checkpoint_generation.is_none() && report.replayed_records == 0 {
             if let Some(series) = seed {
                 for snap in series.snapshots() {
                     let delta = engine.delta_from_snapshot(snap);
-                    engine.ingest_inner(&delta, true, &mut None)?;
+                    engine.ingest_inner(&delta, &mut None)?;
                 }
             }
         }
         Ok((engine, report))
     }
 
-    /// Rebuild engine state from a checkpoint. The dynamic graph is
+    /// Rebuild engine state from a checkpoint; nothing is published (the
+    /// caller ranks once the WAL tail is in). The dynamic graph is
     /// reconstructed as "every page born at the last snapshot time,
     /// every alive edge added then": all future `snapshot_at(t)` calls
     /// (ingest times never decrease) see the same alive sets a replay of
@@ -288,20 +305,35 @@ impl RefreshEngine {
         self.alive_edges = alive;
         self.series = state.series;
         self.generation = state.generation;
-        self.republish()
+        Ok(())
     }
 
-    /// Publish the current window at the *current* generation — no bump.
-    /// Used after a checkpoint restore so a recovery with nothing to
-    /// replay still serves exactly what the checkpointed process served.
-    fn republish(&mut self) -> Result<(), ServeError> {
-        let Some(newest) = self.series.snapshots().last() else {
-            return Ok(());
-        };
-        let snapshot_time = newest.time;
+    /// What a live [`ingest`](Self::ingest) of `delta` did to the graph,
+    /// the window and the generation counter — everything but the solve
+    /// and the publish. An error is the one the ingest returned, with
+    /// the state it left behind.
+    fn replay(&mut self, delta: &EdgeDelta) -> Result<(), ServeError> {
+        self.apply_delta(delta)?;
+        self.push_snapshot(delta.time)?;
+        if self.series.len() >= 3 {
+            let shape = qrank_core::check_window(&self.series);
+            debug_assert!(
+                shape.is_ok() || self.generation == 0,
+                "snapshots only gain pages: no window loses its common pages after a publish"
+            );
+            shape?;
+            self.generation += 1;
+        }
+        Ok(())
+    }
+
+    /// Rank the current window. `None` while it holds fewer than three
+    /// snapshots; those passes still warm the stage engine's caches so
+    /// the first publishable refresh only solves what is genuinely new.
+    fn rank(&mut self) -> Result<Option<PipelineReport>, ServeError> {
         if self.series.len() < 3 {
             self.pipeline.warm(&self.series)?;
-            return Ok(());
+            return Ok(None);
         }
         let estimator = PaperEstimator {
             c: self.cfg.c,
@@ -310,8 +342,27 @@ impl RefreshEngine {
         let report = self
             .pipeline
             .run(&self.series, &estimator, self.cfg.min_relative_change)?;
+        Ok(Some(report))
+    }
+
+    /// Hand `report` — a rank of the current window — to readers under
+    /// the current generation.
+    fn publish(&self, report: &PipelineReport) {
+        let newest = self.series.snapshots().last();
+        let snapshot_time = newest.expect("a ranked window is not empty").time;
         self.handle
-            .publish_report(&report, self.generation, snapshot_time);
+            .publish_report(report, self.generation, snapshot_time);
+    }
+
+    /// Publish the current window at the *current* generation — no bump.
+    /// The one rank of a recovery: after a checkpoint restore and the
+    /// tail's replay the store serves exactly what the recovered process
+    /// served, including when there was nothing to replay.
+    fn republish(&mut self) -> Result<(), ServeError> {
+        let _span = qrank_obs::span!("refresh.rerank");
+        if let Some(report) = self.rank()? {
+            self.publish(&report);
+        }
         Ok(())
     }
 
@@ -323,12 +374,15 @@ impl RefreshEngine {
             return Ok(None);
         }
         let _span = qrank_obs::span!("refresh.checkpoint");
-        let payload = durability::encode_state(
-            self.generation,
-            &self.page_of_node,
-            &self.alive_edges,
-            &self.series,
-        );
+        let payload = {
+            let _s = qrank_obs::span!("refresh.checkpoint.encode");
+            durability::encode_state(
+                self.generation,
+                &self.page_of_node,
+                &self.alive_edges,
+                &self.series,
+            )
+        };
         let journal = self.journal.as_mut().expect("checked above");
         Ok(Some(journal.checkpoint(&payload)?))
     }
@@ -464,21 +518,9 @@ impl RefreshEngine {
     /// slide, all of them when the common page set changes).
     pub fn rerank(&mut self) -> Result<Option<RefreshStats>, ServeError> {
         let _span = qrank_obs::span!("refresh.rerank");
-        let Some(newest) = self.series.snapshots().last() else {
+        let Some(report) = self.rank()? else {
             return Ok(None);
         };
-        let snapshot_time = newest.time;
-        if self.series.len() < 3 {
-            self.pipeline.warm(&self.series)?;
-            return Ok(None);
-        }
-        let estimator = PaperEstimator {
-            c: self.cfg.c,
-            flat_tolerance: self.cfg.flat_tolerance,
-        };
-        let report = self
-            .pipeline
-            .run(&self.series, &estimator, self.cfg.min_relative_change)?;
         let stage = self.pipeline.stats();
         self.generation += 1;
         let stats = RefreshStats {
@@ -488,8 +530,7 @@ impl RefreshEngine {
             columns_solved: stage.columns_solved(),
             columns_reused: stage.columns_reused(),
         };
-        self.handle
-            .publish_report(&report, self.generation, snapshot_time);
+        self.publish(&report);
         Ok(Some(stats))
     }
 
@@ -502,7 +543,7 @@ impl RefreshEngine {
         let _span = qrank_obs::span!("refresh.ingest");
         let tracer = self.tracer.clone();
         let mut trace = tracer.as_deref().and_then(|t| t.begin("refresh"));
-        let outcome = self.ingest_inner(delta, true, &mut trace);
+        let outcome = self.ingest_inner(delta, &mut trace);
         if let Some(t) = tracer.as_deref() {
             let total_ns = trace.as_ref().map(|tr| tr.elapsed_ns()).unwrap_or_default();
             if let Some(mut tr) = trace {
@@ -525,14 +566,12 @@ impl RefreshEngine {
         outcome
     }
 
-    /// The ingest body; `journal: false` is the recovery-replay path
-    /// (the records being replayed are already in the log). `trace`
-    /// carries the live-path refresh trace (always `None` during
-    /// recovery — the tracer is attached after [`Self::open_durable`]).
+    /// The ingest body. `trace` carries the refresh trace (`None` while
+    /// [`Self::open_durable`] seeds a fresh directory — the tracer is
+    /// attached after it returns).
     fn ingest_inner(
         &mut self,
         delta: &EdgeDelta,
-        journal: bool,
         trace: &mut Option<ActiveTrace>,
     ) -> Result<Option<RefreshStats>, ServeError> {
         // Chaos site sits before the write-ahead append: an injected
@@ -544,13 +583,11 @@ impl RefreshEngine {
                 "chaos: injected refresh.ingest fault",
             )));
         }
-        if journal {
-            if let Some(j) = self.journal.as_mut() {
-                if let Some(t) = trace.as_mut() {
-                    t.stage("wal_append");
-                }
-                j.append(delta)?;
+        if let Some(j) = self.journal.as_mut() {
+            if let Some(t) = trace.as_mut() {
+                t.stage("wal_append");
             }
+            j.append(delta)?;
         }
         if let Some(t) = trace.as_mut() {
             t.stage("apply");
@@ -566,7 +603,7 @@ impl RefreshEngine {
             t.stage("engine");
         }
         let stats = self.rerank()?;
-        if journal && self.journal.as_ref().is_some_and(|j| j.due()) {
+        if self.journal.as_ref().is_some_and(|j| j.due()) {
             if let Some(t) = trace.as_mut() {
                 t.stage("checkpoint");
             }
@@ -862,6 +899,9 @@ fn quarantine_delta(
         ));
     }
 }
+
+#[cfg(test)]
+mod replay_reference;
 
 #[cfg(test)]
 mod tests {

@@ -390,3 +390,105 @@ fn seed_series_is_journaled_on_first_boot_only() {
     assert_bitwise_identical(&first, &second);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `n` deltas over eight pages, all created by the first one, so every
+/// snapshot holds the same pages and every window from the third delta
+/// on publishes.
+fn long_stream(n: u64) -> Vec<EdgeDelta> {
+    (0..n)
+        .map(|i| EdgeDelta {
+            time: i as f64,
+            added: if i == 0 {
+                (0..8).map(|p| (p, (p + 1) % 8)).collect()
+            } else {
+                vec![(i % 8, (i * 3 + 2) % 8), ((i + 5) % 8, i % 7)]
+            },
+            removed: if i % 5 == 4 {
+                vec![((i - 1) % 8, ((i - 1) * 3 + 2) % 8)]
+            } else {
+                vec![]
+            },
+            ..Default::default()
+        })
+        .collect()
+}
+
+/// [`uninterrupted`] over a given stream: ingest it all, then drop the
+/// engine without a checkpoint.
+fn uninterrupted_stream(
+    dir: &Path,
+    checkpoint_every: u64,
+    deltas: &[EdgeDelta],
+) -> Arc<ShardedStore> {
+    let handle = Arc::new(ShardedStore::new(1));
+    let (mut engine, _) = RefreshEngine::open_durable(
+        RefreshConfig::default(),
+        &dur(dir, checkpoint_every),
+        Arc::clone(&handle),
+        None,
+    )
+    .unwrap();
+    for d in deltas {
+        engine.ingest(d).unwrap();
+    }
+    handle
+}
+
+/// Spans closed under `root` so far: `(solver kernels, store publishes)`.
+/// Span paths start at the thread that opened them (fan-out workers
+/// adopt their spawner's), so a root only this test opens counts this
+/// test's work however many other tests the process is running.
+fn spans_under(root: &str) -> (u64, u64) {
+    let prefix = format!("span.{root}/");
+    let (mut solves, mut publishes) = (0, 0);
+    for (name, h) in &qrank_obs::global().snapshot().histograms {
+        if !name.starts_with(&prefix) {
+            continue;
+        }
+        match name.rsplit('/').next() {
+            Some("rank.gauss_seidel" | "rank.colored" | "rank.power") => solves += h.count,
+            Some("shard.publish_report") => publishes += h.count,
+            _ => {}
+        }
+    }
+    (solves, publishes)
+}
+
+#[test]
+fn recovery_ranks_once_however_long_the_tail() {
+    const ROOT: &str = "test.recovery_ranks_once";
+    let max_window = RefreshConfig::default().max_window as u64;
+    let every = 16;
+    qrank_obs::set_enabled(true);
+    // tail 0 is a kill right after the automatic checkpoint
+    for tail in [0u64, 1, 4, 11, 15] {
+        let dir = tmpdir(&format!("counts{tail}"));
+        let reference = uninterrupted_stream(&dir, every, &long_stream(every + tail));
+        let handle = Arc::new(ShardedStore::new(1));
+        let before = spans_under(ROOT);
+        let report = {
+            let _root = qrank_obs::span!(ROOT);
+            let (_engine, report) = RefreshEngine::open_durable(
+                RefreshConfig::default(),
+                &dur(&dir, every),
+                Arc::clone(&handle),
+                None,
+            )
+            .unwrap();
+            report
+        };
+        let after = spans_under(ROOT);
+        assert_eq!(report.replayed_records, tail);
+        assert!(report.checkpoint_generation.is_some());
+        let (solves, publishes) = (after.0 - before.0, after.1 - before.1);
+        assert!(
+            (1..=max_window).contains(&solves),
+            "tail {tail}: {solves} solves for a window of {max_window}"
+        );
+        assert_eq!(publishes, 1, "tail {tail}: one publish per recovery");
+        // the one publish is the generation the killed process served
+        assert_bitwise_identical(&reference, &handle);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    qrank_obs::set_enabled(false);
+}
