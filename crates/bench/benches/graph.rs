@@ -7,7 +7,7 @@ use qrank_graph::bowtie::bowtie_decomposition;
 use qrank_graph::generators::barabasi_albert;
 use qrank_graph::scc::tarjan_scc;
 use qrank_graph::traversal::bfs;
-use qrank_graph::{CsrGraph, GraphBuilder, NodeId};
+use qrank_graph::{CsrGraph, DynamicGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -65,5 +65,59 @@ fn bench_io(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_construction, bench_ops, bench_io);
+/// The link log of a `batch_cold`-shaped world without running one: a
+/// thousand home pages gather like-links to pages as those are born,
+/// ever faster (the log's second half holds its last fifth of time, as
+/// the benchmark's does), and every page gets its two navigation links.
+/// Times run 0..8.5.
+fn cold_shaped_log(pages: u32) -> DynamicGraph {
+    let mut rng = StdRng::seed_from_u64(6);
+    let homes = 1_000u32;
+    let mut d = DynamicGraph::new();
+    for _ in 0..homes {
+        d.add_node(0.0).expect("births are in time order");
+    }
+    for p in homes..pages {
+        let at = 8.5 * f64::from(p - homes) / f64::from(pages - homes);
+        d.add_node(at).expect("births are in time order");
+        d.add_edge(rng.random_range(0..p), p, at).expect("in order");
+        d.add_edge(p, p % homes, at).expect("in order");
+        // likes of pages born earlier: twenty a page on average
+        let age = f64::from(p) / f64::from(pages);
+        for _ in 0..(80.0 * age.powi(3)) as u32 {
+            let liked = rng.random_range(0..=p);
+            d.add_edge(rng.random_range(0..homes), liked, at)
+                .expect("in order");
+        }
+    }
+    d
+}
+
+/// The materializer's two ways to the graph at the last crawl time of
+/// the benchmark's schedule: from the empty graph, and from the graph of
+/// the crawl before it.
+fn bench_materialize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("link_graph");
+    group.sample_size(20);
+    let d = cold_shaped_log(40_000);
+    let base = d.graph_at_full_from(None, 7.0);
+    group.bench_function("at_8.5_from_empty", |b| {
+        b.iter(|| black_box(d.graph_at_full(black_box(8.5))))
+    });
+    group.bench_function("at_8.5_extending_7.0", |b| {
+        b.iter(|| {
+            let base = Some((&base.graph, base.events));
+            black_box(d.graph_at_full_from(base, black_box(8.5)))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_construction,
+    bench_ops,
+    bench_io,
+    bench_materialize
+);
 criterion_main!(benches);

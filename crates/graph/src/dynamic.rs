@@ -159,7 +159,20 @@ impl DynamicGraph {
     /// (nodes not yet born appear isolated). Use
     /// [`snapshot_at`](Self::snapshot_at) to restrict to alive nodes.
     pub fn graph_at_full(&self, t: f64) -> CsrGraph {
-        self.materialize(t, self.num_nodes())
+        self.graph_at_full_from(None, t).graph
+    }
+
+    /// [`graph_at_full`](Self::graph_at_full) for a caller that kept an
+    /// earlier result: `base` must be a graph this log gave and the
+    /// number of leading events it is the graph of (a [`Materialized`]'s
+    /// `graph` and `events`). The log is append-only, so its length
+    /// identifies a prefix for good, and the graph at `t` is the base
+    /// merged with the events after it. A base that is no prefix of what
+    /// is asked for — it holds events later than `t` — is set aside and
+    /// the graph is built from nothing, as it is from `None`; the result
+    /// is the same either way.
+    pub fn graph_at_full_from(&self, base: Option<(&CsrGraph, usize)>, t: f64) -> Materialized {
+        self.materialize(base, t, self.num_nodes())
     }
 
     /// Materialize the graph at time `t`, restricted to nodes alive at
@@ -169,69 +182,128 @@ impl DynamicGraph {
         // nodes born by its own time, so restricting to them is choosing
         // the node count: no relabeling, no second pass.
         let alive = self.nodes_at(t);
-        (self.materialize(t, alive.len()), alive)
+        (self.materialize(None, t, alive.len()).graph, alive)
     }
 
-    /// The graph at time `t` over node ids `0..n`; every event at or
-    /// before `t` must name nodes below `n`.
+    /// The graph at time `t` over node ids `0..n`, as `base` — a graph
+    /// and the number of leading log events it is the graph of —
+    /// extended by the events after those; every event at or before `t`
+    /// must name nodes below `n`. `None` is the empty graph of zero
+    /// events, which also stands in for a base that cannot be extended:
+    /// one with events past `t` or nodes at or above `n`.
     ///
     /// An edge is alive iff the last event naming it at or before `t` is
-    /// an add. The log is time-ordered, so "last" is "latest position":
-    /// a stable counting sort of the prefix by source, then a stable sort
-    /// of each source's events by destination, leaves every edge's events
-    /// adjacent and in log order, and the final one of each run decides.
-    /// Survivors come out in `(src, dst)` order, which is the CSR row
-    /// layout itself — no edge-pair list, no tree, no hashing. The only
-    /// scratch is one word per prefix event (plus one per event of the
-    /// longest row), freed on return.
-    fn materialize(&self, t: f64, n: usize) -> CsrGraph {
-        let end = self.events.partition_point(|e| e.at() <= t);
-        let prefix = &self.events[..end];
+    /// an add, or no event after the base names it and the base holds
+    /// it. The log is time-ordered, so "last" is "latest position": a
+    /// stable counting sort of the new events by source, then a stable
+    /// sort of each source's events by destination, leaves every edge's
+    /// events adjacent and in log order, and the final one of each run
+    /// decides. Those verdicts come out in destination order, which is
+    /// the order of the base's row, so one two-finger merge per source
+    /// writes the new row: base edges no event names are copied
+    /// through, an add is inserted (or kept), a remove drops the base's
+    /// copy. Rows are written in source order, which is the CSR layout
+    /// itself — no edge-pair list, no tree, no hashing — and a row no
+    /// new event names costs one `memcpy`. The only scratch is one word
+    /// per new event (plus one per event of the longest row), freed on
+    /// return.
+    fn materialize(&self, base: Option<(&CsrGraph, usize)>, t: f64, n: usize) -> Materialized {
+        let events = self.events.partition_point(|e| e.at() <= t);
+        let base = base.filter(|&(g, held)| held <= events && g.num_nodes() <= n);
+        let (base_nodes, base_edges, base_events) =
+            base.map_or((0, 0, 0), |(g, held)| (g.num_nodes(), g.num_edges(), held));
+        let tail = &self.events[base_events..events];
 
         // `row_end[u]` starts as the first slot of source `u`'s events
         // and, once the scatter has filled the row, is one past its last.
         let mut row_end = vec![0usize; n + 1];
-        for e in prefix {
-            row_end[e.parts().0 as usize + 1] += 1;
+        let mut adds = 0;
+        for e in tail {
+            let (src, _, added) = e.parts();
+            row_end[src as usize + 1] += 1;
+            adds += usize::from(added);
         }
         for u in 0..n {
             row_end[u + 1] += row_end[u];
         }
         // `dst << 1 | is_add`, so that sorting by `>> 1` groups by edge.
-        let mut keyed = vec![0u64; end];
-        for e in prefix {
+        let mut keyed = vec![0u64; tail.len()];
+        for e in tail {
             let (src, dst, added) = e.parts();
             let slot = &mut row_end[src as usize];
             keyed[*slot] = u64::from(dst) << 1 | u64::from(added);
             *slot += 1;
         }
 
-        // Survivors are compacted to the front of `keyed` as they are
-        // found; the write position never overtakes the read position.
         let mut out_offsets = vec![0usize; n + 1];
+        let mut out_targets: Vec<NodeId> = Vec::with_capacity(base_edges + adds);
         let mut in_degree = vec![0usize; n];
+        if let Some((g, _)) = base {
+            for (v, d) in in_degree[..base_nodes].iter_mut().enumerate() {
+                *d = g.in_degree(v as NodeId);
+            }
+        }
         let mut tmp = Vec::new();
         // node ids are below `n`
         let dst_bits = usize::BITS - n.leading_zeros();
-        let (mut start, mut kept) = (0, 0);
+        let mut start = 0;
         for u in 0..n {
+            let mut old = match base {
+                Some((g, _)) if u < base_nodes => g.out_neighbors(u as NodeId),
+                _ => &[],
+            };
             let end = row_end[u];
-            sort_row_by_dst(&mut keyed[start..end], &mut tmp, dst_bits);
-            for i in start..end {
-                let k = keyed[i];
-                let last_of_run = i + 1 == end || keyed[i + 1] >> 1 != k >> 1;
-                if last_of_run && k & 1 == 1 {
-                    keyed[kept] = k >> 1;
-                    kept += 1;
-                    in_degree[(k >> 1) as usize] += 1;
+            let row = &mut keyed[start..end];
+            sort_row_by_dst(row, &mut tmp, dst_bits);
+            for (i, &k) in row.iter().enumerate() {
+                if i + 1 < row.len() && row[i + 1] >> 1 == k >> 1 {
+                    continue; // a later event names the same edge
+                }
+                let dst = (k >> 1) as NodeId;
+                while let Some((&v, rest)) = old.split_first() {
+                    if v >= dst {
+                        break;
+                    }
+                    out_targets.push(v);
+                    old = rest;
+                }
+                let was_alive = old.first() == Some(&dst);
+                if was_alive {
+                    old = &old[1..];
+                }
+                if k & 1 == 1 {
+                    out_targets.push(dst);
+                    in_degree[dst as usize] += usize::from(!was_alive);
+                } else if was_alive {
+                    in_degree[dst as usize] -= 1;
                 }
             }
+            out_targets.extend_from_slice(old);
             start = end;
-            out_offsets[u + 1] = kept;
+            out_offsets[u + 1] = out_targets.len();
         }
-        let out_targets = keyed[..kept].iter().map(|&dst| dst as NodeId).collect();
-        CsrGraph::from_sorted_rows(out_offsets, out_targets, &in_degree)
+        Materialized {
+            edges_copied: base_edges,
+            graph: CsrGraph::from_sorted_rows(out_offsets, out_targets, &in_degree),
+            events,
+            events_sorted: tail.len(),
+        }
     }
+}
+
+/// What [`DynamicGraph::graph_at_full_from`] built, and from how much.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Materialized {
+    /// The graph of the log's first `events` events.
+    pub graph: CsrGraph,
+    /// Length of the log prefix the graph holds — with `graph`, the base
+    /// of a later call.
+    pub events: usize,
+    /// Events sorted by this call: the ones after the base, or all of
+    /// `events` when the base was set aside.
+    pub events_sorted: usize,
+    /// Edges of the base merged through (0 when it was set aside).
+    pub edges_copied: usize,
 }
 
 /// Rows shorter than this go to the standard stable sort: a radix pass
@@ -310,8 +382,14 @@ mod tests {
     /// Build the log; returns it with the last timestamp used.
     fn build(log: &[(u32, u32, u32, u32)]) -> (DynamicGraph, f64) {
         let mut d = DynamicGraph::new();
-        let mut now = 0.0;
-        d.add_node(now).unwrap();
+        d.add_node(0.0).unwrap();
+        let last = append(&mut d, 0.0, log);
+        (d, last)
+    }
+
+    /// Append `log` to `d`, whose clock stands at `now`; returns the last
+    /// timestamp used.
+    fn append(d: &mut DynamicGraph, mut now: f64, log: &[(u32, u32, u32, u32)]) -> f64 {
         for &(clock, kind, src, dst) in log {
             if clock == 0 {
                 now += 1.0;
@@ -325,7 +403,7 @@ mod tests {
                 _ => d.remove_edge(src % n, dst % n, now).unwrap(),
             }
         }
-        (d, now)
+        now
     }
 
     proptest! {
@@ -355,6 +433,111 @@ mod tests {
                 t += 0.5;
             }
         }
+
+        /// A graph materialized at any time `t1` of a log, handed back
+        /// as the base at any time `t2` of the same log grown further
+        /// (so nodes are born and events land, some on `t1`'s own
+        /// timestamp, in between), gives the graph built from nothing:
+        /// extended when `t1`'s events are a prefix of `t2`'s, set
+        /// aside when `t2` is the earlier one or asks for fewer nodes
+        /// than the base holds.
+        #[test]
+        fn extending_any_base_matches_log_replay(
+            log in arbitrary_log(),
+            cut in 0usize..=120,
+        ) {
+            let cut = cut.min(log.len());
+            let (mut d, mid) = build(&log[..cut]);
+            let mut bases = Vec::new();
+            let mut t1 = -1.0;
+            while t1 <= mid + 1.0 {
+                bases.push(d.graph_at_full_from(None, t1));
+                t1 += 0.5;
+            }
+            let last = append(&mut d, mid, &log[cut..]);
+            for base in &bases {
+                let mut t2 = -1.0;
+                while t2 <= last + 1.0 {
+                    let oracle = replayed_edges_at(&d, t2);
+                    let fresh = d.graph_at_full(t2);
+                    prop_assert_eq!(
+                        &fresh,
+                        &CsrGraph::from_sorted_dedup_edges(d.num_nodes(), &oracle)
+                    );
+                    let built = d.graph_at_full_from(Some((&base.graph, base.events)), t2);
+                    prop_assert_eq!(&built.graph, &fresh, "{} events to t = {}", base.events, t2);
+                    prop_assert_eq!(built.events, d.events.partition_point(|e| e.at() <= t2));
+                    let extended = base.events <= built.events;
+                    prop_assert_eq!(
+                        built.events_sorted,
+                        built.events - if extended { base.events } else { 0 }
+                    );
+                    prop_assert_eq!(
+                        built.edges_copied,
+                        if extended { base.graph.num_edges() } else { 0 }
+                    );
+                    // over the alive nodes only, as `snapshot_at` builds
+                    // it: a base with more nodes than that is set aside
+                    let alive = d.nodes_at(t2).len();
+                    let restricted = d.materialize(Some((&base.graph, base.events)), t2, alive);
+                    prop_assert_eq!(restricted.graph, d.snapshot_at(t2).0);
+                    prop_assert_eq!(
+                        restricted.edges_copied > 0,
+                        extended && base.graph.num_nodes() <= alive && base.graph.num_edges() > 0
+                    );
+                    t2 += 0.5;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extension_decides_base_edges_by_the_events_after_them() {
+        let mut d = DynamicGraph::new();
+        for _ in 0..4 {
+            d.add_node(0.0).unwrap();
+        }
+        d.add_edge(0, 1, 1.0).unwrap(); // removed after the base
+        d.add_edge(0, 2, 1.0).unwrap(); // added again after the base
+        d.add_edge(0, 3, 1.0).unwrap(); // removed before the base, re-added after
+        d.remove_edge(0, 3, 2.0).unwrap();
+        d.add_edge(1, 0, 2.0).unwrap(); // removed and re-added after the base
+        d.add_edge(2, 0, 2.0).unwrap(); // untouched
+        let base = d.graph_at_full_from(None, 2.0);
+        assert_eq!(
+            (base.events, base.events_sorted, base.edges_copied),
+            (6, 6, 0)
+        );
+        assert_eq!(
+            base.graph.edges().collect::<Vec<_>>(),
+            vec![(0, 1), (0, 2), (1, 0), (2, 0)]
+        );
+
+        let late = d.add_node(3.0).unwrap();
+        d.remove_edge(0, 1, 3.0).unwrap();
+        d.add_edge(0, 2, 3.0).unwrap();
+        d.add_edge(0, 3, 3.0).unwrap();
+        d.remove_edge(1, 0, 3.0).unwrap();
+        d.add_edge(1, 0, 4.0).unwrap();
+        d.remove_edge(3, 0, 4.0).unwrap(); // never existed
+        d.add_edge(late, 0, 4.0).unwrap(); // from a node the base lacks
+        for (t, sorted) in [(2.0, 0), (3.0, 4), (4.0, 7)] {
+            let built = d.graph_at_full_from(Some((&base.graph, base.events)), t);
+            assert_eq!(built.graph, d.graph_at_full(t), "t = {t}");
+            assert_eq!(
+                built.graph.edges().collect::<Vec<_>>(),
+                replayed_edges_at(&d, t)
+            );
+            assert_eq!((built.events_sorted, built.edges_copied), (sorted, 4));
+        }
+        assert_eq!(
+            d.edges_at(4.0),
+            vec![(0, 2), (0, 3), (1, 0), (2, 0), (late, 0)]
+        );
+        // an earlier time than the base's: built from nothing
+        let early = d.graph_at_full_from(Some((&base.graph, base.events)), 1.0);
+        assert_eq!(early.graph, d.graph_at_full(1.0));
+        assert_eq!((early.events_sorted, early.edges_copied), (3, 0));
     }
 
     #[test]
@@ -390,6 +573,15 @@ mod tests {
             );
         }
         assert!(replayed_edges_at(&d, 11.0).len() > 1_000);
+        // radix-sorted rows of new events (250 a source and time unit)
+        // merged into long base rows
+        let base = d.graph_at_full_from(None, 5.5);
+        for t in [6.0, 11.0] {
+            let built = d.graph_at_full_from(Some((&base.graph, base.events)), t);
+            assert_eq!(built.graph, d.graph_at_full(t), "5.5 extended to {t}");
+            assert_eq!(built.events_sorted, built.events - base.events);
+            assert!(built.events_sorted / 2 >= RADIX_MIN_ROW);
+        }
     }
 
     fn sample() -> DynamicGraph {

@@ -1,171 +1,100 @@
-//! A fixed-capacity bitset over user ids.
+//! Flat bit tables over user ids, one row per page.
 //!
 //! A saturated page is known to *every* user, so per-page awareness and
 //! like sets grow to the full population. Hash sets at that density cost
 //! ~50 bytes per member; a bitset costs one bit. With thousands of pages
 //! times thousands of users this is the difference between megabytes and
-//! gigabytes.
+//! gigabytes. Every page's set has the same capacity, so the sets of all
+//! pages are the rows of one table in one allocation: page `p`'s row is
+//! words `p·stride..(p+1)·stride`, with no per-page heap object and no
+//! pointer to follow, and a birth appends a row.
 
-/// Fixed-capacity bitset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSet {
-    words: Vec<u64>,
-    capacity: usize,
+/// Test bit `i` of a row.
+#[inline]
+pub(crate) fn test_bit(row: &[u64], i: u32) -> bool {
+    (row[i as usize / 64] >> (i % 64)) & 1 == 1
 }
 
-impl BitSet {
-    /// A bitset able to hold ids `0..capacity`, all clear.
-    pub fn new(capacity: usize) -> Self {
-        BitSet {
-            words: vec![0; capacity.div_ceil(64)],
-            capacity,
+/// Set bit `i` of a row; returns true if it was previously clear.
+#[inline]
+pub(crate) fn set_bit(row: &mut [u64], i: u32) -> bool {
+    let mask = 1u64 << (i % 64);
+    let word = &mut row[i as usize / 64];
+    let was_clear = *word & mask == 0;
+    *word |= mask;
+    was_clear
+}
+
+/// Rows of `width` bits each, all clear when appended.
+#[derive(Debug, Clone)]
+pub(crate) struct BitTable {
+    words: Vec<u64>,
+    /// Bits per row.
+    width: usize,
+}
+
+impl BitTable {
+    /// A table with no rows, able to hold ids `0..width` in each.
+    pub fn new(width: usize) -> Self {
+        BitTable {
+            words: Vec::new(),
+            width,
         }
     }
 
-    /// Capacity in bits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Words per row.
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.width.div_ceil(64)
     }
 
-    /// Test bit `i`.
-    #[inline]
-    pub fn get(&self, i: u32) -> bool {
-        let i = i as usize;
-        debug_assert!(
-            i < self.capacity,
-            "bit {i} out of capacity {}",
-            self.capacity
-        );
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    /// Append an all-clear row.
+    pub fn push_row(&mut self) {
+        self.words.resize(self.words.len() + self.stride(), 0);
     }
 
-    /// Set bit `i`; returns true if it was previously clear.
+    /// Row `r`.
     #[inline]
-    pub fn set(&mut self, i: u32) -> bool {
-        let i = i as usize;
-        debug_assert!(
-            i < self.capacity,
-            "bit {i} out of capacity {}",
-            self.capacity
-        );
+    pub fn row(&self, r: usize) -> &[u64] {
+        let stride = self.stride();
+        &self.words[r * stride..(r + 1) * stride]
+    }
+
+    /// Every row, back to back, [`stride`](Self::stride) words each —
+    /// what the visit phase splits among its workers.
+    pub fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
+    /// Set bit `i` of row `r`; returns true if it was previously clear.
+    #[inline]
+    pub fn set(&mut self, r: usize, i: u32) -> bool {
+        debug_assert!((i as usize) < self.width, "bit {i} of {}", self.width);
+        let stride = self.stride();
+        set_bit(&mut self.words[r * stride..(r + 1) * stride], i)
+    }
+
+    /// Clear bit `i` of row `r`; returns true if it was previously set.
+    #[inline]
+    pub fn clear(&mut self, r: usize, i: u32) -> bool {
+        debug_assert!((i as usize) < self.width, "bit {i} of {}", self.width);
         let mask = 1u64 << (i % 64);
-        let word = &mut self.words[i / 64];
-        let was_clear = *word & mask == 0;
-        *word |= mask;
-        was_clear
-    }
-
-    /// Clear bit `i`; returns true if it was previously set.
-    #[inline]
-    pub fn clear(&mut self, i: u32) -> bool {
-        let i = i as usize;
-        debug_assert!(
-            i < self.capacity,
-            "bit {i} out of capacity {}",
-            self.capacity
-        );
-        let mask = 1u64 << (i % 64);
-        let word = &mut self.words[i / 64];
-        let was_set = *word & mask != 0;
-        *word &= !mask;
+        let word = r * self.stride() + i as usize / 64;
+        let was_set = self.words[word] & mask != 0;
+        self.words[word] &= !mask;
         was_set
     }
 
-    /// Number of set bits (O(words)).
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Population count of the union of several bitsets of equal
-    /// capacity (allocates one scratch word vector).
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn union_count<'a, I: IntoIterator<Item = &'a BitSet>>(sets: I) -> usize {
-        let mut acc: Option<Vec<u64>> = None;
-        let mut capacity = 0;
-        for s in sets {
-            match &mut acc {
-                None => {
-                    acc = Some(s.words.clone());
-                    capacity = s.capacity;
-                }
-                Some(words) => {
-                    assert_eq!(s.capacity, capacity, "bitset capacities differ");
-                    for (w, &x) in words.iter_mut().zip(&s.words) {
-                        *w |= x;
-                    }
-                }
+    /// Population count of the union of the given rows (allocates one
+    /// scratch row).
+    pub fn union_count(&self, rows: impl IntoIterator<Item = usize>) -> usize {
+        let mut acc = vec![0u64; self.stride()];
+        for r in rows {
+            for (w, &x) in acc.iter_mut().zip(self.row(r)) {
+                *w |= x;
             }
         }
-        acc.map(|w| w.iter().map(|x| x.count_ones() as usize).sum())
-            .unwrap_or(0)
-    }
-}
-
-/// A set of user ids with O(1) insert, membership, uniform index
-/// sampling, and removal *by sampled index* — exactly the operations the
-/// simulation needs, with bitset-backed membership and a dense member
-/// vector for sampling.
-#[derive(Debug, Clone)]
-pub struct SampleSet {
-    members: Vec<u32>,
-    bits: BitSet,
-}
-
-impl SampleSet {
-    /// Empty set over ids `0..capacity`.
-    pub fn new(capacity: usize) -> Self {
-        SampleSet {
-            members: Vec::new(),
-            bits: BitSet::new(capacity),
-        }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Membership test.
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        self.bits.get(id)
-    }
-
-    /// Insert; returns true if newly added.
-    #[inline]
-    pub fn insert(&mut self, id: u32) -> bool {
-        if self.bits.set(id) {
-            self.members.push(id);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The member at dense index `i` (for uniform sampling: draw
-    /// `i ~ U(0..len)` and look it up).
-    #[inline]
-    pub fn member_at(&self, i: usize) -> u32 {
-        self.members[i]
-    }
-
-    /// Remove the member at dense index `i` (swap-remove) and return it.
-    pub fn remove_at(&mut self, i: usize) -> u32 {
-        let id = self.members.swap_remove(i);
-        self.bits.clear(id);
-        id
-    }
-
-    /// Iterate members in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.members.iter().copied()
+        acc.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -173,84 +102,63 @@ impl SampleSet {
 mod tests {
     use super::*;
 
+    fn count(row: &[u64]) -> u32 {
+        row.iter().map(|w| w.count_ones()).sum()
+    }
+
     #[test]
     fn bitset_set_get_clear() {
-        let mut b = BitSet::new(130);
-        assert!(!b.get(0));
-        assert!(b.set(0));
-        assert!(!b.set(0));
-        assert!(b.get(0));
-        assert!(b.set(129));
-        assert_eq!(b.count(), 2);
-        assert!(b.clear(0));
-        assert!(!b.clear(0));
-        assert_eq!(b.count(), 1);
-        assert_eq!(b.capacity(), 130);
+        let mut t = BitTable::new(130);
+        assert_eq!(t.stride(), 3);
+        t.push_row();
+        t.push_row();
+        assert!(!test_bit(t.row(1), 0));
+        assert!(t.set(1, 0));
+        assert!(!t.set(1, 0));
+        assert!(test_bit(t.row(1), 0));
+        assert!(t.set(1, 129));
+        assert_eq!(count(t.row(1)), 2);
+        assert!(t.clear(1, 0));
+        assert!(!t.clear(1, 0));
+        assert_eq!(count(t.row(1)), 1);
+        // the neighbouring row never moved, and a new one starts clear
+        assert_eq!(count(t.row(0)), 0);
+        t.push_row();
+        assert_eq!(count(t.row(2)), 0);
+        assert!(test_bit(t.row(1), 129));
     }
 
     #[test]
     fn bitset_word_boundaries() {
-        let mut b = BitSet::new(128);
+        let mut t = BitTable::new(128);
+        assert_eq!(t.stride(), 2);
+        t.push_row();
+        t.push_row();
         for i in [63u32, 64, 127] {
-            assert!(b.set(i));
-            assert!(b.get(i));
+            assert!(t.set(0, i));
+            assert!(test_bit(t.row(0), i));
         }
-        assert_eq!(b.count(), 3);
+        assert_eq!(count(t.row(0)), 3);
+        assert_eq!(count(t.row(1)), 0);
+        // the free functions are the same operations on a borrowed row
+        let stride = t.stride();
+        let row = &mut t.rows_mut()[stride..];
+        assert!(set_bit(row, 64));
+        assert!(!set_bit(row, 64));
+        assert_eq!(t.row(1), &[0, 1]);
     }
 
     #[test]
     fn union_count_works() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.set(1);
-        a.set(2);
-        b.set(2);
-        b.set(99);
-        assert_eq!(BitSet::union_count([&a, &b]), 3);
-        assert_eq!(BitSet::union_count([&a]), 2);
-        assert_eq!(BitSet::union_count(std::iter::empty::<&BitSet>()), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacities")]
-    fn union_count_rejects_mismatched_capacity() {
-        let a = BitSet::new(10);
-        let b = BitSet::new(20);
-        let _ = BitSet::union_count([&a, &b]);
-    }
-
-    #[test]
-    fn sample_set_basics() {
-        let mut s = SampleSet::new(100);
-        assert!(s.is_empty());
-        assert!(s.insert(7));
-        assert!(!s.insert(7));
-        assert!(s.insert(42));
-        assert_eq!(s.len(), 2);
-        assert!(s.contains(7) && s.contains(42) && !s.contains(9));
-        let first = s.member_at(0);
-        let removed = s.remove_at(0);
-        assert_eq!(first, removed);
-        assert!(!s.contains(removed));
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn sample_set_swap_remove_consistency() {
-        let mut s = SampleSet::new(1000);
-        for i in 0..500 {
-            s.insert(i);
-        }
-        // remove half by index 0 repeatedly
-        for _ in 0..250 {
-            let id = s.remove_at(0);
-            assert!(!s.contains(id));
-        }
-        assert_eq!(s.len(), 250);
-        let members: Vec<u32> = s.iter().collect();
-        assert_eq!(members.len(), 250);
-        for m in members {
-            assert!(s.contains(m));
-        }
+        let mut t = BitTable::new(100);
+        t.push_row();
+        t.push_row();
+        t.set(0, 1);
+        t.set(0, 2);
+        t.set(1, 2);
+        t.set(1, 99);
+        assert_eq!(t.union_count([0, 1]), 3);
+        assert_eq!(t.union_count([0]), 2);
+        assert_eq!(t.union_count(std::iter::empty()), 0);
     }
 }

@@ -109,15 +109,44 @@ pub fn sample_gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
 /// normal approximation (rounded, clamped at 0) for large `lambda` where
 /// the exact method would take O(lambda) time.
 pub fn sample_poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(
-        lambda >= 0.0 && lambda.is_finite(),
-        "lambda must be finite and >= 0, got {lambda}"
-    );
+    sample_poisson_rate(rng, PoissonRate::new(lambda))
+}
+
+/// A Poisson rate with the one transcendental its sampler needs, for a
+/// caller that draws at the same few rates again and again and keeps
+/// them in a table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PoissonRate {
+    lambda: f64,
+    /// `exp(-lambda)`, the product method's stopping threshold.
+    exp_neg_lambda: f64,
+}
+
+impl PoissonRate {
+    /// The rate `lambda`.
+    ///
+    /// # Panics
+    /// Panics unless `lambda` is finite and `>= 0`.
+    pub fn new(lambda: f64) -> PoissonRate {
+        assert!(
+            lambda >= 0.0 && lambda.is_finite(),
+            "lambda must be finite and >= 0, got {lambda}"
+        );
+        PoissonRate {
+            lambda,
+            exp_neg_lambda: (-lambda).exp(),
+        }
+    }
+}
+
+/// [`sample_poisson`] at a prepared rate: the same draws, bit for bit.
+pub fn sample_poisson_rate<R: Rng + ?Sized>(rng: &mut R, rate: PoissonRate) -> u64 {
+    let lambda = rate.lambda;
     if lambda == 0.0 {
         return 0;
     }
     if lambda < 30.0 {
-        let l = (-lambda).exp();
+        let l = rate.exp_neg_lambda;
         let mut k = 0u64;
         let mut p = 1.0;
         loop {

@@ -23,7 +23,8 @@
 //! * [`dist`] — quality distributions and discrete samplers.
 //! * [`world`] — the simulation state machine.
 //! * [`crawler`] — site-rooted snapshot crawler and the paper's timeline.
-//! * [`indexed_set`] — O(1) insert/remove/sample set used for awareness.
+//! * [`indexed_set`] — O(1) insert/remove/sample set used by the
+//!   Monte-Carlo model check ([`montecarlo`]).
 //! * [`rng`] — counter-based streams behind the parallel, thread-count-
 //!   independent visit phase (see [`world`]'s module docs).
 //!
@@ -40,7 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitset;
+mod bitset;
 pub mod config;
 pub mod crawler;
 pub mod dist;

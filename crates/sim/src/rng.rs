@@ -15,7 +15,10 @@
 //! -ratio increment): exactly the SplitMix64 sequence started at an
 //! arbitrary point, a generator with solid statistical quality for its
 //! cost. Keys are derived by chaining the same finalizer over the seed,
-//! step, and page so that nearby triples land in unrelated streams.
+//! step, and page so that nearby triples land in unrelated streams. The
+//! `(seed, step)` part of the chain is the same for every page of a
+//! step, so the visit phase takes it once ([`StepStreams`]) and pays one
+//! mix a page.
 
 use rand::RngCore;
 
@@ -42,8 +45,27 @@ pub struct StreamRng {
 impl StreamRng {
     /// The stream for `(seed, step, page)`.
     pub fn for_page(seed: u64, step: u64, page: u64) -> StreamRng {
-        let key = mix(mix(mix(seed ^ GOLDEN).wrapping_add(step)).wrapping_add(page));
-        StreamRng { key, counter: 0 }
+        StepStreams::new(seed, step).for_page(page)
+    }
+}
+
+/// The streams of one `(seed, step)`: the shared prefix of their keys.
+#[derive(Debug, Clone, Copy)]
+pub struct StepStreams(u64);
+
+impl StepStreams {
+    /// The family of streams for `(seed, step)`.
+    pub fn new(seed: u64, step: u64) -> StepStreams {
+        StepStreams(mix(mix(seed ^ GOLDEN).wrapping_add(step)))
+    }
+
+    /// The stream for `page` within this step.
+    #[inline]
+    pub fn for_page(self, page: u64) -> StreamRng {
+        StreamRng {
+            key: mix(self.0.wrapping_add(page)),
+            counter: 0,
+        }
     }
 }
 

@@ -31,6 +31,16 @@
 //! threads process page chunks; like-link mutations are collected
 //! per-thread and applied in page order afterwards, keeping the graph
 //! event log identical too.
+//!
+//! ## State layout
+//!
+//! Who is aware of a page and who likes it are two bit tables, one row
+//! of `ceil(num_users/64)` words per page (`bitset::BitTable`), with the
+//! rows' popcounts kept beside them: the visit phase reads a count and
+//! tests and sets bits in one row, and nothing else. Only forgetting
+//! picks an aware user *by index*, so only a world that forgets
+//! (`forget_rate > 0`) also keeps each page's aware users as a list in
+//! discovery order.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -40,9 +50,9 @@ use qrank_model::noise::binomial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::bitset::{BitSet, SampleSet};
-use crate::dist::sample_poisson;
-use crate::rng::StreamRng;
+use crate::bitset::{set_bit, test_bit, BitTable};
+use crate::dist::{sample_poisson, sample_poisson_rate, PoissonRate};
+use crate::rng::StepStreams;
 use crate::{SimConfig, VisitModel};
 
 /// Immutable facts about a page.
@@ -66,12 +76,20 @@ pub struct World {
     rng: StdRng,
     time: f64,
     pages: Vec<PageInfo>,
-    /// Users aware of each page.
-    aware: Vec<SampleSet>,
-    /// Like membership per page (`popularity = liked_count/n`).
-    liked: Vec<BitSet>,
-    /// Number of likes per page.
+    /// Users aware of each page, one row a page.
+    aware: BitTable,
+    /// Popcount of each `aware` row (`awareness = aware_count/n`).
+    aware_count: Vec<u32>,
+    /// Each page's aware users in discovery order, the list forgetting
+    /// samples by index — kept only when `forget_rate > 0`, else empty.
+    aware_members: Vec<Vec<u32>>,
+    /// Like membership per page, one row a page.
+    liked: BitTable,
+    /// Popcount of each `liked` row (`popularity = liked_count/n`).
     liked_count: Vec<u32>,
+    /// Under [`VisitModel::ByPopularity`], one step's visit rate of a
+    /// page with `l` likes, at index `l` (`0..=num_users`); else empty.
+    rate_by_likes: Vec<PoissonRate>,
     /// Home page of each user (a node id in the link graph).
     homepage: Vec<u32>,
     /// Root page of each site.
@@ -103,11 +121,14 @@ pub struct World {
     cached_pops: Mutex<Option<(u64, Vec<f64>)>>,
 }
 
-/// A materialized link graph, valid while `version` is current.
+/// A materialized link graph: what `link_graph_arc(time)` returns while
+/// `version` is current, and the graph of the link log's first `events`
+/// events for good — the base the next materialization extends.
 #[derive(Debug)]
 struct GraphCache {
     version: u64,
     time: f64,
+    events: usize,
     graph: Arc<CsrGraph>,
 }
 
@@ -122,9 +143,21 @@ impl World {
             config,
             time: 0.0,
             pages: Vec::new(),
-            aware: Vec::new(),
-            liked: Vec::new(),
+            aware: BitTable::new(config.num_users),
+            aware_count: Vec::new(),
+            aware_members: Vec::new(),
+            liked: BitTable::new(config.num_users),
             liked_count: Vec::new(),
+            rate_by_likes: match config.visit_model {
+                VisitModel::ByPopularity => {
+                    let n = config.num_users as f64;
+                    let r = config.visit_ratio * n; // the model's r
+                    (0..=config.num_users)
+                        .map(|l| PoissonRate::new(r * l as f64 / n * config.dt))
+                        .collect()
+                }
+                _ => Vec::new(),
+            },
             homepage: Vec::new(),
             site_roots: Vec::new(),
             site_pages: vec![Vec::new(); config.num_sites],
@@ -166,7 +199,7 @@ impl World {
             world.add_structural_edge(world.site_roots[site as usize], id)?;
             world.add_structural_edge(id, world.site_roots[site as usize])?;
             // owners like their own page
-            world.aware[id as usize].insert(user as u32);
+            world.record_aware(id, user as u32);
             world.record_like(id, user as u32)?;
         }
         // Root owners like their roots (deferred until home pages exist,
@@ -174,7 +207,7 @@ impl World {
         for site in 0..config.num_sites {
             let root = world.site_roots[site];
             let owner = world.pages[root as usize].owner;
-            world.aware[root as usize].insert(owner);
+            world.record_aware(root, owner);
             world.record_like(root, owner)?;
         }
         Ok(world)
@@ -189,8 +222,12 @@ impl World {
             site,
             owner,
         });
-        self.aware.push(SampleSet::new(self.config.num_users));
-        self.liked.push(BitSet::new(self.config.num_users));
+        self.aware.push_row();
+        self.aware_count.push(0);
+        if self.config.forget_rate > 0.0 {
+            self.aware_members.push(Vec::new());
+        }
+        self.liked.push_row();
         self.liked_count.push(0);
         self.site_pages[site as usize].push(id);
         Ok(id)
@@ -205,10 +242,21 @@ impl World {
         Ok(())
     }
 
+    /// A user learns of a page outside the visit phase (authorship).
+    fn record_aware(&mut self, page: u32, user: u32) {
+        let p = page as usize;
+        if self.aware.set(p, user) {
+            self.aware_count[p] += 1;
+            if let Some(members) = self.aware_members.get_mut(p) {
+                members.push(user);
+            }
+        }
+    }
+
     /// A user starts liking a page: update popularity and create the
     /// like-link from their home page.
     fn record_like(&mut self, page: u32, user: u32) -> Result<(), GraphError> {
-        if !self.liked[page as usize].set(user) {
+        if !self.liked.set(page as usize, user) {
             return Ok(());
         }
         self.version += 1;
@@ -235,6 +283,7 @@ impl World {
         let links_before = self.like_links + self.structural.len();
 
         // 1. Page births.
+        let births_span = qrank_obs::span!("sim.step.births");
         let births = sample_poisson(&mut self.rng, cfg.page_birth_rate * cfg.dt);
         for _ in 0..births {
             let site = self.rng.random_range(0..cfg.num_sites) as u32;
@@ -250,45 +299,54 @@ impl World {
             self.add_structural_edge(parent, id)?;
             self.add_structural_edge(id, self.site_roots[site as usize])?;
             // the author knows and likes their own page: P(p,0) = 1/n
-            self.aware[id as usize].insert(owner);
+            self.record_aware(id, owner);
             self.record_like(id, owner)?;
         }
+        drop(births_span);
 
         // 2. Visits. Every page draws from its own (seed, step, page)
         // stream, so the phase parallelizes over page chunks with a
         // bit-identical outcome for any thread count; like events come
         // back in page order and are applied here, on one thread, so the
         // graph event log is order-independent too.
+        let visits_span = qrank_obs::span!("sim.step.visits");
         let visit_weights = self.visit_weights();
         self.steps_taken += 1;
-        let (like_events, visits) = self.visit_phase(&visit_weights);
+        let (like_events, visits) = self.visit_phase(visit_weights.as_deref());
+        drop(visits_span);
+        let likes_span = qrank_obs::span!("sim.step.likes");
         let likes = like_events.len() as u64;
         for (p, user) in like_events {
             self.record_like(p, user)?;
         }
+        drop(likes_span);
         let links_created =
             (self.like_links + self.structural.len()).saturating_sub(links_before) as u64;
 
         // 3. Forgetting.
         let mut forgets = 0u64;
         if cfg.forget_rate > 0.0 {
+            let _span = qrank_obs::span!("sim.step.forget");
             let p_forget = (cfg.forget_rate * cfg.dt).min(1.0);
             let num_pages = self.pages.len();
             for p in 0..num_pages {
-                let k = binomial(&mut self.rng, self.aware[p].len() as u64, p_forget);
+                let k = binomial(&mut self.rng, u64::from(self.aware_count[p]), p_forget);
                 for _ in 0..k {
-                    if self.aware[p].is_empty() {
+                    let members = &mut self.aware_members[p];
+                    if members.is_empty() {
                         break;
                     }
-                    let idx = self.rng.random_range(0..self.aware[p].len());
-                    let user = self.aware[p].member_at(idx);
+                    let idx = self.rng.random_range(0..members.len());
+                    let user = members[idx];
                     // authors never forget their own page (they plainly
                     // know their own work, and it keeps the navigation
                     // structure rooted)
                     if self.pages[p].owner == user {
                         continue;
                     }
-                    self.aware[p].remove_at(idx);
+                    members.swap_remove(idx);
+                    self.aware.clear(p, user);
+                    self.aware_count[p] -= 1;
                     self.forget_like(p as u32, user)?;
                     forgets += 1;
                 }
@@ -321,64 +379,50 @@ impl World {
     /// returns the like events `(page, user)` in page order (discovery
     /// order within a page) plus the total visits drawn (telemetry
     /// only). Pages are processed in disjoint contiguous chunks on up
-    /// to [`World::thread_budget`] worker threads; each page's
-    /// randomness comes from its own counter-based stream, so the
-    /// result is bit-identical for any thread count.
-    fn visit_phase(&mut self, visit_weights: &[f64]) -> (Vec<(u32, u32)>, u64) {
-        let n = self.config.num_users;
-        let dt = self.config.dt;
-        let seed = self.config.seed;
-        let step = self.steps_taken;
+    /// to [`World::thread_budget`] worker threads, each owning its
+    /// pages' rows of the awareness table; each page's randomness comes
+    /// from its own counter-based stream, so the result is bit-identical
+    /// for any thread count.
+    fn visit_phase(&mut self, visit_weights: Option<&[f64]>) -> (Vec<(u32, u32)>, u64) {
         let num_pages = self.pages.len();
         let threads = self.threads.clamp(1, num_pages.max(1));
-        let pages = &self.pages;
-        let aware = &mut self.aware[..];
+        let step = VisitStep {
+            num_users: self.config.num_users,
+            streams: StepStreams::new(self.config.seed, self.steps_taken),
+            rates: match visit_weights {
+                Some(weights) => VisitRates::PerPage {
+                    weights,
+                    dt: self.config.dt,
+                },
+                None => VisitRates::ByLikes {
+                    table: &self.rate_by_likes,
+                    liked_count: &self.liked_count,
+                },
+            },
+            pages: &self.pages,
+        };
+        let mut rest = PageChunk {
+            first_page: 0,
+            stride: self.aware.stride(),
+            rows: self.aware.rows_mut(),
+            counts: &mut self.aware_count,
+            members: &mut self.aware_members,
+        };
         if threads == 1 {
             let mut likes = Vec::new();
-            let mut visits = 0u64;
-            for (p, aw) in aware.iter_mut().enumerate() {
-                visits += visit_page(
-                    n,
-                    dt,
-                    seed,
-                    step,
-                    p as u32,
-                    visit_weights[p],
-                    pages[p].quality,
-                    aw,
-                    &mut likes,
-                );
-            }
+            let visits = step.visit_chunk(rest, &mut likes);
             return (likes, visits);
         }
         let chunk = num_pages.div_ceil(threads);
         std::thread::scope(|s| {
             let mut handles = Vec::new();
-            let mut rest = aware;
-            let mut base = 0usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
+            while !rest.counts.is_empty() {
+                let (head, tail) = rest.split_at(chunk);
                 rest = tail;
-                let lo = base;
-                base += take;
+                let step = &step;
                 handles.push(s.spawn(move || {
                     let mut likes = Vec::new();
-                    let mut visits = 0u64;
-                    for (i, aw) in head.iter_mut().enumerate() {
-                        let p = lo + i;
-                        visits += visit_page(
-                            n,
-                            dt,
-                            seed,
-                            step,
-                            p as u32,
-                            visit_weights[p],
-                            pages[p].quality,
-                            aw,
-                            &mut likes,
-                        );
-                    }
+                    let visits = step.visit_chunk(head, &mut likes);
                     (likes, visits)
                 }));
             }
@@ -397,7 +441,7 @@ impl World {
     /// Drop `user`'s like of `page` (if any) and the associated
     /// like-link, preserving structural navigation edges.
     fn forget_like(&mut self, page: u32, user: u32) -> Result<(), GraphError> {
-        if self.liked[page as usize].clear(user) {
+        if self.liked.clear(page as usize, user) {
             self.version += 1;
             self.liked_count[page as usize] -= 1;
             let src = self.homepage[user as usize];
@@ -408,14 +452,15 @@ impl World {
         Ok(())
     }
 
-    /// Visit rate per page (visits per unit time, before `dt` scaling).
-    fn visit_weights(&mut self) -> Vec<f64> {
+    /// Visit rate per page (visits per unit time, before `dt` scaling)
+    /// under the models that rank pages; `None` under
+    /// [`VisitModel::ByPopularity`], where a page's rate is a function of
+    /// its like count alone and comes from `rate_by_likes`.
+    fn visit_weights(&mut self) -> Option<Vec<f64>> {
         let n = self.config.num_users as f64;
         let r = self.config.visit_ratio * n; // the model's r
-        match self.config.visit_model {
-            VisitModel::ByPopularity => {
-                self.liked_count.iter().map(|&l| r * l as f64 / n).collect()
-            }
+        Some(match self.config.visit_model {
+            VisitModel::ByPopularity => return None,
             VisitModel::ByPageRank => {
                 // Total visit volume matches the ByPopularity world at the
                 // same aggregate popularity; allocation follows PageRank.
@@ -448,7 +493,7 @@ impl World {
                 }
                 weight
             }
-        }
+        })
     }
 
     fn refresh_pagerank(&mut self) {
@@ -535,7 +580,7 @@ impl World {
 
     /// Current user awareness `A(p,t)`.
     pub fn awareness(&self, p: u32) -> f64 {
-        self.aware[p as usize].len() as f64 / self.config.num_users as f64
+        f64::from(self.aware_count[p as usize]) / self.config.num_users as f64
     }
 
     /// Root page of each site (crawl entry points).
@@ -548,10 +593,8 @@ impl World {
     /// panels measure, and the unit the paper's traffic future-work
     /// estimates quality for.
     pub fn site_popularity(&self, site: u32) -> f64 {
-        let sets = self.site_pages[site as usize]
-            .iter()
-            .map(|&p| &self.liked[p as usize]);
-        crate::bitset::BitSet::union_count(sets) as f64 / self.config.num_users as f64
+        let pages = self.site_pages[site as usize].iter().map(|&p| p as usize);
+        self.liked.union_count(pages) as f64 / self.config.num_users as f64
     }
 
     /// The link graph as of time `t <= now`, over all page ids (pages not
@@ -579,10 +622,27 @@ impl World {
             qrank_obs::global().counter("sim.graph_cache.miss").inc();
         }
         let _span = qrank_obs::span!("sim.link_graph");
-        let g = Arc::new(self.links.graph_at_full(t));
+        // The link log only grows, so whatever graph is cached — this
+        // version's at another time or an older version's — is the graph
+        // of some prefix of it, and `DynamicGraph` extends it when that
+        // prefix is part of what `t` asks for (a schedule of crawls
+        // sorts every event once) and starts over when it is not.
+        let base = guard.as_ref().map(|c| (&*c.graph, c.events));
+        let built = self.links.graph_at_full_from(base, t);
+        if qrank_obs::enabled() {
+            let registry = qrank_obs::global();
+            registry
+                .counter("sim.link_graph.events_sorted")
+                .add(built.events_sorted as u64);
+            registry
+                .counter("sim.link_graph.edges_copied")
+                .add(built.edges_copied as u64);
+        }
+        let g = Arc::new(built.graph);
         *guard = Some(GraphCache {
             version: self.version,
             time: t,
+            events: built.events,
             graph: Arc::clone(&g),
         });
         g
@@ -607,60 +667,136 @@ impl World {
     }
 }
 
-/// Visits to one page within one step, drawn from the page's own
-/// `(seed, step, page)` stream. Each visit is by a uniformly random user
-/// (Proposition 2); only visits by currently-unaware users change any
-/// state, so the Poisson visit stream is thinned to its discovery
-/// events: discoveries ~ Binomial(visits, unaware/n), each by a
-/// uniformly random unaware user. (Within one step the thinning
-/// probability is held at its start-of-step value — an O(dt²)
-/// approximation, like the step discretization itself.) Awareness is
-/// updated in place; like events append to `likes` in discovery order.
-/// Returns the number of visits drawn (telemetry only — pages whose
-/// stream is never sampled report 0).
-#[allow(clippy::too_many_arguments)]
-fn visit_page(
+/// One step's visit rate of each page.
+#[derive(Debug)]
+enum VisitRates<'a> {
+    /// Proposition 1: the rate is a function of the page's like count,
+    /// tabulated at bootstrap.
+    ByLikes {
+        table: &'a [PoissonRate],
+        liked_count: &'a [u32],
+    },
+    /// Visits per unit time of each page, before `dt` scaling.
+    PerPage { weights: &'a [f64], dt: f64 },
+}
+
+/// A contiguous run of pages as the visit phase mutates them: their rows
+/// of the awareness table, the rows' popcounts and, in a world that
+/// forgets, their member lists (`members` is empty otherwise).
+struct PageChunk<'a> {
+    first_page: usize,
+    /// Words per row.
+    stride: usize,
+    rows: &'a mut [u64],
+    counts: &'a mut [u32],
+    members: &'a mut [Vec<u32>],
+}
+
+impl<'a> PageChunk<'a> {
+    /// The first `pages` pages (or all, if fewer) and the rest.
+    fn split_at(self, pages: usize) -> (PageChunk<'a>, PageChunk<'a>) {
+        let pages = pages.min(self.counts.len());
+        let (rows, rows_rest) = self.rows.split_at_mut(pages * self.stride);
+        let (counts, counts_rest) = self.counts.split_at_mut(pages);
+        let (members, members_rest) = self.members.split_at_mut(pages.min(self.members.len()));
+        (
+            PageChunk {
+                first_page: self.first_page,
+                stride: self.stride,
+                rows,
+                counts,
+                members,
+            },
+            PageChunk {
+                first_page: self.first_page + pages,
+                stride: self.stride,
+                rows: rows_rest,
+                counts: counts_rest,
+                members: members_rest,
+            },
+        )
+    }
+}
+
+/// What every page's visits in one step read and none of them writes.
+struct VisitStep<'a> {
     num_users: usize,
-    dt: f64,
-    seed: u64,
-    step: u64,
-    page: u32,
-    weight: f64,
-    quality: f64,
-    aware: &mut SampleSet,
-    likes: &mut Vec<(u32, u32)>,
-) -> u64 {
-    let lambda = weight * dt;
-    if lambda <= 0.0 {
-        return 0;
-    }
-    let unaware = num_users - aware.len();
-    if unaware == 0 {
-        return 0; // saturated: visits cannot change anything
-    }
-    let mut rng = StreamRng::for_page(seed, step, u64::from(page));
-    let visits = sample_poisson(&mut rng, lambda);
-    if visits == 0 {
-        return 0;
-    }
-    let discoveries =
-        binomial(&mut rng, visits, unaware as f64 / num_users as f64).min(unaware as u64);
-    for _ in 0..discoveries {
-        // rejection-sample an unaware user; expected trials n/unaware,
-        // total work bounded by n bit tests
-        let user = loop {
-            let u = rng.random_range(0..num_users) as u32;
-            if !aware.contains(u) {
-                break u;
-            }
-        };
-        aware.insert(user);
-        // first discovery: like with probability Q(p)
-        if rng.random::<f64>() < quality {
-            likes.push((page, user));
+    streams: StepStreams,
+    rates: VisitRates<'a>,
+    pages: &'a [PageInfo],
+}
+
+impl VisitStep<'_> {
+    /// Visit every page of `chunk` in page order; like events append to
+    /// `likes`. Returns the visits drawn.
+    fn visit_chunk(&self, chunk: PageChunk, likes: &mut Vec<(u32, u32)>) -> u64 {
+        let mut members = chunk.members.iter_mut();
+        let rows = chunk.rows.chunks_exact_mut(chunk.stride);
+        let mut visits = 0u64;
+        for (i, (row, count)) in rows.zip(chunk.counts).enumerate() {
+            visits += self.visit_page(chunk.first_page + i, row, count, members.next(), likes);
         }
+        visits
     }
-    visits
+
+    /// Visits to one page within one step, drawn from the page's own
+    /// `(seed, step, page)` stream. Each visit is by a uniformly random
+    /// user (Proposition 2); only visits by currently-unaware users
+    /// change any state, so the Poisson visit stream is thinned to its
+    /// discovery events: discoveries ~ Binomial(visits, unaware/n), each
+    /// by a uniformly random unaware user. (Within one step the thinning
+    /// probability is held at its start-of-step value — an O(dt²)
+    /// approximation, like the step discretization itself.) The page's
+    /// awareness `row`, its popcount and (where kept) its member list
+    /// are updated in place; like events append to `likes` in discovery
+    /// order. Returns the number of visits drawn (telemetry only — pages
+    /// whose stream is never sampled report 0).
+    fn visit_page(
+        &self,
+        page: usize,
+        row: &mut [u64],
+        aware_count: &mut u32,
+        mut members: Option<&mut Vec<u32>>,
+        likes: &mut Vec<(u32, u32)>,
+    ) -> u64 {
+        let num_users = self.num_users;
+        let unaware = num_users - *aware_count as usize;
+        if unaware == 0 {
+            return 0; // saturated: visits cannot change anything
+        }
+        let rate = match self.rates {
+            VisitRates::ByLikes { table, liked_count } => table[liked_count[page] as usize],
+            VisitRates::PerPage { weights, dt } => PoissonRate::new(weights[page] * dt),
+        };
+        let mut rng = self.streams.for_page(page as u64);
+        let visits = sample_poisson_rate(&mut rng, rate);
+        if visits == 0 {
+            return 0;
+        }
+        let discoveries =
+            binomial(&mut rng, visits, unaware as f64 / num_users as f64).min(unaware as u64);
+        let quality = self.pages[page].quality;
+        for _ in 0..discoveries {
+            // rejection-sample an unaware user; expected trials n/unaware,
+            // total work bounded by n bit tests
+            let user = loop {
+                let u = rng.random_range(0..num_users) as u32;
+                if !test_bit(row, u) {
+                    break u;
+                }
+            };
+            set_bit(row, user);
+            *aware_count += 1;
+            if let Some(members) = members.as_deref_mut() {
+                members.push(user);
+            }
+            // first discovery: like with probability Q(p)
+            if rng.random::<f64>() < quality {
+                likes.push((page as u32, user));
+            }
+        }
+        visits
+    }
 }
 
 #[cfg(test)]
@@ -902,6 +1038,49 @@ mod tests {
             biased_aw < fair_aw,
             "position bias should starve young pages: {biased_aw} vs {fair_aw}"
         );
+    }
+
+    #[test]
+    fn tables_counts_and_member_lists_agree() {
+        // 70 users: one full word and six bits of the next, so a stray
+        // bit past the population would have somewhere to hide.
+        let base = SimConfig {
+            num_users: 70,
+            visit_ratio: 4.0,
+            ..small_config()
+        };
+        for forget_rate in [0.0, 1.5] {
+            let mut w = World::bootstrap(SimConfig {
+                forget_rate,
+                ..base
+            })
+            .unwrap();
+            w.run_until(4.0);
+            assert_eq!(w.aware_members.is_empty(), forget_rate == 0.0);
+            let popcount = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
+            for p in 0..w.num_pages() {
+                let (aware, liked) = (w.aware.row(p), w.liked.row(p));
+                assert_eq!(aware.len(), 2);
+                assert_eq!(aware[1] >> 6, 0, "page {p}: aware bit past user 69");
+                assert_eq!(liked[1] >> 6, 0, "page {p}: liked bit past user 69");
+                assert_eq!(w.aware_count[p], popcount(aware), "page {p}");
+                assert_eq!(w.liked_count[p], popcount(liked), "page {p}");
+                // nobody likes a page they do not know
+                assert!(
+                    aware.iter().zip(liked).all(|(a, l)| l & !a == 0),
+                    "page {p}"
+                );
+                if let Some(members) = w.aware_members.get(p) {
+                    // the list is the row, in some order, each user once
+                    assert_eq!(members.len(), w.aware_count[p] as usize, "page {p}");
+                    assert!(members.iter().all(|&u| test_bit(aware, u)), "page {p}");
+                    let distinct: HashSet<u32> = members.iter().copied().collect();
+                    assert_eq!(distinct.len(), members.len(), "page {p}");
+                }
+            }
+            // the run did something: a page beyond its author's reach
+            assert!(w.aware_count.iter().any(|&c| c > 10));
+        }
     }
 
     #[test]
