@@ -95,7 +95,9 @@ fn cold_shaped_log(pages: u32) -> DynamicGraph {
 
 /// The materializer's two ways to the graph at the last crawl time of
 /// the benchmark's schedule: from the empty graph, and from the graph of
-/// the crawl before it.
+/// the crawl before it. Then the same pair as a refresh engine meets it:
+/// a capture over the alive pages, one small delta (half a percent of
+/// the log) after the capture it keeps.
 fn bench_materialize(c: &mut Criterion) {
     let mut group = c.benchmark_group("link_graph");
     group.sample_size(20);
@@ -108,6 +110,16 @@ fn bench_materialize(c: &mut Criterion) {
         b.iter(|| {
             let base = Some((&base.graph, base.events));
             black_box(d.graph_at_full_from(base, black_box(8.5)))
+        })
+    });
+    let (held, _) = d.snapshot_at_from(None, 8.45);
+    group.bench_function("capture_8.5_from_empty", |b| {
+        b.iter(|| black_box(d.snapshot_at(black_box(8.5))))
+    });
+    group.bench_function("capture_8.5_extending_8.45", |b| {
+        b.iter(|| {
+            let held = Some((&held.graph, held.events));
+            black_box(d.snapshot_at_from(held, black_box(8.5)))
         })
     });
     group.finish();

@@ -7,12 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
+use qrank_graph::CsrGraph;
 use qrank_rank::{
     colored_gauss_seidel, gauss_seidel, hits, pagerank, pagerank_warm, solve_auto_with,
     PageRankConfig,
 };
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_solvers(c: &mut Criterion) {
@@ -49,6 +50,67 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
+/// A web in arrival order, as the refresh workloads serve it: a page
+/// links to three earlier pages when it arrives — mostly to an endpoint
+/// of an earlier link, so popular pages gather links — and one more link
+/// appears between two pages that exist by then. About 3.6 distinct
+/// in-links a node; a third of the rows are empty.
+fn arrival_ordered_web(pages: u32, rng: &mut StdRng) -> CsrGraph {
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(4 * pages as usize);
+    let mut pool: Vec<u32> = Vec::with_capacity(8 * pages as usize);
+    for p in 2..pages {
+        for i in 0..4 {
+            let src = if i < 3 { p } else { rng.random_range(0..p) };
+            let dst = if pool.is_empty() || rng.random_range(0..4) == 0 {
+                rng.random_range(0..p)
+            } else {
+                pool[rng.random_range(0..pool.len())]
+            };
+            if src != dst {
+                edges.push((src, dst));
+                pool.extend([dst, src]);
+            }
+        }
+    }
+    CsrGraph::from_edges(pages as usize, &edges)
+}
+
+/// A crawled graph as the simulator's worlds give it: every page is
+/// linked from its site's home page and one earlier page, and liked
+/// from two dozen of a thousand home pages. About 26 in-links a node,
+/// hardly a row inside the head.
+fn crawled_web(pages: u32, rng: &mut StdRng) -> CsrGraph {
+    let homes = 1_000;
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(27 * pages as usize);
+    for p in homes..pages {
+        edges.push((p % homes, p));
+        edges.push((rng.random_range(0..p), p));
+        edges.push((p, p % homes));
+        for _ in 0..24 {
+            edges.push((rng.random_range(0..homes), p));
+        }
+    }
+    CsrGraph::from_edges(pages as usize, &edges)
+}
+
+/// The sequential sweep on the two row-length profiles it meets: short
+/// rows (one re-ranked column of a refresh) and long ones (a crawl).
+fn bench_gauss_seidel_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gauss_seidel");
+    group.sample_size(10);
+    let cfg = PageRankConfig::default();
+    let mut rng = StdRng::seed_from_u64(7);
+    let sparse = arrival_ordered_web(36_000, &mut rng);
+    let dense = crawled_web(20_000, &mut rng);
+    group.bench_function("sparse_arrival_36k", |b| {
+        b.iter(|| black_box(gauss_seidel(&sparse, &cfg)))
+    });
+    group.bench_function("dense_crawled_20k", |b| {
+        b.iter(|| black_box(gauss_seidel(&dense, &cfg)))
+    });
+    group.finish();
+}
+
 fn bench_warm_start(c: &mut Criterion) {
     let mut group = c.benchmark_group("pagerank_warm_start");
     group.sample_size(10);
@@ -81,5 +143,11 @@ fn bench_hits(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solvers, bench_warm_start, bench_hits);
+criterion_group!(
+    benches,
+    bench_solvers,
+    bench_gauss_seidel_shapes,
+    bench_warm_start,
+    bench_hits
+);
 criterion_main!(benches);

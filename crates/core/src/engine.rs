@@ -52,7 +52,7 @@ use std::sync::Arc;
 use qrank_graph::{pages_fingerprint, CsrGraph, PageSet, Snapshot, SnapshotSeries};
 
 use crate::estimator::QualityEstimator;
-use crate::pipeline::{report_from_trajectories, PipelineReport};
+use crate::pipeline::{report_from_window, PipelineReport};
 use crate::{CoreError, PopularityMetric, PopularityTrajectories};
 
 /// Cache traffic of the most recent [`PipelineEngine::run`], per stage.
@@ -185,24 +185,24 @@ impl PipelineEngine {
             return Err(no_common_pages());
         };
 
-        let traj = {
+        // The estimation window's rows and the held-out column, built
+        // straight from the columns: the rows move into the report.
+        let (past, future) = {
             let _s = qrank_obs::span!("pipeline.stage.transpose");
+            let (held_out, window) = columns.split_last().expect("three columns or more");
             let pages = aligned[0].pages().to_vec();
-            let times: Vec<f64> = aligned.iter().map(|s| s.time).collect();
-            let mut values = vec![Vec::with_capacity(times.len()); pages.len()];
-            for col in &columns {
-                for (p, &v) in col.iter().enumerate() {
-                    values[p].push(v);
-                }
-            }
-            PopularityTrajectories {
+            let times = aligned[..window.len()].iter().map(|s| s.time).collect();
+            let values = (0..pages.len())
+                .map(|p| window.iter().map(|col| col[p]).collect())
+                .collect();
+            let past = PopularityTrajectories {
                 times,
                 values,
                 pages,
-            }
+            };
+            (past, held_out.to_vec())
         };
-
-        report_from_trajectories(&traj, estimator, min_relative_change)
+        report_from_window(past, future, estimator, min_relative_change)
     }
 
     /// Prime the caches for `series` without producing a report: run the

@@ -22,6 +22,14 @@ pub trait QualityEstimator {
     fn min_snapshots(&self) -> usize {
         2
     }
+
+    /// Per-step relative tolerance under which this estimator treats a
+    /// trajectory step as flat when it classifies trends. A report
+    /// labels its pages' trends with the same tolerance, so the label
+    /// and the branch of the estimate agree.
+    fn flat_tolerance(&self) -> f64 {
+        0.0
+    }
 }
 
 fn require_snapshots(
@@ -89,6 +97,10 @@ impl QualityEstimator for PaperEstimator {
             })
             .collect())
     }
+
+    fn flat_tolerance(&self) -> f64 {
+        self.flat_tolerance
+    }
 }
 
 /// Ablation: only the growth term `C·ΔPR/PR` without the current
@@ -132,6 +144,10 @@ impl QualityEstimator for DerivativeOnly {
                 }
             })
             .collect())
+    }
+
+    fn flat_tolerance(&self) -> f64 {
+        self.flat_tolerance
     }
 }
 

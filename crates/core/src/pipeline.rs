@@ -144,15 +144,43 @@ pub fn report_from_trajectories(
     estimator: &dyn QualityEstimator,
     min_relative_change: f64,
 ) -> Result<PipelineReport, CoreError> {
-    let _span = qrank_obs::span!("pipeline.estimate");
     if traj.num_snapshots() < 2 {
         return Err(CoreError::BadSeries(format!(
             "need >= 2 trajectory snapshots (estimation window + held-out future), got {}",
             traj.num_snapshots()
         )));
     }
-    let k = traj.num_snapshots();
-    let past = traj.truncated(k - 1)?;
+    let past = traj.truncated(traj.num_snapshots() - 1)?;
+    let future = row_tail(&traj.values)?;
+    report_from_window(past, future, estimator, min_relative_change)
+}
+
+/// The last value of every row. Rows are non-empty once `truncated` has
+/// validated them, but malformed hand-built trajectories must come back
+/// as an error, not a panic in the refresh worker.
+fn row_tail(values: &[Vec<f64>]) -> Result<Vec<f64>, CoreError> {
+    values
+        .iter()
+        .enumerate()
+        .map(|(i, v)| {
+            v.last()
+                .copied()
+                .ok_or_else(|| CoreError::BadSeries(format!("empty trajectory row {i}")))
+        })
+        .collect()
+}
+
+/// The tail [`report_from_trajectories`] and the stage engine share:
+/// the report of an estimation window `past` against the held-out
+/// `future` column. The window's rows move into the report as they are;
+/// the engine assembles them directly, so a row is allocated once.
+pub(crate) fn report_from_window(
+    past: PopularityTrajectories,
+    future: Vec<f64>,
+    estimator: &dyn QualityEstimator,
+    min_relative_change: f64,
+) -> Result<PipelineReport, CoreError> {
+    let _span = qrank_obs::span!("pipeline.estimate");
     if past.num_snapshots() < estimator.min_snapshots() {
         return Err(CoreError::Estimator(format!(
             "{} needs {} snapshots in the estimation window, have {}",
@@ -161,24 +189,9 @@ pub fn report_from_trajectories(
             past.num_snapshots()
         )));
     }
-    // Rows are non-empty by construction after `truncated` validated
-    // them against `k`, but malformed hand-built trajectories must come
-    // back as an error, not a panic in the refresh worker.
-    let row_tail = |values: &[Vec<f64>]| -> Result<Vec<f64>, CoreError> {
-        values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                v.last()
-                    .copied()
-                    .ok_or_else(|| CoreError::BadSeries(format!("empty trajectory row {i}")))
-            })
-            .collect()
-    };
-    let future = row_tail(&traj.values)?;
     let current = row_tail(&past.values)?;
     let estimates = estimator.estimate(&past)?;
-    let trends = classify_all(&past.values, 0.0);
+    let trends = classify_all(&past.values, estimator.flat_tolerance());
     let change = past.relative_change();
     let selected: Vec<bool> = change.iter().map(|&c| c > min_relative_change).collect();
 
@@ -389,6 +402,59 @@ mod tests {
         assert_eq!(full.estimates, tail.estimates);
         assert_eq!(full.err_estimate, tail.err_estimate);
         assert_eq!(full.selected, tail.selected);
+    }
+
+    #[test]
+    fn report_trend_is_the_estimators_branch_at_a_nonzero_tolerance() {
+        use crate::estimator::PaperEstimator;
+        // Rows moving 2 % a step sit inside a 5 % flat band: Equation 1
+        // leaves them at their current popularity, and the report must
+        // call them flat too, not increasing or decreasing.
+        let values = vec![
+            vec![1.0, 1.02, 1.04, 1.06],
+            vec![1.0, 0.98, 0.96, 0.94],
+            vec![1.0, 1.5, 2.0, 2.5],
+            vec![2.0, 1.0, 0.5, 0.4],
+            vec![1.0, 1.5, 1.0, 1.5],
+            vec![1.0, 1.02, 1.5, 1.6],
+        ];
+        let traj = PopularityTrajectories {
+            times: vec![0.0, 1.0, 2.0, 3.0],
+            pages: (0..values.len() as u64).map(PageId).collect(),
+            values,
+        };
+        let est = PaperEstimator {
+            c: 0.1,
+            flat_tolerance: 0.05,
+        };
+        let report = report_from_trajectories(&traj, &est, 0.0).unwrap();
+        assert_eq!(
+            report.trends,
+            vec![
+                Trend::Flat,
+                Trend::Flat,
+                Trend::Increasing,
+                Trend::Decreasing,
+                Trend::Oscillating,
+                Trend::Increasing,
+            ]
+        );
+        for (i, row) in report.trajectories.values.iter().enumerate() {
+            let (first, last) = (row[0], row[2]);
+            let moved = matches!(report.trends[i], Trend::Increasing | Trend::Decreasing);
+            let want = if moved {
+                0.1 * (last - first) / first + last
+            } else {
+                last
+            };
+            assert_eq!(report.estimates[i], want, "page {i}");
+        }
+        // at the default tolerance the 2 % rows count as moving, in the
+        // label and in the estimate alike
+        let strict = report_from_trajectories(&traj, &PaperEstimator::default(), 0.0).unwrap();
+        assert_eq!(strict.trends[0], Trend::Increasing);
+        assert_eq!(strict.trends[1], Trend::Decreasing);
+        assert!(strict.estimates[0] > strict.current[0]);
     }
 
     #[test]

@@ -178,11 +178,27 @@ impl DynamicGraph {
     /// Materialize the graph at time `t`, restricted to nodes alive at
     /// `t`. Returns the relabeled graph plus `new id -> original id`.
     pub fn snapshot_at(&self, t: f64) -> (CsrGraph, Vec<NodeId>) {
+        let (built, alive) = self.snapshot_at_from(None, t);
+        (built.graph, alive)
+    }
+
+    /// [`snapshot_at`](Self::snapshot_at) for a caller that kept an
+    /// earlier capture: `base` is a graph `snapshot_at` gave for this
+    /// log and the log's length at that capture (a [`Materialized`]'s
+    /// `graph` and `events`), extended as
+    /// [`graph_at_full_from`](Self::graph_at_full_from) extends its base
+    /// and set aside on the same terms — events later than `t`, or more
+    /// nodes than are alive at `t`.
+    pub fn snapshot_at_from(
+        &self,
+        base: Option<(&CsrGraph, usize)>,
+        t: f64,
+    ) -> (Materialized, Vec<NodeId>) {
         // The alive nodes are an id prefix and an event can only name
         // nodes born by its own time, so restricting to them is choosing
         // the node count: no relabeling, no second pass.
         let alive = self.nodes_at(t);
-        (self.materialize(None, t, alive.len()).graph, alive)
+        (self.materialize(base, t, alive.len()), alive)
     }
 
     /// The graph at time `t` over node ids `0..n`, as `base` — a graph
@@ -291,7 +307,8 @@ impl DynamicGraph {
     }
 }
 
-/// What [`DynamicGraph::graph_at_full_from`] built, and from how much.
+/// What [`DynamicGraph::graph_at_full_from`] or
+/// [`DynamicGraph::snapshot_at_from`] built, and from how much.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Materialized {
     /// The graph of the log's first `events` events.
@@ -478,8 +495,10 @@ mod tests {
                     );
                     // over the alive nodes only, as `snapshot_at` builds
                     // it: a base with more nodes than that is set aside
-                    let alive = d.nodes_at(t2).len();
-                    let restricted = d.materialize(Some((&base.graph, base.events)), t2, alive);
+                    let (restricted, alive) =
+                        d.snapshot_at_from(Some((&base.graph, base.events)), t2);
+                    prop_assert_eq!(&alive, &d.nodes_at(t2));
+                    let alive = alive.len();
                     prop_assert_eq!(restricted.graph, d.snapshot_at(t2).0);
                     prop_assert_eq!(
                         restricted.edges_copied > 0,

@@ -42,6 +42,40 @@ pub fn gauss_seidel_warm(
     out
 }
 
+/// In-neighbours a row keeps in its padded head slot. Measured on the
+/// three graph shapes the system solves sequentially (EXPERIMENTS.md
+/// "Pull layout head width"): 2 is slower than 4 on the sparse
+/// arrival-ordered webs (rows of 3–4 links fall out of the head), 8 is
+/// level with 4 on the 36 k web, slower on the 105 k one, and doubles
+/// the padding a sweep reads.
+const HEAD: usize = 4;
+
+/// The first [`HEAD`] in-neighbours of every row in a fixed-width slot,
+/// padded with the sentinel `n`; a longer row's remaining in-neighbours
+/// stay where they are, in the graph's in-adjacency past the head.
+///
+/// A third of a web's rows are empty and most of the rest hold a
+/// handful of links, so the row-order loop's exit branch mispredicts
+/// about once a row and the gathers behind it never overlap; a head is
+/// [`HEAD`] unconditional loads, and only rows longer than that branch
+/// into a loop.
+///
+/// The sentinel indexes a slot of `w` that is `0.0` for good. Every
+/// partial sum is non-negative (`w` holds shares of a non-negative
+/// iterate), so `acc + 0.0` is `acc` bit for bit, and a row's sum is
+/// formed from the same addends in the same order as the row-order
+/// loop forms it — the same scores, sweeps and residuals.
+fn pull_heads(g: &CsrGraph) -> Vec<[u32; HEAD]> {
+    let n = g.num_nodes();
+    let mut heads = vec![[n as u32; HEAD]; n];
+    for (v, slot) in heads.iter_mut().enumerate() {
+        let row = g.in_neighbors(v as u32);
+        let held = row.len().min(HEAD);
+        slot[..held].copy_from_slice(&row[..held]);
+    }
+    heads
+}
+
 /// [`gauss_seidel_warm`] into `out`, which the caller allocated with one
 /// score slot per node ([`PageRankResult::unsolved`]): the iterate lives
 /// in `out.scores` from the first sweep on, so a worker thread solving a
@@ -65,13 +99,18 @@ pub(crate) fn gauss_seidel_into(
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
     start_vector(x, warm);
+    let heads = pull_heads(g);
     // w[u] = x[u] / c_u, refreshed where x[u] is written: the pull below
     // then costs one random read per edge instead of two, and adds the
-    // very products it used to form in place.
+    // very products it used to form in place. w[n] is the sentinel's
+    // slot and stays 0.0.
     let mut w: Vec<f64> = x.iter().zip(&inv).map(|(&x, &i)| x * i).collect();
+    w.push(0.0);
 
-    // Running dangling mass, updated incrementally as nodes change.
+    // Running dangling mass, updated incrementally as nodes change, and
+    // its share per page, recomputed where the mass moves.
     let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
+    let mut dangling_share = alpha * dangling_mass / n as f64;
 
     while out.iterations < config.max_iterations {
         // L1 distance to the previous sweep, summed in node order as the
@@ -79,17 +118,22 @@ pub(crate) fn gauss_seidel_into(
         let mut r = 0.0;
         for v in 0..n {
             let mut acc = 0.0;
-            for &u in g.in_neighbors(v as u32) {
+            for u in heads[v] {
                 acc += w[u as usize];
+            }
+            if let Some(rest) = g.in_neighbors(v as u32).get(HEAD..) {
+                for &u in rest {
+                    acc += w[u as usize];
+                }
             }
             // Footnote 2: a dangling page links to every page. For a
             // dangling v, its own mass is inside `dangling_mass` at its
             // *old* value — the implicit self term is not solved for,
             // consistent with the Jacobi step.
-            let dangling_share = alpha * dangling_mass / n as f64;
             let new_v = teleport + dangling_share + alpha * acc;
             if inv[v] == 0.0 {
                 dangling_mass += new_v - x[v];
+                dangling_share = alpha * dangling_mass / n as f64;
             }
             r += (new_v - x[v]).abs();
             x[v] = new_v;
@@ -118,9 +162,153 @@ pub(crate) fn gauss_seidel_into(
 mod tests {
     use super::*;
     use crate::power::pagerank;
+    use crate::ScoreScale;
+    use proptest::prelude::*;
     use qrank_graph::GraphBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The sweep [`pull_heads`] replaced, kept as its oracle: every row
+    /// pulled through the graph's own in-adjacency in row order, the
+    /// dangling share formed afresh for every row.
+    fn row_order_reference(
+        g: &CsrGraph,
+        config: &PageRankConfig,
+        warm: Option<&[f64]>,
+    ) -> PageRankResult {
+        let n = g.num_nodes();
+        let mut out = PageRankResult::unsolved(n);
+        if n == 0 {
+            out.converged = true;
+            return out;
+        }
+        let x = &mut out.scores[..];
+        let inv = inv_out_degrees(g);
+        let alpha = config.follow_prob;
+        let teleport = (1.0 - alpha) / n as f64;
+        start_vector(x, warm);
+        let mut w: Vec<f64> = x.iter().zip(&inv).map(|(&x, &i)| x * i).collect();
+        let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
+        while out.iterations < config.max_iterations {
+            let mut r = 0.0;
+            for v in 0..n {
+                let mut acc = 0.0;
+                for &u in g.in_neighbors(v as u32) {
+                    acc += w[u as usize];
+                }
+                let dangling_share = alpha * dangling_mass / n as f64;
+                let new_v = teleport + dangling_share + alpha * acc;
+                if inv[v] == 0.0 {
+                    dangling_mass += new_v - x[v];
+                }
+                r += (new_v - x[v]).abs();
+                x[v] = new_v;
+                w[v] = new_v * inv[v];
+            }
+            out.iterations += 1;
+            out.residuals.push(r);
+            if r < config.tolerance {
+                out.converged = true;
+                break;
+            }
+        }
+        renormalize(x);
+        apply_scale(x, config.scale);
+        out
+    }
+
+    /// Scores and residuals by bit pattern, sweep count and verdict.
+    fn assert_same_bits(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) {
+        let got = gauss_seidel_warm(g, config, warm);
+        let want = row_order_reference(g, config, warm);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.scores), bits(&want.scores), "scores");
+        assert_eq!(bits(&got.residuals), bits(&want.residuals), "residuals");
+        assert_eq!(got.iterations, want.iterations);
+        assert_eq!(got.converged, want.converged);
+    }
+
+    /// Cold, warm on either scale, and every kind of rejected warm
+    /// vector, on both output scales and with a sweep cap that bites.
+    fn assert_same_bits_every_start(g: &CsrGraph) {
+        let n = g.num_nodes();
+        let configs = [
+            PageRankConfig::default(),
+            PageRankConfig {
+                scale: ScoreScale::Probability,
+                tolerance: 1e-12,
+                ..Default::default()
+            },
+            PageRankConfig {
+                max_iterations: 3,
+                ..Default::default()
+            },
+        ];
+        for config in &configs {
+            assert_same_bits(g, config, None);
+            let skewed: Vec<f64> = (0..n).map(|v| 1.0 + (v % 7) as f64).collect();
+            let sum: f64 = skewed.iter().sum();
+            let probability: Vec<f64> = skewed.iter().map(|v| v / sum).collect();
+            for warm in [skewed, probability] {
+                assert_same_bits(g, config, Some(&warm));
+            }
+            let mut negative = vec![1.0; n];
+            if let Some(first) = negative.first_mut() {
+                *first = -1.0;
+            }
+            for rejected in [vec![0.0; n], vec![1.0; n + 1], vec![f64::NAN; n], negative] {
+                assert_same_bits(g, config, Some(&rejected));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Few nodes and many edge draws: self-loops, dangling nodes,
+        /// empty rows and rows well past the head all come up.
+        #[test]
+        fn layout_matches_row_order_sweep_bitwise(
+            n in 1usize..24,
+            edges in prop::collection::vec((0u32..24, 0u32..24), 0..160),
+        ) {
+            let edges: Vec<(u32, u32)> = edges
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .collect();
+            assert_same_bits_every_start(&CsrGraph::from_edges(n, &edges));
+        }
+    }
+
+    #[test]
+    fn layout_matches_on_rows_of_every_length_around_the_head() {
+        // Row v has exactly v in-links (v = 0..=HEAD + 3), from the
+        // highest ids down, so heads are full, partly padded and empty;
+        // one more row collects a link from each of 1 200 sources. The
+        // short rows link nowhere, so they are the dangling ones.
+        let long = (HEAD + 4) as u32;
+        let n = 1_300u32;
+        let mut edges = Vec::new();
+        for v in 0..long {
+            edges.extend((0..v).map(|k| (n - 1 - k, v)));
+        }
+        edges.extend((long + 1..long + 1_201).map(|u| (u, long)));
+        edges.push((long, long)); // and a self-loop in the long row
+        let g = CsrGraph::from_edges(n as usize, &edges);
+        for v in 0..long {
+            assert_eq!(g.in_degree(v), v as usize);
+        }
+        assert!(g.in_degree(long) >= 1_000);
+        assert_same_bits_every_start(&g);
+    }
+
+    #[test]
+    fn layout_matches_on_degenerate_graphs() {
+        assert_same_bits_every_start(&CsrGraph::from_edges(0, &[]));
+        assert_same_bits_every_start(&CsrGraph::from_edges(1, &[]));
+        assert_same_bits_every_start(&CsrGraph::from_edges(1, &[(0, 0)]));
+        assert_same_bits_every_start(&CsrGraph::from_edges(5, &[]));
+    }
 
     fn random_graph(n: usize, m: usize, seed: u64) -> CsrGraph {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -133,6 +133,12 @@ pub struct RefreshEngine {
     page_of_node: Vec<u64>,
     alive_edges: BTreeSet<(u64, u64)>,
     series: SnapshotSeries,
+    /// Length of `graph`'s event log when the newest snapshot of
+    /// `series` was captured from it: with that snapshot's graph, the
+    /// base the next capture extends. `None` while the window is empty
+    /// or restored from a checkpoint (its snapshots are not of the
+    /// rebuilt log).
+    captured_events: Option<usize>,
     pipeline: PipelineEngine,
     handle: Arc<ShardedStore>,
     generation: u64,
@@ -157,6 +163,7 @@ impl RefreshEngine {
             page_of_node: Vec::new(),
             alive_edges: BTreeSet::new(),
             series: SnapshotSeries::new(),
+            captured_events: None,
             pipeline,
             handle,
             generation: 0,
@@ -304,6 +311,7 @@ impl RefreshEngine {
         self.page_of_node = state.page_of_node;
         self.alive_edges = alive;
         self.series = state.series;
+        self.captured_events = None;
         self.generation = state.generation;
         Ok(())
     }
@@ -492,14 +500,33 @@ impl RefreshEngine {
         Ok(())
     }
 
-    /// Capture the graph at `t` as a snapshot and slide the window.
+    /// Capture the graph at `t` as a snapshot and slide the window. The
+    /// capture extends the newest snapshot's graph by the events logged
+    /// since (`DynamicGraph::snapshot_at_from`), so it sorts a delta's
+    /// events once and copies the rest; it is the snapshot
+    /// `DynamicGraph::snapshot_at(t)` builds from nothing.
     pub fn push_snapshot(&mut self, t: f64) -> Result<(), ServeError> {
-        let (g, alive) = self.graph.snapshot_at(t);
+        let _span = qrank_obs::span!("refresh.snapshot");
+        let base = self
+            .captured_events
+            .zip(self.series.snapshots().last())
+            .map(|(events, newest)| (&newest.graph, events));
+        let (built, alive) = self.graph.snapshot_at_from(base, t);
+        if qrank_obs::enabled() {
+            let registry = qrank_obs::global();
+            registry
+                .counter("refresh.snapshot.events_sorted")
+                .add(built.events_sorted as u64);
+            registry
+                .counter("refresh.snapshot.edges_copied")
+                .add(built.edges_copied as u64);
+        }
         let pages: Vec<PageId> = alive
             .iter()
             .map(|&n| PageId(self.page_of_node[n as usize]))
             .collect();
-        self.series.push(Snapshot::new(t, g, pages)?)?;
+        self.series.push(Snapshot::new(t, built.graph, pages)?)?;
+        self.captured_events = Some(built.events);
         while self.series.len() > self.cfg.max_window {
             // Amortized O(1): no clone, no rebuild of the whole window.
             self.series.pop_front();

@@ -39,7 +39,11 @@ fn open_per_record(
     for (lsn, delta) in &opened.deltas {
         let ingested = engine
             .apply_delta(delta)
-            .and_then(|()| engine.push_snapshot(delta.time))
+            .and_then(|()| {
+                // an oracle captures from nothing, never from a base
+                engine.captured_events = None;
+                engine.push_snapshot(delta.time)
+            })
             .and_then(|()| engine.rerank());
         if let Err(e) = ingested {
             report.replay_errors.push(format!("lsn {lsn}: {e}"));

@@ -294,31 +294,33 @@ impl ShardedStore {
     }
 
     /// Publish one pipeline report as a full generation: partition the
-    /// report's rows by owning shard, build and publish each shard's
-    /// store, then seal. Every shard is stamped with the same
-    /// `generation` and `snapshot_time`, so rendered responses carry
-    /// the same bytes an unsharded store would.
+    /// report's rows by owning shard, build each shard's store next to
+    /// the one it replaces (`ScoreStore::after`) and publish it, then
+    /// seal. Every shard is stamped with the same `generation` and
+    /// `snapshot_time`, so rendered responses carry the same bytes an
+    /// unsharded store would.
     pub fn publish_report(&self, report: &PipelineReport, generation: u64, snapshot_time: f64) {
         let _span = qrank_obs::span!("shard.publish_report");
         let n = self.shards();
-        if n == 1 {
-            self.publish_shard(
-                0,
-                ScoreStore::from_report(report, generation, snapshot_time),
-            );
-            self.seal();
-            return;
+        {
+            let _s = qrank_obs::span!("shard.build");
+            let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for (row, page) in report.pages.iter().enumerate() {
+                rows[shard_of(page.0, n)].push(row as u32);
+            }
+            for (shard, shard_rows) in rows.iter().enumerate() {
+                let previous = self.shards[shard].current();
+                let store = ScoreStore::after(
+                    Some(&previous),
+                    report,
+                    shard_rows,
+                    generation,
+                    snapshot_time,
+                );
+                self.publish_shard(shard, store);
+            }
         }
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (row, page) in report.pages.iter().enumerate() {
-            rows[shard_of(page.0, n)].push(row as u32);
-        }
-        for (shard, shard_rows) in rows.iter().enumerate() {
-            self.publish_shard(
-                shard,
-                ScoreStore::from_report_rows(report, shard_rows, generation, snapshot_time),
-            );
-        }
+        let _s = qrank_obs::span!("shard.seal");
         self.seal();
     }
 

@@ -72,15 +72,39 @@ impl ScoreStore {
         generation: u64,
         snapshot_time: f64,
     ) -> Self {
+        Self::after(None, report, rows, generation, snapshot_time)
+    }
+
+    /// [`from_report_rows`](Self::from_report_rows) for a publisher that
+    /// holds the generation being replaced. When `previous` serves the
+    /// same pages in the same rows — the steady state of a refresh — its
+    /// page→row index is taken over (a table copy, not a rehash of every
+    /// page; a copy rather than a shared pointer, so `score` reads it
+    /// exactly as before) and the sort starts from its quality order,
+    /// which a delta leaves nearly sorted. The comparator is a total
+    /// order without ties (page ids are distinct), so the sorted order
+    /// is unique and the store equals the one built from nothing.
+    pub(crate) fn after(
+        previous: Option<&ScoreStore>,
+        report: &PipelineReport,
+        rows: &[u32],
+        generation: u64,
+        snapshot_time: f64,
+    ) -> Self {
         let take = |col: &[f64]| -> Vec<f64> { rows.iter().map(|&r| col[r as usize]).collect() };
         let pages: Vec<PageId> = rows.iter().map(|&r| report.pages[r as usize]).collect();
         let quality = take(&report.estimates);
-        let index: HashMap<u64, u32> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.0, i as u32))
-            .collect();
-        let mut by_quality: Vec<u32> = (0..pages.len() as u32).collect();
+        let (index, mut by_quality) = match previous.filter(|p| p.pages == pages) {
+            Some(p) => (p.index.clone(), p.by_quality.clone()),
+            None => (
+                pages
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| (p.0, i as u32))
+                    .collect(),
+                (0..pages.len() as u32).collect(),
+            ),
+        };
         by_quality.sort_by(|&a, &b| {
             quality[b as usize]
                 .total_cmp(&quality[a as usize])
