@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, pagerank, pagerank_warm, solve_auto_with,
+    colored_gauss_seidel, gauss_seidel, hits, pagerank, pagerank_warm, solve_auto_with, solve_many,
     PageRankConfig,
 };
 use rand::rngs::StdRng;
@@ -111,6 +111,33 @@ fn bench_gauss_seidel_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The colored sweep at the `batch_rank` size: one column on one and on
+/// two threads (the kernel in the graph's own order), and a window of
+/// four nested prefixes of the web through `solve_many`, which renames
+/// every column by degree and, under a budget of two or more, solves the
+/// columns side by side with the colored sweep.
+fn bench_colored(c: &mut Criterion) {
+    let mut group = c.benchmark_group("colored");
+    group.sample_size(10);
+    let cfg = PageRankConfig::default();
+    let mut rng = StdRng::seed_from_u64(42);
+    let web = arrival_ordered_web(105_000, &mut rng);
+    for threads in [1, 2] {
+        group.bench_function(format!("colored_{threads}t"), |b| {
+            b.iter(|| black_box(colored_gauss_seidel(&web, &cfg, threads)))
+        });
+    }
+    let columns: Vec<CsrGraph> = [101_000u32, 102_000, 103_500, 105_000]
+        .into_iter()
+        .map(|pages| web.induced_subgraph_sorted(&(0..pages).collect::<Vec<u32>>()))
+        .collect();
+    let window: Vec<&CsrGraph> = columns.iter().collect();
+    group.bench_function("solve_many_4", |b| {
+        b.iter(|| black_box(solve_many(&window, &cfg)))
+    });
+    group.finish();
+}
+
 fn bench_warm_start(c: &mut Criterion) {
     let mut group = c.benchmark_group("pagerank_warm_start");
     group.sample_size(10);
@@ -147,6 +174,7 @@ criterion_group!(
     benches,
     bench_solvers,
     bench_gauss_seidel_shapes,
+    bench_colored,
     bench_warm_start,
     bench_hits
 );

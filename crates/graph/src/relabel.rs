@@ -13,6 +13,12 @@
 //! graph map back exactly through [`inverse_scores`], although
 //! floating-point summation order (and hence low bits) differs from
 //! solving in the original order.
+//!
+//! The solve path renames *virtually*: `qrank-rank`'s colored sweep
+//! takes the graph and a [`Relabeling`] and builds its own pull layout
+//! from them, in the renamed graph's order, without calling
+//! [`CsrGraph::relabeled`] or [`inverse_scores`]. Those two remain the
+//! reference that layout is tested against.
 
 use crate::{CsrGraph, NodeId};
 
@@ -53,18 +59,29 @@ impl Relabeling {
 
 /// Permutation sorting nodes by descending total degree (in + out),
 /// ties broken by ascending old id — fully deterministic.
+///
+/// A counting sort: one pass counts the nodes of each degree, and a
+/// second deals out new ids, highest degree first, to the nodes in
+/// ascending id order, which is the tie-break.
 pub fn degree_order(g: &CsrGraph) -> Relabeling {
     let n = g.num_nodes();
-    let mut order: Vec<NodeId> = (0..n as NodeId).collect();
-    order.sort_by_key(|&u| {
-        let d = g.in_degree(u) + g.out_degree(u);
-        (std::cmp::Reverse(d), u)
-    });
-    // order[new] = old; invert to perm[old] = new
-    let mut perm = vec![0 as NodeId; n];
-    for (new, &old) in order.iter().enumerate() {
-        perm[old as usize] = new as NodeId;
+    let degree = |u: usize| g.in_degree(u as NodeId) + g.out_degree(u as NodeId);
+    let max = (0..n).map(degree).max().unwrap_or(0);
+    // next[max - d]: the next new id for a node of degree d
+    let mut next = vec![0usize; max + 2];
+    for u in 0..n {
+        next[max - degree(u) + 1] += 1;
     }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let perm = (0..n)
+        .map(|u| {
+            let at = &mut next[max - degree(u)];
+            *at += 1;
+            (*at - 1) as NodeId
+        })
+        .collect();
     Relabeling { perm }
 }
 
@@ -114,6 +131,7 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn star_plus_chain() -> CsrGraph {
         // node 9 is the hub (everyone links to it); 0..3 a chain
@@ -178,6 +196,41 @@ mod tests {
         g.relabeled(&Relabeling {
             perm: vec![0, 0, 2],
         });
+    }
+
+    /// The comparison sort the counting sort replaced.
+    fn sorted_degree_order(g: &CsrGraph) -> Relabeling {
+        let n = g.num_nodes();
+        let mut order: Vec<NodeId> = (0..n as NodeId).collect();
+        order.sort_by_key(|&u| {
+            let d = g.in_degree(u) + g.out_degree(u);
+            (std::cmp::Reverse(d), u)
+        });
+        let mut perm = vec![0 as NodeId; n];
+        for (new, &old) in order.iter().enumerate() {
+            perm[old as usize] = new as NodeId;
+        }
+        Relabeling { perm }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Ties, isolated nodes, self-loops (one edge, two degree) and the
+        /// empty graph all come up.
+        #[test]
+        fn counting_sort_equals_the_comparison_sort(
+            n in 0usize..40,
+            edges in prop::collection::vec((0u32..40, 0u32..40), 0..120),
+        ) {
+            let edges: Vec<(u32, u32)> = edges
+                .into_iter()
+                .filter(|_| n > 0)
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .collect();
+            let g = CsrGraph::from_edges(n, &edges);
+            prop_assert_eq!(degree_order(&g), sorted_degree_order(&g));
+        }
     }
 
     #[test]

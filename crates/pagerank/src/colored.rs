@@ -14,8 +14,24 @@
 //! > node, never *what* is computed.
 //!
 //! Per-sweep reductions (dangling-mass delta, residual) are computed
-//! redundantly by every worker in node order, so workers always agree
+//! redundantly by every worker in a fixed order, so workers always agree
 //! bitwise on convergence and no coordinator is needed.
+//!
+//! **The layout.** A solve runs over a private class-major pull layout
+//! built straight from the graph and a renaming of its nodes (the
+//! identity here, the degree order on [`crate::solve_auto`]'s path). The
+//! classes lie back to back, ascending renamed id inside each class, so
+//! a class is one contiguous run of *positions*; the iterate, its shares
+//! and the out-degrees are indexed by position. A row is the node's
+//! renamed in-row sorted ascending — the row the renamed graph would
+//! hold — mapped to positions and stored as a padded head of `HEAD`
+//! entries plus a tail, as in the sequential sweep. A node's
+//! residual term goes to a slot indexed by its renamed id and is summed
+//! in renamed order; a class's dangling delta is reduced over its
+//! positions, which is ascending renamed id. Every addend and every
+//! reduction order is that of the class-by-class sweep over the renamed
+//! graph, so the scores, sweep counts and residuals are that sweep's bit
+//! for bit, without the renamed graph being built.
 //!
 //! Relative to natural-order Gauss–Seidel the update *schedule* differs,
 //! so the converged vector agrees with [`crate::gauss_seidel()`] only to
@@ -27,9 +43,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
+use qrank_graph::relabel::{forward_vector, Relabeling};
 use qrank_graph::CsrGraph;
 
-use crate::power::{apply_scale, inv_out_degrees, start_vector, PageRankResult};
+use crate::gauss_seidel::HEAD;
+use crate::power::{apply_scale, inv_out_degree, renormalize, start_vector, PageRankResult};
 use crate::PageRankConfig;
 
 #[inline]
@@ -42,23 +60,21 @@ fn f64_store(a: &AtomicU64, v: f64) {
     a.store(v.to_bits(), Ordering::Relaxed);
 }
 
-/// A proper coloring of the graph's *conflict* structure (u conflicts
-/// with v when an edge runs between them in either direction), as color
-/// classes of ascending node ids.
-struct Coloring {
-    /// `classes[c]` = nodes with color `c`, ascending.
-    classes: Vec<Vec<u32>>,
-}
-
-/// Greedy first-fit coloring in natural node order — deterministic, one
-/// pass over the edges, at most `max_conflict_degree + 1` colors.
-fn greedy_coloring(g: &CsrGraph) -> Coloring {
-    let n = g.num_nodes();
-    let mut color = vec![u32::MAX; n];
+/// Greedy first-fit coloring of the graph's *conflict* structure (u
+/// conflicts with v when an edge runs between them in either direction),
+/// visiting the nodes in renamed order — `old_of[new]` is the graph's id
+/// of renamed node `new` — and returning each node's color by the
+/// graph's id. One pass over the edges, at most `max_conflict_degree + 1`
+/// colors. The colors are those of the same pass over the renamed graph:
+/// the colors a node finds taken do not depend on the order its
+/// neighbours are met in.
+fn greedy_coloring(g: &CsrGraph, old_of: &[u32]) -> Vec<u32> {
+    let mut color = vec![u32::MAX; g.num_nodes()];
     // mark[c] == v  <=>  color c is taken by a neighbor of v
     let mut mark: Vec<u32> = Vec::new();
-    for v in 0..n as u32 {
-        for &u in g.in_neighbors(v).iter().chain(g.out_neighbors(v)) {
+    for (v, &old) in old_of.iter().enumerate() {
+        let v = v as u32;
+        for &u in g.in_neighbors(old).iter().chain(g.out_neighbors(old)) {
             let cu = color[u as usize];
             if cu != u32::MAX {
                 if cu as usize >= mark.len() {
@@ -68,14 +84,211 @@ fn greedy_coloring(g: &CsrGraph) -> Coloring {
             }
         }
         let c = (0..).find(|&c| mark.get(c as usize) != Some(&v)).unwrap();
-        color[v as usize] = c;
+        color[old as usize] = c;
     }
-    let num_colors = color.iter().map(|&c| c + 1).max().unwrap_or(0) as usize;
-    let mut classes = vec![Vec::new(); num_colors];
-    for v in 0..n as u32 {
-        classes[color[v as usize] as usize].push(v);
+    color
+}
+
+/// The sweep's class-major pull layout (see the module docs).
+struct Layout {
+    /// The positions of color `c` are `classes[c]..classes[c + 1]`.
+    classes: Vec<usize>,
+    /// Renamed id of the node at each position.
+    id: Vec<u32>,
+    /// Position of each renamed id.
+    pos: Vec<u32>,
+    /// `1 / out-degree` per position, `0.0` for a dangling node.
+    inv: Vec<f64>,
+    /// The first [`HEAD`] in-neighbours of each row as positions, padded
+    /// with the sentinel `n`, whose slot of `w` is `0.0` for good.
+    heads: Vec<[u32; HEAD]>,
+    /// The rest of row `p` is `tails[tail_at[p]..tail_at[p + 1]]`.
+    tail_at: Vec<usize>,
+    tails: Vec<u32>,
+    /// Renamed ids of the dangling nodes of color `c`, ascending, are
+    /// `dangling[dangling_at[c]..dangling_at[c + 1]]`.
+    dangling: Vec<u32>,
+    dangling_at: Vec<usize>,
+}
+
+impl Layout {
+    fn new(g: &CsrGraph, r: &Relabeling) -> Layout {
+        let n = g.num_nodes();
+        let mut old_of = vec![0u32; n];
+        for (old, &new) in r.perm.iter().enumerate() {
+            old_of[new as usize] = old as u32;
+        }
+        let color = greedy_coloring(g, &old_of);
+
+        // Count the classes, then deal the renamed ids out to them in
+        // ascending order.
+        let num_colors = color.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
+        let mut classes = vec![0usize; num_colors + 1];
+        for &c in &color {
+            classes[c as usize + 1] += 1;
+        }
+        for c in 0..num_colors {
+            classes[c + 1] += classes[c];
+        }
+        let mut next = classes.clone();
+        let mut id = vec![0u32; n];
+        let mut pos = vec![0u32; n];
+        for (new, &old) in old_of.iter().enumerate() {
+            let at = &mut next[color[old as usize] as usize];
+            id[*at] = new as u32;
+            pos[new] = *at as u32;
+            *at += 1;
+        }
+
+        let tail_len: usize = (0..n as u32)
+            .map(|v| g.in_degree(v).saturating_sub(HEAD))
+            .sum();
+        let mut heads = vec![[n as u32; HEAD]; n];
+        let mut tail_at = Vec::with_capacity(n + 1);
+        tail_at.push(0);
+        let mut tails = Vec::with_capacity(tail_len);
+        let mut inv = Vec::with_capacity(n);
+        let mut row = Vec::new();
+        for (head, &new) in heads.iter_mut().zip(&id) {
+            let old = old_of[new as usize];
+            // The renamed in-row, ascending as the renamed graph holds
+            // it: its order is the order the row's sum is formed in.
+            row.clear();
+            row.extend(g.in_neighbors(old).iter().map(|&u| r.perm[u as usize]));
+            row.sort_unstable();
+            for (slot, &u) in head.iter_mut().zip(&row) {
+                *slot = pos[u as usize];
+            }
+            tails.extend(row.iter().skip(HEAD).map(|&u| pos[u as usize]));
+            tail_at.push(tails.len());
+            inv.push(inv_out_degree(g, old));
+        }
+
+        let mut dangling = Vec::new();
+        let mut dangling_at = vec![0];
+        for class in classes.windows(2) {
+            dangling.extend(
+                (class[0]..class[1])
+                    .filter(|&p| inv[p] == 0.0)
+                    .map(|p| id[p]),
+            );
+            dangling_at.push(dangling.len());
+        }
+        Layout {
+            classes,
+            id,
+            pos,
+            inv,
+            heads,
+            tail_at,
+            tails,
+            dangling,
+            dangling_at,
+        }
     }
-    Coloring { classes }
+
+    fn len(&self) -> usize {
+        self.id.len()
+    }
+}
+
+/// The iterate by position (`x`), its shares `w = x / c` by position
+/// with the sentinel's slot last, and each node's last change
+/// `new − old` by renamed id (`step`).
+struct State {
+    x: Vec<AtomicU64>,
+    w: Vec<AtomicU64>,
+    step: Vec<AtomicU64>,
+}
+
+impl State {
+    /// The state of `init`, a distribution in renamed order.
+    fn new(lay: &Layout, init: Vec<f64>) -> State {
+        let x: Vec<AtomicU64> = lay
+            .id
+            .iter()
+            .map(|&r| AtomicU64::new(init[r as usize].to_bits()))
+            .collect();
+        drop(init);
+        let w = x
+            .iter()
+            .zip(&lay.inv)
+            .map(|(x, &i)| AtomicU64::new((f64_load(x) * i).to_bits()))
+            .chain([AtomicU64::new(0.0f64.to_bits())])
+            .collect();
+        let step = (0..lay.len()).map(|_| AtomicU64::new(0)).collect();
+        State { x, w, step }
+    }
+}
+
+/// Sweeps run, whether the tolerance was met, and the residual of each
+/// sweep.
+type Sweeps = (usize, bool, Vec<f64>);
+
+/// Worker `tid` of `threads`: in every class it updates its share of the
+/// positions, waits for the others, and reduces the class's dangling
+/// delta as every worker does; every sweep ends with the residual summed
+/// in renamed order and one more wait. All workers therefore hold the
+/// same totals and take the same branches.
+fn sweep(
+    lay: &Layout,
+    st: &State,
+    config: &PageRankConfig,
+    init_dangling: f64,
+    tid: usize,
+    threads: usize,
+    barrier: &Barrier,
+) -> Sweeps {
+    let n = lay.len();
+    let alpha = config.follow_prob;
+    let teleport = (1.0 - alpha) / n as f64;
+    let mut dangling_mass = init_dangling;
+    let mut residuals = Vec::new();
+    while residuals.len() < config.max_iterations {
+        for (c, class) in lay.classes.windows(2).enumerate() {
+            // Footnote 2: a dangling page links to every page.
+            let dangling_share = alpha * dangling_mass / n as f64;
+            let chunk = (class[1] - class[0]).div_ceil(threads);
+            let lo = (class[0] + tid * chunk).min(class[1]);
+            let hi = (lo + chunk).min(class[1]);
+            let rows = lay.heads[lo..hi]
+                .iter()
+                .zip(lay.tail_at[lo..=hi].windows(2))
+                .zip(&lay.id[lo..hi])
+                .zip(&lay.inv[lo..hi])
+                .zip(&st.x[lo..hi])
+                .zip(&st.w[lo..hi]);
+            for (((((head, tail), &r), &inv), x), w) in rows {
+                let mut acc = 0.0;
+                for u in *head {
+                    acc += f64_load(&st.w[u as usize]);
+                }
+                for &u in &lay.tails[tail[0]..tail[1]] {
+                    acc += f64_load(&st.w[u as usize]);
+                }
+                let new_v = teleport + dangling_share + alpha * acc;
+                // Every node is written exactly once per sweep, here.
+                f64_store(&st.step[r as usize], new_v - f64_load(x));
+                f64_store(x, new_v);
+                f64_store(w, new_v * inv);
+            }
+            barrier.wait();
+            for &r in &lay.dangling[lay.dangling_at[c]..lay.dangling_at[c + 1]] {
+                dangling_mass += f64_load(&st.step[r as usize]);
+            }
+        }
+        let residual: f64 = st.step.iter().map(|d| f64_load(d).abs()).sum();
+        // Hold everyone until the residual pass is done: the next sweep
+        // starts by overwriting `step`, and a worker racing ahead would
+        // corrupt the sums still being read — workers could then
+        // disagree on convergence and deadlock.
+        barrier.wait();
+        residuals.push(residual);
+        if residual < config.tolerance {
+            return (residuals.len(), true, residuals);
+        }
+    }
+    (residuals.len(), false, residuals)
 }
 
 /// Colored Gauss–Seidel PageRank (cold start).
@@ -106,160 +319,408 @@ pub fn colored_gauss_seidel_warm(
     warm: Option<&[f64]>,
     threads: usize,
 ) -> PageRankResult {
+    let mut out = PageRankResult::unsolved(g.num_nodes());
+    colored_into(
+        g,
+        config,
+        warm,
+        threads,
+        |g| Relabeling::identity(g.num_nodes()),
+        &mut out,
+    );
+    out
+}
+
+/// The colored sweep over `g`'s nodes renamed by `rename(g)`, into `out`
+/// (one zeroed score slot per node), with `warm` and the scores in `g`'s
+/// own node order. Bit for bit the class-by-class sweep over
+/// `g.relabeled(&rename(g))` with its scores mapped back: the renamed
+/// graph decides the classes and every summation order, but only the
+/// layout is built.
+pub(crate) fn colored_into(
+    g: &CsrGraph,
+    config: &PageRankConfig,
+    warm: Option<&[f64]>,
+    threads: usize,
+    rename: fn(&CsrGraph) -> Relabeling,
+    out: &mut PageRankResult,
+) {
     let _span = qrank_obs::span!("rank.colored");
     config.validate();
     assert!(threads >= 1, "need at least one thread");
     let n = g.num_nodes();
+    assert_eq!(out.scores.len(), n, "one score slot per node");
     if n == 0 {
-        return PageRankResult {
-            scores: Vec::new(),
-            iterations: 0,
-            converged: true,
-            residuals: Vec::new(),
-        };
+        out.converged = true;
+        return;
     }
     let threads = threads.min(n);
-    let coloring = greedy_coloring(g);
-    let inv = inv_out_degrees(g);
-    let alpha = config.follow_prob;
-    let teleport = (1.0 - alpha) / n as f64;
 
-    // Dangling members of each class, ascending — the per-class
-    // dangling-mass delta is reduced over these in node order so every
-    // worker computes the identical total.
-    let class_dangling: Vec<Vec<u32>> = coloring
-        .classes
-        .iter()
-        .map(|class| {
-            class
-                .iter()
-                .copied()
-                .filter(|&v| inv[v as usize] == 0.0)
-                .collect()
-        })
-        .collect();
-
+    let layout_span = qrank_obs::span!("rank.colored.layout");
+    let r = rename(g);
+    let lay = Layout::new(g, &r);
+    // The start vector is normalized in renamed order, as the renamed
+    // graph's solve would normalize it.
     let mut init = vec![0.0; n];
-    start_vector(&mut init, warm);
-    let x: Vec<AtomicU64> = init.iter().map(|&v| AtomicU64::new(v.to_bits())).collect();
-    // w[u] = x[u] / c_u, stored beside x[u] at every write: the pull
-    // reads one random value per edge instead of two and adds the very
-    // products it used to form in place.
-    let w: Vec<AtomicU64> = init
-        .iter()
-        .zip(&inv)
-        .map(|(&x, &i)| AtomicU64::new((x * i).to_bits()))
-        .collect();
-    let prev: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let init_dangling: f64 = (0..n).filter(|&v| inv[v] == 0.0).map(|v| init[v]).sum();
+    start_vector(
+        &mut init,
+        warm.filter(|w| w.len() == n)
+            .map(|w| forward_vector(w, &r))
+            .as_deref(),
+    );
+    let init_dangling: f64 = (0..n)
+        .filter(|&v| lay.inv[lay.pos[v] as usize] == 0.0)
+        .map(|v| init[v])
+        .sum();
+    drop(layout_span);
+
+    let st = State::new(&lay, init);
     let barrier = Barrier::new(threads);
-
-    // Every worker runs identical control flow; all reductions are
-    // recomputed per worker in node order, so totals (and branches) are
-    // bitwise identical everywhere and the barriers stay in lockstep.
-    let worker = |tid: usize| -> (usize, bool, Vec<f64>) {
-        let mut dangling_mass = init_dangling;
-        let mut residuals = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        while iterations < config.max_iterations {
-            for (ci, class) in coloring.classes.iter().enumerate() {
-                // Footnote 2: a dangling page links to every page.
-                let dangling_share = alpha * dangling_mass / n as f64;
-                let cchunk = class.len().div_ceil(threads);
-                let clo = (tid * cchunk).min(class.len());
-                let chi = ((tid + 1) * cchunk).min(class.len());
-                for &v in &class[clo..chi] {
-                    let vu = v as usize;
-                    let mut acc = 0.0;
-                    for &u in g.in_neighbors(v) {
-                        acc += f64_load(&w[u as usize]);
-                    }
-                    let new_v = teleport + dangling_share + alpha * acc;
-                    // Every node is written exactly once per sweep, here:
-                    // what it held until now is its previous-sweep value.
-                    prev[vu].store(x[vu].load(Ordering::Relaxed), Ordering::Relaxed);
-                    f64_store(&x[vu], new_v);
-                    f64_store(&w[vu], new_v * inv[vu]);
-                }
-                barrier.wait();
-                // A node's pre-class value is prev[v] (saved at its one
-                // write); the delta reduction in node order is identical
-                // on all workers.
-                for &v in &class_dangling[ci] {
-                    dangling_mass += f64_load(&x[v as usize]) - f64_load(&prev[v as usize]);
-                }
-            }
-            let residual: f64 = (0..n)
-                .map(|v| (f64_load(&x[v]) - f64_load(&prev[v])).abs())
-                .sum();
-            // Hold everyone until the residual pass is done: the next
-            // sweep starts by overwriting `prev`, and a worker racing
-            // ahead would corrupt the sums still being read — workers
-            // could then disagree on convergence and deadlock.
-            barrier.wait();
-            iterations += 1;
-            residuals.push(residual);
-            if residual < config.tolerance {
-                converged = true;
-                break;
-            }
-        }
-        (iterations, converged, residuals)
-    };
-
-    let worker = &worker;
+    let work = |tid| sweep(&lay, &st, config, init_dangling, tid, threads, &barrier);
     let (iterations, converged, residuals) = std::thread::scope(|s| {
         for tid in 1..threads {
-            s.spawn(move || {
-                let _ = worker(tid);
-            });
+            s.spawn(move || work(tid));
         }
-        worker(0)
+        work(0)
     });
-
-    let mut scores: Vec<f64> = x.iter().map(f64_load).collect();
+    let mut scores: Vec<f64> = lay
+        .pos
+        .iter()
+        .map(|&p| f64_load(&st.x[p as usize]))
+        .collect();
+    drop(st);
     // Like sequential GS, the sweeps do not preserve the simplex en
-    // route; project back before scaling.
-    crate::power::renormalize(&mut scores);
+    // route; project back (summing in renamed order) before scaling.
+    renormalize(&mut scores);
     apply_scale(&mut scores, config.scale);
-    qrank_obs::convergence::record_solve("colored", n, iterations, converged, &residuals);
-    PageRankResult {
-        scores,
-        iterations,
-        converged,
-        residuals,
+    for (score, &new) in out.scores.iter_mut().zip(&r.perm) {
+        *score = scores[new as usize];
     }
+    qrank_obs::convergence::record_solve("colored", n, iterations, converged, &residuals);
+    out.iterations = iterations;
+    out.converged = converged;
+    out.residuals = residuals;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gauss_seidel::gauss_seidel;
-    use crate::power::pagerank;
+    use crate::power::{inv_out_degrees, pagerank};
+    use crate::ScoreScale;
+    use proptest::prelude::*;
     use qrank_graph::generators::{barabasi_albert, erdos_renyi_gnm};
+    use qrank_graph::relabel::{degree_order, inverse_scores};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The parent's coloring: first fit in the graph's own node order,
+    /// as color classes of ascending ids.
+    fn reference_coloring(g: &CsrGraph) -> Vec<Vec<u32>> {
+        let n = g.num_nodes();
+        let mut color = vec![u32::MAX; n];
+        let mut mark: Vec<u32> = Vec::new();
+        for v in 0..n as u32 {
+            for &u in g.in_neighbors(v).iter().chain(g.out_neighbors(v)) {
+                let cu = color[u as usize];
+                if cu != u32::MAX {
+                    if cu as usize >= mark.len() {
+                        mark.resize(cu as usize + 1, u32::MAX);
+                    }
+                    mark[cu as usize] = v;
+                }
+            }
+            let c = (0..).find(|&c| mark.get(c as usize) != Some(&v)).unwrap();
+            color[v as usize] = c;
+        }
+        let num_colors = color.iter().map(|&c| c + 1).max().unwrap_or(0) as usize;
+        let mut classes = vec![Vec::new(); num_colors];
+        for v in 0..n as u32 {
+            classes[color[v as usize] as usize].push(v);
+        }
+        classes
+    }
+
+    /// The sweep the layout replaced, kept as its oracle: the
+    /// class-by-class loop over the graph as given, every slot an atomic,
+    /// rows read from the graph's in-adjacency, `prev` saved at the write.
+    fn class_by_class_reference(
+        g: &CsrGraph,
+        config: &PageRankConfig,
+        warm: Option<&[f64]>,
+        threads: usize,
+    ) -> PageRankResult {
+        let n = g.num_nodes();
+        if n == 0 {
+            return PageRankResult {
+                scores: Vec::new(),
+                iterations: 0,
+                converged: true,
+                residuals: Vec::new(),
+            };
+        }
+        let threads = threads.min(n);
+        let classes = reference_coloring(g);
+        let inv = inv_out_degrees(g);
+        let alpha = config.follow_prob;
+        let teleport = (1.0 - alpha) / n as f64;
+        let class_dangling: Vec<Vec<u32>> = classes
+            .iter()
+            .map(|class| {
+                class
+                    .iter()
+                    .copied()
+                    .filter(|&v| inv[v as usize] == 0.0)
+                    .collect()
+            })
+            .collect();
+        let mut init = vec![0.0; n];
+        start_vector(&mut init, warm);
+        let x: Vec<AtomicU64> = init.iter().map(|&v| AtomicU64::new(v.to_bits())).collect();
+        let w: Vec<AtomicU64> = init
+            .iter()
+            .zip(&inv)
+            .map(|(&x, &i)| AtomicU64::new((x * i).to_bits()))
+            .collect();
+        let prev: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+        let init_dangling: f64 = (0..n).filter(|&v| inv[v] == 0.0).map(|v| init[v]).sum();
+        let barrier = Barrier::new(threads);
+        let worker = |tid: usize| -> Sweeps {
+            let mut dangling_mass = init_dangling;
+            let mut residuals = Vec::new();
+            let mut converged = false;
+            let mut iterations = 0;
+            while iterations < config.max_iterations {
+                for (ci, class) in classes.iter().enumerate() {
+                    let dangling_share = alpha * dangling_mass / n as f64;
+                    let cchunk = class.len().div_ceil(threads);
+                    let clo = (tid * cchunk).min(class.len());
+                    let chi = ((tid + 1) * cchunk).min(class.len());
+                    for &v in &class[clo..chi] {
+                        let vu = v as usize;
+                        let mut acc = 0.0;
+                        for &u in g.in_neighbors(v) {
+                            acc += f64_load(&w[u as usize]);
+                        }
+                        let new_v = teleport + dangling_share + alpha * acc;
+                        f64_store(&prev[vu], f64_load(&x[vu]));
+                        f64_store(&x[vu], new_v);
+                        f64_store(&w[vu], new_v * inv[vu]);
+                    }
+                    barrier.wait();
+                    for &v in &class_dangling[ci] {
+                        dangling_mass += f64_load(&x[v as usize]) - f64_load(&prev[v as usize]);
+                    }
+                }
+                let residual: f64 = (0..n)
+                    .map(|v| (f64_load(&x[v]) - f64_load(&prev[v])).abs())
+                    .sum();
+                barrier.wait();
+                iterations += 1;
+                residuals.push(residual);
+                if residual < config.tolerance {
+                    converged = true;
+                    break;
+                }
+            }
+            (iterations, converged, residuals)
+        };
+        let worker = &worker;
+        let (iterations, converged, residuals) = std::thread::scope(|s| {
+            for tid in 1..threads {
+                s.spawn(move || {
+                    let _ = worker(tid);
+                });
+            }
+            worker(0)
+        });
+        let mut scores: Vec<f64> = x.iter().map(f64_load).collect();
+        renormalize(&mut scores);
+        apply_scale(&mut scores, config.scale);
+        PageRankResult {
+            scores,
+            iterations,
+            converged,
+            residuals,
+        }
+    }
+
+    fn identity(g: &CsrGraph) -> Relabeling {
+        Relabeling::identity(g.num_nodes())
+    }
+
+    const RENAMINGS: [fn(&CsrGraph) -> Relabeling; 2] = [identity, degree_order];
+
+    /// The layout's solve at each of `threads` against the oracle run on
+    /// the renamed graph and mapped back: scores and residuals by bit
+    /// pattern, sweep count and verdict.
+    fn assert_same_bits(
+        g: &CsrGraph,
+        config: &PageRankConfig,
+        warm: Option<&[f64]>,
+        rename: fn(&CsrGraph) -> Relabeling,
+        threads: &[usize],
+    ) {
+        let n = g.num_nodes();
+        let r = rename(g);
+        let forwarded = warm.map(|w| {
+            if w.len() == n {
+                forward_vector(w, &r)
+            } else {
+                w.to_vec()
+            }
+        });
+        let mut want = class_by_class_reference(&g.relabeled(&r), config, forwarded.as_deref(), 1);
+        want.scores = inverse_scores(&want.scores, &r);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &t in threads {
+            let mut got = PageRankResult::unsolved(n);
+            colored_into(g, config, warm, t, rename, &mut got);
+            assert_eq!(bits(&got.scores), bits(&want.scores), "scores, {t} threads");
+            assert_eq!(
+                bits(&got.residuals),
+                bits(&want.residuals),
+                "residuals, {t} threads"
+            );
+            assert_eq!(got.iterations, want.iterations, "{t} threads");
+            assert_eq!(got.converged, want.converged, "{t} threads");
+        }
+    }
+
+    /// Cold, warm on either scale, and every kind of rejected warm
+    /// vector, on both output scales and with a sweep cap that bites.
+    fn assert_same_bits_every_start(
+        g: &CsrGraph,
+        rename: fn(&CsrGraph) -> Relabeling,
+        threads: &[usize],
+    ) {
+        let n = g.num_nodes();
+        let configs = [
+            PageRankConfig::default(),
+            PageRankConfig {
+                scale: ScoreScale::PerPage,
+                tolerance: 1e-12,
+                ..Default::default()
+            },
+            PageRankConfig {
+                max_iterations: 3,
+                ..Default::default()
+            },
+        ];
+        for config in &configs {
+            assert_same_bits(g, config, None, rename, threads);
+            let skewed: Vec<f64> = (0..n).map(|v| 1.0 + (v % 7) as f64).collect();
+            let sum: f64 = skewed.iter().sum();
+            let probability: Vec<f64> = skewed.iter().map(|v| v / sum).collect();
+            for warm in [skewed, probability] {
+                assert_same_bits(g, config, Some(&warm), rename, threads);
+            }
+            let mut negative = vec![1.0; n];
+            if let Some(first) = negative.first_mut() {
+                *first = -1.0;
+            }
+            for rejected in [
+                vec![0.0; n],
+                vec![1.0; n + 1],
+                vec![f64::NAN; n],
+                vec![f64::MAX; n],
+                negative,
+            ] {
+                assert_same_bits(g, config, Some(&rejected), rename, threads);
+            }
+        }
+    }
+
+    /// The layout's color classes, as lists of renamed ids.
+    fn layout_classes(g: &CsrGraph, r: &Relabeling) -> Vec<Vec<u32>> {
+        let lay = Layout::new(g, r);
+        lay.classes
+            .windows(2)
+            .map(|c| lay.id[c[0]..c[1]].to_vec())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Few nodes and many edge draws: self-loops, dangling nodes,
+        /// empty rows and rows well past the head all come up.
+        #[test]
+        fn layout_matches_class_by_class_sweep_bitwise(
+            n in 1usize..24,
+            edges in prop::collection::vec((0u32..24, 0u32..24), 0..160),
+            threads in 1usize..=3,
+            renaming in 0usize..2,
+        ) {
+            let edges: Vec<(u32, u32)> = edges
+                .into_iter()
+                .map(|(u, v)| (u % n as u32, v % n as u32))
+                .collect();
+            let g = CsrGraph::from_edges(n, &edges);
+            let rename = RENAMINGS[renaming];
+            let r = rename(&g);
+            prop_assert_eq!(layout_classes(&g, &r), reference_coloring(&g.relabeled(&r)));
+            assert_same_bits_every_start(&g, rename, &[threads]);
+        }
+    }
+
+    #[test]
+    fn layout_matches_on_rows_of_every_length_around_the_head() {
+        // Row v has exactly v in-links (v = 0..=HEAD + 3), from the
+        // highest ids down, so heads are full, partly padded and empty;
+        // one more row collects a link from each of 1 200 sources. The
+        // short rows link nowhere, so they are the dangling ones.
+        let long = (HEAD + 4) as u32;
+        let n = 1_300u32;
+        let mut edges = Vec::new();
+        for v in 0..long {
+            edges.extend((0..v).map(|k| (n - 1 - k, v)));
+        }
+        edges.extend((long + 1..long + 1_201).map(|u| (u, long)));
+        edges.push((long, long)); // and a self-loop in the long row
+        let g = CsrGraph::from_edges(n as usize, &edges);
+        assert!(g.in_degree(long) >= 1_000);
+        for rename in RENAMINGS {
+            assert_same_bits_every_start(&g, rename, &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn layout_matches_on_degenerate_graphs() {
+        for g in [
+            CsrGraph::from_edges(0, &[]),
+            CsrGraph::from_edges(1, &[]),
+            CsrGraph::from_edges(1, &[(0, 0)]),
+            CsrGraph::from_edges(5, &[]),
+        ] {
+            for rename in RENAMINGS {
+                assert_same_bits_every_start(&g, rename, &[1, 2, 3]);
+            }
+        }
+    }
 
     #[test]
     fn coloring_is_proper() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = erdos_renyi_gnm(300, 1800, &mut rng);
-        let coloring = greedy_coloring(&g);
-        let mut color = vec![0u32; 300];
-        for (c, class) in coloring.classes.iter().enumerate() {
-            for &v in class {
-                color[v as usize] = c as u32;
+        for rename in RENAMINGS {
+            let r = rename(&g);
+            let lay = Layout::new(&g, &r);
+            let mut color = vec![0usize; 300];
+            for (c, class) in lay.classes.windows(2).enumerate() {
+                for &new in &lay.id[class[0]..class[1]] {
+                    color[new as usize] = c;
+                }
             }
-        }
-        for (u, v) in g.edges() {
-            if u != v {
-                assert_ne!(color[u as usize], color[v as usize], "edge {u}->{v}");
+            for (u, v) in g.edges() {
+                if u != v {
+                    let (cu, cv) = (color[r.new_id(u) as usize], color[r.new_id(v) as usize]);
+                    assert_ne!(cu, cv, "edge {u}->{v}");
+                }
             }
+            // classes partition the nodes
+            assert_eq!(lay.classes.last(), Some(&300));
         }
-        // classes partition the nodes
-        let total: usize = coloring.classes.iter().map(Vec::len).sum();
-        assert_eq!(total, 300);
     }
 
     #[test]
@@ -367,6 +828,4 @@ mod tests {
         let sum: f64 = r.scores.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
-
-    use qrank_graph::CsrGraph;
 }

@@ -47,8 +47,9 @@ pub fn gauss_seidel_warm(
 /// "Pull layout head width"): 2 is slower than 4 on the sparse
 /// arrival-ordered webs (rows of 3–4 links fall out of the head), 8 is
 /// level with 4 on the 36 k web, slower on the 105 k one, and doubles
-/// the padding a sweep reads.
-const HEAD: usize = 4;
+/// the padding a sweep reads. The colored sweep's layout uses the same
+/// head.
+pub(crate) const HEAD: usize = 4;
 
 /// The first [`HEAD`] in-neighbours of every row in a fixed-width slot,
 /// padded with the sentinel `n`; a longer row's remaining in-neighbours

@@ -90,34 +90,36 @@ pub(crate) fn renormalize(scores: &mut [f64]) {
 
 /// Fill `x` with the solvers' starting distribution: `warm` normalized
 /// to sum 1 when it is usable (right length, finite, non-negative,
-/// positive sum — either score scale), else uniform.
+/// finite positive sum — either score scale), else uniform.
 pub(crate) fn start_vector(x: &mut [f64], warm: Option<&[f64]>) {
     let n = x.len();
-    match warm {
-        Some(w)
-            if w.len() == n
-                && w.iter().all(|&v| v.is_finite() && v >= 0.0)
-                && w.iter().sum::<f64>() > 0.0 =>
-        {
-            let sum: f64 = w.iter().sum();
+    let usable = |w: &&[f64]| w.len() == n && w.iter().all(|&v| v.is_finite() && v >= 0.0);
+    if let Some(w) = warm.filter(usable) {
+        // A sum that overflows would turn every entry into 0.
+        let sum: f64 = w.iter().sum();
+        if sum.is_finite() && sum > 0.0 {
             for (x, &v) in x.iter_mut().zip(w) {
                 *x = v / sum;
             }
+            return;
         }
-        _ => x.fill(1.0 / n as f64),
+    }
+    x.fill(1.0 / n as f64);
+}
+
+/// `1 / out-degree` of `u`, `0.0` for a dangling page.
+pub(crate) fn inv_out_degree(g: &CsrGraph, u: u32) -> f64 {
+    let d = g.out_degree(u);
+    if d == 0 {
+        0.0
+    } else {
+        1.0 / d as f64
     }
 }
 
 pub(crate) fn inv_out_degrees(g: &CsrGraph) -> Vec<f64> {
     (0..g.num_nodes() as u32)
-        .map(|u| {
-            let d = g.out_degree(u);
-            if d == 0 {
-                0.0
-            } else {
-                1.0 / d as f64
-            }
-        })
+        .map(|u| inv_out_degree(g, u))
         .collect()
 }
 
@@ -413,6 +415,26 @@ mod tests {
             assert!(r.converged);
             let sum: f64 = r.scores.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn a_warm_vector_whose_sum_overflows_starts_every_solver_cold() {
+        use crate::{colored_gauss_seidel_warm, gauss_seidel_warm};
+        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (0, 2), (3, 0), (4, 3)]);
+        let cfg = PageRankConfig::default();
+        let huge = vec![f64::MAX; 6];
+        assert_eq!(pagerank_warm(&g, &cfg, Some(&huge)), pagerank(&g, &cfg));
+        assert_eq!(
+            gauss_seidel_warm(&g, &cfg, Some(&huge)),
+            gauss_seidel_warm(&g, &cfg, None)
+        );
+        for threads in [1, 3] {
+            assert_eq!(
+                colored_gauss_seidel_warm(&g, &cfg, Some(&huge), threads),
+                colored_gauss_seidel_warm(&g, &cfg, None, threads),
+                "threads = {threads}"
+            );
         }
     }
 

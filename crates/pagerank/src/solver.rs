@@ -7,17 +7,23 @@
 //! machine:
 //!
 //! * **Small graphs** (the overwhelming majority of snapshots): the
-//!   sequential in-place Gauss–Seidel sweep wins. The threaded sweep
-//!   crosses a barrier per color and one more per iteration, and below
-//!   [`PARALLEL_MIN_NODES`] that synchronization costs more than the
-//!   whole sweep (measured in the `pagerank_solvers` bench group; on the
-//!   bench host the crossover sits near 10⁵ nodes, and the threshold is
-//!   set conservatively at that scale).
+//!   sequential in-place Gauss–Seidel sweep. Below
+//!   [`PARALLEL_MIN_NODES`] nodes it is always the choice.
 //! * **Large graphs with threads to spare**: the multi-color parallel
-//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel_warm`]) on a
-//!   degree-ordered relabeling of the graph. Relabeling packs hub rows
-//!   into a contiguous prefix (cache locality); coloring makes the
-//!   parallel sweep deterministic for any thread count.
+//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel_warm`]) over the
+//!   graph renamed in degree order. The renaming packs hub rows into a
+//!   contiguous prefix (cache locality) and is never materialized: the
+//!   sweep builds its layout from the graph and the permutation.
+//!   Coloring makes the sweep deterministic for any thread count.
+//!
+//! The threshold is a setting, not a measured crossover. What has been
+//! measured (EXPERIMENTS.md "Solver crossover", one web of 105 k pages
+//! on a 2-core host) is that the colored sweep gains nothing from a
+//! second thread at that size, and that since its class-major layout
+//! the colored sweep on one thread takes less time per column than the
+//! sequential one. The threshold and the choice are owned by the open
+//! item "One solve schedule and one determinism contract" in
+//! ROADMAP.md, which asks for the crossover curve first.
 //!
 //! Equation 1 wants the PageRank of one page set at several crawls, so
 //! the pipeline's unit of work is a *batch* of independent solves.
@@ -38,10 +44,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use qrank_graph::par::for_each_slot;
-use qrank_graph::relabel::{degree_order, forward_vector};
+use qrank_graph::relabel::degree_order;
 use qrank_graph::CsrGraph;
 
-use crate::colored::colored_gauss_seidel_warm;
+use crate::colored::colored_into;
 use crate::gauss_seidel::gauss_seidel_into;
 use crate::power::PageRankResult;
 use crate::PageRankConfig;
@@ -218,25 +224,10 @@ fn solve_column(
 ) {
     match choice {
         SolverChoice::GaussSeidel => gauss_seidel_into(g, config, warm, out),
+        // Degree-ordered renaming: hub rows first for cache locality. The
+        // sweep's layout is built from `g` and the renaming directly.
         SolverChoice::ColoredGaussSeidel { .. } => {
-            // Degree-ordered relabeling: hub rows first for cache
-            // locality; scores map back through the inverse permutation.
-            let r = degree_order(g);
-            let relabeled = g.relabeled(&r);
-            let warm_fwd = warm.map(|w| {
-                if w.len() == g.num_nodes() {
-                    forward_vector(w, &r)
-                } else {
-                    w.to_vec() // wrong length: let the solver reject it
-                }
-            });
-            let solved = colored_gauss_seidel_warm(&relabeled, config, warm_fwd.as_deref(), inner);
-            for (score, &new) in out.scores.iter_mut().zip(&r.perm) {
-                *score = solved.scores[new as usize];
-            }
-            out.iterations = solved.iterations;
-            out.converged = solved.converged;
-            out.residuals = solved.residuals;
+            colored_into(g, config, warm, inner, degree_order, out);
         }
     }
 }
@@ -244,8 +235,10 @@ fn solve_column(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::colored::colored_gauss_seidel_warm;
     use crate::gauss_seidel::gauss_seidel;
     use qrank_graph::generators::barabasi_albert;
+    use qrank_graph::relabel::forward_vector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -340,10 +333,10 @@ mod tests {
 
     #[test]
     fn relabeled_parallel_path_agrees_with_sequential() {
-        // Force the colored path by lowering the budget check: call the
-        // colored branch directly through solve_auto_with on a graph
-        // above threshold would need 100k nodes; instead exercise the
-        // relabel+solve+inverse plumbing via a hand-rolled small run.
+        // Reaching the colored path through `solve_auto_with` takes a
+        // graph of `PARALLEL_MIN_NODES` nodes; run the relabel, the
+        // colored solve and the inverse permutation by hand on a small
+        // graph instead, and hold the result to sequential GS.
         let mut rng = StdRng::seed_from_u64(8);
         let g = barabasi_albert(800, 5, &mut rng);
         let cfg = PageRankConfig {

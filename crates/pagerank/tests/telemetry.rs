@@ -22,7 +22,7 @@ fn graph(n: usize) -> CsrGraph {
     barabasi_albert(n, 4, &mut rng)
 }
 
-/// Both tests toggle the process-global enabled flag; serialize them.
+/// The tests toggle the process-global enabled flag; serialize them.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
@@ -75,6 +75,47 @@ fn every_solver_records_one_residual_per_iteration() {
         .counter("rank.solve.gauss_seidel")
         .unwrap_or(0);
     assert!(solved >= 1, "every solve counts under its solver's name");
+    obs::set_enabled(false);
+}
+
+/// The colored solve's set-up (renaming, coloring, layout) is its own
+/// span, opened on the calling thread under `rank.colored`, so a dump
+/// tells set-up from sweeps; the sweep threads open none. The solver
+/// counter still counts one solve per column.
+#[test]
+fn colored_layout_span_nests_under_the_solve_and_each_column_counts_once() {
+    let _serial = serial();
+    obs::set_enabled(true);
+    let cfg = PageRankConfig::default();
+    let count = |name: &str| {
+        let snap = obs::global().snapshot();
+        let span = snap.histogram(name).map_or(0, |h| h.count);
+        (span, snap.counter("rank.solve.colored").unwrap_or(0))
+    };
+    let layout = "span.rank.colored/rank.colored.layout";
+    let (spans_before, solves_before) = count(layout);
+    let columns = [graph(331), graph(332), graph(333)];
+    for (column, threads) in columns.iter().zip([1, 2, 3]) {
+        let solved = colored_gauss_seidel(column, &cfg, threads);
+        assert_trace_matches("colored", column.num_nodes(), &solved);
+    }
+    let (spans_after, solves_after) = count(layout);
+    assert_eq!(spans_after - spans_before, 3, "one layout span per column");
+    assert_eq!(
+        solves_after - solves_before,
+        3,
+        "one counted solve per column"
+    );
+    let snap = obs::global().snapshot();
+    assert!(
+        snap.histogram("span.rank.colored.layout").is_none(),
+        "the layout span is never a root"
+    );
+    let nested = obs::recorder::events()
+        .into_iter()
+        .filter(|e| e.name == "rank.colored/rank.colored.layout")
+        .count();
+    assert!(nested >= 3, "the flight recorder holds the nested path");
     obs::set_enabled(false);
 }
 
