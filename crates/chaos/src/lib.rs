@@ -96,7 +96,7 @@ impl FaultRule {
 /// comparing the same injected history.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Scenario seed, echoed by [`status`] and chaos-test reports.
+    /// Scenario seed, echoed by [`status`].
     pub seed: u64,
     /// The armed rules.
     pub rules: Vec<FaultRule>,

@@ -9,13 +9,11 @@
 //! and writes the full in-process snapshot (registry, convergence
 //! traces, flight-recorder events) from [`qrank_obs::dump_json`].
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
 use qrank_core::{run_pipeline_with, PaperEstimator, PopularityMetric};
 use qrank_graph::io::decode_series;
 use qrank_obs::json::{array, Obj};
 
+use super::fetch;
 use crate::args::{parse, write_output, CliError};
 
 const USAGE: &str = "\
@@ -50,7 +48,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     let text = match (p.get("addr"), p.get("series")) {
         (Some(addr), None) => {
-            let prom = fetch_metrics(addr)?;
+            let answer = fetch(addr, "metrics")?;
+            if answer.starts_with(r#"{"ok":false"#) {
+                return Err(CliError::Runtime(format!("{addr}: {answer}")));
+            }
+            let prom = format!("{answer}\n# EOF");
             match format {
                 "prom" => prom,
                 _ => prom_to_json(&prom),
@@ -87,37 +89,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     };
     write_output(p.get("out"), &format!("{text}\n"))?;
     Ok(())
-}
-
-/// Send the `metrics` verb and collect the exposition up to `# EOF`
-/// (terminator included, trailing newline stripped).
-fn fetch_metrics(addr: &str) -> Result<String, CliError> {
-    let stream = TcpStream::connect(addr).map_err(|e| CliError::Runtime(format!("{addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| CliError::Runtime(e.to_string()))?,
-    );
-    let mut writer = stream;
-    writer.write_all(b"metrics\n")?;
-    let mut text = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(CliError::Runtime(format!(
-                "{addr}: connection closed before `# EOF`"
-            )));
-        }
-        text.push_str(&line);
-        if line.trim_end() == "# EOF" {
-            break;
-        }
-    }
-    Ok(text.trim_end().to_string())
 }
 
 /// Re-encode Prometheus text samples as a JSON array of

@@ -8,9 +8,7 @@
 //! breakdown. `--slo`, `--verb`, and `--id` fetch the matching one-line
 //! JSON answers instead, for scripting.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
+use super::fetch;
 use crate::args::{parse_with_flags, write_output, CliError};
 
 const USAGE: &str = "\
@@ -65,48 +63,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     write_output(p.get("out"), &format!("{answer}\n"))?;
     Ok(())
-}
-
-/// Send one `trace` request. Single-line JSON answers return as-is;
-/// the multi-line `trace report` is collected up to its `# EOF`
-/// terminator (terminator stripped).
-fn fetch(addr: &str, request: &str) -> Result<String, CliError> {
-    let stream = TcpStream::connect(addr).map_err(|e| CliError::Runtime(format!("{addr}: {e}")))?;
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| CliError::Runtime(e.to_string()))?,
-    );
-    let mut writer = stream;
-    writer.write_all(request.as_bytes())?;
-    writer.write_all(b"\n")?;
-    let multiline = request == "trace report";
-    let mut text = String::new();
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(CliError::Runtime(format!(
-                "{addr}: connection closed mid-response"
-            )));
-        }
-        if multiline && line.trim_end() == "# EOF" {
-            break;
-        }
-        text.push_str(&line);
-        if !multiline {
-            break;
-        }
-        // a single-line error still ends the exchange (e.g. tracing
-        // disabled on the server)
-        if text.starts_with(r#"{"ok":false"#) {
-            break;
-        }
-    }
-    Ok(text.trim_end().to_string())
 }
 
 #[cfg(test)]

@@ -33,8 +33,6 @@ commands:
   model      print the user-visitation model curves (paper figures 1-3)
   cohort     analytic popularity-vs-quality bias diagnostics
   wal        inspect, verify, or compact a serve durability directory
-  chaos-test run the deterministic fault-injection scenario suite
-             (requires a build with `--features chaos`)
 
 run `qrank <command> --help` for per-command options.
 set QRANK_OBS=1 to enable in-process tracing and metrics collection.";
@@ -59,7 +57,6 @@ fn main() -> ExitCode {
         "model" => commands::model::run(rest),
         "cohort" => commands::cohort::run(rest),
         "wal" => commands::wal::run(rest),
-        "chaos-test" => commands::chaos_test::run(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

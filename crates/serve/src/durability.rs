@@ -4,15 +4,17 @@
 //! The [`crate::RefreshEngine`] journals every [`crate::EdgeDelta`] to a
 //! [`qrank_wal::Wal`] *before* applying it (write-ahead ordering), and
 //! periodically checkpoints its full state so recovery replays only a
-//! short WAL tail. This module owns the glue: delta ↔ WAL-record
-//! conversion, the checkpoint payload codec, and the journal
-//! bookkeeping around the raw log(s).
+//! short WAL tail. This module owns the glue: the checkpoint payload
+//! codec and the journal bookkeeping around the raw logs — one per
+//! shard, opened, appended to, checkpointed and recovered the same way
+//! whatever their number.
 //!
 //! ## Flat and sharded layouts
 //!
 //! A single-shard engine keeps the original layout — segments and
 //! checkpoints directly under `--data-dir`, records in the slotless v1
-//! codec, byte-compatible with logs written before sharding existed. An
+//! codec, byte-compatible with logs written before sharding existed
+//! (one shard's partition of a delta is that slotless record). An
 //! N-shard engine (N > 1) turns `--data-dir` into a directory of
 //! per-shard WAL subtrees:
 //!
@@ -36,7 +38,8 @@
 //! One checkpoint cycle at LSN `L` (the aligned head):
 //!
 //! 1. **sync every shard's log** — all records below `L` reach stable
-//!    storage on every shard first;
+//!    storage on every shard first (shard 0's as the first step of its
+//!    own checkpoint, [`qrank_wal::Wal::checkpoint`]);
 //! 2. shard 0 gets the **full state checkpoint** at `L`;
 //! 3. shards 1..N get a small **marker** checkpoint at the *previous*
 //!    full checkpoint's LSN (0 on the first cycle).
@@ -52,17 +55,20 @@
 //!
 //! ## Recovery
 //!
-//! Shard logs are opened in parallel (deterministic indexed-slot scoped
-//! threads). The replay horizon is the *minimum* head LSN across shards
-//! — a crash between per-shard appends can leave some shards one record
-//! ahead; those overhanging records were never applied (write-ahead
-//! covers the whole ensemble append) and are physically truncated with
-//! [`qrank_wal::Wal::truncate_to`]. Shard 0's checkpoint payload is the
-//! single authority for engine state (markers are ignored); the
-//! per-shard record streams from its LSN to the horizon are zip-merged
-//! by LSN back into global deltas via the slot arrays, reproducing the
-//! exact pre-crash interleaving — node numbering, float summation
-//! order, and therefore published score bits.
+//! Shard logs are opened side by side through
+//! [`qrank_graph::par::for_each_slot`], each into its own result slot
+//! (one shard opens on the calling thread). The replay horizon is the
+//! *minimum* head LSN across shards — a crash between per-shard appends
+//! can leave some shards one record ahead; those overhanging records
+//! were never applied (write-ahead covers the whole ensemble append)
+//! and are physically truncated with [`qrank_wal::Wal::truncate_to`].
+//! Shard 0's checkpoint payload is the single authority for engine
+//! state (markers are ignored); the per-shard record streams from its
+//! LSN to the horizon are zip-merged by LSN back into global deltas via
+//! the slot arrays, reproducing the exact pre-crash interleaving — node
+//! numbering, float summation order, and therefore published score
+//! bits. At one shard the horizon is the log's head, and the merge of a
+//! lone slotless record is that record.
 //!
 //! ## What a checkpoint stores
 //!
@@ -70,7 +76,8 @@
 //! can observe of it:
 //!
 //! * the page list in node order (which fixes the node numbering),
-//! * the set of currently alive edges,
+//! * the currently alive edges, as page pairs in node order — read off
+//!   the dynamic graph itself when the checkpoint is taken,
 //! * the snapshot window itself (via `qrank_graph::io::encode_series`),
 //! * the published generation counter and the newest snapshot time.
 //!
@@ -84,16 +91,15 @@
 //! the scores the uninterrupted process would have — the recovery tests
 //! assert this down to the last bit, sharded and flat.
 
-use std::collections::BTreeSet;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, BytesMut};
-use qrank_graph::SnapshotSeries;
-use qrank_wal::{DeltaRecord, FsyncPolicy, Wal, WalError, WalOptions, WalStats};
+use qrank_graph::{CsrGraph, SnapshotSeries};
+use qrank_wal::{FsyncPolicy, Recovery, Wal, WalError, WalOptions, WalStats};
 
+use crate::delta::EdgeDelta;
 use crate::error::ServeError;
-use crate::refresh::EdgeDelta;
 use crate::shard::{merge_partitions, partition_delta};
 
 /// How the refresh engine persists its ingest stream.
@@ -338,32 +344,20 @@ impl Journal {
         self.retry = policy;
     }
 
-    fn shards(&self) -> usize {
-        self.wals.len()
-    }
-
     /// Append one delta (write-ahead: callers do this *before* mutating
-    /// engine state). A sharded journal appends one partition record to
-    /// every shard's log, keeping their LSN sequences aligned.
+    /// engine state): one partition record to every shard's log, keeping
+    /// their LSN sequences aligned. One shard's partition is the slotless
+    /// record, which encodes as v1.
     ///
     /// Transient I/O errors are retried per the installed
     /// [`RetryPolicy`] — per shard, so a partial ensemble append only
     /// ever retries the shards that haven't taken the record yet
     /// ([`Wal::append`] rolls back its own partial frames).
     pub(crate) fn append(&mut self, delta: &EdgeDelta) -> Result<(), WalError> {
-        if self.shards() == 1 {
-            // Slotless record — encodes as v1, byte-identical to
-            // pre-sharding journals.
-            let frame = qrank_wal::encode_delta(&record_of_delta(delta));
-            let wal = &mut self.wals[0];
+        let parts = partition_delta(delta, self.wals.len());
+        for (wal, part) in self.wals.iter_mut().zip(&parts) {
+            let frame = qrank_wal::encode_delta(part);
             with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
-        } else {
-            let parts = partition_delta(delta, self.shards());
-            for (shard, part) in parts.iter().enumerate() {
-                let frame = qrank_wal::encode_delta(part);
-                let wal = &mut self.wals[shard];
-                with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
-            }
         }
         self.since_checkpoint += 1;
         Ok(())
@@ -377,35 +371,23 @@ impl Journal {
     /// Write a checkpoint with `payload` and compact. Returns the LSN of
     /// the full-state checkpoint (shard 0's).
     ///
-    /// Sharded order matters: every shard's log is synced *before* shard
-    /// 0's checkpoint is written, so a durable shard-0 checkpoint at `L`
-    /// implies every shard is durable through `L`; shards 1..N then take
-    /// marker checkpoints at the previous full checkpoint's LSN (see
-    /// module docs for why they lag one cycle).
+    /// Order matters: shards 1..N are synced, then shard 0's checkpoint
+    /// syncs shard 0 before it writes, so a durable shard-0 checkpoint
+    /// at `L` implies every shard is durable through `L`; shards 1..N
+    /// then take marker checkpoints at the previous full checkpoint's
+    /// LSN (see module docs for why they lag one cycle).
     pub(crate) fn checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        if self.shards() > 1 {
-            for wal in self.wals.iter_mut() {
-                wal.sync()?;
-            }
+        let (full, markers) = self.wals.split_first_mut().expect("a journal has a log");
+        for wal in markers.iter_mut() {
+            wal.sync()?;
         }
-        let lsn = self.wals[0].checkpoint(payload)?;
-        let marker_lsn = self.prev_full_ckpt_lsn;
-        for wal in self.wals.iter_mut().skip(1) {
-            wal.checkpoint_at(marker_lsn, SHARD_CKPT_MARKER)?;
+        let lsn = full.checkpoint(payload)?;
+        for wal in markers {
+            wal.checkpoint_at(self.prev_full_ckpt_lsn, SHARD_CKPT_MARKER)?;
         }
         self.prev_full_ckpt_lsn = lsn;
         self.since_checkpoint = 0;
         Ok(lsn)
-    }
-
-    /// Flush outstanding appends on every shard to stable storage.
-    /// Transient I/O errors retry per the installed [`RetryPolicy`]
-    /// (`sync` is idempotent, so whole-call retry is safe).
-    pub(crate) fn sync(&mut self) -> Result<(), WalError> {
-        for wal in self.wals.iter_mut() {
-            with_retry(&self.retry, &mut self.retries, || wal.sync())?;
-        }
-        Ok(())
     }
 
     /// Aggregate journal geometry: head LSN is the (aligned) minimum,
@@ -433,7 +415,8 @@ pub(crate) struct OpenedJournal {
     pub(crate) report: RecoveryReport,
 }
 
-/// Open (and recover) the journal under `cfg.dir` with `shards` shards.
+/// Open (and recover) the journal under `cfg.dir` with `shards` shards:
+/// one log in `cfg.dir` itself, or one in each `shard-NNN` subtree.
 ///
 /// Refuses to reinterpret an existing directory under a different shard
 /// count — resharding is a migration, not an open-time default.
@@ -444,14 +427,14 @@ pub(crate) fn open_journal(
     let shards = shards.max(1);
     std::fs::create_dir_all(&cfg.dir).map_err(|e| ServeError::Wal(e.into()))?;
     let existing = detect_shard_layout(&cfg.dir)?;
-    if shards == 1 {
+    let dirs = if shards == 1 {
         if existing > 0 {
             return Err(ServeError::Config(format!(
                 "data dir {} holds a {existing}-shard journal; pass --shards {existing}",
                 cfg.dir.display()
             )));
         }
-        open_flat(cfg)
+        vec![cfg.dir.clone()]
     } else {
         if existing == 0 && has_flat_wal_files(&cfg.dir) {
             return Err(ServeError::Config(format!(
@@ -466,75 +449,55 @@ pub(crate) fn open_journal(
                 cfg.dir.display()
             )));
         }
-        open_sharded(cfg, shards)
-    }
+        (0..shards)
+            .map(|shard| shard_dir(&cfg.dir, shard))
+            .collect()
+    };
+    open_logs(cfg, &dirs)
 }
 
-fn wal_options(cfg: &DurabilityConfig) -> WalOptions {
-    WalOptions {
+/// Open one log per directory in `dirs` (shard order), cut them back to
+/// their common horizon, and zip-merge their records from shard 0's
+/// checkpoint into global deltas.
+fn open_logs(cfg: &DurabilityConfig, dirs: &[PathBuf]) -> Result<OpenedJournal, ServeError> {
+    let _span = qrank_obs::span!("shard.wal_open");
+    let opts = WalOptions {
         fsync: cfg.fsync,
         ..WalOptions::default()
-    }
-}
-
-fn open_flat(cfg: &DurabilityConfig) -> Result<OpenedJournal, ServeError> {
-    let (wal, recovery) = Wal::open(&cfg.dir, wal_options(cfg))?;
-    let ckpt_lsn = recovery.checkpoint.as_ref().map_or(0, |c| c.lsn);
-    let mut deltas = Vec::with_capacity(recovery.records.len());
-    for (lsn, payload) in &recovery.records {
-        deltas.push((*lsn, delta_of_record(qrank_wal::decode_delta(payload)?)));
-    }
-    let report = RecoveryReport {
-        torn_tail: recovery.torn_tail,
-        skipped_checkpoints: recovery.skipped_checkpoints,
-        shards: 1,
-        ..RecoveryReport::default()
     };
-    Ok(OpenedJournal {
-        journal: Journal::new(vec![wal], cfg.checkpoint_every, ckpt_lsn),
-        checkpoint: recovery.checkpoint.map(|c| c.payload),
-        deltas,
-        report,
-    })
-}
-
-fn open_sharded(cfg: &DurabilityConfig, shards: usize) -> Result<OpenedJournal, ServeError> {
-    let _span = qrank_obs::span!("shard.wal_open");
-    let opts = wal_options(cfg);
-    // Parallel opens into indexed slots: the scoped-thread pattern keeps
-    // the result order (and everything derived from it) deterministic.
-    let mut slots: Vec<Option<Result<(Wal, qrank_wal::Recovery), WalError>>> = Vec::new();
-    slots.resize_with(shards, || None);
-    std::thread::scope(|scope| {
-        for (shard, slot) in slots.iter_mut().enumerate() {
-            let dir = shard_dir(&cfg.dir, shard);
-            let opts = opts.clone();
-            scope.spawn(move || {
-                *slot = Some(Wal::open(&dir, opts));
-            });
-        }
+    // Every slot starts as the error an unopened log would report;
+    // `for_each_slot` runs each pair exactly once, so each is replaced
+    // by its own log's open.
+    let mut opened: Vec<Result<(Wal, Recovery), WalError>> = dirs
+        .iter()
+        .map(|_| Err(WalError::Config("log not opened".into())))
+        .collect();
+    qrank_graph::par::for_each_slot(&mut opened, dirs, dirs.len(), |slot, dir| {
+        *slot = Wal::open(dir, opts.clone());
     });
-    let mut wals = Vec::with_capacity(shards);
-    let mut recoveries = Vec::with_capacity(shards);
-    for (shard, slot) in slots.into_iter().enumerate() {
-        let (wal, recovery) = slot
-            .unwrap_or_else(|| panic!("shard {shard} open thread produced no result"))
-            .map_err(ServeError::Wal)?;
+    let mut wals = Vec::with_capacity(dirs.len());
+    let mut recoveries = Vec::with_capacity(dirs.len());
+    for result in opened {
+        let (wal, recovery) = result?;
         wals.push(wal);
         recoveries.push(recovery);
     }
 
     let mut report = RecoveryReport {
-        shards,
+        shards: dirs.len(),
         ..RecoveryReport::default()
     };
     for (shard, rec) in recoveries.iter().enumerate() {
         report.skipped_checkpoints += rec.skipped_checkpoints;
         if let Some(reason) = &rec.torn_tail {
-            let prefixed = format!("shard {shard}: {reason}");
+            // a flat log's reason stands alone; a shard's names its shard
+            let reason = match dirs.len() {
+                1 => reason.clone(),
+                _ => format!("shard {shard}: {reason}"),
+            };
             report.torn_tail = Some(match report.torn_tail.take() {
-                Some(prev) => format!("{prev}; {prefixed}"),
-                None => prefixed,
+                Some(prev) => format!("{prev}; {reason}"),
+                None => reason,
             });
         }
     }
@@ -546,9 +509,9 @@ fn open_sharded(cfg: &DurabilityConfig, shards: usize) -> Result<OpenedJournal, 
         .iter()
         .map(|w| w.next_lsn())
         .min()
-        .expect("shards >= 1");
+        .expect("a journal has a log");
     for wal in wals.iter_mut() {
-        report.truncated_records += wal.truncate_to(horizon).map_err(ServeError::Wal)?;
+        report.truncated_records += wal.truncate_to(horizon)?;
     }
 
     // Shard 0's checkpoint is the engine-state authority; the other
@@ -567,7 +530,7 @@ fn open_sharded(cfg: &DurabilityConfig, shards: usize) -> Result<OpenedJournal, 
         .collect();
     let mut deltas = Vec::with_capacity((horizon.saturating_sub(start)) as usize);
     for lsn in start..horizon {
-        let mut parts = Vec::with_capacity(shards);
+        let mut parts = Vec::with_capacity(streams.len());
         for (shard, stream) in streams.iter_mut().enumerate() {
             match stream.pop_front() {
                 Some((l, payload)) if l == lsn => {
@@ -595,29 +558,6 @@ fn open_sharded(cfg: &DurabilityConfig, shards: usize) -> Result<OpenedJournal, 
     })
 }
 
-/// Serving-layer delta → journal record (field-identical twins; the WAL
-/// crate cannot depend on this one). Slotless: the flat-journal form.
-pub(crate) fn record_of_delta(d: &EdgeDelta) -> DeltaRecord {
-    DeltaRecord {
-        time: d.time,
-        new_pages: d.new_pages.clone(),
-        added: d.added.clone(),
-        removed: d.removed.clone(),
-        ..DeltaRecord::default()
-    }
-}
-
-/// Journal record → serving-layer delta (slot arrays, if any, are the
-/// merge layer's concern and dropped here).
-pub(crate) fn delta_of_record(r: DeltaRecord) -> EdgeDelta {
-    EdgeDelta {
-        time: r.time,
-        new_pages: r.new_pages,
-        added: r.added,
-        removed: r.removed,
-    }
-}
-
 /// Engine state as stored in (and restored from) a checkpoint payload.
 #[derive(Debug)]
 pub(crate) struct CheckpointState {
@@ -628,19 +568,23 @@ pub(crate) struct CheckpointState {
     pub last_time: f64,
     /// Page of each node, in node order (fixes the node numbering).
     pub page_of_node: Vec<u64>,
-    /// Edges alive at checkpoint time.
-    pub alive_edges: Vec<(u64, u64)>,
+    /// Edges alive at checkpoint time, as page pairs. Written in node
+    /// order; checkpoints written before that hold them in page order,
+    /// and either order rebuilds the same graph.
+    pub edges: Vec<(u64, u64)>,
     /// The snapshot window.
     pub series: SnapshotSeries,
 }
 
 const STATE_VERSION: u16 = 1;
 
-/// Encode engine state into a checkpoint payload.
+/// Encode engine state into a checkpoint payload. `alive` is the
+/// dynamic graph's alive edges over node ids `0..page_of_node.len()`;
+/// its edges are written as page pairs in node order.
 pub(crate) fn encode_state(
     generation: u64,
     page_of_node: &[u64],
-    alive_edges: &BTreeSet<(u64, u64)>,
+    alive: &CsrGraph,
     series: &SnapshotSeries,
 ) -> Vec<u8> {
     let series_bytes = qrank_graph::io::encode_series(series);
@@ -654,7 +598,7 @@ pub(crate) fn encode_state(
             + 8
             + page_of_node.len() * 8
             + 8
-            + alive_edges.len() * 16
+            + alive.num_edges() * 16
             + 8
             + series_bytes.len(),
     );
@@ -665,10 +609,10 @@ pub(crate) fn encode_state(
     for &p in page_of_node {
         buf.put_u64_le(p);
     }
-    buf.put_u64_le(alive_edges.len() as u64);
-    for &(s, d) in alive_edges {
-        buf.put_u64_le(s);
-        buf.put_u64_le(d);
+    buf.put_u64_le(alive.num_edges() as u64);
+    for (s, d) in alive.edges() {
+        buf.put_u64_le(page_of_node[s as usize]);
+        buf.put_u64_le(page_of_node[d as usize]);
     }
     buf.put_u64_le(series_bytes.len() as u64);
     buf.put_slice(&series_bytes);
@@ -681,8 +625,10 @@ fn short(msg: &str) -> ServeError {
 
 /// Decode a checkpoint payload back into engine state.
 pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError> {
-    let need = |buf: &&[u8], n: usize, what: &str| -> Result<(), ServeError> {
-        if buf.remaining() < n {
+    // Byte counts are compared in u64: a hostile count must fail here,
+    // not overflow on the way to a comparison.
+    let need = |buf: &&[u8], n: u64, what: &str| -> Result<(), ServeError> {
+        if (buf.remaining() as u64) < n {
             Err(short(&format!("truncated while reading {what}")))
         } else {
             Ok(())
@@ -698,8 +644,9 @@ pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError
     let n_pages = buf.get_u64_le();
     let page_bytes = n_pages
         .checked_mul(8)
+        .and_then(|b| b.checked_add(8))
         .ok_or_else(|| short("page count overflows"))?;
-    need(&buf, page_bytes as usize + 8, "page ids")?;
+    need(&buf, page_bytes, "page ids")?;
     let mut page_of_node = Vec::with_capacity(n_pages as usize);
     for _ in 0..n_pages {
         page_of_node.push(buf.get_u64_le());
@@ -707,11 +654,12 @@ pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError
     let n_edges = buf.get_u64_le();
     let edge_bytes = n_edges
         .checked_mul(16)
+        .and_then(|b| b.checked_add(8))
         .ok_or_else(|| short("edge count overflows"))?;
-    need(&buf, edge_bytes as usize + 8, "alive edges")?;
-    let mut alive_edges = Vec::with_capacity(n_edges as usize);
+    need(&buf, edge_bytes, "alive edges")?;
+    let mut edges = Vec::with_capacity(n_edges as usize);
     for _ in 0..n_edges {
-        alive_edges.push((buf.get_u64_le(), buf.get_u64_le()));
+        edges.push((buf.get_u64_le(), buf.get_u64_le()));
     }
     let series_len = buf.get_u64_le();
     if series_len != buf.remaining() as u64 {
@@ -725,7 +673,7 @@ pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError
         generation,
         last_time,
         page_of_node,
-        alive_edges,
+        edges,
         series,
     })
 }
@@ -733,7 +681,8 @@ pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrank_graph::{CsrGraph, PageId, Snapshot};
+    use qrank_graph::{PageId, Snapshot};
+    use qrank_wal::DeltaRecord;
 
     #[test]
     fn state_roundtrips() {
@@ -742,20 +691,22 @@ mod tests {
         series
             .push(Snapshot::new(2.5, CsrGraph::from_edges(3, &[(0, 1), (2, 0)]), pages).unwrap())
             .unwrap();
-        let alive: BTreeSet<(u64, u64)> = [(0, 1), (2, 0)].into_iter().collect();
-        let payload = encode_state(7, &[0, 1, 2], &alive, &series);
+        // node 0 is page 9: edges come out in node order, as page pairs
+        let alive = CsrGraph::from_edges(3, &[(0, 1), (2, 0), (1, 2)]);
+        let payload = encode_state(7, &[9, 1, 2], &alive, &series);
         let state = decode_state(&payload).unwrap();
         assert_eq!(state.generation, 7);
         assert_eq!(state.last_time, 2.5);
-        assert_eq!(state.page_of_node, vec![0, 1, 2]);
-        assert_eq!(state.alive_edges, vec![(0, 1), (2, 0)]);
+        assert_eq!(state.page_of_node, vec![9, 1, 2]);
+        assert_eq!(state.edges, vec![(9, 1), (1, 2), (2, 9)]);
         assert_eq!(state.series.len(), 1);
         assert_eq!(state.series.snapshots()[0].time, 2.5);
     }
 
     #[test]
     fn state_rejects_truncation_at_every_prefix() {
-        let payload = encode_state(1, &[4, 9], &BTreeSet::new(), &SnapshotSeries::new());
+        let no_edges = CsrGraph::from_edges(2, &[]);
+        let payload = encode_state(1, &[4, 9], &no_edges, &SnapshotSeries::new());
         for cut in 0..payload.len() {
             assert!(
                 decode_state(&payload[..cut]).is_err(),
@@ -765,19 +716,41 @@ mod tests {
         assert!(decode_state(&payload).is_ok());
     }
 
+    /// A 26-byte header claiming `n_pages` pages and nothing after it.
+    fn header_claiming(n_pages: u64) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_u16_le(STATE_VERSION);
+        buf.put_u64_le(0);
+        buf.put_f64_le(0.0);
+        buf.put_u64_le(n_pages);
+        buf.to_vec()
+    }
+
     #[test]
-    fn delta_record_conversion_is_lossless() {
-        let delta = EdgeDelta {
-            time: 3.25,
-            new_pages: vec![5],
-            added: vec![(1, 2)],
-            removed: vec![(3, 4)],
-        };
-        assert_eq!(delta_of_record(record_of_delta(&delta)), delta);
-        assert!(
-            !record_of_delta(&delta).has_slots(),
-            "flat journal records must stay in the v1 codec"
-        );
+    fn hostile_counts_are_decode_errors() {
+        // page counts whose byte size overflows u64 with or without the
+        // edge-count word after it, or that just exceed the payload
+        for n_pages in [u64::MAX, 0x1FFF_FFFF_FFFF_FFFF, 0x2000_0000_0000_0000, 1] {
+            assert!(
+                matches!(
+                    decode_state(&header_claiming(n_pages)),
+                    Err(ServeError::Wal(WalError::Decode(_)))
+                ),
+                "n_pages = {n_pages:#x}"
+            );
+        }
+        // the same for the edge count, behind zero pages
+        for n_edges in [u64::MAX, 0x0FFF_FFFF_FFFF_FFFF, 0x1000_0000_0000_0000, 1] {
+            let mut payload = header_claiming(0);
+            payload.extend_from_slice(&n_edges.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_state(&payload),
+                    Err(ServeError::Wal(WalError::Decode(_)))
+                ),
+                "n_edges = {n_edges:#x}"
+            );
+        }
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -804,6 +777,37 @@ mod tests {
     }
 
     #[test]
+    fn one_shard_frames_are_slotless_v1_records() {
+        let dir = tmp("flat_frames");
+        let mut journal = open_journal(&cfg(&dir, 0), 1).unwrap().journal;
+        let deltas: Vec<EdgeDelta> = (0..4).map(delta).collect();
+        for d in &deltas {
+            journal.append(d).unwrap();
+        }
+        drop(journal);
+        // the segments sit in the data dir itself, and each frame is the
+        // v1 encoding of the delta's slotless record
+        let (_, recovery) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(recovery.records.len(), deltas.len());
+        for ((lsn, frame), d) in recovery.records.iter().zip(&deltas) {
+            let record = DeltaRecord {
+                time: d.time,
+                new_pages: d.new_pages.clone(),
+                added: d.added.clone(),
+                removed: d.removed.clone(),
+                ..DeltaRecord::default()
+            };
+            assert_eq!(frame, &qrank_wal::encode_delta(&record), "lsn {lsn}");
+            assert_eq!(frame[..2], 1u16.to_le_bytes(), "record codec v1");
+        }
+        let opened = open_journal(&cfg(&dir, 0), 1).unwrap();
+        assert_eq!(opened.report.shards, 1);
+        let replayed: Vec<EdgeDelta> = opened.deltas.into_iter().map(|(_, d)| d).collect();
+        assert_eq!(replayed, deltas);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn sharded_journal_roundtrips_deltas_in_order() {
         let dir = tmp("roundtrip");
         let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
@@ -813,7 +817,6 @@ mod tests {
         for d in &deltas {
             journal.append(d).unwrap();
         }
-        journal.sync().unwrap();
         drop(journal);
         let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
         assert!(opened.checkpoint.is_none());
@@ -836,7 +839,6 @@ mod tests {
         }
         assert_eq!(journal.checkpoint(b"state-b").unwrap(), 8);
         journal.append(&delta(8)).unwrap();
-        journal.sync().unwrap();
         drop(journal);
         let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
         assert_eq!(opened.checkpoint.as_deref(), Some(&b"state-b"[..]));
@@ -853,14 +855,12 @@ mod tests {
         for i in 0..4 {
             journal.append(&delta(i)).unwrap();
         }
-        journal.sync().unwrap();
         drop(journal);
         // Simulate a crash mid-ensemble-append: shard 0 got record 4,
         // shard 1 did not.
         let (mut w0, _) = Wal::open(&shard_dir(&dir, 0), WalOptions::default()).unwrap();
-        w0.append(&qrank_wal::encode_delta(&record_of_delta(&delta(4))))
+        w0.append(&qrank_wal::encode_delta(&partition_delta(&delta(4), 2)[0]))
             .unwrap();
-        w0.sync().unwrap();
         drop(w0);
         let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
         assert_eq!(opened.report.truncated_records, 1);
@@ -869,7 +869,6 @@ mod tests {
         // After truncation the logs agree again and append resumes at 4.
         let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
         journal.append(&delta(4)).unwrap();
-        journal.sync().unwrap();
         drop(journal);
         let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
         assert_eq!(opened.deltas.len(), 5);

@@ -11,14 +11,15 @@
 //!   the owning shard; `topk`/`stats` scatter-gather over a sealed
 //!   coherent view with a k-way merge — responses are bitwise identical
 //!   to an unsharded store for any shard count.
-//! * **Refresh worker** ([`refresh`]) — ingests edge deltas into a
-//!   [`qrank_graph::DynamicGraph`], re-ranks the snapshot window through
-//!   a [`qrank_core::PipelineEngine`] (every column is solved cold from
-//!   the metric's canonical start and cached by its aligned snapshot's
-//!   fingerprint, so an append or a window slide solves one column and
-//!   reuses the rest, bit for bit), and publishes new store generations
-//!   — per-shard swaps, view sealed last — without ever blocking
-//!   readers.
+//! * **Refresh engine** ([`refresh`]) — ingests edge deltas ([`delta`])
+//!   into a [`qrank_graph::DynamicGraph`], re-ranks the snapshot window
+//!   through a [`qrank_core::PipelineEngine`] (every column is solved
+//!   cold from the metric's canonical start and cached by its aligned
+//!   snapshot's fingerprint, so an append or a window slide solves one
+//!   column and reuses the rest, bit for bit), and publishes new store
+//!   generations — per-shard swaps, view sealed last — without ever
+//!   blocking readers. The [`worker`] thread drives it and contains its
+//!   failures (quarantine, panic poisoning).
 //! * **Durability** ([`durability`]) — optional crash safety: every
 //!   ingested delta is journaled to a `qrank-wal` write-ahead log (one
 //!   per shard, LSN-aligned, under `shard-NNN/` subtrees when sharded)
@@ -70,6 +71,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod delta;
 pub mod durability;
 pub mod error;
 mod fault;
@@ -81,8 +83,10 @@ pub mod refresh;
 pub mod server;
 pub mod shard;
 pub mod store;
+pub mod worker;
 
 pub use cache::LruCache;
+pub use delta::{format_delta, format_deltas, parse_deltas, EdgeDelta};
 pub use durability::{DurabilityConfig, RecoveryReport, RetryPolicy};
 pub use error::ServeError;
 pub use loadgen::{run_load, LoadConfig, LoadReport, VerbLatency};
@@ -95,12 +99,10 @@ pub use qrank_obs::trace::{TraceConfig, Tracer};
 /// Re-exported so callers configuring [`DurabilityConfig`] don't need a
 /// direct `qrank-wal` dependency.
 pub use qrank_wal::FsyncPolicy;
-pub use refresh::{
-    format_delta, format_deltas, parse_deltas, spawn_refresh_worker, spawn_refresh_worker_with,
-    EdgeDelta, RefreshConfig, RefreshEngine, RefreshMsg, RefreshStats, RefreshWorkerOptions,
-};
-pub use server::{
-    handle_request, handle_request_traced, serve, ServerConfig, ServerHandle, MAX_LINE_BYTES,
-};
-pub use shard::{shard_of, ShardRouter, ShardView, ShardedStore};
+pub use refresh::{RefreshConfig, RefreshEngine, RefreshStats};
+pub use server::{handle_request, serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
+pub use shard::{shard_of, ShardView, ShardedStore};
 pub use store::{PageScores, ScoreStore, StoreHandle};
+pub use worker::{
+    spawn_refresh_worker, spawn_refresh_worker_with, RefreshMsg, RefreshWorkerOptions,
+};

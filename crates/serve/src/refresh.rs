@@ -1,10 +1,12 @@
 //! Incremental re-ranking: edge deltas in, score generations out.
 //!
-//! The refresh worker owns a [`DynamicGraph`] plus a sliding window of
-//! snapshots. Each ingested [`EdgeDelta`] appends graph events, captures
-//! a new snapshot, recomputes quality estimates, and publishes a fresh
-//! [`ScoreStore`](crate::ScoreStore) generation — all off the request
-//! path.
+//! The [`RefreshEngine`] owns a [`DynamicGraph`] plus a sliding window
+//! of snapshots. Each ingested [`EdgeDelta`] appends graph events,
+//! captures a new snapshot, recomputes quality estimates, and publishes
+//! a fresh [`ScoreStore`](crate::ScoreStore) generation — all off the
+//! request path, on the thread [`crate::worker`] runs it on. The graph
+//! is the engine's one copy of the web: checkpoints read their alive
+//! edges from it.
 //!
 //! ## One incremental path
 //!
@@ -30,51 +32,18 @@
 //! [`RefreshStats`] of each publish report how many columns were solved
 //! versus reused.
 
-use std::collections::{BTreeSet, HashMap};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetric};
-use qrank_graph::{DynamicGraph, NodeId, PageId, Snapshot, SnapshotSeries};
+use qrank_graph::{CsrGraph, DynamicGraph, NodeId, PageId, Snapshot, SnapshotSeries};
 use qrank_obs::trace::{ActiveTrace, Tracer};
 
+use crate::delta::EdgeDelta;
 use crate::durability::{self, DurabilityConfig, Journal, RecoveryReport, RetryPolicy};
 use crate::error::ServeError;
 use crate::shard::ShardedStore;
-
-/// A batch of link-structure changes observed at one instant.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EdgeDelta {
-    /// Observation time (simulator clock; must be non-decreasing across
-    /// ingested deltas).
-    pub time: f64,
-    /// Pages created without any links yet. Pages referenced by `added`
-    /// are created implicitly; listing them here is only needed for
-    /// isolated births.
-    pub new_pages: Vec<u64>,
-    /// Links that appeared, as `(source page, target page)`.
-    pub added: Vec<(u64, u64)>,
-    /// Links that disappeared. Both endpoints must already be known.
-    pub removed: Vec<(u64, u64)>,
-}
-
-impl EdgeDelta {
-    /// An empty delta at `time`.
-    pub fn at(time: f64) -> Self {
-        EdgeDelta {
-            time,
-            ..Default::default()
-        }
-    }
-
-    /// True when the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.new_pages.is_empty() && self.added.is_empty() && self.removed.is_empty()
-    }
-}
 
 /// Refresh-worker configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +100,6 @@ pub struct RefreshEngine {
     graph: DynamicGraph,
     node_of_page: HashMap<u64, NodeId>,
     page_of_node: Vec<u64>,
-    alive_edges: BTreeSet<(u64, u64)>,
     series: SnapshotSeries,
     /// Length of `graph`'s event log when the newest snapshot of
     /// `series` was captured from it: with that snapshot's graph, the
@@ -161,7 +129,6 @@ impl RefreshEngine {
             graph: DynamicGraph::new(),
             node_of_page: HashMap::new(),
             page_of_node: Vec::new(),
-            alive_edges: BTreeSet::new(),
             series: SnapshotSeries::new(),
             captured_events: None,
             pipeline,
@@ -299,17 +266,14 @@ impl RefreshEngine {
             let n = graph.add_node(t)?;
             node_of_page.insert(p, n);
         }
-        let mut alive = BTreeSet::new();
-        for &(s, d) in &state.alive_edges {
+        for &(s, d) in &state.edges {
             let sn = *node_of_page.get(&s).ok_or(ServeError::UnknownPage(s))?;
             let dn = *node_of_page.get(&d).ok_or(ServeError::UnknownPage(d))?;
             graph.add_edge(sn, dn, t)?;
-            alive.insert((s, d));
         }
         self.graph = graph;
         self.node_of_page = node_of_page;
         self.page_of_node = state.page_of_node;
-        self.alive_edges = alive;
         self.series = state.series;
         self.captured_events = None;
         self.generation = state.generation;
@@ -377,6 +341,11 @@ impl RefreshEngine {
     /// Sync the journal and write a checkpoint of the engine's full
     /// state, compacting WAL segments it makes redundant. Returns the
     /// checkpoint's LSN, or `None` when the engine is not durable.
+    ///
+    /// The alive edges are the graph's own, materialized here by
+    /// extending the newest capture with the events logged since — so a
+    /// rejected delta's partial apply, which no snapshot holds, is
+    /// checkpointed exactly as the graph keeps it.
     pub fn checkpoint_now(&mut self) -> Result<Option<u64>, ServeError> {
         if self.journal.is_none() {
             return Ok(None);
@@ -384,24 +353,18 @@ impl RefreshEngine {
         let _span = qrank_obs::span!("refresh.checkpoint");
         let payload = {
             let _s = qrank_obs::span!("refresh.checkpoint.encode");
+            let alive = self
+                .graph
+                .graph_at_full_from(self.newest_capture(), f64::INFINITY);
             durability::encode_state(
                 self.generation,
                 &self.page_of_node,
-                &self.alive_edges,
+                &alive.graph,
                 &self.series,
             )
         };
         let journal = self.journal.as_mut().expect("checked above");
         Ok(Some(journal.checkpoint(&payload)?))
-    }
-
-    /// Flush outstanding journal appends to stable storage (no-op for a
-    /// non-durable engine).
-    pub fn sync_journal(&mut self) -> Result<(), ServeError> {
-        if let Some(j) = self.journal.as_mut() {
-            j.sync()?;
-        }
-        Ok(())
     }
 
     /// Journal geometry, when this engine is durable.
@@ -443,24 +406,54 @@ impl RefreshEngine {
         self.pipeline.stats()
     }
 
-    /// Diff `snap` against the engine's current state, producing the
-    /// delta that replays it.
+    /// Diff `snap` against the newest snapshot of the window, producing
+    /// the delta that replays it; `added` and `removed` come out in
+    /// page-pair order. Only seeding calls this, and there every earlier
+    /// snapshot was applied and captured whole before the next one is
+    /// diffed, so the newest snapshot holds every alive page and edge.
     fn delta_from_snapshot(&self, snap: &Snapshot) -> EdgeDelta {
         let mut delta = EdgeDelta::at(snap.time);
-        let pages = snap.pages();
-        for p in pages {
+        for p in snap.pages() {
             if !self.node_of_page.contains_key(&p.0) {
                 delta.new_pages.push(p.0);
             }
         }
-        let now: BTreeSet<(u64, u64)> = snap
-            .graph
-            .edges()
-            .map(|(s, d)| (pages[s as usize].0, pages[d as usize].0))
-            .collect();
-        delta.added = now.difference(&self.alive_edges).copied().collect();
-        delta.removed = self.alive_edges.difference(&now).copied().collect();
+        let now = page_edges(snap);
+        let was = self
+            .series
+            .snapshots()
+            .last()
+            .map(page_edges)
+            .unwrap_or_default();
+        let (mut i, mut j) = (0, 0);
+        while i < now.len() && j < was.len() {
+            match now[i].cmp(&was[j]) {
+                Ordering::Less => {
+                    delta.added.push(now[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    delta.removed.push(was[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        delta.added.extend_from_slice(&now[i..]);
+        delta.removed.extend_from_slice(&was[j..]);
         delta
+    }
+
+    /// The newest snapshot's graph and the log length it was captured
+    /// at — the base a capture or a full materialization extends —
+    /// when the window's newest snapshot was captured from this log.
+    fn newest_capture(&self) -> Option<(&CsrGraph, usize)> {
+        self.captured_events
+            .zip(self.series.snapshots().last())
+            .map(|(events, newest)| (&newest.graph, events))
     }
 
     fn ensure_page(&mut self, page: u64, at: f64) -> Result<NodeId, ServeError> {
@@ -489,13 +482,11 @@ impl RefreshEngine {
             let sn = self.ensure_page(s, delta.time)?;
             let dn = self.ensure_page(d, delta.time)?;
             self.graph.add_edge(sn, dn, delta.time)?;
-            self.alive_edges.insert((s, d));
         }
         for &(s, d) in &delta.removed {
             let sn = self.node(s)?;
             let dn = self.node(d)?;
             self.graph.remove_edge(sn, dn, delta.time)?;
-            self.alive_edges.remove(&(s, d));
         }
         Ok(())
     }
@@ -507,11 +498,7 @@ impl RefreshEngine {
     /// `DynamicGraph::snapshot_at(t)` builds from nothing.
     pub fn push_snapshot(&mut self, t: f64) -> Result<(), ServeError> {
         let _span = qrank_obs::span!("refresh.snapshot");
-        let base = self
-            .captured_events
-            .zip(self.series.snapshots().last())
-            .map(|(events, newest)| (&newest.graph, events));
-        let (built, alive) = self.graph.snapshot_at_from(base, t);
+        let (built, alive) = self.graph.snapshot_at_from(self.newest_capture(), t);
         if qrank_obs::enabled() {
             let registry = qrank_obs::global();
             registry
@@ -640,291 +627,16 @@ impl RefreshEngine {
     }
 }
 
-/// Parse a delta file into a list of [`EdgeDelta`]s.
-///
-/// Line-oriented format (`#` starts a comment):
-///
-/// ```text
-/// page 7         # create page 7 (isolated)
-/// + 3 7          # link page 3 -> page 7
-/// - 2 5          # remove link page 2 -> page 5
-/// commit 4.5     # close the delta, observed at t = 4.5
-/// ```
-///
-/// Every delta must end with a `commit`; a trailing uncommitted delta is
-/// an error (it usually means a truncated file).
-pub fn parse_deltas(text: &str) -> Result<Vec<EdgeDelta>, ServeError> {
-    let mut out = Vec::new();
-    let mut cur = EdgeDelta::at(f64::NAN);
-    let mut dirty = false;
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fail = |msg: String| ServeError::Parse(format!("line {}: {msg}", lineno + 1));
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let page_arg = |i: usize| -> Result<u64, ServeError> {
-            fields
-                .get(i)
-                .and_then(|f| f.parse::<u64>().ok())
-                .ok_or_else(|| fail(format!("expected page id, got {line:?}")))
-        };
-        match fields[0] {
-            "page" if fields.len() == 2 => {
-                cur.new_pages.push(page_arg(1)?);
-                dirty = true;
-            }
-            "+" if fields.len() == 3 => {
-                cur.added.push((page_arg(1)?, page_arg(2)?));
-                dirty = true;
-            }
-            "-" if fields.len() == 3 => {
-                cur.removed.push((page_arg(1)?, page_arg(2)?));
-                dirty = true;
-            }
-            "commit" if fields.len() == 2 => {
-                let t: f64 = fields[1]
-                    .parse()
-                    .map_err(|_| fail(format!("bad commit time {:?}", fields[1])))?;
-                if !t.is_finite() {
-                    return Err(fail("commit time must be finite".into()));
-                }
-                cur.time = t;
-                out.push(std::mem::replace(&mut cur, EdgeDelta::at(f64::NAN)));
-                dirty = false;
-            }
-            verb => {
-                return Err(fail(format!("unrecognized directive {verb:?}")));
-            }
-        }
-    }
-    if dirty {
-        return Err(ServeError::Parse(
-            "trailing delta without a commit line".into(),
-        ));
-    }
-    Ok(out)
-}
-
-/// Render one delta in the format [`parse_deltas`] reads — the exact
-/// inverse: `parse_deltas(&format_delta(d))` yields `[d]` for any delta
-/// with a finite time.
-///
-/// Returns an error for a non-finite time, which `parse_deltas` would
-/// reject on the way back in.
-pub fn format_delta(delta: &EdgeDelta) -> Result<String, ServeError> {
-    if !delta.time.is_finite() {
-        return Err(ServeError::Parse(format!(
-            "cannot format a delta with non-finite time {}",
-            delta.time
-        )));
-    }
-    let mut out = String::new();
-    for p in &delta.new_pages {
-        out.push_str(&format!("page {p}\n"));
-    }
-    for (s, d) in &delta.added {
-        out.push_str(&format!("+ {s} {d}\n"));
-    }
-    for (s, d) in &delta.removed {
-        out.push_str(&format!("- {s} {d}\n"));
-    }
-    // `{}` on an f64 round-trips through parse exactly (shortest
-    // representation that re-reads to the same bits).
-    out.push_str(&format!("commit {}\n", delta.time));
-    Ok(out)
-}
-
-/// Render a whole delta file: each delta in order, [`format_delta`]
-/// style. `parse_deltas(&format_deltas(ds))` reproduces `ds` exactly.
-pub fn format_deltas(deltas: &[EdgeDelta]) -> Result<String, ServeError> {
-    let mut out = String::new();
-    for d in deltas {
-        out.push_str(&format_delta(d)?);
-    }
-    Ok(out)
-}
-
-/// Messages accepted by the refresh worker thread.
-#[derive(Debug)]
-pub enum RefreshMsg {
-    /// Ingest a delta (apply, snapshot, rerank, publish).
-    Delta(EdgeDelta),
-    /// Rerank the current window without new data.
-    Rerank,
-    /// Drain and exit.
-    Shutdown,
-}
-
-/// Failure-containment options for [`spawn_refresh_worker_with`].
-#[derive(Debug, Clone, Default)]
-pub struct RefreshWorkerOptions {
-    /// Append every rejected delta to this file instead of just
-    /// dropping it. Entries are a `# quarantined: <reason>` comment
-    /// followed by the delta in [`format_delta`] form, so the file is
-    /// directly inspectable *and* re-ingestable through
-    /// [`parse_deltas`] once the cause is fixed.
-    pub quarantine: Option<PathBuf>,
-}
-
-/// Spawn the refresh worker thread; send it [`RefreshMsg`]s through the
-/// returned channel. Joining the handle returns the engine plus any
-/// per-message errors encountered (the worker never dies on a bad delta).
-///
-/// Equivalent to [`spawn_refresh_worker_with`] with default options
-/// (no quarantine file; panic containment is always on).
-pub fn spawn_refresh_worker(
-    engine: RefreshEngine,
-) -> (Sender<RefreshMsg>, JoinHandle<(RefreshEngine, Vec<String>)>) {
-    spawn_refresh_worker_with(engine, RefreshWorkerOptions::default())
-}
-
-/// [`spawn_refresh_worker`] with failure containment configured.
-///
-/// Three failure classes, three containments:
-///
-/// * **Typed reject** (`ingest` returns `Err`, e.g. an unknown page or
-///   an exhausted WAL retry) — the delta is quarantined with the error
-///   as its reason; the engine keeps ingesting. Engine state is exactly
-///   what the partial apply left (the same thing a restart would
-///   recover), so continuing is sound.
-/// * **Panic inside ingest** — caught with `catch_unwind`; the delta is
-///   quarantined and the engine is *poisoned*: its in-memory state can
-///   no longer be trusted mid-mutation, so every subsequent delta goes
-///   straight to quarantine and the last sealed [`ShardedStore`] view
-///   keeps serving untouched. A restart recovers from the journal
-///   (write-ahead ordering means a panic before the append left no
-///   trace; one after it replays the delta).
-/// * **Worker messages while poisoned** — recorded as errors, never
-///   executed.
-pub fn spawn_refresh_worker_with(
-    mut engine: RefreshEngine,
-    options: RefreshWorkerOptions,
-) -> (Sender<RefreshMsg>, JoinHandle<(RefreshEngine, Vec<String>)>) {
-    let (tx, rx): (Sender<RefreshMsg>, Receiver<RefreshMsg>) = channel();
-    let handle = std::thread::spawn(move || {
-        let mut errors = Vec::new();
-        let mut poisoned = false;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                RefreshMsg::Delta(delta) => {
-                    if poisoned {
-                        let reason = "engine poisoned by an earlier panic";
-                        quarantine_delta(
-                            options.quarantine.as_deref(),
-                            &delta,
-                            reason,
-                            &mut errors,
-                        );
-                        errors.push(reason.to_string());
-                        continue;
-                    }
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        engine.ingest(&delta)
-                    })) {
-                        Ok(Ok(_)) => {}
-                        Ok(Err(e)) => {
-                            let reason = e.to_string();
-                            quarantine_delta(
-                                options.quarantine.as_deref(),
-                                &delta,
-                                &reason,
-                                &mut errors,
-                            );
-                            errors.push(reason);
-                        }
-                        Err(panic) => {
-                            poisoned = true;
-                            if qrank_obs::enabled() {
-                                qrank_obs::global().counter("refresh.panic").inc();
-                            }
-                            let reason = format!("refresh panicked: {}", panic_message(&panic));
-                            quarantine_delta(
-                                options.quarantine.as_deref(),
-                                &delta,
-                                &reason,
-                                &mut errors,
-                            );
-                            errors.push(reason);
-                        }
-                    }
-                }
-                RefreshMsg::Rerank => {
-                    if poisoned {
-                        errors.push("rerank skipped: engine poisoned by an earlier panic".into());
-                        continue;
-                    }
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.rerank()))
-                    {
-                        Ok(Ok(_)) => {}
-                        Ok(Err(e)) => errors.push(e.to_string()),
-                        Err(panic) => {
-                            poisoned = true;
-                            if qrank_obs::enabled() {
-                                qrank_obs::global().counter("refresh.panic").inc();
-                            }
-                            errors.push(format!("rerank panicked: {}", panic_message(&panic)));
-                        }
-                    }
-                }
-                RefreshMsg::Shutdown => break,
-            }
-        }
-        (engine, errors)
-    });
-    (tx, handle)
-}
-
-/// Best-effort human-readable payload of a caught panic.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Append `delta` to the quarantine file with `reason`, in the exact
-/// format [`parse_deltas`] reads back. Quarantine I/O failures are
-/// recorded in `errors` but never escalate — losing a quarantine entry
-/// must not take down ingestion on top of the original failure.
-fn quarantine_delta(
-    path: Option<&Path>,
-    delta: &EdgeDelta,
-    reason: &str,
-    errors: &mut Vec<String>,
-) {
-    let Some(path) = path else { return };
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter("quarantine.deltas").inc();
-    }
-    let entry = match format_delta(delta) {
-        Ok(body) => format!("# quarantined: {}\n{body}", reason.replace('\n', " ")),
-        Err(e) => {
-            if qrank_obs::enabled() {
-                qrank_obs::global().counter("quarantine.errors").inc();
-            }
-            errors.push(format!("quarantine: delta not formattable: {e}"));
-            return;
-        }
-    };
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(entry.as_bytes()));
-    if let Err(e) = written {
-        if qrank_obs::enabled() {
-            qrank_obs::global().counter("quarantine.errors").inc();
-        }
-        errors.push(format!(
-            "quarantine append to {} failed: {e}",
-            path.display()
-        ));
-    }
+/// `snap`'s edges as page pairs, sorted.
+fn page_edges(snap: &Snapshot) -> Vec<(u64, u64)> {
+    let pages = snap.pages();
+    let mut edges: Vec<(u64, u64)> = snap
+        .graph
+        .edges()
+        .map(|(s, d)| (pages[s as usize].0, pages[d as usize].0))
+        .collect();
+    edges.sort_unstable();
+    edges
 }
 
 #[cfg(test)]
@@ -933,6 +645,10 @@ mod replay_reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{
+        handle_request, parse_deltas, spawn_refresh_worker, spawn_refresh_worker_with, FsyncPolicy,
+        LruCache, Metrics, RefreshMsg, RefreshWorkerOptions,
+    };
     use qrank_core::{run_pipeline, PipelineConfig};
     use qrank_graph::CsrGraph;
 
@@ -1138,6 +854,80 @@ mod tests {
             engine.ingest(&delta),
             Err(ServeError::UnknownPage(1))
         ));
+    }
+
+    /// Every response a reader could get for the test web.
+    fn served(store: &ShardedStore) -> Vec<String> {
+        let metrics = Metrics::new();
+        let cache = parking_lot::Mutex::new(LruCache::new(4));
+        let mut requests = vec!["health".to_string(), "topk 64".to_string()];
+        requests.extend((0..8).map(|page| format!("score {page}")));
+        requests
+            .iter()
+            .map(|line| handle_request(line, store, &metrics, &cache))
+            .collect()
+    }
+
+    #[test]
+    fn partially_applied_rejected_delta_survives_a_checkpoint() {
+        let dir = std::env::temp_dir().join(format!("qrank_partial_ckpt_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dur = DurabilityConfig {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+            checkpoint_every: 0,
+        };
+        // Two links go in — one of them creating page 6 — before the
+        // removal from an unknown page rejects the delta. The graph keeps
+        // them; no snapshot holds them until the next capture.
+        let rejected = EdgeDelta {
+            time: 3.0,
+            added: vec![(2, 5), (6, 3)],
+            removed: vec![(77, 1)],
+            ..Default::default()
+        };
+        // The newest snapshot of a window is the held-out future: the
+        // partial apply reaches a served column one good delta later.
+        let good = |time: f64, link: (u64, u64)| EdgeDelta {
+            time,
+            added: vec![link],
+            ..Default::default()
+        };
+        let good = [good(4.0, (1, 3)), good(5.0, (3, 4))];
+
+        let uninterrupted = Arc::new(ShardedStore::new(1));
+        let mut engine =
+            RefreshEngine::from_series(&seed_series(3), cfg(), Arc::clone(&uninterrupted)).unwrap();
+        assert!(matches!(
+            engine.ingest(&rejected),
+            Err(ServeError::UnknownPage(77))
+        ));
+        for d in &good {
+            engine.ingest(d).unwrap();
+        }
+
+        let (mut engine, _) = RefreshEngine::open_durable(
+            cfg(),
+            &dur,
+            Arc::new(ShardedStore::new(1)),
+            Some(&seed_series(3)),
+        )
+        .unwrap();
+        assert!(engine.ingest(&rejected).is_err());
+        engine.checkpoint_now().unwrap();
+        drop(engine);
+        let recovered = Arc::new(ShardedStore::new(1));
+        let (mut engine, report) =
+            RefreshEngine::open_durable(cfg(), &dur, Arc::clone(&recovered), None).unwrap();
+        assert_eq!(
+            report.replayed_records, 0,
+            "the checkpoint is the whole state"
+        );
+        for d in &good {
+            engine.ingest(d).unwrap();
+        }
+        assert_eq!(served(&recovered), served(&uninterrupted));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -553,10 +553,13 @@ pub fn handle_request(
     metrics: &Metrics,
     cache: &Mutex<LruCache>,
 ) -> String {
-    handle_request_traced(line, store, metrics, cache, None).0
+    handle_request_drain_aware(line, store, metrics, cache, None, false).0
 }
 
-/// Serve one request line with optional request-scoped tracing.
+/// Serve one request line with optional request-scoped tracing and the
+/// connection layer's drain flag, which only the `ready` verb consults
+/// (a draining instance reports unready so load balancers stop routing
+/// to it before it stops).
 ///
 /// When `tracer` is set and the head-based sampler elects this request,
 /// the returned [`ActiveTrace`] carries the handler stages
@@ -568,19 +571,6 @@ pub fn handle_request(
 /// handler only — the write stage is visible in traces but not in the
 /// latency histograms, which keeps the histogram identical to what the
 /// untraced `serve.latency_ns` metric records.
-pub fn handle_request_traced(
-    line: &str,
-    store: &ShardedStore,
-    metrics: &Metrics,
-    cache: &Mutex<LruCache>,
-    tracer: Option<&Tracer>,
-) -> (String, Option<ActiveTrace>) {
-    handle_request_drain_aware(line, store, metrics, cache, tracer, false)
-}
-
-/// [`handle_request_traced`] plus the connection layer's drain flag,
-/// which only the `ready` verb consults (a draining instance reports
-/// unready so load balancers stop routing to it before it stops).
 fn handle_request_drain_aware(
     line: &str,
     store: &ShardedStore,

@@ -27,7 +27,9 @@
 //! This module also owns delta partitioning for the sharded journal:
 //! `partition_delta` splits one [`EdgeDelta`] into per-shard
 //! [`DeltaRecord`]s carrying *slot* arrays (each element's index in the
-//! original delta), and `merge_partitions` is its exact inverse.
+//! original delta), and `merge_partitions` is its exact inverse. At one
+//! shard the partition is the delta itself as a slotless record, which
+//! encodes as v1 — the flat journal's format since before sharding.
 //! Reconstructing the original interleaving matters because node
 //! numbering — and therefore float summation order and published score
 //! bits — follows first-seen order during apply.
@@ -39,7 +41,7 @@ use qrank_core::PipelineReport;
 use qrank_graph::PageId;
 use qrank_wal::DeltaRecord;
 
-use crate::refresh::EdgeDelta;
+use crate::delta::EdgeDelta;
 use crate::store::{PageScores, ScoreStore, StoreHandle};
 
 fn bump(name: &'static str) {
@@ -79,32 +81,6 @@ pub(crate) fn score_shard_label(shard: usize) -> Option<&'static str> {
     SCORE_SHARD_LABELS.get(shard).copied()
 }
 
-/// Routes pages to shards. Thin and copyable: the mapping itself is
-/// [`shard_of`]; the router just pins the shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: usize,
-}
-
-impl ShardRouter {
-    /// A router over `shards` shards (clamped to at least 1).
-    pub fn new(shards: usize) -> Self {
-        ShardRouter {
-            shards: shards.max(1),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard owning `page`.
-    pub fn route(&self, page: u64) -> usize {
-        shard_of(page, self.shards)
-    }
-}
-
 /// A sealed, coherent view over every shard's store: the per-shard
 /// `Arc<ScoreStore>`s plus the generation vector, captured atomically
 /// by [`ShardedStore::seal`]. Scatter-gather reads (`topk`, `stats`,
@@ -112,18 +88,16 @@ impl ShardRouter {
 /// generations across shards.
 #[derive(Debug)]
 pub struct ShardView {
-    router: ShardRouter,
     stores: Vec<Arc<ScoreStore>>,
     generations: Vec<u64>,
     total_pages: usize,
 }
 
 impl ShardView {
-    fn of(router: ShardRouter, stores: Vec<Arc<ScoreStore>>) -> Self {
+    fn of(stores: Vec<Arc<ScoreStore>>) -> Self {
         let generations = stores.iter().map(|s| s.generation()).collect();
         let total_pages = stores.iter().map(|s| s.len()).sum();
         ShardView {
-            router,
             stores,
             generations,
             total_pages,
@@ -172,7 +146,7 @@ impl ShardView {
 
     /// Scores of `page`, looked up in its owning shard.
     pub fn score(&self, page: PageId) -> Option<PageScores> {
-        self.stores[self.router.route(page.0)].score(page)
+        self.stores[shard_of(page.0, self.stores.len())].score(page)
     }
 
     /// The `k` highest-quality pages across all shards, best first.
@@ -228,7 +202,6 @@ impl ShardView {
 /// packages the whole cycle.
 #[derive(Debug)]
 pub struct ShardedStore {
-    router: ShardRouter,
     shards: Vec<StoreHandle>,
     view: RwLock<Arc<ShardView>>,
 }
@@ -237,11 +210,9 @@ impl ShardedStore {
     /// A sharded store over `shards` empty generation-0 shards
     /// (clamped to at least 1).
     pub fn new(shards: usize) -> Self {
-        let router = ShardRouter::new(shards);
-        let handles: Vec<StoreHandle> = (0..router.shards()).map(|_| StoreHandle::new()).collect();
-        let view = ShardView::of(router, handles.iter().map(|h| h.current()).collect());
+        let handles: Vec<StoreHandle> = (0..shards.max(1)).map(|_| StoreHandle::new()).collect();
+        let view = ShardView::of(handles.iter().map(|h| h.current()).collect());
         ShardedStore {
-            router,
             shards: handles,
             view: RwLock::new(Arc::new(view)),
         }
@@ -249,17 +220,12 @@ impl ShardedStore {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The page→shard router.
-    pub fn router(&self) -> ShardRouter {
-        self.router
+        self.shards.len()
     }
 
     /// The shard owning `page`.
     pub fn route(&self, page: u64) -> usize {
-        self.router.route(page)
+        shard_of(page, self.shards())
     }
 
     /// The freshest store of one shard (cheap `Arc` clone). `score`
@@ -285,10 +251,7 @@ impl ShardedStore {
     /// Capture the current per-shard stores as the new sealed view —
     /// the point where the generation vector advances for readers.
     pub fn seal(&self) {
-        let view = ShardView::of(
-            self.router,
-            self.shards.iter().map(|h| h.current()).collect(),
-        );
+        let view = ShardView::of(self.shards.iter().map(|h| h.current()).collect());
         *self.view.write() = Arc::new(view);
         bump("shard.seal");
     }
@@ -348,9 +311,19 @@ impl ShardedStore {
 /// the shard owning their **source** page. Every element records its
 /// original index in a slot array so [`merge_partitions`] can rebuild
 /// the delta's exact interleaving. Every shard gets a record — possibly
-/// empty — so per-shard WAL LSNs stay aligned one-to-one.
+/// empty — so per-shard WAL LSNs stay aligned one-to-one. One shard's
+/// record is the whole delta in its own order, so it carries no slots.
 pub(crate) fn partition_delta(delta: &EdgeDelta, shards: usize) -> Vec<DeltaRecord> {
     let _span = qrank_obs::span!("shard.partition");
+    if shards <= 1 {
+        return vec![DeltaRecord {
+            time: delta.time,
+            new_pages: delta.new_pages.clone(),
+            added: delta.added.clone(),
+            removed: delta.removed.clone(),
+            ..Default::default()
+        }];
+    }
     let mut parts: Vec<DeltaRecord> = (0..shards.max(1))
         .map(|_| DeltaRecord {
             time: delta.time,
@@ -562,6 +535,6 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let store = ShardedStore::new(0);
         assert_eq!(store.shards(), 1);
-        assert_eq!(ShardRouter::new(0).shards(), 1);
+        assert_eq!(store.route(7), 0);
     }
 }
