@@ -62,7 +62,7 @@ options:
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --workers N        request worker threads (default 4)
   --shards N         partition the score store into N shards (default 1);
-                     `score` dispatches to the owning shard, `topk`/`stats`
+                     `score` reads the sealed view, `topk`/`stats`
                      scatter-gather — responses are bitwise identical at
                      every N. With --data-dir, each shard keeps its own
                      WAL subtree; the shard count of an existing data

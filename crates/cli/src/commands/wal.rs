@@ -7,6 +7,7 @@
 
 use std::path::Path;
 
+use qrank_serve::wal_dirs;
 use qrank_wal::{decode_delta, inspect, scan, Wal, WalOptions};
 
 use crate::args::{parse, CliError};
@@ -44,57 +45,25 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             "unknown op `{op}` (expected inspect, verify, or compact)\n\n{USAGE}"
         )));
     }
-    let shards = shard_subtrees(dir)?;
-    if shards.is_empty() {
-        return match op {
-            "inspect" => run_inspect(dir),
-            "verify" => run_verify(dir),
-            _ => run_compact(dir),
-        };
+    let logs = wal_dirs(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
+    let sharded = logs.len() > 1;
+    if sharded {
+        println!("sharded data directory: {} shard subtree(s)", logs.len());
     }
-    println!("sharded data directory: {} shard subtree(s)", shards.len());
-    for (i, sub) in shards.iter().enumerate() {
-        println!("-- shard {i:03} --");
+    for (i, log) in logs.iter().enumerate() {
+        if sharded {
+            println!("-- shard {i:03} --");
+        }
         match op {
-            "inspect" => run_inspect(sub)?,
-            "verify" => run_verify(sub)?,
-            _ => run_compact(sub)?,
+            "inspect" => run_inspect(log)?,
+            "verify" => run_verify(log)?,
+            _ => run_compact(log)?,
         }
     }
-    if op == "verify" {
-        verify_ensemble(&shards)?;
+    if sharded && op == "verify" {
+        verify_ensemble(&logs)?;
     }
     Ok(())
-}
-
-/// Detect `shard-NNN/` subtrees under `dir`. An empty result means a
-/// flat (unsharded) layout; a non-contiguous numbering is an error.
-fn shard_subtrees(dir: &Path) -> Result<Vec<std::path::PathBuf>, CliError> {
-    let mut found: Vec<(usize, std::path::PathBuf)> = Vec::new();
-    if dir.is_dir() {
-        for entry in std::fs::read_dir(dir).map_err(|e| CliError::Runtime(e.to_string()))? {
-            let entry = entry.map_err(|e| CliError::Runtime(e.to_string()))?;
-            let name = entry.file_name();
-            let Some(rest) = name.to_str().and_then(|n| n.strip_prefix("shard-")) else {
-                continue;
-            };
-            if let Ok(i) = rest.parse::<usize>() {
-                if entry.path().is_dir() {
-                    found.push((i, entry.path()));
-                }
-            }
-        }
-    }
-    found.sort();
-    for (want, (got, path)) in found.iter().enumerate() {
-        if *got != want {
-            return Err(CliError::Runtime(format!(
-                "shard subtrees are not contiguous from shard-000: found {}",
-                path.display()
-            )));
-        }
-    }
-    Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
 /// The cross-shard invariant recovery relies on: shard 000's newest
@@ -360,6 +329,38 @@ mod tests {
             run(&argv(&["--dir", dir.to_str().unwrap()])),
             Err(CliError::Runtime(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_stray_shard_file_leaves_a_flat_journal_flat() {
+        use qrank_serve::{
+            DurabilityConfig, EdgeDelta, RefreshConfig, RefreshEngine, ShardedStore,
+        };
+        use std::sync::Arc;
+
+        let dir = tmpdir("stray_shard_file");
+        let open = || {
+            RefreshEngine::open_durable(
+                RefreshConfig::default(),
+                &DurabilityConfig::at(&dir),
+                Arc::new(ShardedStore::new(1)),
+                None,
+            )
+        };
+        let (mut engine, _) = open().unwrap();
+        engine
+            .ingest(&EdgeDelta {
+                time: 1.0,
+                added: vec![(0, 1)],
+                ..Default::default()
+            })
+            .unwrap();
+        drop(engine);
+        std::fs::write(dir.join("shard-000"), b"not a shard subtree").unwrap();
+        let (_, report) = open().expect("a file named shard-000 is not a shard subtree");
+        assert_eq!((report.shards, report.replayed_records), (1, 1));
+        run(&argv(&["--dir", dir.to_str().unwrap(), "--op", "verify"])).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -42,34 +42,25 @@ use crate::json::{array, Obj};
 use crate::registry::{bucket_index, bucket_lower_bound, Histogram};
 use crate::slo::{SloConfig, SloMonitor, VerbSlo};
 
+/// Slowest traces retained per verb.
+const SLOWEST_K: usize = 8;
+
+/// Recently finished traces retained for by-id lookup.
+const RECENT_CAPACITY: usize = 256;
+
+/// Histogram buckets at or above this index keep a per-bucket exemplar
+/// trace: bucket 20 = `[2^20, 2^21)` ns ≈ 1–2 ms, so everything at
+/// millisecond scale keeps one.
+const EXEMPLAR_MIN_BUCKET: usize = 20;
+
 /// Tracer knobs; see the module docs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceConfig {
     /// Trace 1 in every `sample_every` requests (0 = never trace
     /// requests; forced traces, e.g. refresh cycles, still record).
     pub sample_every: u64,
-    /// Slowest traces retained per verb.
-    pub slowest_k: usize,
-    /// Recently finished traces retained for by-id lookup.
-    pub recent_capacity: usize,
-    /// Histogram buckets at or above this index keep a per-bucket
-    /// exemplar trace. The default (bucket 20 = `[2^20, 2^21)` ns ≈
-    /// 1–2ms) keeps exemplars for everything at millisecond scale.
-    pub exemplar_min_bucket: usize,
     /// Objectives for the embedded [`SloMonitor`].
     pub slo: SloConfig,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            sample_every: 0,
-            slowest_k: 8,
-            recent_capacity: 256,
-            exemplar_min_bucket: 20,
-            slo: SloConfig::default(),
-        }
-    }
 }
 
 /// One stage of a finished trace, relative to the trace start.
@@ -168,19 +159,6 @@ impl ActiveTrace {
         self.close_open();
     }
 
-    /// Append a completed stage with caller-measured times (both
-    /// relative to the trace start) — for work attributed after the
-    /// fact, like the parse stage that ran before the verb was known.
-    /// Closes any open stage first, preserving sequential order.
-    pub fn push_stage(&mut self, name: &'static str, start_ns: u64, dur_ns: u64) {
-        self.close_open();
-        self.stages.push(Stage {
-            name,
-            start_ns,
-            dur_ns,
-        });
-    }
-
     /// Append to the trace's detail string (`"; "`-joined).
     pub fn note(&mut self, detail: &str) {
         if !self.detail.is_empty() {
@@ -210,7 +188,7 @@ impl ActiveTrace {
 /// Bounded storage for finished traces.
 #[derive(Debug, Default)]
 struct Store {
-    /// Per verb, sorted slowest-first, truncated to `slowest_k`.
+    /// Per verb, sorted slowest-first, truncated to [`SLOWEST_K`].
     slowest: BTreeMap<&'static str, Vec<Arc<Trace>>>,
     /// Most recently finished traces, oldest first.
     recent: VecDeque<Arc<Trace>>,
@@ -341,16 +319,16 @@ impl Tracer {
         let pos = slowest
             .binary_search_by(|t| done.total_ns.cmp(&t.total_ns))
             .unwrap_or_else(|p| p);
-        if pos < self.cfg.slowest_k {
+        if pos < SLOWEST_K {
             slowest.insert(pos, Arc::clone(&done));
-            slowest.truncate(self.cfg.slowest_k);
+            slowest.truncate(SLOWEST_K);
         }
-        if store.recent.len() >= self.cfg.recent_capacity.max(1) {
+        if store.recent.len() >= RECENT_CAPACITY {
             store.recent.pop_front();
         }
         store.recent.push_back(Arc::clone(&done));
         let bucket = bucket_index(done.total_ns);
-        if bucket >= self.cfg.exemplar_min_bucket {
+        if bucket >= EXEMPLAR_MIN_BUCKET {
             store.exemplars.insert((done.verb, bucket), done);
         }
         total_ns
@@ -577,9 +555,6 @@ mod tests {
     fn test_tracer(sample_every: u64) -> Tracer {
         Tracer::new(TraceConfig {
             sample_every,
-            slowest_k: 3,
-            recent_capacity: 4,
-            exemplar_min_bucket: 0, // every bucket keeps an exemplar
             ..TraceConfig::default()
         })
     }
@@ -620,16 +595,16 @@ mod tests {
         let _serial = crate::test_lock();
         crate::set_enabled(true);
         let t = test_tracer(1);
-        for i in 0..6u64 {
+        for i in 0..=SLOWEST_K {
             let mut tr = t.begin_sampled("topk").unwrap();
             tr.stage("parse");
             tr.stage("serialize");
-            tr.push_stage("write", tr.elapsed_ns(), 10);
+            tr.stage("write");
             tr.note(&format!("i={i}"));
             t.finish(tr, true);
         }
         let slowest = t.slowest(Some("topk"));
-        assert_eq!(slowest.len(), 3, "bounded to slowest_k");
+        assert_eq!(slowest.len(), SLOWEST_K, "one more than SLOWEST_K finished");
         assert!(
             slowest.windows(2).all(|w| w[0].total_ns >= w[1].total_ns),
             "sorted slowest first"
@@ -654,13 +629,13 @@ mod tests {
         crate::set_enabled(true);
         let t = test_tracer(1);
         let mut ids = Vec::new();
-        for _ in 0..10 {
+        for _ in 0..RECENT_CAPACITY + 10 {
             let tr = t.begin_sampled("score").unwrap();
             ids.push(tr.id());
             t.finish(tr, true);
         }
-        // recent_capacity = 4, so the earliest ids have left the ring;
-        // at least the slowest-retained ones must still resolve.
+        // The ring holds RECENT_CAPACITY, so the earliest ids have left
+        // it; at least the slowest-retained ones must still resolve.
         let last = *ids.last().unwrap();
         assert!(t.by_id(last).is_some(), "fresh trace resolves");
         assert!(t.by_id(last + 999).is_none());
@@ -675,14 +650,23 @@ mod tests {
         let _serial = crate::test_lock();
         crate::set_enabled(true);
         let t = test_tracer(1);
-        for _ in 0..3 {
-            let tr = t.begin_sampled("score").unwrap();
-            t.finish(tr, true);
-        }
+        let fast = t.begin_sampled("score").unwrap();
+        t.finish(fast, true);
+        let slow = t.begin_sampled("score").unwrap();
+        let slow_id = slow.id();
+        std::thread::sleep(std::time::Duration::from_nanos(1 << 21));
+        t.finish(slow, true);
         let ex = t.exemplars();
-        assert!(!ex.is_empty(), "min_bucket 0 keeps exemplars for all");
+        assert!(
+            ex.iter().any(|(_, _, _, tr)| tr.id == slow_id),
+            "a trace past 2^20 ns keeps an exemplar"
+        );
         for (verb, bucket, lo, tr) in &ex {
             assert_eq!(*verb, "score");
+            assert!(
+                *bucket >= EXEMPLAR_MIN_BUCKET,
+                "bucket {bucket} is below the floor"
+            );
             assert_eq!(
                 *bucket,
                 bucket_index(tr.total_ns),
@@ -705,7 +689,6 @@ mod tests {
                 latency_objective_ns: 1_000,
                 ..SloConfig::default()
             },
-            ..TraceConfig::default()
         });
         for _ in 0..9 {
             t.observe("score", 500, true);

@@ -57,9 +57,6 @@ fn retention_stays_bounded_and_slo_sees_full_traffic() {
     qrank_obs::set_enabled(true);
     let tracer = Tracer::new(TraceConfig {
         sample_every: 1,
-        slowest_k: 4,
-        recent_capacity: 16,
-        exemplar_min_bucket: 0,
         slo: SloConfig {
             latency_objective_ns: 1_000,
             windows_seconds: vec![60, 600],
@@ -74,7 +71,8 @@ fn retention_stays_bounded_and_slo_sees_full_traffic() {
         let latency = if i % 100 == 0 { 50_000 } else { 500 };
         tracer.observe("topk", latency, true);
     }
-    assert_eq!(tracer.slowest(Some("topk")).len(), 4, "slowest-K bound");
+    // the tracer keeps the 8 slowest traces of each verb
+    assert_eq!(tracer.slowest(Some("topk")).len(), 8, "slowest-K bound");
     assert!(
         tracer.exemplars().len() <= qrank_obs::registry::BUCKETS,
         "at most one exemplar per (verb, bucket)"

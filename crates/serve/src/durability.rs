@@ -271,20 +271,26 @@ pub(crate) fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard:03}"))
 }
 
-/// Shard subtrees present under `root` (`shard-000`, `shard-001`, …),
-/// validated contiguous from zero. `Ok(0)` means no shard subtrees (a
-/// flat or empty directory).
-pub(crate) fn detect_shard_layout(root: &Path) -> Result<usize, ServeError> {
+/// The WAL directories of the data directory `root`, in shard order:
+/// its `shard-NNN` subtrees when it holds any, else `[root]` itself (a
+/// flat journal, or none yet). Only directories count as subtrees — a
+/// file named like one leaves the layout flat — and they must be
+/// numbered contiguously from `shard-000`. Reads only; a missing `root`
+/// lists as flat.
+pub fn wal_dirs(root: &Path) -> Result<Vec<PathBuf>, ServeError> {
     let mut found: Vec<usize> = Vec::new();
     if root.is_dir() {
         for entry in std::fs::read_dir(root).map_err(|e| ServeError::Wal(e.into()))? {
             let entry = entry.map_err(|e| ServeError::Wal(e.into()))?;
             let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix("shard-")
+            let Some(n) = name
+                .to_str()
+                .and_then(|n| n.strip_prefix("shard-"))
                 .and_then(|s| s.parse::<usize>().ok())
-            {
+            else {
+                continue;
+            };
+            if entry.path().is_dir() {
                 found.push(n);
             }
         }
@@ -298,7 +304,12 @@ pub(crate) fn detect_shard_layout(root: &Path) -> Result<usize, ServeError> {
             )));
         }
     }
-    Ok(found.len())
+    if found.is_empty() {
+        return Ok(vec![root.to_path_buf()]);
+    }
+    Ok((0..found.len())
+        .map(|shard| shard_dir(root, shard))
+        .collect())
 }
 
 fn has_flat_wal_files(root: &Path) -> bool {
@@ -426,7 +437,8 @@ pub(crate) fn open_journal(
 ) -> Result<OpenedJournal, ServeError> {
     let shards = shards.max(1);
     std::fs::create_dir_all(&cfg.dir).map_err(|e| ServeError::Wal(e.into()))?;
-    let existing = detect_shard_layout(&cfg.dir)?;
+    let found = wal_dirs(&cfg.dir)?;
+    let existing = if found[0] == cfg.dir { 0 } else { found.len() };
     let dirs = if shards == 1 {
         if existing > 0 {
             return Err(ServeError::Config(format!(
@@ -434,7 +446,7 @@ pub(crate) fn open_journal(
                 cfg.dir.display()
             )));
         }
-        vec![cfg.dir.clone()]
+        found
     } else {
         if existing == 0 && has_flat_wal_files(&cfg.dir) {
             return Err(ServeError::Config(format!(

@@ -5,21 +5,22 @@
 //!
 //! * **Score store** ([`store`], [`shard`]) — N deterministic shards
 //!   behind one routing function ([`shard::shard_of`], FNV-1a of the
-//!   page id mod N), each an immutable, atomically-swappable generation
-//!   of per-page `{quality, pagerank, trend}` built from the matching
-//!   rows of a [`qrank_core::PipelineReport`]. `score` dispatches to
-//!   the owning shard; `topk`/`stats` scatter-gather over a sealed
-//!   coherent view with a k-way merge — responses are bitwise identical
-//!   to an unsharded store for any shard count.
+//!   page id mod N), each an immutable store of per-page
+//!   `{quality, pagerank, trend}` built from the matching rows of a
+//!   [`qrank_core::PipelineReport`], sealed together into one view per
+//!   generation. Every verb reads that one view: `score` looks up the
+//!   owning shard in it, `topk`/`stats` scatter-gather over it with a
+//!   k-way merge — responses are bitwise identical to an unsharded store
+//!   for any shard count.
 //! * **Refresh engine** ([`refresh`]) — ingests edge deltas ([`delta`])
 //!   into a [`qrank_graph::DynamicGraph`], re-ranks the snapshot window
 //!   through a [`qrank_core::PipelineEngine`] (every column is solved
 //!   cold from the metric's canonical start and cached by its aligned
 //!   snapshot's fingerprint, so an append or a window slide solves one
-//!   column and reuses the rest, bit for bit), and publishes new store
-//!   generations — per-shard swaps, view sealed last — without ever
-//!   blocking readers. The [`worker`] thread drives it and contains its
-//!   failures (quarantine, panic poisoning).
+//!   column and reuses the rest, bit for bit), and publishes each new
+//!   generation as one view swap without ever blocking readers. The
+//!   [`worker`] thread drives it and contains its failures (quarantine,
+//!   panic poisoning).
 //! * **Durability** ([`durability`]) — optional crash safety: every
 //!   ingested delta is journaled to a `qrank-wal` write-ahead log (one
 //!   per shard, LSN-aligned, under `shard-NNN/` subtrees when sharded)
@@ -27,8 +28,8 @@
 //!   and
 //!   [`RefreshEngine::open_durable`](refresh::RefreshEngine::open_durable)
 //!   recovers a data directory to bitwise-identical published scores.
-//! * **Front end** ([`server`]) — a fixed-size thread-pool TCP server
-//!   speaking a line-delimited JSON protocol (`score <page>`,
+//! * **Front end** ([`server`], [`handler`]) — a fixed-size thread-pool
+//!   TCP server speaking a line-delimited JSON protocol (`score <page>`,
 //!   `topk <n>`, `stats`, `metrics`, `health`, `ready`, `trace …`,
 //!   `shutdown`), with an LRU cache for `topk` responses, per-request
 //!   latency counters backed by a `qrank-obs` registry, and draining
@@ -75,6 +76,7 @@ pub mod delta;
 pub mod durability;
 pub mod error;
 mod fault;
+pub mod handler;
 pub mod loadgen;
 pub mod metrics;
 pub mod overload;
@@ -87,8 +89,9 @@ pub mod worker;
 
 pub use cache::LruCache;
 pub use delta::{format_delta, format_deltas, parse_deltas, EdgeDelta};
-pub use durability::{DurabilityConfig, RecoveryReport, RetryPolicy};
+pub use durability::{wal_dirs, DurabilityConfig, RecoveryReport, RetryPolicy};
 pub use error::ServeError;
+pub use handler::handle_request;
 pub use loadgen::{run_load, LoadConfig, LoadReport, VerbLatency};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use overload::{request_cost, Cost, DrainReport, ShedPolicy};
@@ -100,9 +103,9 @@ pub use qrank_obs::trace::{TraceConfig, Tracer};
 /// direct `qrank-wal` dependency.
 pub use qrank_wal::FsyncPolicy;
 pub use refresh::{RefreshConfig, RefreshEngine, RefreshStats};
-pub use server::{handle_request, serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
+pub use server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 pub use shard::{shard_of, ShardView, ShardedStore};
-pub use store::{PageScores, ScoreStore, StoreHandle};
+pub use store::{PageScores, ScoreStore};
 pub use worker::{
     spawn_refresh_worker, spawn_refresh_worker_with, RefreshMsg, RefreshWorkerOptions,
 };

@@ -24,7 +24,7 @@ use qrank_obs::Tracer;
 
 use crate::metrics::MetricsSnapshot;
 use crate::shard::ShardView;
-use crate::store::{PageScores, ScoreStore};
+use crate::store::PageScores;
 
 /// Largest `k` a `topk` request may ask for (keeps one response line
 /// bounded; clients page beyond this).
@@ -157,19 +157,18 @@ fn page_obj(page: PageId, s: &PageScores) -> String {
         .finish()
 }
 
-/// Render a `score` response. Takes one shard's [`ScoreStore`] — the
-/// server dispatches to the owning shard, whose store carries the same
-/// global generation stamp an unsharded store would, so the rendered
-/// bytes are shard-count invariant.
-pub fn render_score(store: &ScoreStore, page: u64) -> String {
-    match store.score(PageId(page)) {
+/// Render a `score` response: the page looked up in its owning shard of
+/// the sealed view, stamped with the view's generation — the bytes an
+/// unsharded store would render.
+pub fn render_score(view: &ShardView, page: u64) -> String {
+    match view.score(PageId(page)) {
         Some(s) => Obj::new()
             .bool("ok", true)
             .int("page", page)
             .num("quality", s.quality)
             .num("pagerank", s.pagerank)
             .str("trend", trend_name(s.trend))
-            .int("generation", store.generation())
+            .int("generation", view.generation())
             .finish(),
         None => render_error(&format!("unknown page {page}")),
     }
@@ -436,11 +435,11 @@ mod tests {
 
     #[test]
     fn renders_against_empty_store() {
+        let view = crate::shard::ShardedStore::new(1).current();
         assert_eq!(
-            render_score(&ScoreStore::empty(), 7),
+            render_score(&view, 7),
             r#"{"ok":false,"error":"unknown page 7"}"#
         );
-        let view = crate::shard::ShardedStore::new(1).current();
         let topk = render_topk(&view, 3);
         assert!(
             topk.contains(r#""k":0"#) && topk.contains(r#""pages":[]"#),

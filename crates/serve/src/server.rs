@@ -31,13 +31,8 @@
 //! joined. The embedding process (see `qrank serve`) then writes a
 //! final checkpoint.
 //!
-//! The serving state is a [`ShardedStore`]: `score` dispatches to the
-//! owning shard's freshest generation (a briefly-held read lock around
-//! an `Arc` clone, so a refresh publish never stalls the request path),
-//! while `topk`/`stats`/`health`/`metrics` scatter-gather over the
-//! sealed coherent view — every multi-shard answer reads one consistent
-//! generation vector. Responses are bitwise independent of the shard
-//! count.
+//! Each complete request line goes to [`crate::handler`], which answers
+//! every verb from one read of the store's sealed view.
 //!
 //! Malformed input never drops the connection: unknown verbs, bad
 //! arguments, and non-UTF-8 bytes all answer a structured
@@ -55,19 +50,16 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use qrank_obs::trace::{ActiveTrace, TraceConfig, Tracer};
+use qrank_obs::trace::{TraceConfig, Tracer};
 use qrank_obs::SloConfig;
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
+use crate::handler::handle_admitted;
 use crate::metrics::Metrics;
-use crate::overload::{request_cost, retry_after_ms, DrainReport, ShedPolicy};
-use crate::protocol::{
-    parse_request, render_draining, render_error, render_health, render_metrics, render_overloaded,
-    render_ready, render_score, render_shutdown_ack, render_stats, render_topk, render_trace,
-    verb_name, Request,
-};
-use crate::shard::{score_shard_label, ShardedStore};
+use crate::overload::{retry_after_ms, DrainReport, ShedPolicy};
+use crate::protocol::{render_draining, render_error, render_overloaded};
+use crate::shard::ShardedStore;
 
 /// How often an idle worker wakes up to check the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(250);
@@ -134,35 +126,75 @@ impl Default for ServerConfig {
 /// handle. Load is `queued + active`; `open` backs the connection cap
 /// and the drain report.
 #[derive(Debug, Default)]
-struct Shared {
+pub(crate) struct Shared {
     /// Hard stop: acceptor exits, workers close their connections.
     shutdown: AtomicBool,
     /// Drain in progress: stop accepting, close idle connections.
-    draining: AtomicBool,
+    pub(crate) draining: AtomicBool,
     /// A `shutdown` protocol verb arrived; the embedding process polls
     /// [`ServerHandle::drain_requested`] and runs the drain.
-    drain_requested: AtomicBool,
+    pub(crate) drain_requested: AtomicBool,
     /// Connections accepted but not yet picked up by a worker.
     queued: AtomicUsize,
     /// Requests currently executing.
-    active: AtomicUsize,
+    pub(crate) active: AtomicUsize,
     /// Connections currently open (queued + being served).
     open: AtomicUsize,
 }
 
 impl Shared {
     /// Instantaneous load for shedding decisions.
-    fn load(&self) -> usize {
+    pub(crate) fn load(&self) -> usize {
         self.queued.load(Ordering::Relaxed) + self.active.load(Ordering::Relaxed)
     }
 }
 
 /// Per-connection limits derived from [`ServerConfig`].
-#[derive(Debug, Clone)]
-struct Limits {
+#[derive(Debug)]
+pub(crate) struct Limits {
     read_deadline: Option<Duration>,
     write_timeout: Option<Duration>,
-    shed: ShedPolicy,
+    pub(crate) shed: ShedPolicy,
+}
+
+/// What the acceptor, every worker and the [`ServerHandle`] share,
+/// behind one `Arc`: the store, and what a request needs beside it.
+#[derive(Debug)]
+pub(crate) struct Context {
+    pub(crate) store: Arc<ShardedStore>,
+    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) cache: Mutex<LruCache>,
+    pub(crate) tracer: Option<Arc<Tracer>>,
+    pub(crate) shared: Shared,
+    pub(crate) limits: Limits,
+}
+
+impl Context {
+    fn new(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Self {
+        let tracer = (cfg.trace_sample > 0).then(|| {
+            Arc::new(Tracer::new(TraceConfig {
+                sample_every: cfg.trace_sample,
+                slo: SloConfig {
+                    latency_objective_ns: cfg.slo_latency_us.saturating_mul(1_000),
+                    ..SloConfig::default()
+                },
+            }))
+        });
+        Context {
+            store,
+            metrics: Arc::new(Metrics::new()),
+            cache: Mutex::new(LruCache::new(cfg.cache_capacity)),
+            tracer,
+            shared: Shared::default(),
+            limits: Limits {
+                read_deadline: (cfg.read_deadline_ms > 0)
+                    .then(|| Duration::from_millis(cfg.read_deadline_ms)),
+                write_timeout: (cfg.write_timeout_ms > 0)
+                    .then(|| Duration::from_millis(cfg.write_timeout_ms)),
+                shed: cfg.shed.clone(),
+            },
+        }
+    }
 }
 
 /// A running server; dropping it without calling
@@ -170,11 +202,9 @@ struct Limits {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    ctx: Arc<Context>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl ServerHandle {
@@ -185,7 +215,7 @@ impl ServerHandle {
 
     /// The server's live metrics.
     pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.ctx.metrics)
     }
 
     /// The server's tracer, when started with a non-zero `trace_sample`.
@@ -193,20 +223,20 @@ impl ServerHandle {
     /// ([`crate::RefreshEngine::set_tracer`]) so refresh cycles land in
     /// the same trace store the `trace` verb reads.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
-        self.tracer.as_ref().map(Arc::clone)
+        self.ctx.tracer.clone()
     }
 
     /// Has a client asked for a graceful shutdown via the `shutdown`
     /// protocol verb? The embedding process polls this and calls
     /// [`ServerHandle::drain`].
     pub fn drain_requested(&self) -> bool {
-        self.shared.drain_requested.load(Ordering::SeqCst)
+        self.ctx.shared.drain_requested.load(Ordering::SeqCst)
     }
 
     /// Requests currently executing plus connections waiting for a
     /// worker — the load figure the shed policy sees.
     pub fn load(&self) -> usize {
-        self.shared.load()
+        self.ctx.shared.load()
     }
 
     /// Gracefully drain: stop accepting (new connections are answered
@@ -214,17 +244,17 @@ impl ServerHandle {
     /// requests finish, then stop. If the deadline expires first, the
     /// remaining work is abandoned and counted in the report.
     pub fn drain(mut self, deadline: Duration) -> DrainReport {
-        self.metrics.registry().counter("drain.begin").inc();
-        self.shared.draining.store(true, Ordering::SeqCst);
+        let (shared, registry) = (&self.ctx.shared, self.ctx.metrics.registry());
+        registry.counter("drain.begin").inc();
+        shared.draining.store(true, Ordering::SeqCst);
         let started = Instant::now();
-        while started.elapsed() < deadline && self.shared.load() > 0 {
+        while started.elapsed() < deadline && shared.load() > 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
-        let abandoned = self.shared.load();
+        let abandoned = shared.load();
         let completed = abandoned == 0;
         let waited = started.elapsed();
-        self.metrics
-            .registry()
+        registry
             .counter(if completed {
                 "drain.completed"
             } else {
@@ -232,8 +262,7 @@ impl ServerHandle {
             })
             .inc();
         if abandoned > 0 {
-            self.metrics
-                .registry()
+            registry
                 .counter("drain.aborted_connections")
                 .add(abandoned as u64);
         }
@@ -252,7 +281,7 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.shared.shutdown.store(true, Ordering::SeqCst);
         // the acceptor is parked in accept(); poke it awake
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
@@ -264,12 +293,17 @@ impl ServerHandle {
     }
 }
 
+/// Write one response line; false once the peer is gone or a write
+/// timed out.
+fn write_line(conn: &mut TcpStream, line: &str) -> bool {
+    conn.write_all(line.as_bytes()).is_ok() && conn.write_all(b"\n").is_ok()
+}
+
 /// Answer a connection that is being refused admission: one structured
 /// line, best-effort under a short write timeout, then close.
 fn reject(mut conn: TcpStream, line: &str) {
     let _ = conn.set_write_timeout(Some(Duration::from_millis(500)));
-    let _ = conn.write_all(line.as_bytes());
-    let _ = conn.write_all(b"\n");
+    write_line(&mut conn, line);
 }
 
 /// Bind and start serving `store` on `cfg.addr`; returns immediately.
@@ -291,35 +325,16 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
     }
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let shared = Arc::new(Shared::default());
-    let metrics = Arc::new(Metrics::new());
-    let tracer = (cfg.trace_sample > 0).then(|| {
-        Arc::new(Tracer::new(TraceConfig {
-            sample_every: cfg.trace_sample,
-            slo: SloConfig {
-                latency_objective_ns: cfg.slo_latency_us.saturating_mul(1_000),
-                ..SloConfig::default()
-            },
-            ..TraceConfig::default()
-        }))
-    });
-    let cache = Arc::new(Mutex::new(LruCache::new(cfg.cache_capacity)));
-    let limits = Limits {
-        read_deadline: (cfg.read_deadline_ms > 0)
-            .then(|| Duration::from_millis(cfg.read_deadline_ms)),
-        write_timeout: (cfg.write_timeout_ms > 0)
-            .then(|| Duration::from_millis(cfg.write_timeout_ms)),
-        shed: cfg.shed.clone(),
-    };
+    let ctx = Arc::new(Context::new(store, cfg));
     let (conn_tx, conn_rx) = sync_channel::<TcpStream>(cfg.accept_queue);
     let conn_rx = Arc::new(Mutex::new(conn_rx));
 
     let acceptor = {
-        let shared = Arc::clone(&shared);
-        let metrics = Arc::clone(&metrics);
+        let ctx = Arc::clone(&ctx);
         let max_connections = cfg.max_connections;
         let accept_queue = cfg.accept_queue;
         std::thread::spawn(move || {
+            let shared = &ctx.shared;
             // conn_tx lives here; dropping it on exit unblocks the workers
             for conn in listener.incoming() {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -327,7 +342,7 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
                 }
                 let Ok(conn) = conn else { continue };
                 if shared.draining.load(Ordering::SeqCst) {
-                    metrics
+                    ctx.metrics
                         .registry()
                         .counter("drain.rejected_connections")
                         .inc();
@@ -335,7 +350,7 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
                     continue;
                 }
                 if max_connections > 0 && shared.open.load(Ordering::Relaxed) >= max_connections {
-                    metrics.shed_accept();
+                    ctx.metrics.shed_accept();
                     reject(
                         conn,
                         &render_overloaded(retry_after_ms(
@@ -352,7 +367,7 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
                     Err(TrySendError::Full(conn)) => {
                         shared.queued.fetch_sub(1, Ordering::SeqCst);
                         shared.open.fetch_sub(1, Ordering::SeqCst);
-                        metrics.shed_accept();
+                        ctx.metrics.shed_accept();
                         reject(
                             conn,
                             &render_overloaded(retry_after_ms(
@@ -374,27 +389,14 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
     let workers = (0..cfg.workers)
         .map(|_| {
             let conn_rx = Arc::clone(&conn_rx);
-            let shared = Arc::clone(&shared);
-            let store = Arc::clone(&store);
-            let metrics = Arc::clone(&metrics);
-            let cache = Arc::clone(&cache);
-            let tracer = tracer.as_ref().map(Arc::clone);
-            let limits = limits.clone();
+            let ctx = Arc::clone(&ctx);
             std::thread::spawn(move || loop {
                 let conn = conn_rx.lock().recv();
                 match conn {
                     Ok(conn) => {
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        serve_connection(
-                            conn,
-                            &store,
-                            &metrics,
-                            &cache,
-                            tracer.as_deref(),
-                            &shared,
-                            &limits,
-                        );
-                        shared.open.fetch_sub(1, Ordering::SeqCst);
+                        ctx.shared.queued.fetch_sub(1, Ordering::SeqCst);
+                        serve_connection(conn, &ctx);
+                        ctx.shared.open.fetch_sub(1, Ordering::SeqCst);
                     }
                     Err(_) => break, // acceptor exited and the queue drained
                 }
@@ -404,26 +406,16 @@ pub fn serve(store: Arc<ShardedStore>, cfg: &ServerConfig) -> Result<ServerHandl
 
     Ok(ServerHandle {
         addr,
-        shared,
+        ctx,
         acceptor: Some(acceptor),
         workers,
-        metrics,
-        tracer,
     })
 }
 
 /// Speak the protocol on one connection until EOF, error, deadline,
 /// drain, or shutdown.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection(
-    mut conn: TcpStream,
-    store: &ShardedStore,
-    metrics: &Metrics,
-    cache: &Mutex<LruCache>,
-    tracer: Option<&Tracer>,
-    shared: &Shared,
-    limits: &Limits,
-) {
+fn serve_connection(mut conn: TcpStream, ctx: &Context) {
+    let (shared, limits) = (&ctx.shared, &ctx.limits);
     // The read timeout doubles as the shutdown/deadline poll tick; a
     // deadline shorter than the default tick still fires on time.
     let poll = match limits.read_deadline {
@@ -447,14 +439,12 @@ fn serve_connection(
         while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = pending.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&line);
-            let (response, mut trace) =
-                handle_admitted(line.trim(), store, metrics, cache, tracer, shared, limits);
+            let (response, mut trace) = handle_admitted(line.trim(), ctx);
             if let Some(t) = trace.as_mut() {
                 t.stage("write");
             }
-            let wrote =
-                conn.write_all(response.as_bytes()).is_ok() && conn.write_all(b"\n").is_ok();
-            if let (Some(tr), Some(t)) = (tracer, trace.take()) {
+            let wrote = write_line(&mut conn, &response);
+            if let (Some(tr), Some(t)) = (ctx.tracer.as_deref(), trace.take()) {
                 tr.finish(t, wrote && !response.starts_with(r#"{"ok":false"#));
             }
             if !wrote {
@@ -466,10 +456,11 @@ fn serve_connection(
         // Refuse to buffer one without bound: answer a structured error
         // and close (the rest of the oversized line cannot be framed).
         if pending.len() > MAX_LINE_BYTES {
-            metrics.record_error();
-            let response = render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-            let _ = conn.write_all(response.as_bytes());
-            let _ = conn.write_all(b"\n");
+            ctx.metrics.record_error();
+            write_line(
+                &mut conn,
+                &render_error(&format!("request line exceeds {MAX_LINE_BYTES} bytes")),
+            );
             return;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -482,13 +473,14 @@ fn serve_connection(
         }
         if let Some(deadline) = limits.read_deadline {
             if last_progress.elapsed() >= deadline {
-                metrics.deadline_closed();
-                let response = render_error(&format!(
-                    "read deadline exceeded ({} ms without a complete request)",
-                    deadline.as_millis()
-                ));
-                let _ = conn.write_all(response.as_bytes());
-                let _ = conn.write_all(b"\n");
+                ctx.metrics.deadline_closed();
+                write_line(
+                    &mut conn,
+                    &render_error(&format!(
+                        "read deadline exceeded ({} ms without a complete request)",
+                        deadline.as_millis()
+                    )),
+                );
                 return;
             }
         }
@@ -502,215 +494,10 @@ fn serve_connection(
     }
 }
 
-/// The connection-layer request path: admission control first (drain
-/// verb, shed policy), then the shared handler. Shed rejections are
-/// counted on their own counters — not as served requests (they skip
-/// the latency histogram) and not as protocol errors.
-fn handle_admitted(
-    line: &str,
-    store: &ShardedStore,
-    metrics: &Metrics,
-    cache: &Mutex<LruCache>,
-    tracer: Option<&Tracer>,
-    shared: &Shared,
-    limits: &Limits,
-) -> (String, Option<ActiveTrace>) {
-    if let Ok(request) = parse_request(line) {
-        if let Request::Shutdown = request {
-            shared.drain_requested.store(true, Ordering::SeqCst);
-            metrics.registry().counter("drain.requested").inc();
-            return (render_shutdown_ack(), None);
-        }
-        if limits.shed.enabled() {
-            let p99_us = if limits.shed.latency_us > 0 {
-                metrics.snapshot().p99_us
-            } else {
-                0.0
-            };
-            if let Some(retry) = limits
-                .shed
-                .decide(request_cost(&request), shared.load(), p99_us)
-            {
-                metrics.shed(verb_name(&request));
-                return (render_overloaded(retry), None);
-            }
-        }
-    }
-    // Malformed lines fall through: the shared handler renders the
-    // structured parse error with the usual metrics/trace bookkeeping.
-    shared.active.fetch_add(1, Ordering::SeqCst);
-    let drained =
-        shared.draining.load(Ordering::SeqCst) || shared.drain_requested.load(Ordering::SeqCst);
-    let out = handle_request_drain_aware(line, store, metrics, cache, tracer, drained);
-    shared.active.fetch_sub(1, Ordering::SeqCst);
-    out
-}
-
-/// Serve one request line; shared by the TCP workers and direct tests.
-pub fn handle_request(
-    line: &str,
-    store: &ShardedStore,
-    metrics: &Metrics,
-    cache: &Mutex<LruCache>,
-) -> String {
-    handle_request_drain_aware(line, store, metrics, cache, None, false).0
-}
-
-/// Serve one request line with optional request-scoped tracing and the
-/// connection layer's drain flag, which only the `ready` verb consults
-/// (a draining instance reports unready so load balancers stop routing
-/// to it before it stops).
-///
-/// When `tracer` is set and the head-based sampler elects this request,
-/// the returned [`ActiveTrace`] carries the handler stages
-/// (`parse → store_read → cache_lookup/serialize`); the caller owns the
-/// `write` stage and must [`Tracer::finish`] the trace after the
-/// response hits the socket. Latency accounting
-/// ([`Tracer::observe`], for per-verb percentiles and the SLO monitor)
-/// happens here for **every** request, sampled or not, and covers the
-/// handler only — the write stage is visible in traces but not in the
-/// latency histograms, which keeps the histogram identical to what the
-/// untraced `serve.latency_ns` metric records.
-fn handle_request_drain_aware(
-    line: &str,
-    store: &ShardedStore,
-    metrics: &Metrics,
-    cache: &Mutex<LruCache>,
-    tracer: Option<&Tracer>,
-    draining: bool,
-) -> (String, Option<ActiveTrace>) {
-    let mut trace = tracer.and_then(|t| t.begin_sampled("request"));
-    let started = Instant::now();
-    if let Some(t) = trace.as_mut() {
-        t.stage("parse");
-    }
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(msg) => {
-            metrics.record_error();
-            if let Some(t) = trace.as_mut() {
-                t.set_verb("error");
-                t.note(&msg);
-                t.end_stage();
-            }
-            if let Some(tr) = tracer {
-                tr.observe("error", started.elapsed().as_nanos() as u64, false);
-            }
-            return (render_error(&msg), trace);
-        }
-    };
-    if let Some(t) = trace.as_mut() {
-        t.set_verb(verb_name(&request));
-        t.stage("store_read");
-    }
-    let response = match request {
-        Request::Score(page) => {
-            if crate::fault::chaos_fail("serve.score") {
-                render_error("chaos: injected serve.score fault")
-            } else {
-                // Single-shard dispatch: only the owning shard's freshest
-                // generation is read; no scatter, no view.
-                let shard = store.route(page);
-                let current = store.shard_current(shard);
-                if qrank_obs::enabled() {
-                    qrank_obs::global().counter("shard.score_dispatch").inc();
-                }
-                if let Some(t) = trace.as_mut() {
-                    t.stage("serialize");
-                }
-                render_score(&current, page)
-            }
-        }
-        Request::TopK(k) => {
-            let view = store.current();
-            if let Some(t) = trace.as_mut() {
-                t.stage("cache_lookup");
-            }
-            let cached = cache.lock().get(view.generations(), k);
-            match cached {
-                Some(hit) => {
-                    metrics.cache_hit();
-                    if let Some(t) = trace.as_mut() {
-                        t.note("cache=hit");
-                    }
-                    hit
-                }
-                None => {
-                    metrics.cache_miss();
-                    if let Some(t) = trace.as_mut() {
-                        t.stage("serialize");
-                        t.note("cache=miss");
-                    }
-                    let rendered = render_topk(&view, k);
-                    cache.lock().put(view.generations(), k, rendered.clone());
-                    rendered
-                }
-            }
-        }
-        Request::Stats => {
-            let view = store.current();
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
-            render_stats(&view, &metrics.snapshot())
-        }
-        Request::Metrics => {
-            let view = store.current();
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
-            render_metrics(&view, metrics)
-        }
-        Request::Health => {
-            let view = store.current();
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
-            render_health(&view)
-        }
-        Request::Ready => {
-            let view = store.current();
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
-            render_ready(&view, draining)
-        }
-        Request::Trace(query) => {
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
-            render_trace(tracer, query)
-        }
-        // The connection layer intercepts this verb (it owns the drain
-        // flag); reaching it here means a direct handler call.
-        Request::Shutdown => render_error("shutdown is only honored on a live server connection"),
-    };
-    let latency_ns = started.elapsed().as_nanos() as u64;
-    metrics.record(latency_ns);
-    if let Some(t) = trace.as_mut() {
-        t.end_stage();
-    }
-    if let Some(tr) = tracer {
-        let ok = !response.starts_with(r#"{"ok":false"#);
-        tr.observe(verb_name(&request), latency_ns, ok);
-        // Per-shard SLO attribution for score dispatch: observed *in
-        // addition to* the plain verb, and only on a sharded store, so
-        // single-shard deployments keep their exact historical label
-        // set.
-        if store.shards() > 1 {
-            if let Request::Score(page) = request {
-                if let Some(label) = score_shard_label(store.route(page)) {
-                    tr.observe(label, latency_ns, ok);
-                }
-            }
-        }
-    }
-    (response, trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handler::handle_request;
     use crate::overload::Cost;
 
     #[test]
@@ -796,57 +583,44 @@ mod tests {
 
     #[test]
     fn shed_rejections_skip_request_and_error_counters() {
-        let store = ShardedStore::new(1);
-        let metrics = Metrics::new();
-        let cache = Mutex::new(LruCache::new(4));
-        let shared = Shared::default();
-        shared.active.store(5, Ordering::SeqCst);
-        let limits = Limits {
-            read_deadline: None,
-            write_timeout: None,
-            shed: ShedPolicy {
-                expensive_at: 1,
-                cheap_at: 1_000,
-                latency_us: 0,
+        let ctx = Context::new(
+            Arc::new(ShardedStore::new(1)),
+            &ServerConfig {
+                shed: ShedPolicy {
+                    expensive_at: 1,
+                    cheap_at: 1_000,
+                    latency_us: 0,
+                },
+                ..Default::default()
             },
-        };
-        let (topk, _) = handle_admitted("topk 3", &store, &metrics, &cache, None, &shared, &limits);
+        );
+        ctx.shared.active.store(5, Ordering::SeqCst);
+        let (topk, _) = handle_admitted("topk 3", &ctx);
         assert!(topk.contains(r#""error":"overloaded""#), "{topk}");
         assert!(topk.contains("retry_after_ms"), "{topk}");
-        let (score, _) =
-            handle_admitted("score 1", &store, &metrics, &cache, None, &shared, &limits);
+        let (score, _) = handle_admitted("score 1", &ctx);
         assert!(
             !score.contains("overloaded"),
             "score admitted while load is under the cheap threshold: {score}"
         );
-        let (health, _) =
-            handle_admitted("health", &store, &metrics, &cache, None, &shared, &limits);
+        let (health, _) = handle_admitted("health", &ctx);
         assert!(health.contains(r#""ok":true"#), "probes exempt: {health}");
-        let s = metrics.snapshot();
+        let s = ctx.metrics.snapshot();
         assert_eq!(s.requests, 2, "the shed topk is not a served request");
         assert_eq!(s.errors, 0, "sheds are not protocol errors");
-        let snap = metrics.registry().snapshot();
+        let snap = ctx.metrics.registry().snapshot();
         assert_eq!(snap.counter("shed.requests"), Some(1));
         assert_eq!(snap.counter("shed.topk"), Some(1));
     }
 
     #[test]
     fn shutdown_verb_sets_the_drain_request_flag() {
-        let store = ShardedStore::new(1);
-        let metrics = Metrics::new();
-        let cache = Mutex::new(LruCache::new(4));
-        let shared = Shared::default();
-        let limits = Limits {
-            read_deadline: None,
-            write_timeout: None,
-            shed: ShedPolicy::default(),
-        };
-        let (ack, _) =
-            handle_admitted("shutdown", &store, &metrics, &cache, None, &shared, &limits);
+        let ctx = Context::new(Arc::new(ShardedStore::new(1)), &ServerConfig::default());
+        let (ack, _) = handle_admitted("shutdown", &ctx);
         assert_eq!(ack, r#"{"ok":true,"draining":true}"#);
-        assert!(shared.drain_requested.load(Ordering::SeqCst));
+        assert!(ctx.shared.drain_requested.load(Ordering::SeqCst));
         // ready now reports unready even though the store is untouched
-        let (ready, _) = handle_admitted("ready", &store, &metrics, &cache, None, &shared, &limits);
+        let (ready, _) = handle_admitted("ready", &ctx);
         assert!(ready.contains(r#""draining":true"#), "{ready}");
     }
 

@@ -2,17 +2,13 @@
 //!
 //! One page → one shard, decided by [`shard_of`] — **the only place in
 //! the workspace where the page→shard hash exists** (CI greps for
-//! stray copies). A [`ShardedStore`] holds one atomically-swappable
-//! [`ScoreStore`] generation per shard plus a sealed, coherent
-//! [`ShardView`]:
-//!
-//! * `score` dispatches to the owning shard's freshest generation —
-//!   single-shard reads never wait on the other shards;
-//! * `topk`/`stats`/`health`/`metrics` read the sealed view, a
-//!   consistent set of per-shard stores captured by [`ShardedStore::seal`].
-//!   Publishing is per-shard and independent; the view (and with it the
-//!   generation vector) is swapped **last**, so readers never observe a
-//!   torn cross-shard generation.
+//! stray copies). A [`ShardedStore`] holds one sealed [`ShardView`]:
+//! every shard's [`ScoreStore`] together with the generation and
+//! snapshot time they were published under. Every verb — `score`,
+//! `topk`, `stats`, `health`, `metrics` — reads one view for the whole
+//! request, and a publish swaps the whole view at once, so no reader
+//! can see one shard at generation g+1 and another at g, or a `score`
+//! from a generation `health` does not show yet.
 //!
 //! ## Shard-count invariance
 //!
@@ -42,7 +38,7 @@ use qrank_graph::PageId;
 use qrank_wal::DeltaRecord;
 
 use crate::delta::EdgeDelta;
-use crate::store::{PageScores, ScoreStore, StoreHandle};
+use crate::store::{PageScores, ScoreStore};
 
 fn bump(name: &'static str) {
     if qrank_obs::enabled() {
@@ -81,25 +77,24 @@ pub(crate) fn score_shard_label(shard: usize) -> Option<&'static str> {
     SCORE_SHARD_LABELS.get(shard).copied()
 }
 
-/// A sealed, coherent view over every shard's store: the per-shard
-/// `Arc<ScoreStore>`s plus the generation vector, captured atomically
-/// by [`ShardedStore::seal`]. Scatter-gather reads (`topk`, `stats`,
-/// `health`, `metrics`) run entirely against one view and can never mix
-/// generations across shards.
+/// A sealed, coherent view over every shard's store, stamped with the
+/// one generation and snapshot time they serve under. Reads run
+/// entirely against one view and can never mix generations.
 #[derive(Debug)]
 pub struct ShardView {
-    stores: Vec<Arc<ScoreStore>>,
-    generations: Vec<u64>,
+    stores: Vec<ScoreStore>,
+    generation: u64,
+    snapshot_time: f64,
     total_pages: usize,
 }
 
 impl ShardView {
-    fn of(stores: Vec<Arc<ScoreStore>>) -> Self {
-        let generations = stores.iter().map(|s| s.generation()).collect();
+    fn of(stores: Vec<ScoreStore>, generation: u64, snapshot_time: f64) -> Self {
         let total_pages = stores.iter().map(|s| s.len()).sum();
         ShardView {
             stores,
-            generations,
+            generation,
+            snapshot_time,
             total_pages,
         }
     }
@@ -109,16 +104,10 @@ impl ShardView {
         self.stores.len()
     }
 
-    /// The coherent per-shard generation vector.
-    pub fn generations(&self) -> &[u64] {
-        &self.generations
-    }
-
-    /// The view's scalar generation: the minimum across shards (equal to
-    /// every shard's generation when publishes go through
-    /// [`ShardedStore::publish_report`], which seals once per cycle).
+    /// The generation this view was published under (0 = the empty
+    /// pre-refresh view).
     pub fn generation(&self) -> u64 {
-        self.generations.iter().copied().min().unwrap_or(0)
+        self.generation
     }
 
     /// Total pages served across all shards.
@@ -131,16 +120,14 @@ impl ShardView {
         self.total_pages == 0
     }
 
-    /// Newest snapshot time across shards (`NEG_INFINITY` pre-refresh).
+    /// Capture time of the newest snapshot ranked into this view
+    /// (`NEG_INFINITY` pre-refresh).
     pub fn snapshot_time(&self) -> f64 {
-        self.stores
-            .iter()
-            .map(|s| s.snapshot_time())
-            .fold(f64::NEG_INFINITY, f64::max)
+        self.snapshot_time
     }
 
     /// One shard's store within this view.
-    pub fn store(&self, shard: usize) -> &Arc<ScoreStore> {
+    pub fn store(&self, shard: usize) -> &ScoreStore {
         &self.stores[shard]
     }
 
@@ -191,18 +178,11 @@ impl ShardView {
     }
 }
 
-/// The sharded serving core: N per-shard [`StoreHandle`]s (the freshest
-/// generation of each shard, for single-shard `score` dispatch) plus
-/// the sealed [`ShardView`] scatter-gather reads go through.
-///
-/// Publish discipline: [`publish_shard`](Self::publish_shard) swaps one
-/// shard's store through the existing `StoreHandle` discipline;
-/// [`seal`](Self::seal) then captures a coherent view and bumps the
-/// generation vector **last**. [`publish_report`](Self::publish_report)
-/// packages the whole cycle.
+/// The sharded serving core: the one sealed [`ShardView`] every read
+/// goes through, swapped whole by
+/// [`publish_report`](Self::publish_report).
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<StoreHandle>,
     view: RwLock<Arc<ShardView>>,
 }
 
@@ -210,17 +190,15 @@ impl ShardedStore {
     /// A sharded store over `shards` empty generation-0 shards
     /// (clamped to at least 1).
     pub fn new(shards: usize) -> Self {
-        let handles: Vec<StoreHandle> = (0..shards.max(1)).map(|_| StoreHandle::new()).collect();
-        let view = ShardView::of(handles.iter().map(|h| h.current()).collect());
+        let stores = (0..shards.max(1)).map(|_| ScoreStore::empty()).collect();
         ShardedStore {
-            shards: handles,
-            view: RwLock::new(Arc::new(view)),
+            view: RwLock::new(Arc::new(ShardView::of(stores, 0, f64::NEG_INFINITY))),
         }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.view.read().shards()
     }
 
     /// The shard owning `page`.
@@ -228,80 +206,42 @@ impl ShardedStore {
         shard_of(page, self.shards())
     }
 
-    /// The freshest store of one shard (cheap `Arc` clone). `score`
-    /// requests read this — they may observe a shard that published
-    /// ahead of the sealed view.
-    pub fn shard_current(&self, shard: usize) -> Arc<ScoreStore> {
-        self.shards[shard].current()
-    }
-
-    /// The sealed coherent view (cheap `Arc` clone). Scatter-gather
-    /// reads use this and can never mix generations across shards.
+    /// The sealed view (cheap `Arc` clone under a briefly-held read
+    /// lock, so a publish never stalls a reader).
     pub fn current(&self) -> Arc<ShardView> {
         self.view.read().clone()
     }
 
-    /// Atomically swap one shard's store. The sealed view is untouched —
-    /// call [`seal`](Self::seal) after the last shard of a cycle.
-    pub fn publish_shard(&self, shard: usize, store: ScoreStore) {
-        self.shards[shard].publish(store);
-        bump("shard.publish");
-    }
-
-    /// Capture the current per-shard stores as the new sealed view —
-    /// the point where the generation vector advances for readers.
-    pub fn seal(&self) {
-        let view = ShardView::of(self.shards.iter().map(|h| h.current()).collect());
-        *self.view.write() = Arc::new(view);
-        bump("shard.seal");
-    }
-
     /// Publish one pipeline report as a full generation: partition the
     /// report's rows by owning shard, build each shard's store next to
-    /// the one it replaces (`ScoreStore::after`) and publish it, then
-    /// seal. Every shard is stamped with the same `generation` and
-    /// `snapshot_time`, so rendered responses carry the same bytes an
-    /// unsharded store would.
+    /// that shard's store in the current view (`ScoreStore::after`),
+    /// then swap the new view in once. Every shard serves under the same
+    /// `generation` and `snapshot_time`, so rendered responses carry the
+    /// same bytes an unsharded store would.
     pub fn publish_report(&self, report: &PipelineReport, generation: u64, snapshot_time: f64) {
         let _span = qrank_obs::span!("shard.publish_report");
-        let n = self.shards();
-        {
+        let view = {
             let _s = qrank_obs::span!("shard.build");
+            let previous = self.current();
+            let n = previous.shards();
             let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
             for (row, page) in report.pages.iter().enumerate() {
                 rows[shard_of(page.0, n)].push(row as u32);
             }
-            for (shard, shard_rows) in rows.iter().enumerate() {
-                let previous = self.shards[shard].current();
-                let store = ScoreStore::after(
-                    Some(&previous),
-                    report,
-                    shard_rows,
-                    generation,
-                    snapshot_time,
-                );
-                self.publish_shard(shard, store);
-            }
-        }
+            let stores = previous
+                .stores
+                .iter()
+                .zip(&rows)
+                .map(|(store, shard_rows)| {
+                    bump("shard.publish");
+                    ScoreStore::after(store, report, shard_rows)
+                })
+                .collect();
+            ShardView::of(stores, generation, snapshot_time)
+        };
         let _s = qrank_obs::span!("shard.seal");
-        self.seal();
-    }
-
-    /// Convenience publish for the single-shard case (tests and
-    /// embedders holding a ready-made [`ScoreStore`]).
-    ///
-    /// # Panics
-    /// Panics when the store is sharded more than one way — partitioning
-    /// a finished `ScoreStore` is not supported; use
-    /// [`publish_report`](Self::publish_report).
-    pub fn publish(&self, store: ScoreStore) {
-        assert_eq!(
-            self.shards(),
-            1,
-            "ShardedStore::publish is single-shard only; use publish_report"
-        );
-        self.publish_shard(0, store);
-        self.seal();
+        *self.view.write() = Arc::new(view);
+        bump("shard.seal");
     }
 }
 
@@ -514,21 +454,26 @@ mod tests {
         let store = ShardedStore::new(4);
         let view = store.current();
         assert_eq!(view.shards(), 4);
-        assert_eq!(view.generations(), &[0, 0, 0, 0]);
         assert_eq!(view.generation(), 0);
+        assert_eq!(view.snapshot_time(), f64::NEG_INFINITY);
         assert!(view.is_empty());
         assert!(view.topk(5).is_empty());
         assert!(view.score(PageId(7)).is_none());
     }
 
     #[test]
-    fn publish_without_seal_keeps_the_view_stable() {
-        let store = ShardedStore::new(2);
-        let before = store.current();
-        store.publish_shard(0, ScoreStore::empty());
-        assert_eq!(store.current().generations(), before.generations());
-        store.seal();
-        assert_eq!(store.current().generations(), &[0, 0]);
+    fn publish_report_swaps_the_view_and_old_views_stay_valid() {
+        let report = crate::store::tests::report();
+        let store = ShardedStore::new(3);
+        store.publish_report(&report, 1, 2.0);
+        let seen = store.current();
+        assert_eq!((seen.generation(), seen.snapshot_time()), (1, 2.0));
+        assert_eq!(seen.len(), 6);
+        // an old view stays whole after the next publish
+        store.publish_report(&report, 2, 3.0);
+        assert_eq!((seen.generation(), seen.snapshot_time()), (1, 2.0));
+        assert_eq!(seen.topk(6), store.current().topk(6));
+        assert_eq!(store.current().generation(), 2);
     }
 
     #[test]

@@ -12,10 +12,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qrank_core::{run_pipeline, PipelineConfig};
-use qrank_graph::PageId;
 use qrank_serve::{
-    serve, spawn_refresh_worker, EdgeDelta, RefreshConfig, RefreshEngine, RefreshMsg, ScoreStore,
-    ServerConfig, ShardedStore, StoreHandle,
+    handle_request, serve, spawn_refresh_worker, EdgeDelta, LruCache, Metrics, RefreshConfig,
+    RefreshEngine, RefreshMsg, ServerConfig, ShardedStore,
 };
 
 mod common;
@@ -293,48 +292,50 @@ fn bad_requests_do_not_poison_the_connection() {
 fn concurrent_readers_make_progress_while_generations_publish() {
     let series = seed_series(3);
     let report = run_pipeline(&series, &PipelineConfig::default()).unwrap();
-    let handle = Arc::new(StoreHandle::with_store(ScoreStore::from_report(
-        &report, 1, 2.0,
-    )));
+    let store = Arc::new(ShardedStore::new(8));
+    store.publish_report(&report, 1, 2.0);
     let stop = Arc::new(AtomicBool::new(false));
 
     // writer: publish new generations as fast as possible until told to stop
     let writer = {
-        let handle = Arc::clone(&handle);
+        let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
-        let report = report.clone();
         std::thread::spawn(move || {
             let mut generation = 1;
             while !stop.load(Ordering::Relaxed) {
                 generation += 1;
-                handle.publish(ScoreStore::from_report(&report, generation, 2.0));
+                store.publish_report(&report, generation, 2.0);
             }
             generation
         })
     };
 
-    // readers: each must observe several distinct generations, and the
-    // generation sequence each sees must be monotonic (no torn stores,
-    // no going back in time). If a publish blocked readers, this would
-    // deadlock or time out rather than pass.
+    // readers: `score` through the handler, then the view's generation.
+    // Neither may go back, and a score line may never carry a generation
+    // the view read right after it does not show yet: `score` reads the
+    // view every other verb reads. If a publish blocked readers, this
+    // would deadlock or time out rather than pass.
     let readers: Vec<_> = (0..2)
         .map(|_| {
-            let handle = Arc::clone(&handle);
+            let store = Arc::clone(&store);
             std::thread::spawn(move || {
+                let (metrics, cache) = (Metrics::new(), parking_lot::Mutex::new(LruCache::new(4)));
                 let mut last = 0;
                 let mut distinct = 0;
-                for _ in 0..10_000_000 {
-                    let store = handle.current();
-                    let generation = store.generation();
-                    assert!(generation >= last, "generation went backwards");
-                    assert_eq!(store.len(), 6, "torn store observed");
-                    assert!(store.score(PageId(1)).is_some());
-                    if generation != last {
+                for i in 0..20_000u64 {
+                    let line =
+                        handle_request(&format!("score {}", i % 6), &store, &metrics, &cache);
+                    assert!(line.contains(r#""ok":true"#), "{line}");
+                    let scored = json_num(&line, "generation") as u64;
+                    let shown = store.current().generation();
+                    assert!(scored >= last, "generation went backwards: {line}");
+                    assert!(
+                        scored <= shown,
+                        "score answered generation {scored} while the view showed {shown}"
+                    );
+                    if shown != last {
                         distinct += 1;
-                        last = generation;
-                    }
-                    if distinct >= 5 {
-                        return distinct;
+                        last = shown;
                     }
                 }
                 distinct
