@@ -8,7 +8,7 @@
 
 use qrank_core::smoothing::AdaptiveWindow;
 use qrank_core::{
-    run_pipeline_with, CurrentPopularity, DerivativeOnly, PaperEstimator, PipelineEngine,
+    run_pipeline_with, CurrentPopularity, DerivativeOnly, PipelineConfig, PipelineEngine,
     PipelineReport, PopularityMetric, QualityEstimator,
 };
 use qrank_graph::io::{decode_series, read_edge_list};
@@ -65,20 +65,18 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "indegree" => PopularityMetric::InDegree,
         other => return Err(CliError::usage(format!("unknown metric `{other}`"), USAGE)),
     };
-    let c: f64 = p.get_or("c", 0.1, USAGE)?;
-    let min_change: f64 = p.get_or("min-change", 0.05, USAGE)?;
-    let paper = PaperEstimator {
-        c,
-        flat_tolerance: 0.0,
-    };
+    let defaults = PipelineConfig::default();
+    let c: f64 = p.get_or("c", defaults.c, USAGE)?;
+    let min_change: f64 = p.get_or("min-change", defaults.min_relative_change, USAGE)?;
+    let paper = PipelineConfig { c, ..defaults }.estimator();
     let adaptive = AdaptiveWindow {
         c,
         threshold: 1.0,
-        flat_tolerance: 0.0,
+        flat_tolerance: paper.flat_tolerance,
     };
     let derivative = DerivativeOnly {
         c,
-        flat_tolerance: 0.0,
+        flat_tolerance: paper.flat_tolerance,
     };
     let current = CurrentPopularity;
     let estimator: &dyn QualityEstimator = match p.get("estimator").unwrap_or("paper") {

@@ -9,7 +9,7 @@
 //! and writes the full in-process snapshot (registry, convergence
 //! traces, flight-recorder events) from [`qrank_obs::dump_json`].
 
-use qrank_core::{run_pipeline_with, PaperEstimator, PopularityMetric};
+use qrank_core::{run_pipeline, PipelineConfig};
 use qrank_graph::io::decode_series;
 use qrank_obs::json::{array, Obj};
 
@@ -64,13 +64,13 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             let was_enabled = qrank_obs::enabled();
             qrank_obs::set_enabled(true);
             qrank_obs::reset();
-            let metric = PopularityMetric::paper_pagerank();
-            let estimator = PaperEstimator {
-                c: p.get_or("c", 0.1, USAGE)?,
-                flat_tolerance: 0.0,
+            let defaults = PipelineConfig::default();
+            let cfg = PipelineConfig {
+                c: p.get_or("c", defaults.c, USAGE)?,
+                min_relative_change: p.get_or("min-change", defaults.min_relative_change, USAGE)?,
+                ..defaults
             };
-            let min_change: f64 = p.get_or("min-change", 0.05, USAGE)?;
-            let result = run_pipeline_with(&series, &metric, &estimator, min_change);
+            let result = run_pipeline(&series, &cfg);
             let dump = match format {
                 "prom" => format!("{}# EOF", qrank_obs::global().snapshot().prometheus_text()),
                 _ => qrank_obs::dump_json(),

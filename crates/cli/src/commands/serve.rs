@@ -7,6 +7,7 @@
 
 use std::sync::Arc;
 
+use qrank_core::PipelineConfig;
 use qrank_graph::io::decode_series;
 use qrank_serve::{
     parse_deltas, serve, spawn_refresh_worker_with, DurabilityConfig, FsyncPolicy, RefreshConfig,
@@ -170,11 +171,18 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         return Ok(());
     }
     let series_path = p.require("series", USAGE)?;
+    let defaults = RefreshConfig::default();
     let refresh_cfg = RefreshConfig {
-        c: p.get_or("c", 0.1, USAGE)?,
-        min_relative_change: p.get_or("min-change", 0.05, USAGE)?,
-        max_window: p.get_or("max-window", 4, USAGE)?,
-        ..Default::default()
+        pipeline: PipelineConfig {
+            c: p.get_or("c", defaults.pipeline.c, USAGE)?,
+            min_relative_change: p.get_or(
+                "min-change",
+                defaults.pipeline.min_relative_change,
+                USAGE,
+            )?,
+            ..defaults.pipeline
+        },
+        max_window: p.get_or("max-window", defaults.max_window, USAGE)?,
     };
     let server_cfg = ServerConfig {
         addr: p.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
@@ -267,7 +275,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             let mut engine = engine;
             engine.set_wal_retry(RetryPolicy {
                 attempts: wal_retries,
-                ..RetryPolicy::standard(0x9e3779b97f4a7c15)
+                seed: 0x9e3779b97f4a7c15,
             });
             engine
         }

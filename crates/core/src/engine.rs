@@ -157,11 +157,6 @@ impl PipelineEngine {
         }
     }
 
-    /// The metric this engine's columns are computed under.
-    pub fn metric(&self) -> &PopularityMetric {
-        &self.metric
-    }
-
     /// Cache traffic of the most recent [`run`](PipelineEngine::run).
     pub fn stats(&self) -> StageStats {
         self.stats
@@ -368,10 +363,7 @@ mod tests {
     fn cold_engine_matches_run_pipeline() {
         let series = window(0, 4);
         let metric = PopularityMetric::paper_pagerank();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let cold = run_pipeline_with(&series, &metric, &est, 0.05).unwrap();
         let mut engine = PipelineEngine::new(metric);
         let warm = engine.run(&series, &est, 0.05).unwrap();
@@ -383,10 +375,7 @@ mod tests {
     #[test]
     fn append_solves_one_column() {
         let metric = PopularityMetric::paper_pagerank();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(metric.clone());
         engine.run(&window(0, 3), &est, 0.05).unwrap();
         let grown = window(0, 4);
@@ -400,10 +389,7 @@ mod tests {
     #[test]
     fn window_slide_solves_one_column() {
         let metric = PopularityMetric::paper_pagerank();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(metric.clone());
         engine.run(&window(0, 4), &est, 0.05).unwrap();
         let slid = window(1, 5);
@@ -418,10 +404,7 @@ mod tests {
     #[test]
     fn common_set_change_invalidates_all_columns() {
         let metric = PopularityMetric::paper_pagerank();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(metric.clone());
         // Window of snapshots all sharing pages 10..14.
         let mut series = window(0, 3);
@@ -446,10 +429,7 @@ mod tests {
     #[test]
     fn identical_rerun_is_all_hits() {
         let metric = PopularityMetric::InDegree;
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(metric);
         let series = window(0, 4);
         engine.run(&series, &est, 0.05).unwrap();
@@ -462,10 +442,7 @@ mod tests {
     #[test]
     fn caches_stay_bounded_by_window() {
         let metric = PopularityMetric::InDegree;
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(metric);
         for lo in 0..6 {
             engine.run(&window(lo, lo + 4), &est, 0.05).unwrap();
@@ -476,10 +453,7 @@ mod tests {
 
     #[test]
     fn warming_a_filling_window_prefunds_the_first_run() {
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(PopularityMetric::paper_pagerank());
         assert_eq!(
             engine.warm(&SnapshotSeries::new()).unwrap(),
@@ -497,10 +471,7 @@ mod tests {
         // The align stage follows the same process-global budget as the
         // column solves; five snapshots give it more misses than threads.
         let _pinned = BUDGET.lock().unwrap();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let series = window(0, 5);
         let baseline = {
             qrank_rank::set_thread_budget(1);
@@ -519,10 +490,7 @@ mod tests {
     #[test]
     fn cold_four_column_run_gives_one_report_at_budgets_1_2_8() {
         let _pinned = BUDGET.lock().unwrap();
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let series = window(0, 4);
         let mut reports = Vec::new();
         for threads in [1usize, 2, 8] {
@@ -539,10 +507,7 @@ mod tests {
 
     #[test]
     fn aligned_window_shares_one_page_universe() {
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut engine = PipelineEngine::new(PopularityMetric::InDegree);
         engine.run(&window(0, 4), &est, 0.05).unwrap();
         // Every cached aligned snapshot holds the engine's common page
@@ -576,10 +541,7 @@ mod tests {
     #[test]
     fn engine_rejects_short_and_disjoint_series() {
         let mut engine = PipelineEngine::new(PopularityMetric::InDegree);
-        let est = PaperEstimator {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        };
+        let est = PaperEstimator::default();
         let mut disjoint = SnapshotSeries::new();
         for t in 0..3u64 {
             disjoint.push(snap(t as f64, 1, &[], &[100 + t])).unwrap();

@@ -115,11 +115,10 @@ pub struct DerivativeOnly {
 }
 
 impl Default for DerivativeOnly {
+    /// The paper estimator's `C` and tolerance.
     fn default() -> Self {
-        DerivativeOnly {
-            c: 0.1,
-            flat_tolerance: 0.0,
-        }
+        let PaperEstimator { c, flat_tolerance } = PaperEstimator::default();
+        DerivativeOnly { c, flat_tolerance }
     }
 }
 

@@ -25,19 +25,6 @@ pub fn relative_error(reference: f64, estimate: f64) -> f64 {
     }
 }
 
-/// Relative errors for parallel slices.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn relative_errors(reference: &[f64], estimate: &[f64]) -> Vec<f64> {
-    assert_eq!(reference.len(), estimate.len(), "length mismatch");
-    reference
-        .iter()
-        .zip(estimate)
-        .map(|(&r, &e)| relative_error(r, e))
-        .collect()
-}
-
 /// Figure 5's histogram: `bins[i]` counts errors in `(0.1·i, 0.1·(i+1)]`
 /// for `i < 9`; `bins[9]` counts everything above 0.9 (including > 1, as
 /// the paper does).
@@ -198,19 +185,6 @@ mod tests {
         assert_eq!(relative_error(2.0, 2.0), 0.0);
         assert_eq!(relative_error(0.0, 0.0), 0.0);
         assert!(relative_error(0.0, 1.0).is_infinite());
-    }
-
-    #[test]
-    fn relative_errors_parallel() {
-        let errs = relative_errors(&[1.0, 2.0], &[1.1, 1.0]);
-        assert!((errs[0] - 0.1).abs() < 1e-12);
-        assert_eq!(errs[1], 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "length")]
-    fn relative_errors_length_check() {
-        let _ = relative_errors(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! substitute the number of links."
 
 use qrank_graph::CsrGraph;
-use qrank_rank::{PageRankConfig, ScoreScale};
+use qrank_rank::PageRankConfig;
 
 /// A popularity metric computed on one snapshot's graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,23 +28,14 @@ impl PopularityMetric {
     }
 
     /// Compute the metric's score for every node of `g`.
-    pub fn compute(&self, g: &CsrGraph) -> Vec<f64> {
-        self.compute_warm(g, None)
-    }
-
-    /// Like [`PopularityMetric::compute`], optionally warm-starting from
-    /// a previous snapshot's scores (only the PageRank metric uses the
-    /// hint; the others are direct computations).
     ///
     /// PageRank is solved by [`qrank_rank::solve_auto`]: sequential
     /// Gauss–Seidel on small graphs, the degree-relabeled multi-color
     /// parallel sweep on large ones — whichever is fastest for the graph
-    /// size and [`qrank_rank::thread_budget`]. Both the pipeline's cold
-    /// path and the serve refresh engine's warm path funnel through this
-    /// one call, so warm refreshes stay bitwise-equal to cold recomputes.
-    pub fn compute_warm(&self, g: &CsrGraph, warm: Option<&[f64]>) -> Vec<f64> {
+    /// size and [`qrank_rank::thread_budget`].
+    pub fn compute(&self, g: &CsrGraph) -> Vec<f64> {
         match self {
-            PopularityMetric::PageRank(cfg) => qrank_rank::solve_auto(g, cfg, warm).scores,
+            PopularityMetric::PageRank(cfg) => qrank_rank::solve_auto(g, cfg, None).scores,
             PopularityMetric::InDegree => qrank_rank::indegree_scores(g),
             PopularityMetric::HitsAuthority => qrank_rank::hits(g, 1e-10, 200).authorities,
         }
@@ -67,21 +58,6 @@ impl PopularityMetric {
             PopularityMetric::InDegree | PopularityMetric::HitsAuthority => {
                 graphs.iter().map(|g| self.compute(g)).collect()
             }
-        }
-    }
-
-    /// Whether scores of this metric are comparable across snapshots of
-    /// the same aligned page set without rescaling. True for all provided
-    /// metrics: PageRank is computed at a fixed scale over a fixed node
-    /// count, in-degree is absolute, HITS is L2-normalized.
-    pub fn cross_snapshot_comparable(&self) -> bool {
-        match self {
-            PopularityMetric::PageRank(cfg) => {
-                // Probability scale sums to 1 and PerPage to N — both
-                // fixed given the aligned node count.
-                cfg.scale == ScoreScale::Probability || cfg.scale == ScoreScale::PerPage
-            }
-            PopularityMetric::InDegree | PopularityMetric::HitsAuthority => true,
         }
     }
 }
@@ -120,27 +96,6 @@ mod tests {
         let scores = m.compute(&g());
         let norm: f64 = scores.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn all_metrics_comparable() {
-        assert!(PopularityMetric::paper_pagerank().cross_snapshot_comparable());
-        assert!(PopularityMetric::InDegree.cross_snapshot_comparable());
-        assert!(PopularityMetric::HitsAuthority.cross_snapshot_comparable());
-    }
-
-    #[test]
-    fn warm_compute_matches_cold() {
-        let graph = g();
-        let m = PopularityMetric::paper_pagerank();
-        let cold = m.compute(&graph);
-        let warm = m.compute_warm(&graph, Some(&cold));
-        for (a, b) in cold.iter().zip(&warm) {
-            assert!((a - b).abs() < 1e-8);
-        }
-        // non-PageRank metrics ignore the hint
-        let d = PopularityMetric::InDegree;
-        assert_eq!(d.compute(&graph), d.compute_warm(&graph, Some(&cold)));
     }
 
     #[test]

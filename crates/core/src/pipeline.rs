@@ -38,12 +38,25 @@ pub struct PipelineConfig {
 }
 
 impl Default for PipelineConfig {
+    /// The paper's setup: PageRank, [`PaperEstimator::default`]'s `C` and
+    /// tolerance, and the 5 % report filter.
     fn default() -> Self {
+        let PaperEstimator { c, flat_tolerance } = PaperEstimator::default();
         PipelineConfig {
             metric: PopularityMetric::paper_pagerank(),
-            c: 0.1,
-            flat_tolerance: 0.0,
+            c,
+            flat_tolerance,
             min_relative_change: 0.05,
+        }
+    }
+}
+
+impl PipelineConfig {
+    /// The Equation 1 estimator this configuration ranks with.
+    pub fn estimator(&self) -> PaperEstimator {
+        PaperEstimator {
+            c: self.c,
+            flat_tolerance: self.flat_tolerance,
         }
     }
 }
@@ -105,14 +118,10 @@ pub fn run_pipeline(
     series: &SnapshotSeries,
     config: &PipelineConfig,
 ) -> Result<PipelineReport, CoreError> {
-    let estimator = PaperEstimator {
-        c: config.c,
-        flat_tolerance: config.flat_tolerance,
-    };
     run_pipeline_with(
         series,
         &config.metric,
-        &estimator,
+        &config.estimator(),
         config.min_relative_change,
     )
 }
@@ -387,18 +396,14 @@ mod tests {
 
     #[test]
     fn report_from_trajectories_matches_pipeline() {
-        use crate::estimator::PaperEstimator;
         use crate::trajectory::compute_trajectories;
         let series = rising_series();
         let cfg = PipelineConfig::default();
         let full = run_pipeline(&series, &cfg).unwrap();
         let aligned = series.aligned_to_common().unwrap();
         let traj = compute_trajectories(&aligned, &cfg.metric).unwrap();
-        let est = PaperEstimator {
-            c: cfg.c,
-            flat_tolerance: cfg.flat_tolerance,
-        };
-        let tail = report_from_trajectories(&traj, &est, cfg.min_relative_change).unwrap();
+        let tail =
+            report_from_trajectories(&traj, &cfg.estimator(), cfg.min_relative_change).unwrap();
         assert_eq!(full.estimates, tail.estimates);
         assert_eq!(full.err_estimate, tail.err_estimate);
         assert_eq!(full.selected, tail.selected);

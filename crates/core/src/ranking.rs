@@ -91,32 +91,6 @@ pub fn mean_rank_of(scores: &[f64], members: &[usize]) -> f64 {
     members.iter().map(|&i| r[i] as f64).sum::<f64>() / members.len() as f64
 }
 
-/// Blend two score vectors after rescaling each to zero mean / unit
-/// variance, weighting the second by `weight`. This is the simplest
-/// "quality-adjusted ranking" a search engine could deploy: mostly the
-/// production popularity signal plus a quality correction.
-///
-/// Degenerate (constant) inputs contribute zero after standardization.
-pub fn blend_scores(primary: &[f64], secondary: &[f64], weight: f64) -> Vec<f64> {
-    assert_eq!(primary.len(), secondary.len(), "length mismatch");
-    let standardize = |v: &[f64]| -> Vec<f64> {
-        let n = v.len() as f64;
-        if n == 0.0 {
-            return Vec::new();
-        }
-        let mean = v.iter().sum::<f64>() / n;
-        let var = v.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        if var == 0.0 {
-            return vec![0.0; v.len()];
-        }
-        let sd = var.sqrt();
-        v.iter().map(|x| (x - mean) / sd).collect()
-    };
-    let p = standardize(primary);
-    let s = standardize(secondary);
-    p.iter().zip(&s).map(|(a, b)| a + weight * b).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,43 +153,5 @@ mod tests {
     #[should_panic(expected = "at least one member")]
     fn mean_rank_requires_members() {
         let _ = mean_rank_of(&[1.0], &[]);
-    }
-
-    #[test]
-    fn blend_weight_zero_preserves_primary_order() {
-        let p = [3.0, 1.0, 2.0];
-        let s = [1.0, 3.0, 2.0];
-        let b = blend_scores(&p, &s, 0.0);
-        assert_eq!(ranking(&b), ranking(&p));
-    }
-
-    #[test]
-    fn blend_large_weight_follows_secondary() {
-        let p = [3.0, 1.0, 2.0];
-        let s = [1.0, 3.0, 2.0];
-        let b = blend_scores(&p, &s, 100.0);
-        assert_eq!(ranking(&b), ranking(&s));
-    }
-
-    #[test]
-    fn blend_is_scale_invariant() {
-        let p = [3.0, 1.0, 2.0];
-        let s = [10.0, 30.0, 20.0];
-        let a = blend_scores(&p, &s, 0.5);
-        let p2: Vec<f64> = p.iter().map(|x| x * 1000.0).collect();
-        let b = blend_scores(&p2, &s, 0.5);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn blend_handles_constant_input() {
-        let p = [1.0, 1.0, 1.0];
-        let s = [1.0, 2.0, 3.0];
-        let b = blend_scores(&p, &s, 1.0);
-        assert_eq!(ranking(&b), vec![2, 1, 0]);
-        let b = blend_scores(&s, &p, 1.0);
-        assert_eq!(ranking(&b), vec![2, 1, 0]);
     }
 }

@@ -1,49 +1,7 @@
-//! Human-readable reports from pipeline results.
-//!
-//! One formatting path shared by the CLI, the experiment binaries, and
-//! downstream users: render a [`PipelineReport`] as plain text (the
-//! Figure 5 histogram plus the headline comparison) or as a TSV table of
-//! per-page rows.
+//! A [`PipelineReport`]'s per-page rows as a TSV table — what
+//! `qrank estimate --out` writes.
 
-use crate::evaluation::ErrorHistogram;
 use crate::PipelineReport;
-
-/// Render the Figure 5-style comparison as plain text.
-pub fn render_summary(report: &PipelineReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "pages: {} common, {} selected (changed beyond threshold)\n",
-        report.pages.len(),
-        report.num_selected()
-    ));
-    out.push_str(&format!(
-        "mean relative error vs future: estimate {:.4}, current {:.4} (improvement x{:.2})\n",
-        report.summary_estimate.mean_error,
-        report.summary_current.mean_error,
-        report.improvement_factor()
-    ));
-    out.push_str(&format!(
-        "error < 0.1: estimate {:.1}%, current {:.1}%\n",
-        100.0 * report.summary_estimate.frac_below_01,
-        100.0 * report.summary_current.frac_below_01
-    ));
-    out.push_str(&format!(
-        "error > 1.0: estimate {:.1}%, current {:.1}%\n",
-        100.0 * report.summary_estimate.frac_above_1,
-        100.0 * report.summary_current.frac_above_1
-    ));
-    out.push_str("\nerr bin <=   estimate    current\n");
-    let hq = &report.summary_estimate.histogram;
-    let hp = &report.summary_current.histogram;
-    for (i, edge) in ErrorHistogram::bin_labels().iter().enumerate() {
-        out.push_str(&format!(
-            "{edge:>8.1}   {:>8.1}%  {:>8.1}%\n",
-            100.0 * hq.fractions[i],
-            100.0 * hp.fractions[i]
-        ));
-    }
-    out
-}
 
 /// Render the per-page rows as TSV (header included), in page order.
 pub fn render_tsv(report: &PipelineReport) -> String {
@@ -93,14 +51,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn summary_contains_key_sections() {
-        let text = render_summary(&report());
-        assert!(text.contains("mean relative error"));
-        assert!(text.contains("err bin <="));
-        assert!(text.lines().count() > 12);
     }
 
     #[test]

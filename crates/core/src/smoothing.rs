@@ -9,7 +9,7 @@
 //! smoother.
 
 use crate::classify::{classify_trend, Trend};
-use crate::estimator::QualityEstimator;
+use crate::estimator::{PaperEstimator, QualityEstimator};
 use crate::{CoreError, PopularityTrajectories};
 
 /// Exponentially-weighted moving average smoothing along each
@@ -57,11 +57,13 @@ pub struct AdaptiveWindow {
 }
 
 impl Default for AdaptiveWindow {
+    /// The paper estimator's `C` and tolerance, threshold 0.5.
     fn default() -> Self {
+        let PaperEstimator { c, flat_tolerance } = PaperEstimator::default();
         AdaptiveWindow {
-            c: 0.1,
+            c,
             threshold: 0.5,
-            flat_tolerance: 0.0,
+            flat_tolerance,
         }
     }
 }

@@ -21,23 +21,9 @@ pub struct PopularityTrajectories {
 }
 
 impl PopularityTrajectories {
-    /// Number of pages.
-    pub fn num_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Number of snapshots.
     pub fn num_snapshots(&self) -> usize {
         self.times.len()
-    }
-
-    /// The trajectory of one page as `(time, value)` pairs.
-    pub fn series(&self, page: usize) -> Vec<(f64, f64)> {
-        self.times
-            .iter()
-            .copied()
-            .zip(self.values[page].iter().copied())
-            .collect()
     }
 
     /// Restrict to the first `k` snapshots (e.g. hold out the last one as
@@ -164,14 +150,13 @@ mod tests {
     #[test]
     fn indegree_trajectories() {
         let t = compute_trajectories(&series(), &PopularityMetric::InDegree).unwrap();
-        assert_eq!(t.num_pages(), 3);
+        assert_eq!(t.pages.len(), 3);
         assert_eq!(t.num_snapshots(), 3);
         assert_eq!(t.times, vec![0.0, 1.0, 2.0]);
         // page 2 (node 1) gains links: 1, 2, 2
         assert_eq!(t.values[1], vec![1.0, 2.0, 2.0]);
         // page 3 (node 2): 0, 0, 1
         assert_eq!(t.values[2], vec![0.0, 0.0, 1.0]);
-        assert_eq!(t.series(1), vec![(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)]);
     }
 
     #[test]

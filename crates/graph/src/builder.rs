@@ -39,18 +39,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Reserve capacity for `additional` more edges.
-    pub fn reserve_edges(&mut self, additional: usize) {
-        self.edges.reserve(additional);
-    }
-
-    /// Add a fresh node and return its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = self.num_nodes as NodeId;
-        self.num_nodes += 1;
-        id
-    }
-
     /// Ensure the graph has at least `n` nodes.
     pub fn ensure_nodes(&mut self, n: usize) {
         self.num_nodes = self.num_nodes.max(n);
@@ -73,11 +61,6 @@ impl GraphBuilder {
     /// Current number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
-    }
-
-    /// Number of edge insertions so far (before deduplication).
-    pub fn num_edge_insertions(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalize into an immutable [`CsrGraph`], sorting and deduplicating
@@ -116,15 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn add_node_returns_sequential_ids() {
-        let mut b = GraphBuilder::new();
-        assert_eq!(b.add_node(), 0);
-        assert_eq!(b.add_node(), 1);
-        b.add_edge(5, 1);
-        assert_eq!(b.add_node(), 6);
-    }
-
-    #[test]
     fn ensure_nodes_never_shrinks() {
         let mut b = GraphBuilder::with_nodes(5);
         b.ensure_nodes(3);
@@ -139,7 +113,7 @@ mod tests {
         for _ in 0..10 {
             b.add_edge(0, 1);
         }
-        assert_eq!(b.num_edge_insertions(), 10);
+        assert_eq!(b.edges.len(), 10);
         assert_eq!(b.build().num_edges(), 1);
     }
 

@@ -61,11 +61,6 @@ pub fn triangles_per_node(g: &CsrGraph) -> Vec<u64> {
     count
 }
 
-/// Total number of (undirected) triangles.
-pub fn triangle_count(g: &CsrGraph) -> u64 {
-    triangles_per_node(g).iter().sum::<u64>() / 3
-}
-
 /// Local clustering coefficient per node: triangles through the node
 /// divided by `deg·(deg−1)/2` possible; 0 for degree < 2.
 pub fn local_clustering(g: &CsrGraph) -> Vec<f64> {
@@ -95,55 +90,42 @@ pub fn average_clustering(g: &CsrGraph) -> f64 {
     }
 }
 
-/// Global transitivity: `3 × triangles / open-or-closed wedges`.
-pub fn transitivity(g: &CsrGraph) -> f64 {
-    let nbrs = undirected_neighbors(g);
-    let wedges: f64 = nbrs
-        .iter()
-        .map(|n| {
-            let d = n.len() as f64;
-            d * (d - 1.0) / 2.0
-        })
-        .sum();
-    if wedges == 0.0 {
-        return 0.0;
-    }
-    3.0 * triangle_count(g) as f64 / wedges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total number of (undirected) triangles.
+    fn total_triangles(g: &CsrGraph) -> u64 {
+        triangles_per_node(g).iter().sum::<u64>() / 3
+    }
 
     #[test]
     fn triangle_on_directed_cycle() {
         // directed 3-cycle is one undirected triangle
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(triangle_count(&g), 1);
+        assert_eq!(total_triangles(&g), 1);
         assert_eq!(triangles_per_node(&g), vec![1, 1, 1]);
         assert_eq!(local_clustering(&g), vec![1.0, 1.0, 1.0]);
-        assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn reciprocal_edges_do_not_double_count() {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]);
-        assert_eq!(triangle_count(&g), 1);
+        assert_eq!(total_triangles(&g), 1);
     }
 
     #[test]
     fn star_has_no_triangles() {
         let g = CsrGraph::from_edges(5, &[(1, 0), (2, 0), (3, 0), (4, 0)]);
-        assert_eq!(triangle_count(&g), 0);
+        assert_eq!(total_triangles(&g), 0);
         assert_eq!(average_clustering(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
     }
 
     #[test]
     fn square_with_diagonal() {
         // 0-1-2-3-0 plus diagonal 0-2: triangles {0,1,2} and {0,2,3}
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        assert_eq!(triangle_count(&g), 2);
+        assert_eq!(total_triangles(&g), 2);
         let tri = triangles_per_node(&g);
         assert_eq!(tri, vec![2, 1, 2, 1]);
         // node 1 has degree 2, one triangle: c = 1
@@ -156,14 +138,14 @@ mod tests {
     #[test]
     fn self_loops_ignored() {
         let g = CsrGraph::from_edges(3, &[(0, 0), (0, 1), (1, 2), (2, 0)]);
-        assert_eq!(triangle_count(&g), 1);
+        assert_eq!(total_triangles(&g), 1);
     }
 
     #[test]
     fn empty_and_tiny() {
-        assert_eq!(triangle_count(&CsrGraph::from_edges(0, &[])), 0);
+        assert_eq!(total_triangles(&CsrGraph::from_edges(0, &[])), 0);
         assert_eq!(average_clustering(&CsrGraph::from_edges(0, &[])), 0.0);
-        assert_eq!(triangle_count(&CsrGraph::from_edges(2, &[(0, 1)])), 0);
+        assert_eq!(total_triangles(&CsrGraph::from_edges(2, &[(0, 1)])), 0);
     }
 
     #[test]
@@ -178,11 +160,10 @@ mod tests {
         }
         let g = CsrGraph::from_edges(5, &edges);
         // C(5,3) = 10 triangles
-        assert_eq!(triangle_count(&g), 10);
+        assert_eq!(total_triangles(&g), 10);
         assert!(local_clustering(&g)
             .iter()
             .all(|&c| (c - 1.0).abs() < 1e-12));
-        assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -123,12 +123,6 @@ impl CsrGraph {
         self.out_targets.len()
     }
 
-    /// True if the graph has no nodes.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.num_nodes() == 0
-    }
-
     /// Out-neighbors of `u`, sorted ascending.
     ///
     /// # Panics
@@ -162,18 +156,6 @@ impl CsrGraph {
         self.in_neighbors(v).len()
     }
 
-    /// Checked variant of [`Self::out_neighbors`].
-    pub fn try_out_neighbors(&self, u: NodeId) -> Result<&[NodeId], GraphError> {
-        if (u as usize) < self.num_nodes() {
-            Ok(self.out_neighbors(u))
-        } else {
-            Err(GraphError::NodeOutOfBounds {
-                node: u as u64,
-                num_nodes: self.num_nodes() as u64,
-            })
-        }
-    }
-
     /// Feed the graph's structure into `h` in canonical order: node
     /// count, edge count, then the CSR out-offset and out-target arrays
     /// (the in-arrays are derived from these, so hashing them would add
@@ -195,15 +177,6 @@ impl CsrGraph {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         (0..self.num_nodes() as NodeId)
             .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
-    }
-
-    /// Nodes with no outgoing links ("dangling" pages). The paper treats
-    /// these as linking to every page; `qrank-rank` offers that and other
-    /// strategies.
-    pub fn dangling_nodes(&self) -> Vec<NodeId> {
-        (0..self.num_nodes() as NodeId)
-            .filter(|&u| self.out_degree(u) == 0)
-            .collect()
     }
 
     /// The transposed graph (every edge reversed). O(E).
@@ -358,14 +331,6 @@ impl CsrGraph {
         edges.sort_unstable();
         Ok(CsrGraph::from_sorted_dedup_edges(n, &edges))
     }
-
-    /// Total bytes of the adjacency arrays (for memory accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.out_offsets.len() * std::mem::size_of::<usize>()
-            + self.in_offsets.len() * std::mem::size_of::<usize>()
-            + self.out_targets.len() * std::mem::size_of::<NodeId>()
-            + self.in_sources.len() * std::mem::size_of::<NodeId>()
-    }
 }
 
 #[cfg(test)]
@@ -391,16 +356,9 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = CsrGraph::from_edges(0, &[]);
-        assert!(g.is_empty());
+        assert_eq!(g.num_nodes(), 0);
         assert_eq!(g.num_edges(), 0);
-        assert!(g.dangling_nodes().is_empty());
         assert_eq!(g.edges().count(), 0);
-    }
-
-    #[test]
-    fn isolated_nodes_are_dangling() {
-        let g = CsrGraph::from_edges(5, &[(0, 1)]);
-        assert_eq!(g.dangling_nodes(), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -465,19 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn try_out_neighbors_bounds_check() {
-        let g = diamond();
-        assert!(g.try_out_neighbors(3).is_ok());
-        assert!(matches!(
-            g.try_out_neighbors(4),
-            Err(GraphError::NodeOutOfBounds {
-                node: 4,
-                num_nodes: 4
-            })
-        ));
-    }
-
-    #[test]
     fn relabel_identity_and_rotation() {
         let g = diamond();
         let id: Vec<NodeId> = (0..4).collect();
@@ -525,7 +470,7 @@ mod tests {
     fn restrict_relabel_empty_and_full() {
         let g = diamond();
         let empty = g.restrict_relabel(&[NodeId::MAX; 4], 0);
-        assert!(empty.is_empty());
+        assert_eq!(empty.num_nodes(), 0);
         let id: Vec<NodeId> = (0..4).collect();
         assert_eq!(g.restrict_relabel(&id, 4), g);
     }
@@ -550,12 +495,5 @@ mod tests {
         assert!(r.has_edge(1, 1), "self-loop survives under relabel");
         assert!(r.has_edge(1, 0));
         assert_eq!(r.num_edges(), 2);
-    }
-
-    #[test]
-    fn heap_bytes_scales_with_edges() {
-        let small = CsrGraph::from_edges(2, &[(0, 1)]);
-        let big = CsrGraph::from_edges(2, &[(0, 1), (1, 0)]);
-        assert!(big.heap_bytes() > small.heap_bytes());
     }
 }

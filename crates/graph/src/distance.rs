@@ -1,11 +1,11 @@
-//! Shortest paths and diameter estimation.
+//! BFS distances and diameter estimation.
 //!
 //! Albert, Barabási & Jeong's "Diameter of the World Wide Web" (reference
 //! \[3\] of the paper) established the web's small-world structure —
-//! ~19 clicks between any two documents. This module provides unweighted
-//! shortest-path machinery (BFS distances) and the sampled
-//! average-distance / effective-diameter estimators used to check that a
-//! simulated web has realistic navigability.
+//! ~19 clicks between any two documents. This module provides BFS
+//! distances and the sampled average-distance / effective-diameter
+//! estimators (`qrank stats`) used to check that a simulated web has
+//! realistic navigability.
 
 use rand::Rng;
 
@@ -35,52 +35,6 @@ pub fn bfs_distances(g: &CsrGraph, start: NodeId) -> Vec<u32> {
         }
     }
     dist
-}
-
-/// Shortest-path length from `src` to `dst`, if any.
-pub fn shortest_path_len(g: &CsrGraph, src: NodeId, dst: NodeId) -> Option<u32> {
-    if (dst as usize) >= g.num_nodes() {
-        return None;
-    }
-    let d = bfs_distances(g, src)[dst as usize];
-    (d != UNREACHABLE).then_some(d)
-}
-
-/// One shortest path from `src` to `dst` (as a node list, inclusive), if
-/// any. BFS parent reconstruction.
-pub fn shortest_path(g: &CsrGraph, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-    let n = g.num_nodes();
-    if (src as usize) >= n || (dst as usize) >= n {
-        return None;
-    }
-    let mut parent = vec![NodeId::MAX; n];
-    let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    seen[src as usize] = true;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        if u == dst {
-            break;
-        }
-        for &v in g.out_neighbors(u) {
-            if !seen[v as usize] {
-                seen[v as usize] = true;
-                parent[v as usize] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    if !seen[dst as usize] {
-        return None;
-    }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = parent[cur as usize];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
 }
 
 /// Statistics from a sampled distance survey.
@@ -177,31 +131,6 @@ mod tests {
         let g = chain(3);
         let d = bfs_distances(&g, 99);
         assert!(d.iter().all(|&x| x == UNREACHABLE));
-    }
-
-    #[test]
-    fn shortest_path_len_and_reconstruction() {
-        // diamond with a shortcut: 0->1->3, 0->2->3, 0->3
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3), (0, 3)]);
-        assert_eq!(shortest_path_len(&g, 0, 3), Some(1));
-        assert_eq!(shortest_path(&g, 0, 3), Some(vec![0, 3]));
-        assert_eq!(shortest_path_len(&g, 1, 2), None);
-        assert_eq!(shortest_path(&g, 1, 2), None);
-        assert_eq!(shortest_path(&g, 0, 0), Some(vec![0]));
-        assert_eq!(shortest_path_len(&g, 0, 99), None);
-    }
-
-    #[test]
-    fn path_has_consecutive_edges() {
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)]);
-        let p = shortest_path(&g, 0, 5).unwrap();
-        assert_eq!(p.first(), Some(&0));
-        assert_eq!(p.last(), Some(&5));
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]), "non-edge {w:?} in path");
-        }
-        // shortcut used: 0->2->3->4->5 (4 hops) beats 0->1->2->... (5)
-        assert_eq!(p.len(), 5);
     }
 
     #[test]

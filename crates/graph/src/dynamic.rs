@@ -73,16 +73,6 @@ impl DynamicGraph {
         self.node_birth.len()
     }
 
-    /// Number of logged edge events (adds + removes).
-    pub fn num_events(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Birth time of node `u`.
-    pub fn birth_time(&self, u: NodeId) -> Option<f64> {
-        self.node_birth.get(u as usize).copied()
-    }
-
     /// Create a node at time `at`; returns its id.
     ///
     /// Node creations may interleave with edge events but must also be
@@ -621,8 +611,6 @@ mod tests {
         assert_eq!(d.nodes_at(0.0), vec![0, 1]);
         assert_eq!(d.nodes_at(1.9), vec![0, 1]);
         assert_eq!(d.nodes_at(2.0), vec![0, 1, 2]);
-        assert_eq!(d.birth_time(2), Some(2.0));
-        assert_eq!(d.birth_time(9), None);
     }
 
     #[test]

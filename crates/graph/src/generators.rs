@@ -34,45 +34,6 @@ pub fn erdos_renyi_gnm<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> CsrG
     builder.build()
 }
 
-/// G(n, p): each ordered pair `(u, v)`, `u != v`, is an edge independently
-/// with probability `p`. Uses geometric gap-skipping, so the cost is
-/// proportional to the number of generated edges, not `n^2`.
-pub fn erdos_renyi_gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> CsrGraph {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
-    let mut builder = GraphBuilder::with_nodes(n);
-    if n == 0 || p == 0.0 {
-        return builder.build();
-    }
-    let total = (n * n) as u64; // index pairs including self-loops, skipped below
-    if p >= 1.0 {
-        for u in 0..n as NodeId {
-            for v in 0..n as NodeId {
-                if u != v {
-                    builder.add_edge(u, v);
-                }
-            }
-        }
-        return builder.build();
-    }
-    let log1mp = (1.0 - p).ln();
-    let mut idx: i64 = -1;
-    loop {
-        // Geometric skip: next success after a run of failures.
-        let u: f64 = rng.random();
-        let gap = ((1.0 - u).ln() / log1mp).floor() as i64;
-        idx += 1 + gap.max(0);
-        if idx as u64 >= total {
-            break;
-        }
-        let src = (idx as u64 / n as u64) as NodeId;
-        let dst = (idx as u64 % n as u64) as NodeId;
-        if src != dst {
-            builder.add_edge(src, dst);
-        }
-    }
-    builder.build()
-}
-
 /// Barabási–Albert preferential attachment: starts from a `m0 = m + 1`
 /// node seed clique-ish core, then each new node links to `m` existing
 /// nodes chosen with probability proportional to their current in-degree
@@ -288,32 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn gnp_edge_count_near_expectation() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let n = 300;
-        let p = 0.05;
-        let g = erdos_renyi_gnp(n, p, &mut rng);
-        let expected = (n * (n - 1)) as f64 * p;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expected).abs() < 4.0 * expected.sqrt() + 50.0,
-            "edges {got} vs expected {expected}"
-        );
-        assert!(g.edges().all(|(u, v)| u != v));
-    }
-
-    #[test]
-    fn gnp_extreme_probabilities() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = erdos_renyi_gnp(10, 0.0, &mut rng);
-        assert_eq!(g.num_edges(), 0);
-        let g = erdos_renyi_gnp(5, 1.0, &mut rng);
-        assert_eq!(g.num_edges(), 20);
-        let g = erdos_renyi_gnp(0, 0.5, &mut rng);
-        assert!(g.is_empty());
-    }
-
-    #[test]
     fn ba_every_new_node_has_m_out_links() {
         let mut rng = StdRng::seed_from_u64(4);
         let m = 3;
@@ -416,8 +351,5 @@ mod tests {
         let g1 = barabasi_albert(100, 2, &mut StdRng::seed_from_u64(42));
         let g2 = barabasi_albert(100, 2, &mut StdRng::seed_from_u64(42));
         assert_eq!(g1, g2);
-        let e1 = erdos_renyi_gnp(100, 0.1, &mut StdRng::seed_from_u64(42));
-        let e2 = erdos_renyi_gnp(100, 0.1, &mut StdRng::seed_from_u64(42));
-        assert_eq!(e1, e2);
     }
 }

@@ -17,13 +17,13 @@
 //! * [`Snapshot`] / [`SnapshotSeries`] — externally-identified page sets
 //!   captured at specific times, with the paper's *common-page
 //!   intersection* and consistent relabeling across snapshots.
-//! * [`traversal`], [`scc`], [`bowtie`], [`distance`] — BFS/DFS, Tarjan
+//! * [`traversal`], [`scc`], [`bowtie`], [`distance`] — BFS, Tarjan
 //!   strongly connected components, the Broder et al. bow-tie
-//!   decomposition, and shortest-path/diameter surveys, all referenced in
+//!   decomposition, and distance/diameter surveys, all referenced in
 //!   the paper's related work.
 //! * [`stats`] — degree distributions and power-law exponent fits (the
 //!   paper cites the power-law in-degree structure of the web).
-//! * [`generators`] — Erdős–Rényi, Barabási–Albert preferential
+//! * [`generators`] — Erdős–Rényi G(n, m), Barabási–Albert preferential
 //!   attachment, the Kleinberg copy model, and a site-structured web
 //!   generator mirroring the paper's 154-site corpus.
 //! * [`io`] — text edge-list and binary serialization for graphs and

@@ -124,11 +124,6 @@ impl PageSet {
         }
     }
 
-    /// True if `page` is in the set.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.node_of(page).is_some()
-    }
-
     /// The ids in ascending order: a borrow of `ids` when already
     /// sorted, the stored permutation applied otherwise.
     pub fn sorted_ids(&self) -> Cow<'_, [PageId]> {
@@ -453,7 +448,6 @@ mod tests {
         assert_eq!(s.node_of(PageId(20)), Some(1));
         assert_eq!(s.node_of(PageId(99)), None);
         assert_eq!(s.page_set().node_of(PageId(30)), Some(2));
-        assert!(s.page_set().contains(PageId(10)));
     }
 
     #[test]

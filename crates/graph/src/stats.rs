@@ -4,8 +4,7 @@
 //! web in/out-degree follows a power law; a faithful simulated web should
 //! too. This module provides degree distributions, a discrete power-law
 //! maximum-likelihood exponent estimate (Clauset–Shalizi–Newman style with
-//! fixed `x_min`), the Gini coefficient (how concentrated popularity is —
-//! the "rich-get-richer" effect in one number), and link reciprocity.
+//! fixed `x_min`), and link reciprocity.
 
 use crate::CsrGraph;
 
@@ -26,18 +25,6 @@ pub fn degrees(g: &CsrGraph, kind: DegreeKind) -> Vec<usize> {
             DegreeKind::Out => g.out_degree(u),
         })
         .collect()
-}
-
-/// Histogram `degree -> number of nodes with that degree`, dense up to the
-/// maximum observed degree.
-pub fn degree_histogram(g: &CsrGraph, kind: DegreeKind) -> Vec<usize> {
-    let ds = degrees(g, kind);
-    let max = ds.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in ds {
-        hist[d] += 1;
-    }
-    hist
 }
 
 /// Discrete power-law exponent alpha for `P(d) ~ d^-alpha`, estimated by
@@ -65,29 +52,6 @@ pub fn power_law_alpha_mle(samples: &[usize], x_min: usize) -> Option<f64> {
 /// Convenience: power-law exponent of a graph's degree distribution.
 pub fn degree_power_law_alpha(g: &CsrGraph, kind: DegreeKind, x_min: usize) -> Option<f64> {
     power_law_alpha_mle(&degrees(g, kind), x_min)
-}
-
-/// Gini coefficient of a non-negative sample (0 = perfectly equal,
-/// → 1 = one node holds everything). Used to quantify the
-/// "rich-get-richer" concentration of popularity/PageRank.
-pub fn gini(values: &[f64]) -> f64 {
-    let n = values.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in gini input"));
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    // G = (2 * sum_i i*x_i) / (n * total) - (n + 1)/n, with 1-based i.
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x)
-        .sum();
-    (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
 }
 
 /// Fraction of edges `u -> v` for which `v -> u` also exists. Self-loops
@@ -151,22 +115,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_counts_degrees() {
-        // in-degrees: 0:1(from 2), 1:1(from 0), 2:2(from 0, 1)
-        let g = CsrGraph::from_edges(3, &[(0, 1), (0, 2), (1, 2), (2, 0)]);
-        let hist = degree_histogram(&g, DegreeKind::In);
-        assert_eq!(hist, vec![0, 2, 1]); // two nodes with deg 1, one with deg 2
-        let hist_out = degree_histogram(&g, DegreeKind::Out);
-        assert_eq!(hist_out, vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn histogram_empty_graph() {
-        let g = CsrGraph::from_edges(0, &[]);
-        assert_eq!(degree_histogram(&g, DegreeKind::In), vec![0]);
-    }
-
-    #[test]
     fn power_law_mle_recovers_exponent() {
         // Synthesize a discrete power-law-ish sample via inverse CDF on a
         // deterministic grid: d = floor(x_min * u^(-1/(alpha-1))). The
@@ -197,26 +145,6 @@ mod tests {
     #[should_panic(expected = "x_min")]
     fn power_law_mle_rejects_zero_xmin() {
         let _ = power_law_alpha_mle(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    fn gini_extremes() {
-        assert_eq!(gini(&[]), 0.0);
-        assert!(gini(&[3.0, 3.0, 3.0, 3.0]).abs() < 1e-12);
-        // one node holds everything among many: G -> (n-1)/n
-        let mut v = vec![0.0; 99];
-        v.push(100.0);
-        let g = gini(&v);
-        assert!((g - 0.99).abs() < 1e-9, "gini {g}");
-        // all zeros: defined as 0
-        assert_eq!(gini(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn gini_is_scale_invariant() {
-        let a = gini(&[1.0, 2.0, 3.0, 4.0]);
-        let b = gini(&[10.0, 20.0, 30.0, 40.0]);
-        assert!((a - b).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Graph traversal: BFS, DFS, reachability, weakly connected components.
+//! Graph traversal: BFS and weakly connected components.
 //!
 //! The snapshot crawler in `qrank-sim` mirrors a site by breadth-first
 //! search from its root page, exactly as the paper's crawler "downloaded
@@ -99,40 +99,6 @@ pub fn bfs_multi(g: &CsrGraph, starts: &[NodeId], limit: usize) -> Vec<NodeId> {
     scratch.order
 }
 
-/// Iterative depth-first preorder from `start`.
-pub fn dfs(g: &CsrGraph, start: NodeId) -> Vec<NodeId> {
-    if (start as usize) >= g.num_nodes() {
-        return Vec::new();
-    }
-    let mut visited = vec![false; g.num_nodes()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(u) = stack.pop() {
-        if visited[u as usize] {
-            continue;
-        }
-        visited[u as usize] = true;
-        order.push(u);
-        // Push in reverse so the smallest neighbor is visited first,
-        // matching recursive DFS over sorted adjacency.
-        for &v in g.out_neighbors(u).iter().rev() {
-            if !visited[v as usize] {
-                stack.push(v);
-            }
-        }
-    }
-    order
-}
-
-/// Boolean reachability mask from `start` following out-edges.
-pub fn reachable_from(g: &CsrGraph, start: NodeId) -> Vec<bool> {
-    let mut mask = vec![false; g.num_nodes()];
-    for u in bfs(g, start) {
-        mask[u as usize] = true;
-    }
-    mask
-}
-
 /// Weakly connected components: `component[u]` is a dense component index,
 /// and the return also carries the number of components.
 pub fn weakly_connected_components(g: &CsrGraph) -> (Vec<u32>, usize) {
@@ -191,7 +157,6 @@ mod tests {
     fn bfs_out_of_range_start_is_empty() {
         let g = chain(3);
         assert!(bfs(&g, 99).is_empty());
-        assert!(dfs(&g, 99).is_empty());
     }
 
     #[test]
@@ -243,25 +208,6 @@ mod tests {
             scratch.visited.iter().all(|&v| !v),
             "a mark outlived its traversal"
         );
-    }
-
-    #[test]
-    fn dfs_preorder_on_tree() {
-        // 0 -> {1, 4}; 1 -> {2, 3}
-        let g = CsrGraph::from_edges(5, &[(0, 1), (0, 4), (1, 2), (1, 3)]);
-        assert_eq!(dfs(&g, 0), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn dfs_handles_cycles() {
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(dfs(&g, 1), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn reachability_mask() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert_eq!(reachable_from(&g, 0), vec![true, true, false, false]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! spans) want to say about themselves flows through this crate, in
 //! four layers:
 //!
-//! * **[`registry`]** — a lock-free metrics registry of named counters,
-//!   gauges, and power-of-two-bucket latency histograms. Handles are
+//! * **[`registry`]** — a lock-free metrics registry of named counters
+//!   and power-of-two-bucket latency histograms. Handles are
 //!   `Arc`-shared plain atomics, so the record path is a single relaxed
 //!   `fetch_add`; the registry lock is touched only at registration and
 //!   snapshot time.
@@ -56,8 +56,8 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub use registry::{global, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
-pub use slo::{SloConfig, SloMonitor};
+pub use registry::{global, Counter, Histogram, Registry, RegistrySnapshot};
+pub use slo::SloMonitor;
 pub use span::SpanGuard;
 pub use trace::{ActiveTrace, Trace, TraceConfig, Tracer};
 

@@ -1,5 +1,5 @@
-//! Lock-free metrics registry: named counters, gauges, and fixed-bucket
-//! latency histograms.
+//! Lock-free metrics registry: named counters and fixed-bucket latency
+//! histograms.
 //!
 //! Registration (name → handle) takes a mutex once; after that every
 //! handle is an `Arc` around plain atomics and the record path is a
@@ -62,27 +62,6 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (stored as `f64` bits).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.0.store(0f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
 /// A power-of-two-bucket histogram with exact count and sum.
 ///
 /// `record(v)` lands `v` in bucket `⌊log2 v⌋` (clamped), so percentile
@@ -91,7 +70,6 @@ impl Gauge {
 /// [`HistogramSnapshot::percentile`].
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum: AtomicU64,
     /// Smallest observation; `u64::MAX` sentinel while empty.
     min: AtomicU64,
@@ -103,7 +81,6 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -121,19 +98,8 @@ impl Histogram {
         // the chance to see its extremes.
         self.min.fetch_min(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
     }
 
     /// Consistent-enough point-in-time copy of the bucket array.
@@ -153,7 +119,6 @@ impl Histogram {
     }
 
     fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -257,7 +222,6 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -292,18 +256,6 @@ impl Registry {
         }
     }
 
-    /// Get or register the gauge `name` (same contract as [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different kind"),
-        }
-    }
-
     /// Get or register the histogram `name` (same contract as [`counter`](Self::counter)).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut m = self.metrics.lock().unwrap();
@@ -324,7 +276,6 @@ impl Registry {
         for metric in m.values() {
             match metric {
                 Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
                 Metric::Histogram(h) => h.reset(),
             }
         }
@@ -337,7 +288,6 @@ impl Registry {
         for (name, metric) in m.iter() {
             match metric {
                 Metric::Counter(c) => snap.counters.push((name.clone(), c.get())),
-                Metric::Gauge(g) => snap.gauges.push((name.clone(), g.get())),
                 Metric::Histogram(h) => snap.histograms.push((name.clone(), h.snapshot())),
             }
         }
@@ -357,8 +307,6 @@ pub fn global() -> &'static Registry {
 pub struct RegistrySnapshot {
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` for every histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -394,10 +342,6 @@ impl RegistrySnapshot {
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
         }
-        for (name, v) in &self.gauges {
-            let n = sanitize(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", fmt_f64(*v)));
-        }
         for (name, h) in &self.histograms {
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} histogram\n"));
@@ -421,16 +365,12 @@ impl RegistrySnapshot {
     }
 
     /// Render the snapshot as one JSON object:
-    /// `{"counters":{...},"gauges":{...},"histograms":{name:{count,sum_ns,mean_ns,p50_ns,p99_ns},...}}`.
+    /// `{"counters":{...},"histograms":{name:{count,sum_ns,mean_ns,p50_ns,p99_ns},...}}`.
     pub fn to_json(&self) -> String {
         use crate::json::Obj;
         let mut counters = Obj::new();
         for (name, v) in &self.counters {
             counters.int(name, *v);
-        }
-        let mut gauges = Obj::new();
-        for (name, v) in &self.gauges {
-            gauges.num(name, *v);
         }
         let mut histograms = Obj::new();
         for (name, h) in &self.histograms {
@@ -445,7 +385,6 @@ impl RegistrySnapshot {
         }
         Obj::new()
             .raw("counters", &counters.finish())
-            .raw("gauges", &gauges.finish())
             .raw("histograms", &histograms.finish())
             .finish()
     }
@@ -487,8 +426,6 @@ mod tests {
         a.inc();
         b.add(2);
         assert_eq!(r.counter("x").get(), 3);
-        r.gauge("g").set(1.5);
-        assert_eq!(r.gauge("g").get(), 1.5);
     }
 
     #[test]
@@ -496,7 +433,7 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = Registry::new();
         r.counter("x");
-        r.gauge("x");
+        r.histogram("x");
     }
 
     #[test]
@@ -560,7 +497,7 @@ mod tests {
         h.record(100);
         r.reset();
         assert_eq!(c.get(), 0);
-        assert_eq!(h.count(), 0);
+        assert_eq!(h.snapshot().count, 0);
         c.inc(); // the old handle still feeds the registry
         assert_eq!(r.snapshot().counter("c"), Some(1));
     }
@@ -569,12 +506,10 @@ mod tests {
     fn prometheus_text_shape() {
         let r = Registry::new();
         r.counter("serve.requests").add(7);
-        r.gauge("store.pages").set(42.0);
         r.histogram("span.rank.solve").record(1_500);
         let text = r.snapshot().prometheus_text();
         assert!(text.contains("# TYPE qrank_serve_requests counter"));
         assert!(text.contains("qrank_serve_requests 7"));
-        assert!(text.contains("qrank_store_pages 42"));
         assert!(text.contains("qrank_span_rank_solve_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("qrank_span_rank_solve_count 1"));
         // cumulative bucket for [1024, 2048) ns → le = 2.048e-6 s

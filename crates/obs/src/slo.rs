@@ -3,17 +3,18 @@
 //! A [`SloMonitor`] tracks two service-level indicators per verb:
 //!
 //! * **latency** — the fraction of requests at or under the configured
-//!   latency objective;
-//! * **availability** — the fraction of requests that did not error.
+//!   latency objective (goal 99 %);
+//! * **availability** — the fraction of requests that did not error
+//!   (goal 99.9 %).
 //!
-//! Counts land in fixed-width time slots (a ring per verb, sized to the
-//! longest configured window), and [`SloMonitor::status`] aggregates the
-//! slots into every configured window to compute a **burn rate**: the
-//! observed bad fraction divided by the error budget `1 − goal`. Burn
-//! `1.0` means the budget is being consumed exactly as fast as it
-//! accrues; sustained burn above `1.0` across *all* windows (the classic
-//! multi-window alerting rule, which suppresses short spikes) marks the
-//! objective breached.
+//! Counts land in one-second time slots (a ring per verb, sized to the
+//! longest window), and [`SloMonitor::status`] aggregates the slots into
+//! each of the 1-minute, 10-minute and 1-hour windows to compute a
+//! **burn rate**: the observed bad fraction divided by the error budget
+//! `1 − goal`. Burn `1.0` means the budget is being consumed exactly as
+//! fast as it accrues; sustained burn above `1.0` across *all* windows
+//! (the classic multi-window alerting rule, which suppresses short
+//! spikes) marks the objective breached.
 //!
 //! The monitor never reads a clock itself: callers pass `now_ns` from
 //! their own monotonic epoch (the [`crate::trace::Tracer`] does), which
@@ -22,34 +23,19 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Objectives and window shape for a [`SloMonitor`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloConfig {
-    /// A request is "fast" iff its latency is ≤ this many nanoseconds.
-    pub latency_objective_ns: u64,
-    /// Target fraction of fast requests (e.g. `0.99` = p99 objective).
-    pub latency_goal: f64,
-    /// Target fraction of non-error requests (e.g. `0.999`).
-    pub availability_goal: f64,
-    /// Rolling windows to aggregate, in seconds, shortest first
-    /// (multi-window burn-rate alerting needs at least two).
-    pub windows_seconds: Vec<u64>,
-    /// Slot width of the underlying ring in nanoseconds. One second by
-    /// default; tests shrink it to exercise expiry without sleeping.
-    pub slot_ns: u64,
-}
+/// Target fraction of requests at or under the latency objective (a
+/// p99 objective).
+pub(crate) const LATENCY_GOAL: f64 = 0.99;
 
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            latency_objective_ns: 1_000_000, // 1ms
-            latency_goal: 0.99,
-            availability_goal: 0.999,
-            windows_seconds: vec![60, 600, 3600],
-            slot_ns: 1_000_000_000,
-        }
-    }
-}
+/// Target fraction of requests that do not error.
+pub(crate) const AVAILABILITY_GOAL: f64 = 0.999;
+
+/// Rolling windows to aggregate, in seconds, shortest first
+/// (multi-window burn-rate alerting needs at least two).
+const WINDOWS_SECONDS: [u64; 3] = [60, 600, 3600];
+
+/// Slot width of the underlying ring in nanoseconds.
+const SLOT_NS: u64 = 1_000_000_000;
 
 /// One time slot's worth of counts for a verb.
 #[derive(Debug, Clone, Copy)]
@@ -134,13 +120,13 @@ pub struct WindowBurn {
     pub availability_burn: f64,
 }
 
-/// SLO status for one verb: every configured window plus the
-/// multi-window breach verdicts.
+/// SLO status for one verb: every window plus the multi-window breach
+/// verdicts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerbSlo {
     /// The verb these windows describe.
     pub verb: &'static str,
-    /// One entry per configured window, in configuration order.
+    /// One entry per window, shortest first.
     pub windows: Vec<WindowBurn>,
     /// True iff every window with traffic burns latency budget at ≥ 1×
     /// (and at least one window has traffic).
@@ -152,40 +138,34 @@ pub struct VerbSlo {
 /// Rolling-window SLO monitor; see the module docs.
 #[derive(Debug)]
 pub struct SloMonitor {
-    cfg: SloConfig,
+    latency_objective_ns: u64,
     capacity: usize,
     verbs: Mutex<BTreeMap<&'static str, VerbRing>>,
 }
 
 impl SloMonitor {
-    /// Build a monitor; the per-verb ring is sized to the longest
-    /// configured window (plus one slot so "now" never evicts the
-    /// oldest in-window slot).
-    pub fn new(cfg: SloConfig) -> Self {
-        let slot_ns = cfg.slot_ns.max(1);
-        let max_window_ns = cfg
-            .windows_seconds
-            .iter()
-            .map(|s| s.saturating_mul(1_000_000_000))
-            .max()
-            .unwrap_or(slot_ns);
-        let capacity = (max_window_ns.div_ceil(slot_ns) as usize + 1).max(2);
+    /// Build a monitor for a latency objective of `latency_objective_ns`
+    /// (a request is "fast" iff its latency is at most that); the
+    /// per-verb ring is sized to the longest window (plus one slot so
+    /// "now" never evicts the oldest in-window slot).
+    pub fn new(latency_objective_ns: u64) -> Self {
+        let max_window_ns = WINDOWS_SECONDS[WINDOWS_SECONDS.len() - 1] * 1_000_000_000;
         SloMonitor {
-            cfg,
-            capacity,
+            latency_objective_ns,
+            capacity: max_window_ns.div_ceil(SLOT_NS) as usize + 1,
             verbs: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The configured objectives.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
+    /// The latency objective in nanoseconds.
+    pub fn latency_objective_ns(&self) -> u64 {
+        self.latency_objective_ns
     }
 
     /// Count one request for `verb` at monotonic time `now_ns`.
     pub fn record(&self, verb: &'static str, now_ns: u64, latency_ns: u64, ok: bool) {
-        let index = now_ns / self.cfg.slot_ns.max(1);
-        let fast = latency_ns <= self.cfg.latency_objective_ns;
+        let index = now_ns / SLOT_NS;
+        let fast = latency_ns <= self.latency_objective_ns;
         let mut verbs = self.verbs.lock().unwrap();
         verbs
             .entry(verb)
@@ -195,26 +175,23 @@ impl SloMonitor {
 
     /// Aggregate every verb's windows as of `now_ns`.
     pub fn status(&self, now_ns: u64) -> Vec<VerbSlo> {
-        let slot_ns = self.cfg.slot_ns.max(1);
-        let now_index = now_ns / slot_ns;
+        let now_index = now_ns / SLOT_NS;
         let verbs = self.verbs.lock().unwrap();
         verbs
             .iter()
             .map(|(&verb, ring)| {
-                let windows: Vec<WindowBurn> = self
-                    .cfg
-                    .windows_seconds
+                let windows: Vec<WindowBurn> = WINDOWS_SECONDS
                     .iter()
                     .map(|&seconds| {
-                        let window_slots = (seconds.saturating_mul(1_000_000_000) / slot_ns).max(1);
+                        let window_slots = seconds * 1_000_000_000 / SLOT_NS;
                         let (total, fast, errors) = ring.window(now_index, window_slots);
                         WindowBurn {
                             seconds,
                             total,
                             fast,
                             errors,
-                            latency_burn: burn_rate(total, total - fast, self.cfg.latency_goal),
-                            availability_burn: burn_rate(total, errors, self.cfg.availability_goal),
+                            latency_burn: burn_rate(total, total - fast, LATENCY_GOAL),
+                            availability_burn: burn_rate(total, errors, AVAILABILITY_GOAL),
                         }
                     })
                     .collect();
@@ -253,19 +230,11 @@ fn burn_rate(total: u64, bad: u64, goal: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn cfg() -> SloConfig {
-        SloConfig {
-            latency_objective_ns: 1_000,
-            latency_goal: 0.99,
-            availability_goal: 0.9,
-            windows_seconds: vec![1, 10],
-            slot_ns: 1_000_000_000,
-        }
-    }
+    const SEC: u64 = 1_000_000_000;
 
     #[test]
     fn burn_rate_is_bad_fraction_over_budget() {
-        let m = SloMonitor::new(cfg());
+        let m = SloMonitor::new(1_000);
         // 99 fast + 1 slow = exactly the 1% latency budget → burn 1.0.
         for i in 0..99 {
             m.record("score", i, 500, true);
@@ -274,31 +243,32 @@ mod tests {
         let status = m.status(99);
         let s = &status[0];
         assert_eq!(s.verb, "score");
-        let w10 = &s.windows[1];
-        assert_eq!((w10.total, w10.fast, w10.errors), (100, 99, 0));
+        let w600 = &s.windows[1];
+        assert_eq!(w600.seconds, 600);
+        assert_eq!((w600.total, w600.fast, w600.errors), (100, 99, 0));
         assert!(
-            (w10.latency_burn - 1.0).abs() < 1e-9,
+            (w600.latency_burn - 1.0).abs() < 1e-9,
             "{}",
-            w10.latency_burn
+            w600.latency_burn
         );
-        assert_eq!(w10.availability_burn, 0.0);
+        assert_eq!(w600.availability_burn, 0.0);
     }
 
     #[test]
     fn multi_window_breach_needs_every_window_burning() {
-        let m = SloMonitor::new(cfg());
-        let sec = 1_000_000_000u64;
-        // Seconds 0..8: all slow → long window burns hard.
+        let m = SloMonitor::new(1_000);
+        // Seconds 0..8: all slow → the long windows burn hard.
         for t in 0..8 {
-            m.record("topk", t * sec, 50_000, true);
+            m.record("topk", t * SEC, 50_000, true);
         }
-        // Second 9 (the whole short window): fast traffic.
+        // Second 100 (past the 1-minute window): fast traffic.
         for i in 0..100 {
-            m.record("topk", 9 * sec + i, 500, true);
+            m.record("topk", 100 * SEC + i, 500, true);
         }
-        let status = m.status(9 * sec + 500);
+        let status = m.status(100 * SEC + 500);
         let s = &status[0];
-        assert!(s.windows[1].latency_burn >= 1.0, "long window burning");
+        assert!(s.windows[1].latency_burn >= 1.0, "10-minute window burning");
+        assert!(s.windows[2].latency_burn >= 1.0, "1-hour window burning");
         assert!(s.windows[0].latency_burn < 1.0, "short window recovered");
         assert!(
             !s.latency_breach,
@@ -307,42 +277,40 @@ mod tests {
         // Make the short window burn too (3 slow of 103 ≈ 2.9× budget):
         // now every window is burning, which is the breach condition.
         for i in 0..3 {
-            m.record("topk", 9 * sec + 200_000 + i, 50_000, true);
+            m.record("topk", 100 * SEC + 200_000 + i, 50_000, true);
         }
-        let status = m.status(9 * sec + 300_000);
+        let status = m.status(100 * SEC + 300_000);
         assert!(status[0].windows[0].latency_burn >= 1.0);
         assert!(status[0].latency_breach, "all windows burning → breach");
     }
 
     #[test]
     fn windows_expire_and_errors_drive_availability() {
-        let m = SloMonitor::new(cfg());
-        let sec = 1_000_000_000u64;
+        let m = SloMonitor::new(1_000);
         for i in 0..10 {
-            m.record("score", i, 500, i % 2 == 0); // 50% errors, budget 10%
+            m.record("score", i, 500, i % 2 == 0); // 50% errors, budget 0.1%
         }
         let s = m.status(10);
-        assert!((s[0].windows[0].availability_burn - 5.0).abs() < 1e-9);
+        assert!((s[0].windows[0].availability_burn - 500.0).abs() < 1e-6);
         assert!(
             s[0].availability_breach,
-            "both windows saturated with errors"
+            "every window saturated with errors"
         );
-        // Two hours later every slot has aged out of both windows.
-        let s = m.status(7_200 * sec);
-        assert_eq!(s[0].windows[1].total, 0);
-        assert_eq!(s[0].windows[1].availability_burn, 0.0);
+        // Two hours later every slot has aged out of every window.
+        let s = m.status(7_200 * SEC);
+        assert_eq!(s[0].windows[2].total, 0);
+        assert_eq!(s[0].windows[2].availability_burn, 0.0);
         assert!(!s[0].availability_breach, "no traffic, no breach");
     }
 
     #[test]
     fn slots_rezero_on_ring_reuse() {
-        let m = SloMonitor::new(cfg()); // capacity = 11 slots
-        let sec = 1_000_000_000u64;
+        let m = SloMonitor::new(1_000); // capacity = 3601 slots
         m.record("score", 0, 500, true);
         // Same ring position, much later index: the stale slot must not
         // leak its counts into the new window.
-        m.record("score", 11 * sec, 500, true);
-        let s = m.status(11 * sec);
+        m.record("score", 3_601 * SEC, 500, true);
+        let s = m.status(3_601 * SEC);
         assert_eq!(s[0].windows[0].total, 1);
     }
 }

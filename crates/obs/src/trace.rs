@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use crate::json::{array, Obj};
 use crate::registry::{bucket_index, bucket_lower_bound, Histogram};
-use crate::slo::{SloConfig, SloMonitor, VerbSlo};
+use crate::slo::{SloMonitor, VerbSlo, AVAILABILITY_GOAL, LATENCY_GOAL};
 
 /// Slowest traces retained per verb.
 const SLOWEST_K: usize = 8;
@@ -54,13 +54,23 @@ const RECENT_CAPACITY: usize = 256;
 const EXEMPLAR_MIN_BUCKET: usize = 20;
 
 /// Tracer knobs; see the module docs.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Trace 1 in every `sample_every` requests (0 = never trace
     /// requests; forced traces, e.g. refresh cycles, still record).
     pub sample_every: u64,
-    /// Objectives for the embedded [`SloMonitor`].
-    pub slo: SloConfig,
+    /// Latency objective of the embedded [`SloMonitor`]: a request is
+    /// "fast" iff its latency is at most this many nanoseconds.
+    pub latency_objective_ns: u64,
+}
+
+impl Default for TraceConfig {
+    fn default() -> Self {
+        TraceConfig {
+            sample_every: 0,
+            latency_objective_ns: 1_000_000, // 1ms
+        }
+    }
 }
 
 /// One stage of a finished trace, relative to the trace start.
@@ -214,7 +224,7 @@ pub struct Tracer {
 impl Tracer {
     /// Build a tracer; its monotonic epoch starts now.
     pub fn new(cfg: TraceConfig) -> Self {
-        let slo = SloMonitor::new(cfg.slo.clone());
+        let slo = SloMonitor::new(cfg.latency_objective_ns);
         Tracer {
             cfg,
             epoch: Instant::now(),
@@ -226,11 +236,6 @@ impl Tracer {
             verbs: Mutex::new(BTreeMap::new()),
             slo,
         }
-    }
-
-    /// The configuration this tracer was built with.
-    pub fn config(&self) -> &TraceConfig {
-        &self.cfg
     }
 
     /// Nanoseconds since this tracer's epoch.
@@ -404,14 +409,13 @@ impl Tracer {
     /// (full-traffic percentiles, exact at the extremes), and
     /// multi-window burn rates.
     pub fn slo_json(&self) -> String {
-        let slo_cfg = self.slo.config();
         let objectives = Obj::new()
             .num(
                 "latency_objective_ms",
-                slo_cfg.latency_objective_ns as f64 / 1e6,
+                self.slo.latency_objective_ns() as f64 / 1e6,
             )
-            .num("latency_goal", slo_cfg.latency_goal)
-            .num("availability_goal", slo_cfg.availability_goal)
+            .num("latency_goal", LATENCY_GOAL)
+            .num("availability_goal", AVAILABILITY_GOAL)
             .finish();
         let status = self.slo_status();
         let hists = self.verbs.lock().unwrap();
@@ -458,7 +462,6 @@ impl Tracer {
     /// traces broken down stage by stage (time and share of total).
     pub fn report_text(&self) -> String {
         let mut out = String::new();
-        let slo_cfg = self.slo.config();
         out.push_str(&format!(
             "tracing: {} requests, {} sampled (1-in-{})\n",
             self.requests(),
@@ -467,9 +470,9 @@ impl Tracer {
         ));
         out.push_str(&format!(
             "objectives: latency <= {:.3}ms for {:.2}% of requests, availability {:.2}%\n",
-            slo_cfg.latency_objective_ns as f64 / 1e6,
-            slo_cfg.latency_goal * 100.0,
-            slo_cfg.availability_goal * 100.0
+            self.slo.latency_objective_ns() as f64 / 1e6,
+            LATENCY_GOAL * 100.0,
+            AVAILABILITY_GOAL * 100.0
         ));
         let hists = self.verbs.lock().unwrap();
         for v in self.slo_status() {
@@ -685,10 +688,7 @@ mod tests {
         crate::set_enabled(true);
         let t = Tracer::new(TraceConfig {
             sample_every: 0, // nothing traced…
-            slo: SloConfig {
-                latency_objective_ns: 1_000,
-                ..SloConfig::default()
-            },
+            latency_objective_ns: 1_000,
         });
         for _ in 0..9 {
             t.observe("score", 500, true);

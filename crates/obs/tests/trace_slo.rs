@@ -5,7 +5,6 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
-use qrank_obs::slo::SloConfig;
 use qrank_obs::trace::{TraceConfig, Tracer};
 
 /// These tests flip the process-global enabled flag; serialize them so
@@ -57,11 +56,7 @@ fn retention_stays_bounded_and_slo_sees_full_traffic() {
     qrank_obs::set_enabled(true);
     let tracer = Tracer::new(TraceConfig {
         sample_every: 1,
-        slo: SloConfig {
-            latency_objective_ns: 1_000,
-            windows_seconds: vec![60, 600],
-            ..SloConfig::default()
-        },
+        latency_objective_ns: 1_000,
     });
     for i in 0..500u64 {
         let mut t = tracer.begin_sampled("topk").unwrap();

@@ -21,9 +21,9 @@
 //! on a 2-core host) is that the colored sweep gains nothing from a
 //! second thread at that size, and that since its class-major layout
 //! the colored sweep on one thread takes less time per column than the
-//! sequential one. The threshold and the choice are owned by the open
-//! item "One solve schedule and one determinism contract" in
-//! ROADMAP.md, which asks for the crossover curve first.
+//! sequential one. The threshold and the choice are owned by ROADMAP.md
+//! item 5, "One column schedule", which asks for the crossover curve
+//! first.
 //!
 //! Equation 1 wants the PageRank of one page set at several crawls, so
 //! the pipeline's unit of work is a *batch* of independent solves.

@@ -60,16 +60,6 @@ impl LruCache {
         }
         self.entries.insert(key, (self.tick, value));
     }
-
-    /// Number of cached responses.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +82,7 @@ mod tests {
         c.put(1, 2, "b".to_string());
         assert!(c.get(1, 1).is_some()); // touch (1,1) so (1,2) is oldest
         c.put(1, 3, "c".to_string());
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.entries.len(), 2);
         assert!(c.get(1, 2).is_none(), "the LRU entry was evicted");
         assert!(c.get(1, 1).is_some());
         assert!(c.get(1, 3).is_some());
@@ -102,7 +92,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let mut c = LruCache::new(0);
         c.put(1, 1, "a".to_string());
-        assert!(c.is_empty());
+        assert!(c.entries.is_empty());
         assert_eq!(c.get(1, 1), None);
     }
 
@@ -111,7 +101,7 @@ mod tests {
         let mut c = LruCache::new(1);
         c.put(1, 1, "a".to_string());
         c.put(1, 1, "b".to_string());
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.entries.len(), 1);
         assert_eq!(c.get(1, 1).as_deref(), Some("b"));
     }
 }

@@ -157,8 +157,8 @@ pub struct RecoveryReport {
 /// errors (`WalError::Io` only — decode/corruption/config errors are
 /// never retried; retrying can't fix a bad byte).
 ///
-/// Backoff doubles per attempt from [`RetryPolicy::base_ms`] up to
-/// [`RetryPolicy::max_ms`], with deterministic seeded jitter in
+/// Backoff doubles per attempt from 5 ms up to 200 ms, with
+/// deterministic seeded jitter in
 /// `[50%, 100%]` of the exponential value — equal seeds and equal
 /// failure histories sleep for identical durations, which keeps chaos
 /// runs reproducible while still decorrelating real-world retries.
@@ -172,10 +172,6 @@ pub struct RecoveryReport {
 pub struct RetryPolicy {
     /// Total attempts per operation (0 or 1 = no retry).
     pub attempts: u32,
-    /// Backoff before the first retry, in milliseconds.
-    pub base_ms: u64,
-    /// Cap on any single backoff, in milliseconds.
-    pub max_ms: u64,
     /// Jitter seed.
     pub seed: u64,
 }
@@ -186,36 +182,29 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             attempts: 1,
-            base_ms: 5,
-            max_ms: 200,
             seed: 0,
         }
     }
 }
 
+/// Backoff before the first retry, in milliseconds.
+const RETRY_BASE_MS: u64 = 5;
+
+/// Cap on any single backoff, in milliseconds.
+const RETRY_MAX_MS: u64 = 200;
+
 impl RetryPolicy {
     /// A sensible production policy: 5 attempts, 5ms → 200ms backoff.
     pub fn standard(seed: u64) -> Self {
-        RetryPolicy {
-            attempts: 5,
-            seed,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Is retrying on at all?
-    pub fn enabled(&self) -> bool {
-        self.attempts > 1
+        RetryPolicy { attempts: 5, seed }
     }
 
     /// The backoff before retry number `attempt` (1-based), salted so
     /// successive retries in one process jitter independently.
     pub fn backoff_ms(&self, attempt: u32, salt: u64) -> u64 {
-        let exp = self
-            .base_ms
-            .max(1)
+        let exp = RETRY_BASE_MS
             .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
-            .min(self.max_ms.max(1));
+            .min(RETRY_MAX_MS);
         // jitter in [50%, 100%] of the exponential value
         let r = splitmix64(self.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         (exp / 2 + (r % (exp / 2 + 1))).max(1)
@@ -896,7 +885,7 @@ mod tests {
                 let a = p.backoff_ms(attempt, salt);
                 let b = p.backoff_ms(attempt, salt);
                 assert_eq!(a, b, "equal seeds and history sleep identically");
-                let exp = (p.base_ms << (attempt - 1).min(20)).min(p.max_ms);
+                let exp = (RETRY_BASE_MS << (attempt - 1).min(20)).min(RETRY_MAX_MS);
                 assert!(
                     a >= 1 && a >= exp / 2 && a <= exp,
                     "jitter window: {a} vs {exp}"
@@ -914,8 +903,6 @@ mod tests {
     fn with_retry_retries_transient_io_and_gives_up() {
         let p = RetryPolicy {
             attempts: 4,
-            base_ms: 1,
-            max_ms: 1,
             seed: 7,
         };
         let mut retries = 0;

@@ -77,12 +77,15 @@ impl Default for LoadConfig {
 pub struct LoadReport {
     /// Connections used.
     pub connections: usize,
-    /// Total requests answered.
+    /// Requests served: answered with anything but `overloaded`, on the
+    /// first attempt or a retry. Each counts once, with the latency of
+    /// the attempt that was served.
     pub requests: u64,
     /// Responses with `"ok":false` (e.g. unknown pages).
     pub errors: u64,
     /// Requests answered `overloaded` by the server's shed policy
-    /// (counted per response, including failed retries; not errors).
+    /// (counted per response, including failed retries; not errors). A
+    /// request shed on every attempt counts here only.
     pub shed: u64,
     /// Retry attempts sent after `overloaded` responses.
     pub retries: u64,
@@ -170,7 +173,7 @@ fn request_line(cfg: &LoadConfig, rng: &mut u64, index: usize) -> String {
 }
 
 struct ConnResult {
-    /// All per-request latencies, batch order.
+    /// One latency per served request, batch order.
     latencies_ns: Vec<u64>,
     /// The same latencies split by verb: `[score, topk]`.
     by_verb_ns: [Vec<u64>; 2],
@@ -249,8 +252,10 @@ fn run_connection(cfg: &LoadConfig, conn_index: usize) -> Result<ConnResult, Ser
         let mut to_retry: Vec<String> = Vec::new();
         let mut hint_ms = 25u64;
         let started = Instant::now();
+        // The verb (`is_topk`) of each line of the batch that was served.
+        let mut served: Vec<bool> = Vec::with_capacity(batch);
         writer.write_all(outgoing.as_bytes())?;
-        for line in &lines {
+        for (i, line) in lines.iter().enumerate() {
             read_response(cfg, &mut reader, &mut response)?;
             if is_overloaded(&response) {
                 shed += 1;
@@ -258,16 +263,20 @@ fn run_connection(cfg: &LoadConfig, conn_index: usize) -> Result<ConnResult, Ser
                 if cfg.max_retries > 0 {
                     to_retry.push(line.clone());
                 }
-            } else if response.starts_with(r#"{"ok":false"#) {
+                continue;
+            }
+            if response.starts_with(r#"{"ok":false"#) {
                 errors += 1;
             }
+            served.push(is_topk(cfg, sent + i));
         }
+        // Pipelined batches split wall time evenly, so each served line
+        // is attributed its share of the batch, not a re-measurement; a
+        // shed line's share is dropped (its retry is timed on its own).
         let per_request = started.elapsed().as_nanos() as u64 / batch as u64;
-        latencies_ns.extend(std::iter::repeat_n(per_request, batch));
-        // Pipelined batches split wall time evenly, so the verb split is
-        // an attribution of the averaged latency, not a re-measurement.
-        for i in 0..batch {
-            by_verb_ns[is_topk(cfg, sent + i) as usize].push(per_request);
+        for topk in served {
+            latencies_ns.push(per_request);
+            by_verb_ns[topk as usize].push(per_request);
         }
         sent += batch;
         // Retry pass: strict request/response, honoring the server's
@@ -478,6 +487,42 @@ mod tests {
         assert!(!is_overloaded(r#"{"ok":false,"error":"unknown page"}"#));
         assert!(!is_overloaded(r#"{"ok":true,"score":1.0}"#));
         assert_eq!(retry_hint_ms(r#"{"ok":false,"error":"overloaded"}"#), None);
+    }
+
+    #[test]
+    fn a_shed_then_served_request_counts_once() {
+        use std::net::TcpListener;
+        // A stub server that sheds the first request and serves the rest,
+        // the retry included.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            for (i, line) in BufReader::new(stream).lines().enumerate() {
+                line.unwrap();
+                let answer = if i == 0 {
+                    "{\"ok\":false,\"error\":\"overloaded\",\"retry_after_ms\":1}\n"
+                } else {
+                    "{\"ok\":true}\n"
+                };
+                writer.write_all(answer.as_bytes()).unwrap();
+            }
+        });
+        let report = run_load(&LoadConfig {
+            addr,
+            connections: 1,
+            requests_per_connection: 4,
+            pipeline: 4,
+            topk_every: 0,
+            ..Default::default()
+        })
+        .unwrap();
+        server.join().unwrap();
+        assert_eq!((report.shed, report.retries), (1, 1));
+        assert_eq!(report.requests, 4, "each request counts once");
+        assert_eq!(report.verbs[0].requests, 4);
+        assert_eq!(report.errors, 0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetric};
+use qrank_core::{PipelineConfig, PipelineEngine, PipelineReport};
 use qrank_graph::{CsrGraph, DynamicGraph, NodeId, PageId, Snapshot, SnapshotSeries};
 use qrank_obs::trace::{ActiveTrace, Tracer};
 
@@ -48,14 +48,9 @@ use crate::shard::ShardedStore;
 /// Refresh-worker configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RefreshConfig {
-    /// Popularity metric (default: the paper's PageRank setup).
-    pub metric: PopularityMetric,
-    /// Equation 1 constant `C` (paper: 0.1).
-    pub c: f64,
-    /// Per-step flatness tolerance for trend classification.
-    pub flat_tolerance: f64,
-    /// Report filter threshold (paper: 0.05).
-    pub min_relative_change: f64,
+    /// Metric, Equation 1 estimator and report filter of every rerank
+    /// (default: the paper's setup).
+    pub pipeline: PipelineConfig,
     /// Maximum snapshots kept in the estimation window (≥ 3; the paper
     /// uses 4). Older snapshots slide out.
     pub max_window: usize,
@@ -64,10 +59,7 @@ pub struct RefreshConfig {
 impl Default for RefreshConfig {
     fn default() -> Self {
         RefreshConfig {
-            metric: PopularityMetric::paper_pagerank(),
-            c: 0.1,
-            flat_tolerance: 0.0,
-            min_relative_change: 0.05,
+            pipeline: PipelineConfig::default(),
             max_window: 4,
         }
     }
@@ -123,7 +115,7 @@ impl RefreshEngine {
                 cfg.max_window
             )));
         }
-        let pipeline = PipelineEngine::new(cfg.metric.clone());
+        let pipeline = PipelineEngine::new(cfg.pipeline.metric.clone());
         Ok(RefreshEngine {
             cfg,
             graph: DynamicGraph::new(),
@@ -307,13 +299,12 @@ impl RefreshEngine {
             self.pipeline.warm(&self.series)?;
             return Ok(None);
         }
-        let estimator = PaperEstimator {
-            c: self.cfg.c,
-            flat_tolerance: self.cfg.flat_tolerance,
-        };
-        let report = self
-            .pipeline
-            .run(&self.series, &estimator, self.cfg.min_relative_change)?;
+        let pipeline = &self.cfg.pipeline;
+        let report = self.pipeline.run(
+            &self.series,
+            &pipeline.estimator(),
+            pipeline.min_relative_change,
+        )?;
         Ok(Some(report))
     }
 
@@ -393,11 +384,6 @@ impl RefreshEngine {
     /// The current snapshot window.
     pub fn series(&self) -> &SnapshotSeries {
         &self.series
-    }
-
-    /// Total pages ever observed (the dynamic graph's node count).
-    pub fn num_pages(&self) -> usize {
-        self.page_of_node.len()
     }
 
     /// Cache traffic of the stage engine's most recent rerank (or warm
@@ -649,7 +635,7 @@ mod tests {
         handle_request, parse_deltas, spawn_refresh_worker, spawn_refresh_worker_with, FsyncPolicy,
         LruCache, Metrics, RefreshMsg, RefreshWorkerOptions,
     };
-    use qrank_core::{run_pipeline, PipelineConfig};
+    use qrank_core::run_pipeline;
     use qrank_graph::CsrGraph;
 
     fn seed_series(snapshots: usize) -> SnapshotSeries {
@@ -751,7 +737,7 @@ mod tests {
         let stats = engine.ingest(&delta).unwrap().unwrap();
         assert_eq!(stats.columns_solved, 1);
         assert_eq!(stats.columns_reused, 3);
-        assert_eq!(engine.num_pages(), 7);
+        assert_eq!(engine.page_of_node.len(), 7);
         // the newborn is not in the common window, hence not served yet
         assert!(engine.handle().current().score(PageId(6)).is_none());
         assert_store_matches_cold(&engine);

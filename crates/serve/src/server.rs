@@ -51,7 +51,6 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use qrank_obs::trace::{TraceConfig, Tracer};
-use qrank_obs::SloConfig;
 
 use crate::cache::LruCache;
 use crate::error::ServeError;
@@ -174,10 +173,7 @@ impl Context {
         let tracer = (cfg.trace_sample > 0).then(|| {
             Arc::new(Tracer::new(TraceConfig {
                 sample_every: cfg.trace_sample,
-                slo: SloConfig {
-                    latency_objective_ns: cfg.slo_latency_us.saturating_mul(1_000),
-                    ..SloConfig::default()
-                },
+                latency_objective_ns: cfg.slo_latency_us.saturating_mul(1_000),
             }))
         });
         Context {

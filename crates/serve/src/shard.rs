@@ -201,11 +201,6 @@ impl ShardedStore {
         self.view.read().shards()
     }
 
-    /// The shard owning `page`.
-    pub fn route(&self, page: u64) -> usize {
-        shard_of(page, self.shards())
-    }
-
     /// The sealed view (cheap `Arc` clone under a briefly-held read
     /// lock, so a publish never stalls a reader).
     pub fn current(&self) -> Arc<ShardView> {
@@ -480,6 +475,5 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let store = ShardedStore::new(0);
         assert_eq!(store.shards(), 1);
-        assert_eq!(store.route(7), 0);
     }
 }

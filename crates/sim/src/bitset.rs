@@ -54,7 +54,7 @@ impl BitTable {
     }
 
     /// Row `r`.
-    #[inline]
+    #[cfg(test)]
     pub fn row(&self, r: usize) -> &[u64] {
         let stride = self.stride();
         &self.words[r * stride..(r + 1) * stride]
@@ -83,18 +83,6 @@ impl BitTable {
         let was_set = self.words[word] & mask != 0;
         self.words[word] &= !mask;
         was_set
-    }
-
-    /// Population count of the union of the given rows (allocates one
-    /// scratch row).
-    pub fn union_count(&self, rows: impl IntoIterator<Item = usize>) -> usize {
-        let mut acc = vec![0u64; self.stride()];
-        for r in rows {
-            for (w, &x) in acc.iter_mut().zip(self.row(r)) {
-                *w |= x;
-            }
-        }
-        acc.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -146,19 +134,5 @@ mod tests {
         assert!(set_bit(row, 64));
         assert!(!set_bit(row, 64));
         assert_eq!(t.row(1), &[0, 1]);
-    }
-
-    #[test]
-    fn union_count_works() {
-        let mut t = BitTable::new(100);
-        t.push_row();
-        t.push_row();
-        t.set(0, 1);
-        t.set(0, 2);
-        t.set(1, 2);
-        t.set(1, 99);
-        assert_eq!(t.union_count([0, 1]), 3);
-        assert_eq!(t.union_count([0]), 2);
-        assert_eq!(t.union_count(std::iter::empty()), 0);
     }
 }

@@ -23,8 +23,7 @@
 //! * [`dist`] — quality distributions and discrete samplers.
 //! * [`world`] — the simulation state machine.
 //! * [`crawler`] — site-rooted snapshot crawler and the paper's timeline.
-//! * [`indexed_set`] — O(1) insert/remove/sample set used by the
-//!   Monte-Carlo model check ([`montecarlo`]).
+//! * [`montecarlo`] — the single-page Monte-Carlo model check.
 //! * [`rng`] — counter-based streams behind the parallel, thread-count-
 //!   independent visit phase (see [`world`]'s module docs).
 //!
@@ -45,7 +44,6 @@ mod bitset;
 pub mod config;
 pub mod crawler;
 pub mod dist;
-pub mod indexed_set;
 pub mod montecarlo;
 pub mod rng;
 pub mod trace;

@@ -6,12 +6,13 @@
 //! of the popularity curve (closed form, RK4, Monte Carlo) — so the
 //! cross-validation tests can show all three agree.
 
+use std::collections::HashSet;
+
 use qrank_model::ModelParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dist::sample_poisson;
-use crate::indexed_set::IndexedSet;
 
 /// Simulate a single page under the user-visitation model and return its
 /// popularity trajectory sampled after every step.
@@ -35,7 +36,7 @@ pub fn simulate_single_page(
     let q = params.quality;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut aware = IndexedSet::new();
+    let mut aware = HashSet::new();
     let mut likes: u64 = 0;
     let initial = ((params.initial_popularity * n as f64).round() as u64).max(1);
     for u in 0..initial.min(n) {

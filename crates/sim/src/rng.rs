@@ -42,13 +42,6 @@ pub struct StreamRng {
     counter: u64,
 }
 
-impl StreamRng {
-    /// The stream for `(seed, step, page)`.
-    pub fn for_page(seed: u64, step: u64, page: u64) -> StreamRng {
-        StepStreams::new(seed, step).for_page(page)
-    }
-}
-
 /// The streams of one `(seed, step)`: the shared prefix of their keys.
 #[derive(Debug, Clone, Copy)]
 pub struct StepStreams(u64);
@@ -82,14 +75,18 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    fn stream(seed: u64, step: u64, page: u64) -> StreamRng {
+        StepStreams::new(seed, step).for_page(page)
+    }
+
     #[test]
     fn streams_are_deterministic_and_independent_of_draw_order() {
         let a: Vec<u64> = {
-            let mut r = StreamRng::for_page(1, 2, 3);
+            let mut r = stream(1, 2, 3);
             (0..10).map(|_| r.next_u64()).collect()
         };
         let b: Vec<u64> = {
-            let mut r = StreamRng::for_page(1, 2, 3);
+            let mut r = stream(1, 2, 3);
             (0..10).map(|_| r.next_u64()).collect()
         };
         assert_eq!(a, b);
@@ -97,10 +94,10 @@ mod tests {
 
     #[test]
     fn different_keys_give_different_streams() {
-        let base = StreamRng::for_page(1, 2, 3).next_u64();
-        assert_ne!(base, StreamRng::for_page(2, 2, 3).next_u64());
-        assert_ne!(base, StreamRng::for_page(1, 3, 3).next_u64());
-        assert_ne!(base, StreamRng::for_page(1, 2, 4).next_u64());
+        let base = stream(1, 2, 3).next_u64();
+        assert_ne!(base, stream(2, 2, 3).next_u64());
+        assert_ne!(base, stream(1, 3, 3).next_u64());
+        assert_ne!(base, stream(1, 2, 4).next_u64());
     }
 
     #[test]
@@ -111,7 +108,7 @@ mod tests {
         // across many streams, one draw each — the access pattern the
         // simulation actually uses
         for page in 0..n as u64 {
-            let mut r = StreamRng::for_page(7, 11, page);
+            let mut r = stream(7, 11, page);
             let x: f64 = r.random();
             assert!((0.0..1.0).contains(&x));
             sum += x;
@@ -127,7 +124,7 @@ mod tests {
     fn low_bits_are_unbiased() {
         let mut ones = 0u32;
         for page in 0..10_000u64 {
-            let mut r = StreamRng::for_page(3, 5, page);
+            let mut r = stream(3, 5, page);
             ones += (r.next_u64() & 1) as u32;
         }
         assert!((4_700..5_300).contains(&ones), "ones {ones}");

@@ -28,15 +28,6 @@ impl Trace {
         self.values.len()
     }
 
-    /// The `(time, popularity)` series of one page.
-    pub fn series(&self, page: usize) -> Vec<(f64, f64)> {
-        self.times
-            .iter()
-            .copied()
-            .zip(self.values[page].iter().copied())
-            .collect()
-    }
-
     /// Restrict to pages born before the first sample time with a
     /// strictly positive first sample (the cohort estimators can work
     /// with). Returns `(trace, original page indices)`.
@@ -165,10 +156,6 @@ mod tests {
             assert!(obs.values[p][0] > 0.0);
             assert!(obs.created_at[p] <= 1.0);
         }
-        // series accessor agrees
-        let s = obs.series(0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].0, 1.0);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use qrank_graph::{CsrGraph, DynamicGraph, GraphError, NodeId};
+use qrank_graph::{CsrGraph, DynamicGraph, GraphError};
 use qrank_model::noise::binomial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -379,7 +379,7 @@ impl World {
     /// returns the like events `(page, user)` in page order (discovery
     /// order within a page) plus the total visits drawn (telemetry
     /// only). Pages are processed in disjoint contiguous chunks on up
-    /// to [`World::thread_budget`] worker threads, each owning its
+    /// to [`World::set_thread_budget`] worker threads, each owning its
     /// pages' rows of the awareness table; each page's randomness comes
     /// from its own counter-based stream, so the result is bit-identical
     /// for any thread count.
@@ -588,15 +588,6 @@ impl World {
         &self.site_roots
     }
 
-    /// Site-level popularity: the fraction of users who like *at least
-    /// one* page of the site — the quantity NetRatings-style traffic
-    /// panels measure, and the unit the paper's traffic future-work
-    /// estimates quality for.
-    pub fn site_popularity(&self, site: u32) -> f64 {
-        let pages = self.site_pages[site as usize].iter().map(|&p| p as usize);
-        self.liked.union_count(pages) as f64 / self.config.num_users as f64
-    }
-
     /// The link graph as of time `t <= now`, over all page ids (pages not
     /// yet born appear isolated). Node ids equal page indices.
     pub fn link_graph_at(&self, t: f64) -> CsrGraph {
@@ -653,17 +644,6 @@ impl World {
     /// (see the module docs). Clamped to at least 1.
     pub fn set_thread_budget(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Worker threads the visit phase will use.
-    pub fn thread_budget(&self) -> usize {
-        self.threads
-    }
-
-    /// The link graph restricted to pages alive at `t`, plus the mapping
-    /// `node -> page id`.
-    pub fn alive_graph_at(&self, t: f64) -> (CsrGraph, Vec<NodeId>) {
-        self.links.snapshot_at(t)
     }
 }
 
@@ -1084,22 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn site_popularity_bounds_page_popularity() {
-        let mut w = World::bootstrap(small_config()).unwrap();
-        w.run_until(3.0);
-        for site in 0..w.config().num_sites as u32 {
-            let sp = w.site_popularity(site);
-            assert!((0.0..=1.0).contains(&sp));
-            // at least as popular as its most popular page
-            let max_page = w.site_pages[site as usize]
-                .iter()
-                .map(|&p| w.popularity(p))
-                .fold(0.0f64, f64::max);
-            assert!(sp >= max_page - 1e-12, "site {site}: {sp} < {max_page}");
-        }
-    }
-
-    #[test]
     fn link_graph_time_travel() {
         let mut w = World::bootstrap(small_config()).unwrap();
         w.run_until(2.0);
@@ -1108,8 +1072,5 @@ mod tests {
         assert!(late.num_edges() > early.num_edges());
         // both over the full page id space
         assert_eq!(early.num_nodes(), late.num_nodes());
-        let (alive_early, map) = w.alive_graph_at(0.0);
-        assert_eq!(alive_early.num_nodes(), map.len());
-        assert_eq!(map.len(), 305); // only bootstrap pages existed at t=0
     }
 }

@@ -356,11 +356,6 @@ impl Wal {
         self.next_lsn
     }
 
-    /// Directory this log lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Append one record payload; returns its LSN. Rotation and the
     /// fsync policy are handled here.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
