@@ -65,9 +65,8 @@ options:
   --shards N         partition the score store into N shards (default 1);
                      `score` reads the sealed view, `topk`/`stats`
                      scatter-gather — responses are bitwise identical at
-                     every N. With --data-dir, each shard keeps its own
-                     WAL subtree; the shard count of an existing data
-                     directory must match.
+                     every N. A --data-dir holds one journal at every N,
+                     so it may be restarted with any shard count.
   --threads T        stage-engine align/solver worker threads (default:
                      QRANK_THREADS or available parallelism; output is
                      bitwise identical at every setting)
@@ -106,9 +105,10 @@ failure containment:
                      --data-dir: DIR/quarantine.deltas). A panicking
                      refresh poisons the worker but the last published
                      generation keeps serving.
-  --wal-retries N    attempts per journal append/sync on transient I/O
-                     errors, exponential backoff with seeded jitter
-                     (default 5 with --data-dir; 1 = no retry)
+  --wal-retries N    attempts per journal append (its write and the sync
+                     --fsync calls for) on transient I/O errors,
+                     exponential backoff with seeded jitter (default 5
+                     with --data-dir; 1 = no retry)
 
 tracing (see `qrank trace` for scraping a running server):
   --trace-sample N   trace every N-th request (head-based, deterministic;
@@ -524,33 +524,77 @@ mod tests {
         std::fs::remove_dir_all(&data_dir).unwrap();
     }
 
+    /// Run `args` (which must carry `--port-file port_file` and a short
+    /// `--duration`), send `requests` one per line while it serves, and
+    /// return its answers once it has exited.
+    fn answers(args: Vec<String>, port_file: &std::path::Path, requests: &[&str]) -> Vec<String> {
+        let _ = std::fs::remove_file(port_file);
+        let server = std::thread::spawn(move || run(&args));
+        let mut addr = String::new();
+        for _ in 0..500 {
+            match std::fs::read_to_string(port_file) {
+                Ok(contents) if !contents.is_empty() => {
+                    addr = contents;
+                    break;
+                }
+                _ => std::thread::sleep(std::time::Duration::from_millis(10)),
+            }
+        }
+        assert!(!addr.is_empty(), "server never wrote its port file");
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut out = Vec::new();
+        for request in requests {
+            writeln!(writer, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            out.push(line);
+        }
+        drop(writer);
+        server.join().unwrap().unwrap();
+        out
+    }
+
     #[test]
     fn sharded_durable_serve_recovers_across_restarts() {
         let dir = temp_dir();
         let series_path = dir.join("sharded.bin");
         let data_dir = dir.join("sharded_wal");
+        let port_file = dir.join("sharded.port");
         let _ = std::fs::remove_dir_all(&data_dir);
         write_series(&series_path);
-        let args = argv(&[
-            "--series",
-            series_path.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "1",
-            "--shards",
-            "2",
-            "--duration",
-            "1",
-            "--data-dir",
-            data_dir.to_str().unwrap(),
-            "--fsync",
-            "never",
-        ]);
-        run(&args).unwrap();
+        let args = |shards: &str| {
+            argv(&[
+                "--series",
+                series_path.to_str().unwrap(),
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "1",
+                "--shards",
+                shards,
+                "--duration",
+                "1",
+                "--data-dir",
+                data_dir.to_str().unwrap(),
+                "--fsync",
+                "never",
+                "--port-file",
+                port_file.to_str().unwrap(),
+            ])
+        };
+        let requests = ["topk 5", "score 0", "score 3", "score 999999"];
+        let written = answers(args("2"), &port_file, &requests);
+        for answer in &written[..3] {
+            assert!(answer.contains(r#""ok":true"#), "{answer}");
+        }
         assert!(
-            data_dir.join("shard-000").is_dir() && data_dir.join("shard-001").is_dir(),
-            "sharded data dir must hold per-shard subtrees"
+            !data_dir.join("shard-000").exists(),
+            "a sharded store still writes one journal"
         );
         crate::commands::wal::run(&argv(&[
             "--dir",
@@ -559,12 +603,15 @@ mod tests {
             "verify",
         ]))
         .unwrap();
-        run(&args).unwrap();
-        // reopening with a different shard count must refuse, not reshard
-        let mut mismatched = args.clone();
-        let at = mismatched.iter().position(|a| a == "--shards").unwrap();
-        mismatched[at + 1] = "3".to_string();
-        assert!(run(&mismatched).is_err());
+        // the shard count is the served store's alone: a restart at any
+        // N recovers the journal and answers with the same bytes
+        for shards in ["3", "1"] {
+            assert_eq!(
+                answers(args(shards), &port_file, &requests),
+                written,
+                "restart at --shards {shards}"
+            );
+        }
         std::fs::remove_dir_all(&data_dir).unwrap();
     }
 

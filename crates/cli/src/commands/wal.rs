@@ -2,12 +2,12 @@
 //!
 //! Operates on the directory given to `qrank serve --data-dir` without
 //! the server running: list its segments and checkpoints, validate every
-//! checksum and the LSN chain end to end, or compact away files the
-//! newest checkpoint has made redundant.
+//! checksum and the LSN chain end to end, or compact away files neither
+//! retained checkpoint needs.
 
 use std::path::Path;
 
-use qrank_serve::wal_dirs;
+use qrank_serve::refuse_per_shard_journal;
 use qrank_wal::{decode_delta, inspect, scan, Wal, WalOptions};
 
 use crate::args::{parse, CliError};
@@ -19,17 +19,17 @@ options:
   --dir DIR   WAL directory (as given to `qrank serve --data-dir`) (required)
   --op OP     inspect | verify | compact (default inspect)
 
-a data directory written by `qrank serve --shards N` (N > 1) holds one
-`shard-NNN/` WAL subtree per shard; the op is applied to every subtree
-automatically, and `verify` additionally checks the cross-shard
-invariant (no shard's log may end before shard 000's checkpoint).
+a data directory holds one log whatever `qrank serve --shards` it was
+served with. A directory holding `shard-NNN/` subdirectories is a
+per-shard journal an earlier build wrote; it is refused, never read.
 
 ops:
   inspect  list segments and checkpoints with record counts (read-only)
   verify   full read-only validation: segment chain, every CRC, every
            record payload decoded, checkpoint coverage
-  compact  write-side maintenance: drop segments and old checkpoints
-           wholly covered by the newest checkpoint";
+  compact  write-side maintenance: keep the two newest checkpoints and
+           drop older ones and every segment wholly covered by the older
+           of the two (recovery's fallback if the newest is damaged)";
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
@@ -45,67 +45,12 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             "unknown op `{op}` (expected inspect, verify, or compact)\n\n{USAGE}"
         )));
     }
-    let logs = wal_dirs(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
-    let sharded = logs.len() > 1;
-    if sharded {
-        println!("sharded data directory: {} shard subtree(s)", logs.len());
+    refuse_per_shard_journal(dir).map_err(|e| CliError::Runtime(e.to_string()))?;
+    match op {
+        "inspect" => run_inspect(dir),
+        "verify" => run_verify(dir),
+        _ => run_compact(dir),
     }
-    for (i, log) in logs.iter().enumerate() {
-        if sharded {
-            println!("-- shard {i:03} --");
-        }
-        match op {
-            "inspect" => run_inspect(log)?,
-            "verify" => run_verify(log)?,
-            _ => run_compact(log)?,
-        }
-    }
-    if sharded && op == "verify" {
-        verify_ensemble(&logs)?;
-    }
-    Ok(())
-}
-
-/// The cross-shard invariant recovery relies on: shard 000's newest
-/// valid checkpoint at LSN L promises every shard is durable through L
-/// (the ensemble syncs all shards before shard 0 checkpoints), so a
-/// shard log ending before L is corruption, while logs ending at
-/// *different* LSNs past L are expected crash overhang that recovery
-/// truncates to the common horizon.
-fn verify_ensemble(shards: &[std::path::PathBuf]) -> Result<(), CliError> {
-    let mut next_lsns = Vec::with_capacity(shards.len());
-    let mut ckpt0 = None;
-    for (i, sub) in shards.iter().enumerate() {
-        let insp = inspect(sub).map_err(|e| CliError::Runtime(e.to_string()))?;
-        next_lsns.push(insp.segments.last().map_or(0, |s| s.first_lsn + s.records));
-        if i == 0 {
-            ckpt0 = insp
-                .checkpoints
-                .iter()
-                .rev()
-                .find(|c| c.valid)
-                .map(|c| c.lsn);
-        }
-    }
-    let horizon = next_lsns.iter().copied().min().unwrap_or(0);
-    if let Some(lsn) = ckpt0 {
-        if let Some((i, &short)) = next_lsns.iter().enumerate().find(|&(_, &n)| n < lsn) {
-            return Err(CliError::Runtime(format!(
-                "shard {i:03} log ends at LSN {short}, before shard 000's checkpoint at LSN {lsn}"
-            )));
-        }
-    }
-    if next_lsns.iter().any(|&n| n != horizon) {
-        println!(
-            "note: shard logs end at different LSNs {next_lsns:?}; \
-             recovery will truncate to the common horizon {horizon}"
-        );
-    }
-    println!(
-        "ok: ensemble of {} shard(s) coherent through LSN {horizon}",
-        shards.len()
-    );
-    Ok(())
 }
 
 fn run_inspect(dir: &Path) -> Result<(), CliError> {
@@ -290,49 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_layout_is_detected_and_each_subtree_verified() {
-        let dir = tmpdir("sharded");
-        // Aligned ensemble: 4 records on each of 2 shards, a full
-        // checkpoint on shard 0 at LSN 3 and a lag-one marker on shard 1.
-        build_log(&dir.join("shard-000"), 4, Some(3));
-        build_log(&dir.join("shard-001"), 4, None);
-        let d = dir.to_str().unwrap();
-        run(&argv(&["--dir", d])).unwrap();
-        run(&argv(&["--dir", d, "--op", "verify"])).unwrap();
-        run(&argv(&["--dir", d, "--op", "compact"])).unwrap();
-        run(&argv(&["--dir", d, "--op", "verify"])).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_verify_rejects_a_shard_lagging_the_checkpoint() {
-        let dir = tmpdir("sharded_lag");
-        // Shard 0 checkpoints at LSN 5 but shard 1's log ends at 2: the
-        // ensemble promise (all shards durable through the checkpoint)
-        // is broken.
-        build_log(&dir.join("shard-000"), 6, Some(5));
-        build_log(&dir.join("shard-001"), 2, None);
-        let d = dir.to_str().unwrap();
-        assert!(matches!(
-            run(&argv(&["--dir", d, "--op", "verify"])),
-            Err(CliError::Runtime(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn non_contiguous_shard_numbering_is_rejected() {
-        let dir = tmpdir("sharded_gap");
-        build_log(&dir.join("shard-000"), 1, None);
-        build_log(&dir.join("shard-002"), 1, None);
-        assert!(matches!(
-            run(&argv(&["--dir", dir.to_str().unwrap()])),
-            Err(CliError::Runtime(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn a_stray_shard_file_leaves_a_flat_journal_flat() {
         use qrank_serve::{
             DurabilityConfig, EdgeDelta, RefreshConfig, RefreshEngine, ShardedStore,
@@ -361,6 +263,44 @@ mod tests {
         let (_, report) = open().expect("a file named shard-000 is not a shard subtree");
         assert_eq!((report.shards, report.replayed_records), (1, 1));
         run(&argv(&["--dir", dir.to_str().unwrap(), "--op", "verify"])).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_per_shard_journal_directory_is_refused() {
+        use qrank_serve::{
+            DurabilityConfig, RefreshConfig, RefreshEngine, ServeError, ShardedStore,
+        };
+        use std::sync::Arc;
+
+        let dir = tmpdir("per_shard_journal");
+        build_log(&dir.join("shard-000"), 2, None);
+        for shards in [1, 3] {
+            let opened = RefreshEngine::open_durable(
+                RefreshConfig::default(),
+                &DurabilityConfig::at(&dir),
+                Arc::new(ShardedStore::new(shards)),
+                None,
+            );
+            assert!(
+                matches!(opened, Err(ServeError::Config(_))),
+                "{shards} shard(s): {:?}",
+                opened.err()
+            );
+        }
+        for op in ["inspect", "verify", "compact"] {
+            let out = run(&argv(&["--dir", dir.to_str().unwrap(), "--op", op]));
+            assert!(
+                matches!(&out, Err(CliError::Runtime(msg)) if msg.contains("per-shard journal")),
+                "{op}: {out:?}"
+            );
+        }
+        // refused, not re-seeded: nothing was written beside the subtree
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["shard-000"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,39 +1,13 @@
 //! Edge deltas — the refresh engine's unit of input — and their text
 //! form: the delta files `qrank serve --deltas` reads and the
 //! quarantine file the refresh worker writes.
+//!
+//! [`EdgeDelta`] itself is defined by `qrank-wal`, which journals it
+//! as it is: the engine ingests, journals and replays one struct.
+
+pub use qrank_wal::EdgeDelta;
 
 use crate::error::ServeError;
-
-/// A batch of link-structure changes observed at one instant.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EdgeDelta {
-    /// Observation time (simulator clock; must be non-decreasing across
-    /// ingested deltas).
-    pub time: f64,
-    /// Pages created without any links yet. Pages referenced by `added`
-    /// are created implicitly; listing them here is only needed for
-    /// isolated births.
-    pub new_pages: Vec<u64>,
-    /// Links that appeared, as `(source page, target page)`.
-    pub added: Vec<(u64, u64)>,
-    /// Links that disappeared. Both endpoints must already be known.
-    pub removed: Vec<(u64, u64)>,
-}
-
-impl EdgeDelta {
-    /// An empty delta at `time`.
-    pub fn at(time: f64) -> Self {
-        EdgeDelta {
-            time,
-            ..Default::default()
-        }
-    }
-
-    /// True when the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.new_pages.is_empty() && self.added.is_empty() && self.removed.is_empty()
-    }
-}
 
 /// Parse a delta file into a list of [`EdgeDelta`]s.
 ///

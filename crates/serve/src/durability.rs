@@ -5,70 +5,26 @@
 //! [`qrank_wal::Wal`] *before* applying it (write-ahead ordering), and
 //! periodically checkpoints its full state so recovery replays only a
 //! short WAL tail. This module owns the glue: the checkpoint payload
-//! codec and the journal bookkeeping around the raw logs — one per
-//! shard, opened, appended to, checkpointed and recovered the same way
-//! whatever their number.
+//! codec and the journal bookkeeping around the raw log.
 //!
-//! ## Flat and sharded layouts
+//! ## One journal per data directory
 //!
-//! A single-shard engine keeps the original layout — segments and
-//! checkpoints directly under `--data-dir`, records in the slotless v1
-//! codec, byte-compatible with logs written before sharding existed
-//! (one shard's partition of a delta is that slotless record). An
-//! N-shard engine (N > 1) turns `--data-dir` into a directory of
-//! per-shard WAL subtrees:
+//! The engine is one writer: it applies one ordered delta stream to one
+//! dynamic graph. So `--data-dir` holds one log — segments and
+//! checkpoints directly in the directory, each delta one v1 record —
+//! whatever shard count the store is served with. The shard count is a
+//! property of the served store only: a directory written at `--shards
+//! 2` recovers at any N to the same bytes.
 //!
-//! ```text
-//! data/
-//!   shard-000/seg-*.wal  ckpt-*.ck     (full-state checkpoints)
-//!   shard-001/seg-*.wal  ckpt-*.ck     (marker checkpoints)
-//!   ...
-//! ```
+//! Recovery opens the log, restores its newest valid checkpoint and
+//! replays the records from that checkpoint's LSN to the head in order,
+//! reproducing the exact pre-crash interleaving — node numbering, float
+//! summation order, and therefore published score bits.
 //!
-//! Every ingested delta appends exactly one record — possibly empty —
-//! to *every* shard's log (see `crate::shard::partition_delta`), so the
-//! per-shard LSN sequences stay aligned one-to-one and LSN `i` on every
-//! shard is partition `i` of the same global delta. The layouts are
-//! mutually exclusive: opening a sharded tree with the wrong shard
-//! count, or a flat log with `--shards N`, is a configuration error,
-//! not a silent reshard.
-//!
-//! ## The ensemble checkpoint protocol
-//!
-//! One checkpoint cycle at LSN `L` (the aligned head):
-//!
-//! 1. **sync every shard's log** — all records below `L` reach stable
-//!    storage on every shard first (shard 0's as the first step of its
-//!    own checkpoint, [`qrank_wal::Wal::checkpoint`]);
-//! 2. shard 0 gets the **full state checkpoint** at `L`;
-//! 3. shards 1..N get a small **marker** checkpoint at the *previous*
-//!    full checkpoint's LSN (0 on the first cycle).
-//!
-//! Step 1 before step 2 gives the crash invariant: *if shard 0's
-//! checkpoint at `L` is durable, every shard is durable through `L`* —
-//! so recovery, whose replay starts at shard 0's checkpoint, always
-//! finds the records it needs on every shard. The markers lag one cycle
-//! so that if shard 0's newest checkpoint fails validation and recovery
-//! falls back to the previous one (the WAL keeps two), the other shards
-//! still retain the records that older checkpoint needs — compaction on
-//! each shard only drops segments its own newest checkpoint covers.
-//!
-//! ## Recovery
-//!
-//! Shard logs are opened side by side through
-//! [`qrank_graph::par::for_each_slot`], each into its own result slot
-//! (one shard opens on the calling thread). The replay horizon is the
-//! *minimum* head LSN across shards — a crash between per-shard appends
-//! can leave some shards one record ahead; those overhanging records
-//! were never applied (write-ahead covers the whole ensemble append)
-//! and are physically truncated with [`qrank_wal::Wal::truncate_to`].
-//! Shard 0's checkpoint payload is the single authority for engine
-//! state (markers are ignored); the per-shard record streams from its
-//! LSN to the horizon are zip-merged by LSN back into global deltas via
-//! the slot arrays, reproducing the exact pre-crash interleaving — node
-//! numbering, float summation order, and therefore published score
-//! bits. At one shard the horizon is the log's head, and the merge of a
-//! lone slotless record is that record.
+//! Builds before this layout wrote one log per shard under `shard-NNN/`
+//! subdirectories when serving with `--shards N > 1`. Such a directory
+//! is refused ([`refuse_per_shard_journal`]) rather than opened as an
+//! empty journal and silently re-seeded; there is no migration.
 //!
 //! ## What a checkpoint stores
 //!
@@ -89,25 +45,22 @@
 //! stage engine's fingerprint-keyed caching discipline (equal snapshots
 //! ⇒ equal columns, bit for bit), a recovered engine publishes exactly
 //! the scores the uninterrupted process would have — the recovery tests
-//! assert this down to the last bit, sharded and flat.
+//! assert this down to the last bit, at every shard count.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, BytesMut};
 use qrank_graph::{CsrGraph, SnapshotSeries};
-use qrank_wal::{FsyncPolicy, Recovery, Wal, WalError, WalOptions, WalStats};
+use qrank_wal::{FsyncPolicy, Wal, WalError, WalOptions, WalStats};
 
 use crate::delta::EdgeDelta;
 use crate::error::ServeError;
-use crate::shard::{merge_partitions, partition_delta};
 
 /// How the refresh engine persists its ingest stream.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Directory holding WAL segments and checkpoints (created if
-    /// absent). With more than one shard this becomes a directory of
-    /// `shard-NNN/` WAL subtrees.
+    /// absent).
     pub dir: PathBuf,
     /// When journal appends reach stable storage.
     pub fsync: FsyncPolicy,
@@ -134,23 +87,17 @@ pub struct RecoveryReport {
     /// Generation restored from the checkpoint (`None`: no checkpoint,
     /// the log was replayed from the beginning).
     pub checkpoint_generation: Option<u64>,
-    /// WAL records replayed on top of the checkpoint (global deltas; a
-    /// sharded journal counts each merged delta once).
+    /// WAL records replayed on top of the checkpoint.
     pub replayed_records: u64,
-    /// Why a newest segment's tail was truncated, if one was (sharded
-    /// journals prefix the shard index).
+    /// Why the newest segment's tail was truncated, if it was.
     pub torn_tail: Option<String>,
-    /// Checkpoints that failed validation and were skipped, across all
-    /// shards.
+    /// Checkpoints that failed validation and were skipped.
     pub skipped_checkpoints: u64,
     /// Replayed deltas the engine rejected (exactly as the original
     /// process rejected them — state is unaffected either way).
     pub replay_errors: Vec<String>,
-    /// Shards in the journal layout (1 = flat).
+    /// Shard count of the store recovery published into.
     pub shards: usize,
-    /// Overhanging records cut back to the cross-shard horizon — the
-    /// tail of an ensemble append interrupted between shards.
-    pub truncated_records: u64,
 }
 
 /// Bounded exponential-backoff retry for *transient* journal I/O
@@ -163,11 +110,10 @@ pub struct RecoveryReport {
 /// failure histories sleep for identical durations, which keeps chaos
 /// runs reproducible while still decorrelating real-world retries.
 ///
-/// Retry soundness: [`qrank_wal::Wal::append`] rolls a partially
-/// written frame back before returning an error, so a retried append
-/// always lands on a clean tail; a sharded journal retries each
-/// shard's append independently, so shards that already took the
-/// record are never appended twice.
+/// Retry soundness: [`qrank_wal::Wal::append`] takes its frame back
+/// out before returning an error — whether the write or the policy's
+/// sync failed — so a retried append always lands on a clean tail and
+/// a record is never journaled twice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (0 or 1 = no retry).
@@ -251,114 +197,63 @@ fn with_retry<T>(
     }
 }
 
-/// Marker payload for the lagging checkpoints on shards 1..N. Never
-/// decoded — shard 0's payload is the only engine-state authority.
-const SHARD_CKPT_MARKER: &[u8] = b"qrank sharded-journal marker";
-
-/// Subdirectory of one shard's WAL subtree.
-pub(crate) fn shard_dir(root: &Path, shard: usize) -> PathBuf {
-    root.join(format!("shard-{shard:03}"))
-}
-
-/// The WAL directories of the data directory `root`, in shard order:
-/// its `shard-NNN` subtrees when it holds any, else `[root]` itself (a
-/// flat journal, or none yet). Only directories count as subtrees — a
-/// file named like one leaves the layout flat — and they must be
-/// numbered contiguously from `shard-000`. Reads only; a missing `root`
-/// lists as flat.
-pub fn wal_dirs(root: &Path) -> Result<Vec<PathBuf>, ServeError> {
-    let mut found: Vec<usize> = Vec::new();
-    if root.is_dir() {
-        for entry in std::fs::read_dir(root).map_err(|e| ServeError::Wal(e.into()))? {
-            let entry = entry.map_err(|e| ServeError::Wal(e.into()))?;
-            let name = entry.file_name();
-            let Some(n) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("shard-"))
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            if entry.path().is_dir() {
-                found.push(n);
-            }
-        }
-    }
-    found.sort_unstable();
-    for (i, &s) in found.iter().enumerate() {
-        if i != s {
+/// Refuse a data directory holding `shard-NNN` subdirectories: a
+/// journal an earlier build wrote, one log per shard, when it served
+/// with `--shards N > 1`. Opening it as an empty journal would re-seed
+/// it and silently drop that history, so it is a configuration error;
+/// there is no migration. Only directories count — a *file* named like
+/// one leaves the journal alone. Reads only; a missing `dir` passes.
+pub fn refuse_per_shard_journal(dir: &Path) -> Result<(), ServeError> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Ok(());
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let shard_named = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("shard-"))
+            .is_some_and(|n| n.parse::<usize>().is_ok());
+        if shard_named && entry.path().is_dir() {
             return Err(ServeError::Config(format!(
-                "data dir {} has a gap in its shard subtrees (missing shard-{i:03})",
-                root.display()
+                "data dir {} holds a per-shard journal ({}/) written by an earlier \
+                 build; this build keeps one journal per data directory and cannot \
+                 read it (start from a fresh data dir)",
+                dir.display(),
+                name.to_string_lossy()
             )));
         }
     }
-    if found.is_empty() {
-        return Ok(vec![root.to_path_buf()]);
-    }
-    Ok((0..found.len())
-        .map(|shard| shard_dir(root, shard))
-        .collect())
+    Ok(())
 }
 
-fn has_flat_wal_files(root: &Path) -> bool {
-    let Ok(entries) = std::fs::read_dir(root) else {
-        return false;
-    };
-    entries.flatten().any(|e| {
-        e.file_name()
-            .to_str()
-            .is_some_and(|n| n.starts_with("seg-") || n.starts_with("ckpt-"))
-    })
-}
-
-/// The engine's handle on its write-ahead log ensemble: one [`Wal`] per
-/// shard (a flat journal is the one-shard case) plus the
-/// automatic-checkpoint countdown and the lag-one marker position.
+/// The engine's handle on its write-ahead log plus the
+/// automatic-checkpoint countdown and the retry policy.
 #[derive(Debug)]
 pub(crate) struct Journal {
-    wals: Vec<Wal>,
+    wal: Wal,
     checkpoint_every: u64,
     since_checkpoint: u64,
-    prev_full_ckpt_lsn: u64,
     retry: RetryPolicy,
-    /// Cumulative backoffs taken — salts the jitter and feeds stats.
+    /// Cumulative backoffs taken — salts the jitter.
     retries: u64,
 }
 
 impl Journal {
-    pub(crate) fn new(wals: Vec<Wal>, checkpoint_every: u64, prev_full_ckpt_lsn: u64) -> Self {
-        assert!(!wals.is_empty(), "a journal needs at least one log");
-        Journal {
-            wals,
-            checkpoint_every,
-            since_checkpoint: 0,
-            prev_full_ckpt_lsn,
-            retry: RetryPolicy::default(),
-            retries: 0,
-        }
-    }
-
-    /// Install a retry policy for transient append/sync I/O errors.
+    /// Install a retry policy for transient I/O errors of an append
+    /// (its write, or the sync its fsync policy calls for).
     pub(crate) fn set_retry(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
 
-    /// Append one delta (write-ahead: callers do this *before* mutating
-    /// engine state): one partition record to every shard's log, keeping
-    /// their LSN sequences aligned. One shard's partition is the slotless
-    /// record, which encodes as v1.
+    /// Append one delta as one record (write-ahead: callers do this
+    /// *before* mutating engine state).
     ///
     /// Transient I/O errors are retried per the installed
-    /// [`RetryPolicy`] — per shard, so a partial ensemble append only
-    /// ever retries the shards that haven't taken the record yet
-    /// ([`Wal::append`] rolls back its own partial frames).
+    /// [`RetryPolicy`]; a failed [`Wal::append`] left nothing behind, so
+    /// a retry journals the delta once.
     pub(crate) fn append(&mut self, delta: &EdgeDelta) -> Result<(), WalError> {
-        let parts = partition_delta(delta, self.wals.len());
-        for (wal, part) in self.wals.iter_mut().zip(&parts) {
-            let frame = qrank_wal::encode_delta(part);
-            with_retry(&self.retry, &mut self.retries, || wal.append(&frame))?;
-        }
+        let frame = qrank_wal::encode_delta(delta);
+        with_retry(&self.retry, &mut self.retries, || self.wal.append(&frame))?;
         self.since_checkpoint += 1;
         Ok(())
     }
@@ -368,46 +263,22 @@ impl Journal {
         self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every
     }
 
-    /// Write a checkpoint with `payload` and compact. Returns the LSN of
-    /// the full-state checkpoint (shard 0's).
-    ///
-    /// Order matters: shards 1..N are synced, then shard 0's checkpoint
-    /// syncs shard 0 before it writes, so a durable shard-0 checkpoint
-    /// at `L` implies every shard is durable through `L`; shards 1..N
-    /// then take marker checkpoints at the previous full checkpoint's
-    /// LSN (see module docs for why they lag one cycle).
+    /// Write a checkpoint with `payload` and compact. Returns its LSN.
     pub(crate) fn checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        let (full, markers) = self.wals.split_first_mut().expect("a journal has a log");
-        for wal in markers.iter_mut() {
-            wal.sync()?;
-        }
-        let lsn = full.checkpoint(payload)?;
-        for wal in markers {
-            wal.checkpoint_at(self.prev_full_ckpt_lsn, SHARD_CKPT_MARKER)?;
-        }
-        self.prev_full_ckpt_lsn = lsn;
+        let lsn = self.wal.checkpoint(payload)?;
         self.since_checkpoint = 0;
         Ok(lsn)
     }
 
-    /// Aggregate journal geometry: head LSN is the (aligned) minimum,
-    /// sizes sum across shards, the checkpoint LSN is shard 0's (the
-    /// full-state one).
+    /// Journal geometry.
     pub(crate) fn stats(&self) -> WalStats {
-        let mut agg = self.wals[0].stats();
-        for wal in &self.wals[1..] {
-            let s = wal.stats();
-            agg.next_lsn = agg.next_lsn.min(s.next_lsn);
-            agg.segments += s.segments;
-            agg.active_segment_bytes += s.active_segment_bytes;
-        }
-        agg
+        self.wal.stats()
     }
 }
 
 /// Everything [`open_journal`] recovered: the journal to keep writing
-/// through, the authoritative checkpoint payload (shard 0's), the
-/// merged global deltas to replay in LSN order, and the report.
+/// through, the newest valid checkpoint payload, the deltas to replay
+/// in LSN order, and the report.
 pub(crate) struct OpenedJournal {
     pub(crate) journal: Journal,
     pub(crate) checkpoint: Option<Vec<u8>>,
@@ -415,147 +286,35 @@ pub(crate) struct OpenedJournal {
     pub(crate) report: RecoveryReport,
 }
 
-/// Open (and recover) the journal under `cfg.dir` with `shards` shards:
-/// one log in `cfg.dir` itself, or one in each `shard-NNN` subtree.
-///
-/// Refuses to reinterpret an existing directory under a different shard
-/// count — resharding is a migration, not an open-time default.
-pub(crate) fn open_journal(
-    cfg: &DurabilityConfig,
-    shards: usize,
-) -> Result<OpenedJournal, ServeError> {
-    let shards = shards.max(1);
-    std::fs::create_dir_all(&cfg.dir).map_err(|e| ServeError::Wal(e.into()))?;
-    let found = wal_dirs(&cfg.dir)?;
-    let existing = if found[0] == cfg.dir { 0 } else { found.len() };
-    let dirs = if shards == 1 {
-        if existing > 0 {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds a {existing}-shard journal; pass --shards {existing}",
-                cfg.dir.display()
-            )));
-        }
-        found
-    } else {
-        if existing == 0 && has_flat_wal_files(&cfg.dir) {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds an unsharded journal; open it with --shards 1",
-                cfg.dir.display()
-            )));
-        }
-        if existing > 0 && existing != shards {
-            return Err(ServeError::Config(format!(
-                "data dir {} holds a {existing}-shard journal but --shards {shards} was requested \
-                 (resharding requires a fresh data dir)",
-                cfg.dir.display()
-            )));
-        }
-        (0..shards)
-            .map(|shard| shard_dir(&cfg.dir, shard))
-            .collect()
-    };
-    open_logs(cfg, &dirs)
-}
-
-/// Open one log per directory in `dirs` (shard order), cut them back to
-/// their common horizon, and zip-merge their records from shard 0's
-/// checkpoint into global deltas.
-fn open_logs(cfg: &DurabilityConfig, dirs: &[PathBuf]) -> Result<OpenedJournal, ServeError> {
-    let _span = qrank_obs::span!("shard.wal_open");
+/// Open (and recover) the journal in `cfg.dir`, refusing a per-shard
+/// journal an earlier build wrote there.
+pub(crate) fn open_journal(cfg: &DurabilityConfig) -> Result<OpenedJournal, ServeError> {
+    refuse_per_shard_journal(&cfg.dir)?;
     let opts = WalOptions {
         fsync: cfg.fsync,
         ..WalOptions::default()
     };
-    // Every slot starts as the error an unopened log would report;
-    // `for_each_slot` runs each pair exactly once, so each is replaced
-    // by its own log's open.
-    let mut opened: Vec<Result<(Wal, Recovery), WalError>> = dirs
+    let (wal, recovery) = Wal::open(&cfg.dir, opts)?;
+    let deltas = recovery
+        .records
         .iter()
-        .map(|_| Err(WalError::Config("log not opened".into())))
-        .collect();
-    qrank_graph::par::for_each_slot(&mut opened, dirs, dirs.len(), |slot, dir| {
-        *slot = Wal::open(dir, opts.clone());
-    });
-    let mut wals = Vec::with_capacity(dirs.len());
-    let mut recoveries = Vec::with_capacity(dirs.len());
-    for result in opened {
-        let (wal, recovery) = result?;
-        wals.push(wal);
-        recoveries.push(recovery);
-    }
-
-    let mut report = RecoveryReport {
-        shards: dirs.len(),
-        ..RecoveryReport::default()
-    };
-    for (shard, rec) in recoveries.iter().enumerate() {
-        report.skipped_checkpoints += rec.skipped_checkpoints;
-        if let Some(reason) = &rec.torn_tail {
-            // a flat log's reason stands alone; a shard's names its shard
-            let reason = match dirs.len() {
-                1 => reason.clone(),
-                _ => format!("shard {shard}: {reason}"),
-            };
-            report.torn_tail = Some(match report.torn_tail.take() {
-                Some(prev) => format!("{prev}; {reason}"),
-                None => reason,
-            });
-        }
-    }
-
-    // The replay horizon: a crash between per-shard appends leaves some
-    // shards one record ahead. Those records were never applied
-    // (write-ahead covers the whole ensemble append), so cut them.
-    let horizon = wals
-        .iter()
-        .map(|w| w.next_lsn())
-        .min()
-        .expect("a journal has a log");
-    for wal in wals.iter_mut() {
-        report.truncated_records += wal.truncate_to(horizon)?;
-    }
-
-    // Shard 0's checkpoint is the engine-state authority; the other
-    // shards' markers only steer their local retention.
-    let checkpoint = recoveries[0].checkpoint.take();
-    let start = checkpoint.as_ref().map_or(0, |c| c.lsn);
-
-    let mut streams: Vec<VecDeque<(u64, Vec<u8>)>> = recoveries
-        .iter_mut()
-        .map(|rec| {
-            std::mem::take(&mut rec.records)
-                .into_iter()
-                .filter(|(lsn, _)| *lsn >= start && *lsn < horizon)
-                .collect()
-        })
-        .collect();
-    let mut deltas = Vec::with_capacity((horizon.saturating_sub(start)) as usize);
-    for lsn in start..horizon {
-        let mut parts = Vec::with_capacity(streams.len());
-        for (shard, stream) in streams.iter_mut().enumerate() {
-            match stream.pop_front() {
-                Some((l, payload)) if l == lsn => {
-                    parts.push(qrank_wal::decode_delta(&payload)?);
-                }
-                other => {
-                    return Err(ServeError::Config(format!(
-                        "shard {shard} journal is missing record {lsn} (found {:?}); \
-                         the shard logs disagree",
-                        other.map(|(l, _)| l)
-                    )));
-                }
-            }
-        }
-        let delta = merge_partitions(&parts)
-            .map_err(|e| ServeError::Config(format!("merging shard records at lsn {lsn}: {e}")))?;
-        deltas.push((lsn, delta));
-    }
-
+        .map(|(lsn, payload)| Ok((*lsn, qrank_wal::decode_delta(payload)?)))
+        .collect::<Result<_, WalError>>()?;
     Ok(OpenedJournal {
-        journal: Journal::new(wals, cfg.checkpoint_every, start),
-        checkpoint: checkpoint.map(|c| c.payload),
+        journal: Journal {
+            wal,
+            checkpoint_every: cfg.checkpoint_every,
+            since_checkpoint: 0,
+            retry: RetryPolicy::default(),
+            retries: 0,
+        },
+        checkpoint: recovery.checkpoint.map(|c| c.payload),
         deltas,
-        report,
+        report: RecoveryReport {
+            torn_tail: recovery.torn_tail,
+            skipped_checkpoints: recovery.skipped_checkpoints,
+            ..RecoveryReport::default()
+        },
     })
 }
 
@@ -683,7 +442,6 @@ pub(crate) fn decode_state(mut buf: &[u8]) -> Result<CheckpointState, ServeError
 mod tests {
     use super::*;
     use qrank_graph::{PageId, Snapshot};
-    use qrank_wal::DeltaRecord;
 
     #[test]
     fn state_roundtrips() {
@@ -780,100 +538,23 @@ mod tests {
     #[test]
     fn one_shard_frames_are_slotless_v1_records() {
         let dir = tmp("flat_frames");
-        let mut journal = open_journal(&cfg(&dir, 0), 1).unwrap().journal;
+        let mut journal = open_journal(&cfg(&dir, 0)).unwrap().journal;
         let deltas: Vec<EdgeDelta> = (0..4).map(delta).collect();
         for d in &deltas {
             journal.append(d).unwrap();
         }
         drop(journal);
         // the segments sit in the data dir itself, and each frame is the
-        // v1 encoding of the delta's slotless record
+        // delta's v1 encoding
         let (_, recovery) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(recovery.records.len(), deltas.len());
         for ((lsn, frame), d) in recovery.records.iter().zip(&deltas) {
-            let record = DeltaRecord {
-                time: d.time,
-                new_pages: d.new_pages.clone(),
-                added: d.added.clone(),
-                removed: d.removed.clone(),
-                ..DeltaRecord::default()
-            };
-            assert_eq!(frame, &qrank_wal::encode_delta(&record), "lsn {lsn}");
+            assert_eq!(frame, &qrank_wal::encode_delta(d), "lsn {lsn}");
             assert_eq!(frame[..2], 1u16.to_le_bytes(), "record codec v1");
         }
-        let opened = open_journal(&cfg(&dir, 0), 1).unwrap();
-        assert_eq!(opened.report.shards, 1);
+        let opened = open_journal(&cfg(&dir, 0)).unwrap();
         let replayed: Vec<EdgeDelta> = opened.deltas.into_iter().map(|(_, d)| d).collect();
         assert_eq!(replayed, deltas);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_journal_roundtrips_deltas_in_order() {
-        let dir = tmp("roundtrip");
-        let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
-        assert_eq!(opened.report.shards, 3);
-        let mut journal = opened.journal;
-        let deltas: Vec<EdgeDelta> = (0..7).map(delta).collect();
-        for d in &deltas {
-            journal.append(d).unwrap();
-        }
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 3).unwrap();
-        assert!(opened.checkpoint.is_none());
-        let replayed: Vec<EdgeDelta> = opened.deltas.iter().map(|(_, d)| d.clone()).collect();
-        assert_eq!(replayed, deltas, "merged replay must match ingest order");
-        assert_eq!(opened.deltas.first().unwrap().0, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn ensemble_checkpoint_trims_replay_and_markers_lag() {
-        let dir = tmp("ckpt");
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        for i in 0..5 {
-            journal.append(&delta(i)).unwrap();
-        }
-        assert_eq!(journal.checkpoint(b"state-a").unwrap(), 5);
-        for i in 5..8 {
-            journal.append(&delta(i)).unwrap();
-        }
-        assert_eq!(journal.checkpoint(b"state-b").unwrap(), 8);
-        journal.append(&delta(8)).unwrap();
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.checkpoint.as_deref(), Some(&b"state-b"[..]));
-        let lsns: Vec<u64> = opened.deltas.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, vec![8], "replay starts at the full checkpoint");
-        assert_eq!(opened.deltas[0].1, delta(8));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn overhanging_shard_records_are_truncated_to_the_horizon() {
-        let dir = tmp("horizon");
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        for i in 0..4 {
-            journal.append(&delta(i)).unwrap();
-        }
-        drop(journal);
-        // Simulate a crash mid-ensemble-append: shard 0 got record 4,
-        // shard 1 did not.
-        let (mut w0, _) = Wal::open(&shard_dir(&dir, 0), WalOptions::default()).unwrap();
-        w0.append(&qrank_wal::encode_delta(&partition_delta(&delta(4), 2)[0]))
-            .unwrap();
-        drop(w0);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.report.truncated_records, 1);
-        assert_eq!(opened.deltas.len(), 4, "the overhang is not replayed");
-        drop(opened);
-        // After truncation the logs agree again and append resumes at 4.
-        let mut journal = open_journal(&cfg(&dir, 0), 2).unwrap().journal;
-        journal.append(&delta(4)).unwrap();
-        drop(journal);
-        let opened = open_journal(&cfg(&dir, 0), 2).unwrap();
-        assert_eq!(opened.deltas.len(), 5);
-        assert_eq!(opened.report.truncated_records, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -944,27 +625,5 @@ mod tests {
             Err(WalError::Io(std::io::Error::other("down")))
         });
         assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn layout_mismatches_are_config_errors() {
-        let dir = tmp("mismatch");
-        drop(open_journal(&cfg(&dir, 0), 2).unwrap());
-        assert!(matches!(
-            open_journal(&cfg(&dir, 0), 1),
-            Err(ServeError::Config(_))
-        ));
-        assert!(matches!(
-            open_journal(&cfg(&dir, 0), 4),
-            Err(ServeError::Config(_))
-        ));
-        let flat = tmp("mismatch_flat");
-        drop(open_journal(&cfg(&flat, 0), 1).unwrap());
-        assert!(matches!(
-            open_journal(&cfg(&flat, 0), 2),
-            Err(ServeError::Config(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(&flat).unwrap();
     }
 }

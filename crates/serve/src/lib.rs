@@ -22,12 +22,12 @@
 //!   [`worker`] thread drives it and contains its failures (quarantine,
 //!   panic poisoning).
 //! * **Durability** ([`durability`]) — optional crash safety: every
-//!   ingested delta is journaled to a `qrank-wal` write-ahead log (one
-//!   per shard, LSN-aligned, under `shard-NNN/` subtrees when sharded)
-//!   before it is applied, engine state is checkpointed periodically,
-//!   and
+//!   ingested delta is journaled to the data directory's one
+//!   `qrank-wal` write-ahead log before it is applied, whatever the
+//!   shard count, engine state is checkpointed periodically, and
 //!   [`RefreshEngine::open_durable`](refresh::RefreshEngine::open_durable)
-//!   recovers a data directory to bitwise-identical published scores.
+//!   recovers a data directory to bitwise-identical published scores
+//!   at any shard count.
 //! * **Front end** ([`server`], [`handler`]) — a fixed-size thread-pool
 //!   TCP server speaking a line-delimited JSON protocol (`score <page>`,
 //!   `topk <n>`, `stats`, `metrics`, `health`, `ready`, `trace …`,
@@ -89,7 +89,7 @@ pub mod worker;
 
 pub use cache::LruCache;
 pub use delta::{format_delta, format_deltas, parse_deltas, EdgeDelta};
-pub use durability::{wal_dirs, DurabilityConfig, RecoveryReport, RetryPolicy};
+pub use durability::{refuse_per_shard_journal, DurabilityConfig, RecoveryReport, RetryPolicy};
 pub use error::ServeError;
 pub use handler::handle_request;
 pub use loadgen::{run_load, LoadConfig, LoadReport, VerbLatency};

@@ -186,10 +186,10 @@ impl RefreshEngine {
     /// journaled — as deltas, so the *next* boot recovers them from the
     /// log instead.
     ///
-    /// The journal layout follows the handle's shard count: one shard
-    /// keeps the original flat layout, more turn `dur.dir` into
-    /// per-shard WAL subtrees recovered in parallel and zip-merged back
-    /// into global deltas (see [`crate::durability`]).
+    /// `dur.dir` holds one journal whatever the handle's shard count, so
+    /// a directory recovers into a store of any shard count to the same
+    /// served bytes. A per-shard journal an earlier build wrote there is
+    /// refused with [`ServeError::Config`] (see [`crate::durability`]).
     pub fn open_durable(
         cfg: RefreshConfig,
         dur: &DurabilityConfig,
@@ -197,10 +197,11 @@ impl RefreshEngine {
         seed: Option<&SnapshotSeries>,
     ) -> Result<(Self, RecoveryReport), ServeError> {
         let _span = qrank_obs::span!("refresh.recover");
-        let opened = durability::open_journal(dur, handle.shards())?;
-        let mut engine = Self::new(cfg, handle)?;
+        let opened = durability::open_journal(dur)?;
         let mut report = opened.report;
+        report.shards = handle.shards();
         report.replayed_records = opened.deltas.len() as u64;
+        let mut engine = Self::new(cfg, handle)?;
         if let Some(payload) = &opened.checkpoint {
             let _s = qrank_obs::span!("refresh.restore");
             engine.restore(durability::decode_state(payload)?)?;

@@ -25,10 +25,11 @@ fn open_per_record(
     dur: &DurabilityConfig,
     handle: Arc<ShardedStore>,
 ) -> (RefreshEngine, RecoveryReport) {
-    let opened = durability::open_journal(dur, handle.shards()).unwrap();
-    let mut engine = RefreshEngine::new(cfg, handle).unwrap();
+    let opened = durability::open_journal(dur).unwrap();
     let mut report = opened.report;
+    report.shards = handle.shards();
     report.replayed_records = opened.deltas.len() as u64;
+    let mut engine = RefreshEngine::new(cfg, handle).unwrap();
     if let Some(payload) = &opened.checkpoint {
         engine
             .restore(durability::decode_state(payload).unwrap())

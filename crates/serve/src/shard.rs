@@ -19,25 +19,15 @@
 //! [`ShardView::topk`] uses the identical comparator, so the merged
 //! order — and every rendered byte — is independent of the shard count.
 //! The shard-invariance proptest pins this for shards ∈ {1, 2, 3, 8}.
-//!
-//! This module also owns delta partitioning for the sharded journal:
-//! `partition_delta` splits one [`EdgeDelta`] into per-shard
-//! [`DeltaRecord`]s carrying *slot* arrays (each element's index in the
-//! original delta), and `merge_partitions` is its exact inverse. At one
-//! shard the partition is the delta itself as a slotless record, which
-//! encodes as v1 — the flat journal's format since before sharding.
-//! Reconstructing the original interleaving matters because node
-//! numbering — and therefore float summation order and published score
-//! bits — follows first-seen order during apply.
+//! Nothing on disk depends on the shard count: a data directory holds
+//! one journal whatever N the store is served with.
 
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 use qrank_core::PipelineReport;
 use qrank_graph::PageId;
-use qrank_wal::DeltaRecord;
 
-use crate::delta::EdgeDelta;
 use crate::store::{PageScores, ScoreStore};
 
 fn bump(name: &'static str) {
@@ -49,8 +39,8 @@ fn bump(name: &'static str) {
 /// The page→shard mapping: FNV-1a over the page id's eight
 /// little-endian bytes, reduced mod `shards`.
 ///
-/// Stable across processes, platforms, and releases — the on-disk
-/// per-shard WAL layout depends on it. Defined here and nowhere else.
+/// Stable across processes, platforms, and releases. Defined here and
+/// nowhere else.
 pub fn shard_of(page: u64, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -240,128 +230,6 @@ impl ShardedStore {
     }
 }
 
-/// Split one delta into per-shard journal records.
-///
-/// Pages go to [`shard_of`] their id; edges (added and removed) go to
-/// the shard owning their **source** page. Every element records its
-/// original index in a slot array so [`merge_partitions`] can rebuild
-/// the delta's exact interleaving. Every shard gets a record — possibly
-/// empty — so per-shard WAL LSNs stay aligned one-to-one. One shard's
-/// record is the whole delta in its own order, so it carries no slots.
-pub(crate) fn partition_delta(delta: &EdgeDelta, shards: usize) -> Vec<DeltaRecord> {
-    let _span = qrank_obs::span!("shard.partition");
-    if shards <= 1 {
-        return vec![DeltaRecord {
-            time: delta.time,
-            new_pages: delta.new_pages.clone(),
-            added: delta.added.clone(),
-            removed: delta.removed.clone(),
-            ..Default::default()
-        }];
-    }
-    let mut parts: Vec<DeltaRecord> = (0..shards.max(1))
-        .map(|_| DeltaRecord {
-            time: delta.time,
-            ..Default::default()
-        })
-        .collect();
-    for (slot, &page) in delta.new_pages.iter().enumerate() {
-        let part = &mut parts[shard_of(page, shards)];
-        part.new_pages.push(page);
-        part.new_slots.push(slot as u32);
-    }
-    for (slot, &(src, dst)) in delta.added.iter().enumerate() {
-        let part = &mut parts[shard_of(src, shards)];
-        part.added.push((src, dst));
-        part.added_slots.push(slot as u32);
-    }
-    for (slot, &(src, dst)) in delta.removed.iter().enumerate() {
-        let part = &mut parts[shard_of(src, shards)];
-        part.removed.push((src, dst));
-        part.removed_slots.push(slot as u32);
-    }
-    parts
-}
-
-/// Merge per-shard journal records (one per shard, same LSN) back into
-/// the original delta — the exact inverse of [`partition_delta`].
-///
-/// Slot arrays place every element at its original index; a missing,
-/// duplicate, or out-of-range slot means the shard logs disagree and is
-/// reported as an error rather than silently reordering the delta.
-pub(crate) fn merge_partitions(parts: &[DeltaRecord]) -> Result<EdgeDelta, String> {
-    let _span = qrank_obs::span!("shard.merge");
-    let Some(first) = parts.first() else {
-        return Err("no shard records to merge".into());
-    };
-    for p in parts {
-        if p.time.to_bits() != first.time.to_bits() {
-            return Err(format!(
-                "shard records disagree on delta time ({} vs {})",
-                p.time, first.time
-            ));
-        }
-    }
-    fn place<T: Copy>(
-        total: usize,
-        what: &str,
-        items: impl Iterator<Item = (u32, T)>,
-    ) -> Result<Vec<T>, String> {
-        let mut slots: Vec<Option<T>> = vec![None; total];
-        for (slot, item) in items {
-            let cell = slots
-                .get_mut(slot as usize)
-                .ok_or_else(|| format!("{what} slot {slot} out of range (total {total})"))?;
-            if cell.replace(item).is_some() {
-                return Err(format!("duplicate {what} slot {slot}"));
-            }
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, cell)| cell.ok_or_else(|| format!("missing {what} slot {i}")))
-            .collect()
-    }
-    // A v1 (slotless) record can only appear as a whole unpartitioned
-    // delta; treat its implicit order as identity slots.
-    fn with_slots<'a, T: Copy>(
-        items: &'a [T],
-        slots: &'a [u32],
-    ) -> impl Iterator<Item = (u32, T)> + 'a {
-        items.iter().copied().enumerate().map(move |(i, item)| {
-            let slot = slots.get(i).copied().unwrap_or(i as u32);
-            (slot, item)
-        })
-    }
-    let n_new: usize = parts.iter().map(|p| p.new_pages.len()).sum();
-    let n_added: usize = parts.iter().map(|p| p.added.len()).sum();
-    let n_removed: usize = parts.iter().map(|p| p.removed.len()).sum();
-    Ok(EdgeDelta {
-        time: first.time,
-        new_pages: place(
-            n_new,
-            "new_pages",
-            parts
-                .iter()
-                .flat_map(|p| with_slots(&p.new_pages, &p.new_slots)),
-        )?,
-        added: place(
-            n_added,
-            "added",
-            parts
-                .iter()
-                .flat_map(|p| with_slots(&p.added, &p.added_slots)),
-        )?,
-        removed: place(
-            n_removed,
-            "removed",
-            parts
-                .iter()
-                .flat_map(|p| with_slots(&p.removed, &p.removed_slots)),
-        )?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,59 +257,6 @@ mod tests {
                 .wrapping_mul(0x100000001b3)
                 % 2) as usize
         );
-    }
-
-    #[test]
-    fn partition_merge_roundtrips() {
-        let delta = EdgeDelta {
-            time: 3.5,
-            new_pages: vec![9, 2, 77, 140, 5],
-            added: vec![(1, 2), (9, 3), (140, 9), (2, 77)],
-            removed: vec![(5, 1), (77, 2)],
-        };
-        for n in [1usize, 2, 3, 8] {
-            let parts = partition_delta(&delta, n);
-            assert_eq!(parts.len(), n);
-            let merged = merge_partitions(&parts).unwrap();
-            assert_eq!(merged, delta, "roundtrip at {n} shards");
-        }
-    }
-
-    #[test]
-    fn merge_rejects_disagreeing_records() {
-        let delta = EdgeDelta {
-            time: 1.0,
-            new_pages: vec![1, 2, 3],
-            ..Default::default()
-        };
-        let mut parts = partition_delta(&delta, 2);
-        // duplicate slot
-        let (shard, other) = if parts[0].new_pages.is_empty() {
-            (1, 0)
-        } else {
-            (0, 1)
-        };
-        if !parts[shard].new_slots.is_empty() && parts[shard].new_slots.len() >= 2 {
-            parts[shard].new_slots[1] = parts[shard].new_slots[0];
-            assert!(
-                merge_partitions(&parts).is_err(),
-                "duplicate slot must fail"
-            );
-        }
-        let mut parts = partition_delta(&delta, 2);
-        parts[other].time = 2.0;
-        assert!(
-            merge_partitions(&parts).is_err(),
-            "time disagreement must fail"
-        );
-        let mut parts = partition_delta(&delta, 2);
-        if let Some(s) = parts[shard].new_slots.first_mut() {
-            *s = 99;
-            assert!(
-                merge_partitions(&parts).is_err(),
-                "out-of-range slot must fail"
-            );
-        }
     }
 
     #[test]

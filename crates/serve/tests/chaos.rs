@@ -4,7 +4,8 @@
 //! Each test arms a seeded [`qrank_chaos::FaultPlan`] and checks the
 //! containment story end to end: injected WAL errors surface as typed
 //! failures (and are absorbed by the retry policy when one is set,
-//! leaving the store an uninjected run publishes), an injected refresh
+//! leaving the store an uninjected run publishes and a journal holding
+//! each delta once), an injected refresh
 //! panic poisons the worker without unseating the published generation —
 //! a live server keeps answering, the journal recovers that generation,
 //! and the quarantine replays onto it — and injected score-path faults
@@ -142,6 +143,67 @@ fn injected_wal_errors_fail_typed_without_retry_and_heal_with_it() {
     assert_eq!(qrank_chaos::status(), Some((7, 3)), "all three injected");
     qrank_chaos::clear();
     assert_bitwise_equal(&uninjected(&stream), &handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_retried_sync_fault_journals_its_delta_once() {
+    let _g = armed();
+    let dir = std::env::temp_dir().join("qrank_chaos_wal_sync");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dur = DurabilityConfig {
+        dir: dir.clone(),
+        fsync: FsyncPolicy::Always,
+        checkpoint_every: 0,
+    };
+    let seed = seed_series(3);
+    let handle = Arc::new(ShardedStore::new(1));
+    let (mut engine, _) = RefreshEngine::open_durable(
+        RefreshConfig::default(),
+        &dur,
+        Arc::clone(&handle),
+        Some(&seed),
+    )
+    .unwrap();
+    engine.set_wal_retry(RetryPolicy::standard(7));
+    let stream = stream();
+
+    // the first streamed append writes its frame, then its sync fails:
+    // the append must take the frame back out, so the retry that
+    // succeeds leaves the delta in the log once
+    qrank_chaos::install(FaultPlan::new(7).with_rule(FaultRule {
+        site: "wal.sync".into(),
+        kind: FaultKind::Error,
+        start: 1,
+        every: 1,
+        count: 1,
+    }));
+    for d in &stream {
+        engine.ingest(d).expect("retry must absorb the fault");
+    }
+    assert_eq!(
+        qrank_chaos::status(),
+        Some((7, 1)),
+        "the fault was injected"
+    );
+    qrank_chaos::clear();
+    drop(engine); // the kill: no shutdown checkpoint
+
+    let recovered = Arc::new(ShardedStore::new(1));
+    let (_, report) =
+        RefreshEngine::open_durable(RefreshConfig::default(), &dur, Arc::clone(&recovered), None)
+            .unwrap();
+    assert_eq!(
+        report.replayed_records,
+        (seed.len() + stream.len()) as u64,
+        "one record per ingest"
+    );
+    assert!(
+        report.replay_errors.is_empty(),
+        "{:?}",
+        report.replay_errors
+    );
+    assert_bitwise_equal(&uninjected(&stream), &recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

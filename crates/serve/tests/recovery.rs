@@ -197,10 +197,9 @@ fn kill_at_every_point_in_the_stream_is_bitwise_identical() {
 
 #[test]
 fn sharded_kill_and_recover_is_bitwise_identical() {
-    // Same sweep discipline against the per-shard WAL ensemble: the
-    // ensemble checkpoint (full state on shard 0, lag-one markers
-    // elsewhere) plus LSN-aligned replay must reproduce the
-    // uninterrupted sharded run bit for bit.
+    // Same sweep discipline at more than one shard: the data
+    // directory's one journal, recovered into an N-shard store, must
+    // reproduce the uninterrupted sharded run bit for bit.
     for shards in [2, 8] {
         for kill_after in [0, 2, 5, 8] {
             kill_recover_resume(

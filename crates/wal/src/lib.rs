@@ -16,7 +16,8 @@
 //!   ckpt-00000000000000000003.ck   checkpoint: engine state at an LSN
 //! ```
 //!
-//! * [`record`] — the `DeltaRecord` payload codec (what is journaled).
+//! * [`record`] — the [`EdgeDelta`] record and its payload codec (what
+//!   is journaled).
 //! * [`segment`] — record framing, segment headers, torn-tail detection.
 //! * [`checkpoint`] — atomic full-state snapshots keyed by LSN.
 //! * [`log`] — the [`Wal`] manager: open/recover, append, rotate,
@@ -33,6 +34,16 @@
 //! [`FsyncPolicy`]; checkpoints always sync the log before being written
 //! (tmp + fsync + rename) so a checkpoint can never reference records
 //! that do not exist.
+//!
+//! Two promises make a log safe to retry into and to fall back on:
+//!
+//! * a [`Wal::append`] that returns `Err` left no record behind, even
+//!   when its frame was written and only the policy's sync failed, so
+//!   retrying it never journals the record twice;
+//! * the two newest checkpoints are kept, and with them every record
+//!   from the *older* one's LSN on, so a newest checkpoint that fails
+//!   validation falls back to the previous one however many segments
+//!   rotated between them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +62,7 @@ pub use checkpoint::Checkpoint;
 pub use log::{
     inspect, scan, CheckpointSummary, Inspection, Recovery, SegmentSummary, Wal, WalStats,
 };
-pub use record::{decode_delta, encode_delta, DeltaRecord};
+pub use record::{decode_delta, encode_delta, DeltaRecord, EdgeDelta};
 pub use segment::SegmentTail;
 
 /// Everything that can go wrong in the journal layer.

@@ -10,7 +10,7 @@
 //! never silently skips a record.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{self, Checkpoint};
@@ -126,6 +126,10 @@ pub struct Wal {
     active_bytes: u64,
     next_lsn: u64,
     last_checkpoint: Option<(u64, u64)>, // (seq, lsn)
+    /// LSN recovery replays from if the newest checkpoint fails
+    /// validation; [`Wal::compact`] keeps every record from it on.
+    /// `None` until a checkpoint is written or compaction reads it.
+    fallback_lsn: Option<u64>,
     unsynced: u64,
 }
 
@@ -338,6 +342,7 @@ impl Wal {
             active_bytes,
             next_lsn,
             last_checkpoint,
+            fallback_lsn: None,
             unsynced: 0,
         };
         Ok((
@@ -358,6 +363,11 @@ impl Wal {
 
     /// Append one record payload; returns its LSN. Rotation and the
     /// fsync policy are handled here.
+    ///
+    /// `Err` means the record is not in the log: a frame whose write or
+    /// policy sync fails is cut back off the segment before the error
+    /// returns, so a retried append lands on a clean tail and is never
+    /// journaled twice.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let _span = qrank_obs::span!("wal.append");
         if crate::fault::chaos_fail("wal.append") {
@@ -371,32 +381,47 @@ impl Wal {
         {
             self.rotate()?;
         }
-        if let Err(e) = self.active.write_all(&frame) {
-            // Roll the partially written frame back so the segment ends
-            // on the last good frame — a retried append must land on a
-            // clean tail, not after torn bytes mid-segment.
-            let _ = self.active.set_len(self.active_bytes);
-            return Err(e.into());
+        let (tail, lsn, unsynced) = (self.active_bytes, self.next_lsn, self.unsynced);
+        let written = self.active.write_all(&frame).map_err(WalError::from);
+        let appended = written.and_then(|()| {
+            self.active_bytes += frame.len() as u64;
+            self.next_lsn += 1;
+            self.set_end_lsn(self.next_lsn);
+            match self.opts.fsync {
+                FsyncPolicy::Always => self.sync(),
+                FsyncPolicy::EveryN(n) => {
+                    self.unsynced += 1;
+                    if self.unsynced >= n {
+                        self.sync()
+                    } else {
+                        Ok(())
+                    }
+                }
+                FsyncPolicy::Never => Ok(()),
+            }
+        });
+        if let Err(e) = appended {
+            // A new segment's handle writes at its cursor, not at the end
+            // of the file, so the cursor goes back with the cut.
+            let _ = self
+                .active
+                .set_len(tail)
+                .and_then(|()| self.active.seek(SeekFrom::Start(tail)));
+            self.active_bytes = tail;
+            self.next_lsn = lsn;
+            self.unsynced = unsynced;
+            self.set_end_lsn(lsn);
+            return Err(e);
         }
-        self.active_bytes += frame.len() as u64;
-        let lsn = self.next_lsn;
-        self.next_lsn += 1;
+        bump("wal.append");
+        Ok(lsn)
+    }
+
+    fn set_end_lsn(&mut self, end_lsn: u64) {
         self.segments
             .last_mut()
             .expect("wal always has an active segment")
-            .end_lsn = self.next_lsn;
-        bump("wal.append");
-        match self.opts.fsync {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
-        }
-        Ok(lsn)
+            .end_lsn = end_lsn;
     }
 
     /// Flush the active segment to stable storage.
@@ -435,139 +460,54 @@ impl Wal {
     }
 
     /// Write a checkpoint covering everything appended so far, then
-    /// drop segments and older checkpoints it makes redundant. Returns
-    /// the checkpoint's LSN.
+    /// [`compact`](Self::compact). Returns the checkpoint's LSN.
     ///
     /// The log is synced *before* the checkpoint is written, so a
     /// checkpoint on disk can never reference records that are not.
     pub fn checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
-        self.checkpoint_at(self.next_lsn, payload)
-    }
-
-    /// Write a checkpoint stamped at `lsn`, which may lag the append
-    /// head. A sharded journal uses this for its non-authoritative
-    /// shards: their marker checkpoints are stamped one full-checkpoint
-    /// cycle behind, so compaction keeps the records a fallback to the
-    /// *previous* full checkpoint would need to replay.
-    ///
-    /// `lsn` must not exceed the append head, regress below the newest
-    /// checkpoint, or fall below the oldest retained record.
-    pub fn checkpoint_at(&mut self, lsn: u64, payload: &[u8]) -> Result<u64, WalError> {
         let _span = qrank_obs::span!("wal.checkpoint");
         if crate::fault::chaos_fail("wal.checkpoint") {
             return Err(WalError::Io(std::io::Error::other(
                 "chaos: injected wal.checkpoint fault",
             )));
         }
-        if lsn > self.next_lsn {
-            return Err(WalError::Config(format!(
-                "checkpoint LSN {lsn} is past the append head {}",
-                self.next_lsn
-            )));
-        }
-        if let Some((_, prev)) = self.last_checkpoint {
-            if lsn < prev {
-                return Err(WalError::Config(format!(
-                    "checkpoint LSN {lsn} regresses below the newest checkpoint at {prev}"
-                )));
-            }
-        }
-        if let Some(first) = self.segments.first() {
-            if lsn < first.first_lsn {
-                return Err(WalError::Config(format!(
-                    "checkpoint LSN {lsn} is below the oldest retained record {}",
-                    first.first_lsn
-                )));
-            }
-        }
+        let lsn = self.next_lsn;
         self.sync()?;
         let seq = self.last_checkpoint.map_or(0, |(s, _)| s + 1);
         checkpoint::write_checkpoint(&self.dir, seq, lsn, payload)?;
         sync_dir(&self.dir)?;
+        self.fallback_lsn = Some(self.last_checkpoint.map_or(lsn, |(_, prev)| prev));
         self.last_checkpoint = Some((seq, lsn));
         bump("wal.checkpoint");
         self.compact()?;
         Ok(lsn)
     }
 
-    /// Physically truncate the log so the next append receives `lsn`,
-    /// discarding every record at or above it. Returns how many records
-    /// were cut. A no-op when `lsn` is at or past the append head.
-    ///
-    /// Sharded recovery uses this to align shard tails: after a crash
-    /// mid-ensemble-append some shards hold records their siblings
-    /// never durably received, and those overhanging records must be
-    /// cut before appends resume or the per-shard logs would disagree
-    /// about what each LSN contains. Refusing to cut below the newest
-    /// checkpoint keeps the operation safe: ensemble checkpoints are
-    /// only written once every shard is durable to the checkpoint LSN,
-    /// so an alignment truncation can never reach one.
-    pub fn truncate_to(&mut self, lsn: u64) -> Result<u64, WalError> {
-        if lsn >= self.next_lsn {
-            return Ok(0);
-        }
-        if let Some((_, ck)) = self.last_checkpoint {
-            if lsn < ck {
-                return Err(WalError::Config(format!(
-                    "refusing to truncate to LSN {lsn} below the newest checkpoint at {ck}"
-                )));
-            }
-        }
-        if self.segments.first().is_none_or(|s| lsn < s.first_lsn) {
-            return Err(WalError::Config(format!(
-                "cannot truncate to LSN {lsn}: it predates the oldest retained record"
-            )));
-        }
-        let removed = self.next_lsn - lsn;
-        self.sync()?;
-        // Drop whole segments that start at or past the cut.
-        while self.segments.len() > 1
-            && self.segments.last().expect("len checked above").first_lsn >= lsn
-        {
-            let info = self.segments.pop().expect("len checked above");
-            std::fs::remove_file(segment::segment_path(&self.dir, info.seq))?;
-        }
-        // Cut the (now) newest segment back to the last surviving frame.
-        let info = self.segments.last_mut().expect("wal always has a segment");
-        let path = segment::segment_path(&self.dir, info.seq);
-        let keep = (lsn - info.first_lsn) as usize;
-        let read = segment::read_segment(&path)?;
-        let valid_len = HEADER_LEN
-            + read
-                .records
-                .iter()
-                .take(keep)
-                .map(|r| FRAME_OVERHEAD + r.len() as u64)
-                .sum::<u64>();
-        let f = OpenOptions::new().write(true).open(&path)?;
-        f.set_len(valid_len)?;
-        f.sync_all()?;
-        info.end_lsn = lsn;
-        self.next_lsn = lsn;
-        self.active = OpenOptions::new().append(true).open(&path)?;
-        self.active_bytes = valid_len;
-        sync_dir(&self.dir)?;
-        bump_by("wal.truncate.records", removed);
-        Ok(removed)
-    }
-
-    /// Delete segments wholly covered by the newest checkpoint (never
-    /// the active segment) and all but the two newest checkpoints.
+    /// Keep the two newest checkpoints and the segments the *older* of
+    /// them still needs: if the newest is ever found corrupt, recovery
+    /// falls back to the previous one and replays from its LSN. Deletes
+    /// every older checkpoint and every segment wholly below that LSN
+    /// (never the active segment); a lone checkpoint covers its own.
     /// Returns how many segment files were removed.
     pub fn compact(&mut self) -> Result<u64, WalError> {
         let Some((ckpt_seq, ckpt_lsn)) = self.last_checkpoint else {
             return Ok(0);
         };
+        // A freshly opened log learns its fallback from the disk.
+        let keep_from = *self.fallback_lsn.get_or_insert_with(|| {
+            ckpt_seq
+                .checked_sub(1)
+                .and_then(|prev| {
+                    checkpoint::read_checkpoint(&checkpoint::checkpoint_path(&self.dir, prev)).ok()
+                })
+                .map_or(ckpt_lsn, |prev| prev.lsn.min(ckpt_lsn))
+        });
         let mut removed = 0u64;
-        while self.segments.len() > 1 && self.segments[0].end_lsn <= ckpt_lsn {
+        while self.segments.len() > 1 && self.segments[0].end_lsn <= keep_from {
             let info = self.segments.remove(0);
             std::fs::remove_file(segment::segment_path(&self.dir, info.seq))?;
             removed += 1;
         }
-        // Keep the newest two checkpoints: if the newest is ever found
-        // corrupt, recovery falls back to the previous one, whose
-        // records are still present (compaction only honours the
-        // newest).
         for seq in checkpoint::list_checkpoints(&self.dir)? {
             if seq + 1 < ckpt_seq {
                 std::fs::remove_file(checkpoint::checkpoint_path(&self.dir, seq))?;
@@ -778,88 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_cuts_the_tail_and_resumes_cleanly() {
-        let dir = tmpdir("truncate");
-        let opts = WalOptions {
-            max_segment_bytes: 64,
-            ..WalOptions::default()
-        };
-        {
-            let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
-            for i in 0..20u64 {
-                wal.append(&i.to_le_bytes()).unwrap();
-            }
-            assert!(wal.stats().segments > 1, "need a multi-segment log");
-            assert_eq!(wal.truncate_to(25).unwrap(), 0, "past the head is a no-op");
-            assert_eq!(wal.truncate_to(7).unwrap(), 13);
-            assert_eq!(wal.next_lsn(), 7);
-            // appends resume at the cut LSN
-            assert_eq!(wal.append(&99u64.to_le_bytes()).unwrap(), 7);
-            wal.sync().unwrap();
-        }
-        let (wal, rec) = Wal::open(&dir, opts).unwrap();
-        assert!(rec.torn_tail.is_none(), "truncation must leave a clean log");
-        assert_eq!(wal.next_lsn(), 8);
-        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(lsns, (0..8).collect::<Vec<u64>>());
-        assert_eq!(rec.records[7].1, 99u64.to_le_bytes());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncate_refuses_to_cut_below_a_checkpoint() {
-        let dir = tmpdir("truncate_ckpt");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
-        for i in 0..6u64 {
-            wal.append(&i.to_le_bytes()).unwrap();
-        }
-        wal.checkpoint(b"state@6").unwrap();
-        for i in 6..9u64 {
-            wal.append(&i.to_le_bytes()).unwrap();
-        }
-        assert!(matches!(wal.truncate_to(4), Err(WalError::Config(_))));
-        assert_eq!(
-            wal.truncate_to(6).unwrap(),
-            3,
-            "down to the checkpoint is fine"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_at_lagging_lsn_keeps_covered_records() {
-        let dir = tmpdir("ckpt_at");
-        let opts = WalOptions {
-            max_segment_bytes: 64,
-            ..WalOptions::default()
-        };
-        {
-            let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
-            for i in 0..12u64 {
-                wal.append(&i.to_le_bytes()).unwrap();
-            }
-            assert!(matches!(
-                wal.checkpoint_at(13, b"x"),
-                Err(WalError::Config(_))
-            ));
-            assert_eq!(wal.checkpoint_at(5, b"marker@5").unwrap(), 5);
-            assert!(
-                matches!(wal.checkpoint_at(3, b"x"), Err(WalError::Config(_))),
-                "checkpoints must not regress"
-            );
-        }
-        let (_, rec) = Wal::open(&dir, opts).unwrap();
-        assert_eq!(rec.checkpoint.unwrap().lsn, 5);
-        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
-        assert_eq!(
-            lsns,
-            (5..12).collect::<Vec<u64>>(),
-            "records past the lagging checkpoint survive compaction"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn corrupt_checkpoint_falls_back_to_previous() {
         let dir = tmpdir("ckpt_fallback");
         {
@@ -873,12 +731,7 @@ mod tests {
             }
             wal.checkpoint(b"second").unwrap();
         }
-        // Corrupt the newest checkpoint.
-        let newest = checkpoint::checkpoint_path(&dir, 1);
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&newest, &bytes).unwrap();
+        corrupt_checkpoint(&dir, 1);
 
         let (_, rec) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(rec.skipped_checkpoints, 1);
@@ -887,6 +740,51 @@ mod tests {
         assert_eq!(ck.lsn, 4);
         let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
         assert_eq!(lsns, vec![4, 5], "gap records must still replay");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Corrupt the last byte of checkpoint `seq` in `dir`.
+    fn corrupt_checkpoint(dir: &Path, seq: u64) {
+        let path = checkpoint::checkpoint_path(dir, seq);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn fallback_checkpoint_keeps_its_records_across_rotation() {
+        let dir = tmpdir("ckpt_fallback_rotated");
+        let opts = WalOptions {
+            max_segment_bytes: 64,
+            ..WalOptions::default()
+        };
+        {
+            let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
+            for i in 0..4u64 {
+                wal.append(&i.to_le_bytes()).unwrap();
+            }
+            wal.checkpoint(b"first").unwrap();
+            for i in 4..12u64 {
+                wal.append(&i.to_le_bytes()).unwrap();
+            }
+            assert!(
+                wal.stats().segments > 2,
+                "the log must rotate between checkpoints"
+            );
+            wal.checkpoint(b"second").unwrap();
+        }
+        // a freshly opened log reads the older checkpoint's LSN to compact
+        let (mut wal, _) = Wal::open(&dir, opts.clone()).unwrap();
+        assert_eq!(wal.compact().unwrap(), 0, "nothing more is droppable");
+        drop(wal);
+        corrupt_checkpoint(&dir, 1);
+        let (_, rec) = Wal::open(&dir, opts).unwrap();
+        assert_eq!(rec.skipped_checkpoints, 1);
+        let ck = rec.checkpoint.expect("older checkpoint must be used");
+        assert_eq!((ck.payload.as_slice(), ck.lsn), (&b"first"[..], 4));
+        let lsns: Vec<u64> = rec.records.iter().map(|(l, _)| *l).collect();
+        assert_eq!(lsns, (4..12).collect::<Vec<u64>>());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

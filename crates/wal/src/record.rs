@@ -1,112 +1,74 @@
 //! The journaled record: one batch of link-structure changes.
 //!
-//! [`DeltaRecord`] mirrors the serving layer's `EdgeDelta` (the WAL
-//! cannot depend on `qrank-serve` — the dependency points the other
-//! way), encoded little-endian with explicit counts so a decoder can
-//! bound every allocation by the bytes actually present.
+//! [`EdgeDelta`] is the refresh engine's unit of input and the WAL's
+//! unit of record. It lives here, in the lower crate, so the serving
+//! layer journals and replays the very struct it ingests. Its payload is
+//! encoded little-endian with explicit counts, so a decoder can bound
+//! every allocation by the bytes actually present:
 //!
-//! ## Two codec versions
-//!
-//! * **v1** — the original layout: time, three counts, then the page
-//!   and edge arrays. Written whenever every slot array is empty.
-//! * **v2** — v1 plus three `u32` *slot* arrays (one entry per element
-//!   of the matching data array). A sharded journal partitions one
-//!   global delta across per-shard logs; each element's slot records
-//!   its index in the *original* delta's array, so recovery can merge
-//!   the partitions back into the exact original interleaving. Ordering
-//!   matters: node numbering (and therefore float summation order and
-//!   published score bits) follows first-seen order during apply.
-//!
-//! Empty slot arrays mean identity order, so a v1 record and a v2
-//! record with identity slots decode to equivalent deltas.
+//! ```text
+//! version u16 = 1 | time f64 | n_new u64 | n_added u64 | n_removed u64 |
+//! new_pages [u64] | added [(u64, u64)] | removed [(u64, u64)]
+//! ```
 
 use bytes::{Buf, BufMut, BytesMut};
 
 use crate::WalError;
 
-/// A batch of link-structure changes observed at one instant, as stored
-/// in the journal. Field-for-field the serving layer's `EdgeDelta`,
-/// plus optional slot arrays used by sharded journals (see module docs).
+/// A batch of link-structure changes observed at one instant.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeltaRecord {
-    /// Observation time (non-decreasing across the log).
+pub struct EdgeDelta {
+    /// Observation time (simulator clock; must be non-decreasing across
+    /// ingested deltas).
     pub time: f64,
-    /// Pages created without links (isolated births).
+    /// Pages created without any links yet. Pages referenced by `added`
+    /// are created implicitly; listing them here is only needed for
+    /// isolated births.
     pub new_pages: Vec<u64>,
-    /// Links that appeared, `(source page, target page)`.
+    /// Links that appeared, as `(source page, target page)`.
     pub added: Vec<(u64, u64)>,
-    /// Links that disappeared.
+    /// Links that disappeared. Both endpoints must already be known.
     pub removed: Vec<(u64, u64)>,
-    /// Original index of each `new_pages` entry in the unpartitioned
-    /// delta (empty = identity order).
-    pub new_slots: Vec<u32>,
-    /// Original index of each `added` entry (empty = identity order).
-    pub added_slots: Vec<u32>,
-    /// Original index of each `removed` entry (empty = identity order).
-    pub removed_slots: Vec<u32>,
 }
 
-impl DeltaRecord {
-    /// True when this record carries slot arrays (i.e. it is one
-    /// shard's partition of a larger delta).
-    pub fn has_slots(&self) -> bool {
-        !self.new_slots.is_empty() || !self.added_slots.is_empty() || !self.removed_slots.is_empty()
+impl EdgeDelta {
+    /// An empty delta at `time`.
+    pub fn at(time: f64) -> Self {
+        EdgeDelta {
+            time,
+            ..Default::default()
+        }
+    }
+
+    /// True when the delta changes nothing.
+    pub fn is_empty(&self) -> bool {
+        self.new_pages.is_empty() && self.added.is_empty() && self.removed.is_empty()
     }
 }
 
-const RECORD_VERSION_V1: u16 = 1;
-const RECORD_VERSION_V2: u16 = 2;
+/// The journal's earlier name for [`EdgeDelta`], kept so callers that
+/// still spell it compile.
+pub type DeltaRecord = EdgeDelta;
 
-/// Encode a record to its journal payload (framing and CRC are the
-/// segment layer's job). Records without slot arrays encode as v1 —
-/// byte-identical to logs written before sharding existed.
-pub fn encode_delta(rec: &DeltaRecord) -> Vec<u8> {
-    let slots = rec.has_slots();
+const RECORD_VERSION: u16 = 1;
+
+/// Encode a delta to its journal payload (framing and CRC are the
+/// segment layer's job).
+pub fn encode_delta(delta: &EdgeDelta) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(
-        2 + 8
-            + 3 * 8
-            + rec.new_pages.len() * 8
-            + (rec.added.len() + rec.removed.len()) * 16
-            + if slots {
-                (rec.new_pages.len() + rec.added.len() + rec.removed.len()) * 4
-            } else {
-                0
-            },
+        2 + 8 + 3 * 8 + delta.new_pages.len() * 8 + (delta.added.len() + delta.removed.len()) * 16,
     );
-    buf.put_u16_le(if slots {
-        RECORD_VERSION_V2
-    } else {
-        RECORD_VERSION_V1
-    });
-    buf.put_f64_le(rec.time);
-    buf.put_u64_le(rec.new_pages.len() as u64);
-    buf.put_u64_le(rec.added.len() as u64);
-    buf.put_u64_le(rec.removed.len() as u64);
-    for &p in &rec.new_pages {
+    buf.put_u16_le(RECORD_VERSION);
+    buf.put_f64_le(delta.time);
+    buf.put_u64_le(delta.new_pages.len() as u64);
+    buf.put_u64_le(delta.added.len() as u64);
+    buf.put_u64_le(delta.removed.len() as u64);
+    for &p in &delta.new_pages {
         buf.put_u64_le(p);
     }
-    for &(s, d) in &rec.added {
+    for &(s, d) in delta.added.iter().chain(&delta.removed) {
         buf.put_u64_le(s);
         buf.put_u64_le(d);
-    }
-    for &(s, d) in &rec.removed {
-        buf.put_u64_le(s);
-        buf.put_u64_le(d);
-    }
-    if slots {
-        // Slot arrays share the header counts with their data arrays —
-        // a v2 record with mismatched lengths is unencodable.
-        debug_assert_eq!(rec.new_slots.len(), rec.new_pages.len());
-        debug_assert_eq!(rec.added_slots.len(), rec.added.len());
-        debug_assert_eq!(rec.removed_slots.len(), rec.removed.len());
-        for &s in rec
-            .new_slots
-            .iter()
-            .chain(&rec.added_slots)
-            .chain(&rec.removed_slots)
-        {
-            buf.put_u32_le(s);
-        }
     }
     buf.to_vec()
 }
@@ -119,15 +81,15 @@ fn need(buf: &[u8], n: u64, what: &str) -> Result<(), WalError> {
     }
 }
 
-/// Decode a journal payload back into a [`DeltaRecord`].
+/// Decode a journal payload back into an [`EdgeDelta`].
 ///
 /// Payloads reach this point CRC-verified, so a decode failure means a
 /// version mismatch or a logic bug, not line noise — callers treat it as
 /// hard corruption rather than a torn tail.
-pub fn decode_delta(mut buf: &[u8]) -> Result<DeltaRecord, WalError> {
+pub fn decode_delta(mut buf: &[u8]) -> Result<EdgeDelta, WalError> {
     need(buf, 2 + 8 + 24, "delta header")?;
     let version = buf.get_u16_le();
-    if version != RECORD_VERSION_V1 && version != RECORD_VERSION_V2 {
+    if version != RECORD_VERSION {
         return Err(WalError::Decode(format!(
             "unsupported delta record version {version}"
         )));
@@ -139,11 +101,10 @@ pub fn decode_delta(mut buf: &[u8]) -> Result<DeltaRecord, WalError> {
     let n_new = buf.get_u64_le();
     let n_added = buf.get_u64_le();
     let n_removed = buf.get_u64_le();
-    let per_slot = if version == RECORD_VERSION_V2 { 4 } else { 0 };
     let total_bytes = n_new
-        .checked_mul(8 + per_slot)
-        .and_then(|a| n_added.checked_mul(16 + per_slot).map(|b| (a, b)))
-        .and_then(|(a, b)| n_removed.checked_mul(16 + per_slot).map(|c| (a, b, c)))
+        .checked_mul(8)
+        .and_then(|a| n_added.checked_mul(16).map(|b| (a, b)))
+        .and_then(|(a, b)| n_removed.checked_mul(16).map(|c| (a, b, c)))
         .and_then(|(a, b, c)| a.checked_add(b).and_then(|ab| ab.checked_add(c)))
         .ok_or_else(|| WalError::Decode("delta element counts overflow".into()))?;
     need(buf, total_bytes, "delta elements")?;
@@ -159,35 +120,17 @@ pub fn decode_delta(mut buf: &[u8]) -> Result<DeltaRecord, WalError> {
     for _ in 0..n_removed {
         removed.push((buf.get_u64_le(), buf.get_u64_le()));
     }
-    let (mut new_slots, mut added_slots, mut removed_slots) = (Vec::new(), Vec::new(), Vec::new());
-    if version == RECORD_VERSION_V2 {
-        new_slots.reserve(n_new as usize);
-        for _ in 0..n_new {
-            new_slots.push(buf.get_u32_le());
-        }
-        added_slots.reserve(n_added as usize);
-        for _ in 0..n_added {
-            added_slots.push(buf.get_u32_le());
-        }
-        removed_slots.reserve(n_removed as usize);
-        for _ in 0..n_removed {
-            removed_slots.push(buf.get_u32_le());
-        }
-    }
     if buf.remaining() > 0 {
         return Err(WalError::Decode(format!(
             "{} trailing bytes after delta elements",
             buf.remaining()
         )));
     }
-    Ok(DeltaRecord {
+    Ok(EdgeDelta {
         time,
         new_pages,
         added,
         removed,
-        new_slots,
-        added_slots,
-        removed_slots,
     })
 }
 
@@ -195,25 +138,12 @@ pub fn decode_delta(mut buf: &[u8]) -> Result<DeltaRecord, WalError> {
 mod tests {
     use super::*;
 
-    fn sample() -> DeltaRecord {
-        DeltaRecord {
+    fn sample() -> EdgeDelta {
+        EdgeDelta {
             time: 4.5,
             new_pages: vec![7, u64::MAX],
             added: vec![(3, 7), (0, 1)],
             removed: vec![(2, 5)],
-            ..Default::default()
-        }
-    }
-
-    fn sharded_sample() -> DeltaRecord {
-        DeltaRecord {
-            time: 4.5,
-            new_pages: vec![7, u64::MAX],
-            added: vec![(3, 7), (0, 1)],
-            removed: vec![(2, 5)],
-            new_slots: vec![1, 4],
-            added_slots: vec![0, 3],
-            removed_slots: vec![2],
         }
     }
 
@@ -221,10 +151,8 @@ mod tests {
     fn roundtrip() {
         let rec = sample();
         assert_eq!(decode_delta(&encode_delta(&rec)).unwrap(), rec);
-        let empty = DeltaRecord::default();
+        let empty = EdgeDelta::default();
         assert_eq!(decode_delta(&encode_delta(&empty)).unwrap(), empty);
-        let sharded = sharded_sample();
-        assert_eq!(decode_delta(&encode_delta(&sharded)).unwrap(), sharded);
     }
 
     #[test]
@@ -232,55 +160,47 @@ mod tests {
         let bytes = encode_delta(&sample());
         assert_eq!(
             u16::from_le_bytes([bytes[0], bytes[1]]),
-            RECORD_VERSION_V1,
-            "flat journals must stay byte-compatible with pre-sharding logs"
-        );
-        let sharded = encode_delta(&sharded_sample());
-        assert_eq!(
-            u16::from_le_bytes([sharded[0], sharded[1]]),
-            RECORD_VERSION_V2
+            RECORD_VERSION,
+            "every journal record is v1"
         );
     }
 
     #[test]
     fn rejects_truncation_at_every_prefix() {
-        for rec in [sample(), sharded_sample()] {
-            let bytes = encode_delta(&rec);
-            for cut in 0..bytes.len() {
-                assert!(
-                    decode_delta(&bytes[..cut]).is_err(),
-                    "prefix of {cut} bytes must not decode"
-                );
-            }
-            assert!(decode_delta(&bytes).is_ok());
+        let bytes = encode_delta(&sample());
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_delta(&bytes[..cut]).is_err(),
+                "prefix of {cut} bytes must not decode"
+            );
         }
+        assert!(decode_delta(&bytes).is_ok());
     }
 
     #[test]
     fn rejects_trailing_garbage_and_bad_version() {
-        for rec in [sample(), sharded_sample()] {
-            let mut bytes = encode_delta(&rec);
-            bytes.push(0);
-            assert!(decode_delta(&bytes).is_err());
+        let mut bytes = encode_delta(&sample());
+        bytes.push(0);
+        assert!(decode_delta(&bytes).is_err());
+        // any version but 1 is unknown, the retired v2 included
+        for version in [2u16, 0xFF] {
+            let mut bad = encode_delta(&sample());
+            bad[..2].copy_from_slice(&version.to_le_bytes());
+            match decode_delta(&bad) {
+                Err(WalError::Decode(msg)) => {
+                    assert_eq!(msg, format!("unsupported delta record version {version}"))
+                }
+                other => panic!("version {version} decoded as {other:?}"),
+            }
         }
-        let mut bad = encode_delta(&sample());
-        bad[0] = 0xFF;
-        assert!(decode_delta(&bad).is_err());
     }
 
     #[test]
     fn rejects_overflowing_counts() {
         let mut buf = BytesMut::new();
-        buf.put_u16_le(RECORD_VERSION_V1);
+        buf.put_u16_le(RECORD_VERSION);
         buf.put_f64_le(0.0);
         buf.put_u64_le(u64::MAX); // new_pages count overflows when ×8
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        assert!(decode_delta(&buf).is_err());
-        let mut buf = BytesMut::new();
-        buf.put_u16_le(RECORD_VERSION_V2);
-        buf.put_f64_le(0.0);
-        buf.put_u64_le(u64::MAX / 9); // fits ×8 but overflows with slots
         buf.put_u64_le(0);
         buf.put_u64_le(0);
         assert!(decode_delta(&buf).is_err());
