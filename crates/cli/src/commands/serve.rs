@@ -62,11 +62,6 @@ options:
   --series FILE      binary snapshot series from `qrank simulate` (required)
   --addr HOST:PORT   bind address (default 127.0.0.1:7878; port 0 = ephemeral)
   --workers N        request worker threads (default 4)
-  --shards N         partition the score store into N shards (default 1);
-                     `score` reads the sealed view, `topk`/`stats`
-                     scatter-gather — responses are bitwise identical at
-                     every N. A --data-dir holds one journal at every N,
-                     so it may be restarted with any shard count.
   --threads T        stage-engine align/solver worker threads (default:
                      QRANK_THREADS or available parallelism; output is
                      bitwise identical at every setting)
@@ -140,7 +135,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "series",
         "addr",
         "workers",
-        "shards",
         "threads",
         "cache",
         "deltas",
@@ -223,19 +217,13 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         None => Vec::new(),
     };
 
-    let shards: usize = p.get_or("shards", 1, USAGE)?;
-    if shards == 0 || shards > 1024 {
-        return Err(CliError::Usage(format!(
-            "--shards must be in 1..=1024, got {shards}\n\n{USAGE}"
-        )));
-    }
     let wal_retries: u32 = p.get_or("wal-retries", 5, USAGE)?;
     if wal_retries == 0 {
         return Err(CliError::Usage(format!(
             "--wal-retries must be at least 1 (1 = no retry)\n\n{USAGE}"
         )));
     }
-    let handle = Arc::new(ShardedStore::new(shards));
+    let handle = Arc::new(ShardedStore::new(1));
     let mut engine = match p.get("data-dir") {
         Some(data_dir) => {
             let fsync: FsyncPolicy = p
@@ -295,11 +283,10 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
     let seeded = engine.stage_stats();
     eprintln!(
-        "serving {} pages (generation {}, window of {} snapshots, {} shard(s)) on {}",
+        "serving {} pages (generation {}, window of {} snapshots) on {}",
         store.len(),
         store.generation(),
-        series.len(),
-        shards,
+        engine.series().len(),
         server.addr()
     );
     eprintln!(
@@ -560,14 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_durable_serve_recovers_across_restarts() {
+    fn durable_serve_restart_answers_the_same_bytes() {
         let dir = temp_dir();
-        let series_path = dir.join("sharded.bin");
-        let data_dir = dir.join("sharded_wal");
-        let port_file = dir.join("sharded.port");
+        let series_path = dir.join("restart.bin");
+        let data_dir = dir.join("restart_wal");
+        let port_file = dir.join("restart.port");
         let _ = std::fs::remove_dir_all(&data_dir);
         write_series(&series_path);
-        let args = |shards: &str| {
+        let args = || {
             argv(&[
                 "--series",
                 series_path.to_str().unwrap(),
@@ -575,8 +562,6 @@ mod tests {
                 "127.0.0.1:0",
                 "--workers",
                 "1",
-                "--shards",
-                shards,
                 "--duration",
                 "1",
                 "--data-dir",
@@ -588,14 +573,11 @@ mod tests {
             ])
         };
         let requests = ["topk 5", "score 0", "score 3", "score 999999"];
-        let written = answers(args("2"), &port_file, &requests);
+        let written = answers(args(), &port_file, &requests);
         for answer in &written[..3] {
             assert!(answer.contains(r#""ok":true"#), "{answer}");
         }
-        assert!(
-            !data_dir.join("shard-000").exists(),
-            "a sharded store still writes one journal"
-        );
+        assert!(written[3].contains(r#""ok":false"#), "{}", written[3]);
         crate::commands::wal::run(&argv(&[
             "--dir",
             data_dir.to_str().unwrap(),
@@ -603,15 +585,8 @@ mod tests {
             "verify",
         ]))
         .unwrap();
-        // the shard count is the served store's alone: a restart at any
-        // N recovers the journal and answers with the same bytes
-        for shards in ["3", "1"] {
-            assert_eq!(
-                answers(args(shards), &port_file, &requests),
-                written,
-                "restart at --shards {shards}"
-            );
-        }
+        // the restart recovers the journal and answers with the same bytes
+        assert_eq!(answers(args(), &port_file, &requests), written);
         std::fs::remove_dir_all(&data_dir).unwrap();
     }
 
@@ -623,5 +598,10 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(run(&argv(&["--series", "/nonexistent/series.bin"])).is_err());
+        // the store is one store: a shard count is an unknown option
+        assert!(matches!(
+            run(&argv(&["--series", "x", "--shards", "2"])),
+            Err(CliError::Usage(_))
+        ));
     }
 }

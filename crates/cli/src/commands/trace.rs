@@ -17,8 +17,8 @@ qrank trace --addr <host:port> [options]
 options:
   --addr HOST:PORT   a running `qrank serve` started with --trace-sample
   --verb V           JSON: slowest retained traces for one verb
-                     (score | topk | stats | metrics | health | trace |
-                      error | refresh | recover)
+                     (score | topk | stats | metrics | health | ready |
+                      trace | shutdown | error | refresh)
   --id N             JSON: one retained trace by id
   --slo              JSON: SLO status (objectives, per-verb latency
                      summaries, multi-window burn rates, exemplars)

@@ -269,7 +269,7 @@ impl Tracer {
         Some(self.start(verb, seq))
     }
 
-    /// Unconditionally trace (refresh cycles, recovery): bypasses the
+    /// Unconditionally trace (refresh cycles): bypasses the
     /// sampling counter but still honors the global enabled gate.
     pub fn begin(&self, verb: &'static str) -> Option<ActiveTrace> {
         if !crate::enabled() {

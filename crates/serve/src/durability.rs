@@ -11,10 +11,7 @@
 //!
 //! The engine is one writer: it applies one ordered delta stream to one
 //! dynamic graph. So `--data-dir` holds one log — segments and
-//! checkpoints directly in the directory, each delta one v1 record —
-//! whatever shard count the store is served with. The shard count is a
-//! property of the served store only: a directory written at `--shards
-//! 2` recovers at any N to the same bytes.
+//! checkpoints directly in the directory, each delta one v1 record.
 //!
 //! Recovery opens the log, restores its newest valid checkpoint and
 //! replays the records from that checkpoint's LSN to the head in order,
@@ -22,9 +19,10 @@
 //! summation order, and therefore published score bits.
 //!
 //! Builds before this layout wrote one log per shard under `shard-NNN/`
-//! subdirectories when serving with `--shards N > 1`. Such a directory
-//! is refused ([`refuse_per_shard_journal`]) rather than opened as an
-//! empty journal and silently re-seeded; there is no migration.
+//! subdirectories when they served a partitioned store. Such a
+//! directory is refused ([`refuse_per_shard_journal`]) rather than
+//! opened as an empty journal and silently re-seeded; there is no
+//! migration.
 //!
 //! ## What a checkpoint stores
 //!
@@ -45,7 +43,7 @@
 //! stage engine's fingerprint-keyed caching discipline (equal snapshots
 //! ⇒ equal columns, bit for bit), a recovered engine publishes exactly
 //! the scores the uninterrupted process would have — the recovery tests
-//! assert this down to the last bit, at every shard count.
+//! assert this down to the last bit.
 
 use std::path::{Path, PathBuf};
 
@@ -96,8 +94,6 @@ pub struct RecoveryReport {
     /// Replayed deltas the engine rejected (exactly as the original
     /// process rejected them — state is unaffected either way).
     pub replay_errors: Vec<String>,
-    /// Shard count of the store recovery published into.
-    pub shards: usize,
 }
 
 /// Bounded exponential-backoff retry for *transient* journal I/O

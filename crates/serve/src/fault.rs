@@ -11,7 +11,7 @@
 ///
 /// Sites: `refresh.ingest` (before the write-ahead append, so an
 /// injected failure is a clean no-op on engine state) and
-/// `serve.score` (delay rules model a slow shard on the read path).
+/// `serve.score` (delay rules model a slow store on the read path).
 #[cfg(feature = "chaos")]
 #[inline]
 pub(crate) fn chaos_fail(site: &'static str) -> bool {

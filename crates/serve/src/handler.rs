@@ -8,7 +8,6 @@
 //! answers from that one view — a briefly-held read lock around an
 //! `Arc` clone, so a refresh publish never stalls the request path, and
 //! no two verbs can answer from different generations of one publish.
-//! Responses are bitwise independent of the shard count.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -24,7 +23,7 @@ use crate::protocol::{
     render_score, render_shutdown_ack, render_stats, render_topk, render_trace, verb_name, Request,
 };
 use crate::server::Context;
-use crate::shard::{score_shard_label, shard_of, ShardView, ShardedStore};
+use crate::shard::{ShardView, ShardedStore};
 
 /// Serve one request line; shared by the TCP workers and direct tests.
 pub fn handle_request(
@@ -168,17 +167,6 @@ fn dispatch(
     if let Some(tr) = tracer {
         let ok = !response.starts_with(r#"{"ok":false"#);
         tr.observe(verb_name(&request), latency_ns, ok);
-        // Per-shard SLO attribution for `score`: observed *in addition
-        // to* the plain verb, and only on a sharded store, so
-        // single-shard deployments keep their exact historical label
-        // set.
-        if view.shards() > 1 {
-            if let Request::Score(page) = request {
-                if let Some(label) = score_shard_label(shard_of(page, view.shards())) {
-                    tr.observe(label, latency_ns, ok);
-                }
-            }
-        }
     }
     (response, trace)
 }
@@ -196,12 +184,7 @@ fn render(
         Request::Score(_) if crate::fault::chaos_fail("serve.score") => {
             render_error("chaos: injected serve.score fault")
         }
-        Request::Score(page) => {
-            if qrank_obs::enabled() {
-                qrank_obs::global().counter("shard.score_dispatch").inc();
-            }
-            render_score(view, page)
-        }
+        Request::Score(page) => render_score(view, page),
         Request::TopK(k) => render_topk(view, k),
         Request::Stats => render_stats(view, &metrics.snapshot()),
         Request::Metrics => render_metrics(view, metrics),

@@ -3,15 +3,12 @@
 //! The paper's estimator is a batch computation; this crate turns it into
 //! something you can query. Three layers:
 //!
-//! * **Score store** ([`store`], [`shard`]) — N deterministic shards
-//!   behind one routing function ([`shard::shard_of`], FNV-1a of the
-//!   page id mod N), each an immutable store of per-page
-//!   `{quality, pagerank, trend}` built from the matching rows of a
-//!   [`qrank_core::PipelineReport`], sealed together into one view per
-//!   generation. Every verb reads that one view: `score` looks up the
-//!   owning shard in it, `topk`/`stats` scatter-gather over it with a
-//!   k-way merge — responses are bitwise identical to an unsharded store
-//!   for any shard count.
+//! * **Score store** ([`store`], [`shard`]) — one immutable store per
+//!   published generation, holding per-page `{quality, pagerank,
+//!   trend}` copied from a [`qrank_core::PipelineReport`] and its
+//!   precomputed quality order, sealed into one view with the
+//!   generation and snapshot time it serves under. Every verb reads that
+//!   one view.
 //! * **Refresh engine** ([`refresh`]) — ingests edge deltas ([`delta`])
 //!   into a [`qrank_graph::DynamicGraph`], re-ranks the snapshot window
 //!   through a [`qrank_core::PipelineEngine`] (every column is solved
@@ -23,11 +20,10 @@
 //!   panic poisoning).
 //! * **Durability** ([`durability`]) — optional crash safety: every
 //!   ingested delta is journaled to the data directory's one
-//!   `qrank-wal` write-ahead log before it is applied, whatever the
-//!   shard count, engine state is checkpointed periodically, and
+//!   `qrank-wal` write-ahead log before it is applied, engine state is
+//!   checkpointed periodically, and
 //!   [`RefreshEngine::open_durable`](refresh::RefreshEngine::open_durable)
-//!   recovers a data directory to bitwise-identical published scores
-//!   at any shard count.
+//!   recovers a data directory to bitwise-identical published scores.
 //! * **Front end** ([`server`], [`handler`]) — a fixed-size thread-pool
 //!   TCP server speaking a line-delimited JSON protocol (`score <page>`,
 //!   `topk <n>`, `stats`, `metrics`, `health`, `ready`, `trace …`,
@@ -53,8 +49,6 @@
 //! use qrank_serve::{serve, RefreshEngine, RefreshConfig, ServerConfig, ShardedStore};
 //! # fn series() -> qrank_graph::SnapshotSeries { unimplemented!() }
 //!
-//! // One shard behaves exactly like the historical unsharded store;
-//! // pass N > 1 to partition the serve path.
 //! let handle = Arc::new(ShardedStore::new(1));
 //! let engine =
 //!     RefreshEngine::from_series(&series(), RefreshConfig::default(), Arc::clone(&handle))

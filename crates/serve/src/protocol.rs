@@ -90,12 +90,12 @@ pub fn verb_name(r: &Request) -> &'static str {
 }
 
 /// Canonicalize a trace-filter verb to its static name (the verbs are a
-/// closed set; `refresh` and `recover` are the forced-trace verbs the
-/// refresh engine records).
+/// closed set; `refresh` is the forced-trace verb the refresh engine
+/// records).
 fn canonical_verb(s: &str) -> Option<&'static str> {
     [
         "score", "topk", "stats", "metrics", "health", "ready", "trace", "shutdown", "error",
-        "refresh", "recover",
+        "refresh",
     ]
     .into_iter()
     .find(|&v| s == v)
@@ -157,9 +157,8 @@ fn page_obj(page: PageId, s: &PageScores) -> String {
         .finish()
 }
 
-/// Render a `score` response: the page looked up in its owning shard of
-/// the sealed view, stamped with the view's generation — the bytes an
-/// unsharded store would render.
+/// Render a `score` response: the page looked up in the sealed view,
+/// stamped with the view's generation.
 pub fn render_score(view: &ShardView, page: u64) -> String {
     match view.score(PageId(page)) {
         Some(s) => Obj::new()
@@ -174,8 +173,8 @@ pub fn render_score(view: &ShardView, page: u64) -> String {
     }
 }
 
-/// Render a `topk` response: a scatter-gather k-way merge across the
-/// sealed view's shards (bitwise identical to the unsharded order).
+/// Render a `topk` response: a prefix of the sealed view's quality
+/// order.
 pub fn render_topk(view: &ShardView, k: usize) -> String {
     let rows = view.topk(k);
     Obj::new()
@@ -186,7 +185,7 @@ pub fn render_topk(view: &ShardView, k: usize) -> String {
         .finish()
 }
 
-/// Render a `stats` response (page counts gathered across the view).
+/// Render a `stats` response (page count read off the view).
 pub fn render_stats(view: &ShardView, m: &MetricsSnapshot) -> String {
     Obj::new()
         .bool("ok", true)
@@ -381,6 +380,16 @@ mod tests {
         assert!(parse_request("trace slowest frobnicate").is_err());
         assert!(parse_request("trace id x").is_err());
         assert!(parse_request("trace everything").is_err());
+    }
+
+    #[test]
+    fn trace_filters_name_only_verbs_a_trace_can_carry() {
+        // recovery runs before a tracer is attached, so it never records
+        assert!(parse_request("trace slowest recover").is_err());
+        assert_eq!(
+            parse_request("trace slowest ready"),
+            Ok(Request::Trace(TraceQuery::Slowest(Some("ready"))))
+        );
     }
 
     #[test]

@@ -83,9 +83,9 @@ pub struct RefreshStats {
 /// The incremental re-ranking engine.
 ///
 /// Single-owner (typically a dedicated worker thread); publishes results
-/// through a shared [`ShardedStore`] (each publish partitions the
-/// report's rows by owning shard, swaps every shard's store, and seals
-/// the coherent view last) so the request path never waits on a rerank.
+/// through a shared [`ShardedStore`] (each publish builds the
+/// generation's store and swaps the sealed view once) so the request
+/// path never waits on a rerank.
 #[derive(Debug)]
 pub struct RefreshEngine {
     cfg: RefreshConfig,
@@ -186,9 +186,7 @@ impl RefreshEngine {
     /// journaled — as deltas, so the *next* boot recovers them from the
     /// log instead.
     ///
-    /// `dur.dir` holds one journal whatever the handle's shard count, so
-    /// a directory recovers into a store of any shard count to the same
-    /// served bytes. A per-shard journal an earlier build wrote there is
+    /// A per-shard journal an earlier build wrote in `dur.dir` is
     /// refused with [`ServeError::Config`] (see [`crate::durability`]).
     pub fn open_durable(
         cfg: RefreshConfig,
@@ -199,7 +197,6 @@ impl RefreshEngine {
         let _span = qrank_obs::span!("refresh.recover");
         let opened = durability::open_journal(dur)?;
         let mut report = opened.report;
-        report.shards = handle.shards();
         report.replayed_records = opened.deltas.len() as u64;
         let mut engine = Self::new(cfg, handle)?;
         if let Some(payload) = &opened.checkpoint {

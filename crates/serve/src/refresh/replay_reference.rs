@@ -27,7 +27,6 @@ fn open_per_record(
 ) -> (RefreshEngine, RecoveryReport) {
     let opened = durability::open_journal(dur).unwrap();
     let mut report = opened.report;
-    report.shards = handle.shards();
     report.replayed_records = opened.deltas.len() as u64;
     let mut engine = RefreshEngine::new(cfg, handle).unwrap();
     if let Some(payload) = &opened.checkpoint {
@@ -137,7 +136,6 @@ fn fingerprints(series: &SnapshotSeries) -> Vec<u64> {
 fn recover_both_ways(
     deltas: &[EdgeDelta],
     checkpoint_every: u64,
-    shards: usize,
     max_window: usize,
 ) -> (u64, usize) {
     let cfg = RefreshConfig {
@@ -149,7 +147,7 @@ fn recover_both_ways(
         fsync: FsyncPolicy::Never,
         checkpoint_every,
     };
-    let live = Arc::new(ShardedStore::new(shards));
+    let live = Arc::new(ShardedStore::new(1));
     let (live_generation, live_window) = {
         let (mut engine, _) =
             RefreshEngine::open_durable(cfg.clone(), &dur, Arc::clone(&live), None).unwrap();
@@ -161,11 +159,11 @@ fn recover_both_ways(
         // dropped without a checkpoint: the kill
     };
 
-    let deferred_store = Arc::new(ShardedStore::new(shards));
+    let deferred_store = Arc::new(ShardedStore::new(1));
     let (mut deferred, deferred_report) =
         RefreshEngine::open_durable(cfg.clone(), &dur, Arc::clone(&deferred_store), None).unwrap();
     deferred.journal = None; // release the directory, keep the engine
-    let reference_store = Arc::new(ShardedStore::new(shards));
+    let reference_store = Arc::new(ShardedStore::new(1));
     let (mut reference, reference_report) =
         open_per_record(cfg, &dur, Arc::clone(&reference_store));
 
@@ -215,11 +213,10 @@ proptest! {
         raw in raw_deltas(),
         quiet in 0usize..5,
         checkpoint_every in prop::sample::select(vec![0u64, 0, 1, 2, 3, 5]),
-        shards in prop::sample::select(vec![1usize, 8]),
         max_window in 3usize..5,
     ) {
         let deltas = stream(raw, quiet);
-        let (replayed, _) = recover_both_ways(&deltas, checkpoint_every, shards, max_window);
+        let (replayed, _) = recover_both_ways(&deltas, checkpoint_every, max_window);
         if checkpoint_every == 0 {
             prop_assert_eq!(replayed, deltas.len() as u64);
         }
@@ -258,22 +255,20 @@ fn deferred_replay_matches_on_the_named_shapes() {
         link(7.5, vec![(1, 0)]),
         link(10.0, vec![(4, 2)]),
     ];
-    for shards in [1, 8] {
-        // no checkpoint: the whole history is the tail
-        assert_eq!(recover_both_ways(&deltas, 0, shards, 4), (11, 5));
-        assert_eq!(recover_both_ways(&deltas[..5], 0, shards, 3), (5, 2));
-        // interval 2: a checkpoint of the still-filling window after
-        // record 1, then two pageless windows — the tail is as long as
-        // the interval because the checkpoint due after it had no
-        // published generation to follow
-        assert_eq!(recover_both_ways(&deltas[..4], 2, shards, 4), (2, 2));
-        // interval 3, killed after the rejected removal, the slide that
-        // grows the common set, the rejected time regression, the end
-        assert_eq!(recover_both_ways(&deltas[..7], 3, shards, 4), (1, 1));
-        assert_eq!(recover_both_ways(&deltas[..8], 3, shards, 4), (2, 1));
-        assert_eq!(recover_both_ways(&deltas[..10], 3, shards, 4), (1, 1));
-        assert_eq!(recover_both_ways(&deltas, 3, shards, 4), (2, 1));
-        // a tail of nothing republishes the checkpointed generation
-        assert_eq!(recover_both_ways(&deltas[..6], 3, shards, 4), (0, 0));
-    }
+    // no checkpoint: the whole history is the tail
+    assert_eq!(recover_both_ways(&deltas, 0, 4), (11, 5));
+    assert_eq!(recover_both_ways(&deltas[..5], 0, 3), (5, 2));
+    // interval 2: a checkpoint of the still-filling window after
+    // record 1, then two pageless windows — the tail is as long as
+    // the interval because the checkpoint due after it had no
+    // published generation to follow
+    assert_eq!(recover_both_ways(&deltas[..4], 2, 4), (2, 2));
+    // interval 3, killed after the rejected removal, the slide that
+    // grows the common set, the rejected time regression, the end
+    assert_eq!(recover_both_ways(&deltas[..7], 3, 4), (1, 1));
+    assert_eq!(recover_both_ways(&deltas[..8], 3, 4), (2, 1));
+    assert_eq!(recover_both_ways(&deltas[..10], 3, 4), (1, 1));
+    assert_eq!(recover_both_ways(&deltas, 3, 4), (2, 1));
+    // a tail of nothing republishes the checkpointed generation
+    assert_eq!(recover_both_ways(&deltas[..6], 3, 4), (0, 0));
 }

@@ -1,11 +1,11 @@
-//! The immutable score store of one shard.
+//! The immutable score store of one generation.
 //!
-//! A [`ScoreStore`] is one shard's rows of a published generation:
-//! per-page quality estimates, current PageRank, and trend
-//! classification, plus a precomputed quality ordering for `topk`
-//! queries. Stores are built off the request path (by the refresh
-//! worker) and published inside a [`ShardView`](crate::ShardView),
-//! which carries the generation and snapshot time they serve under.
+//! A [`ScoreStore`] holds a published generation's scores: per-page
+//! quality estimates, current PageRank, and trend classification, plus
+//! a precomputed quality ordering for `topk` queries. Stores are built
+//! off the request path (by the refresh worker) and published inside a
+//! [`ShardView`](crate::ShardView), which carries the generation and
+//! snapshot time they serve under.
 
 use std::collections::HashMap;
 
@@ -23,7 +23,7 @@ pub struct PageScores {
     pub trend: Trend,
 }
 
-/// One shard's immutable scores.
+/// One generation's immutable scores.
 #[derive(Debug, Clone)]
 pub struct ScoreStore {
     pages: Vec<PageId>,
@@ -47,12 +47,10 @@ impl ScoreStore {
         }
     }
 
-    /// Build a store from a subset of a pipeline report's `rows`, next
-    /// to the store it replaces. Score columns are copied verbatim (bit
-    /// for bit), and the quality ordering is sorted with one comparator
-    /// — quality descending by `total_cmp`, ties by ascending page id —
-    /// so restricting rows commutes with sorting: a k-way merge of
-    /// per-shard stores reproduces the unsharded order bitwise.
+    /// Build the store of a pipeline report, next to the store it
+    /// replaces. Score columns are copied verbatim (bit for bit), and
+    /// the quality ordering is sorted with one comparator — quality
+    /// descending by `total_cmp`, ties by ascending page id.
     ///
     /// When `previous` serves the same pages in the same rows — the
     /// steady state of a refresh — its page→row index is taken over (a
@@ -62,10 +60,9 @@ impl ScoreStore {
     /// sorted. The comparator is a total order without ties (page ids
     /// are distinct), so the sorted order is unique and the store equals
     /// the one built next to an empty store.
-    pub(crate) fn after(previous: &ScoreStore, report: &PipelineReport, rows: &[u32]) -> Self {
-        let take = |col: &[f64]| -> Vec<f64> { rows.iter().map(|&r| col[r as usize]).collect() };
-        let pages: Vec<PageId> = rows.iter().map(|&r| report.pages[r as usize]).collect();
-        let quality = take(&report.estimates);
+    pub(crate) fn after(previous: &ScoreStore, report: &PipelineReport) -> Self {
+        let pages = report.pages.clone();
+        let quality = report.estimates.clone();
         let (index, mut by_quality) = if previous.pages == pages {
             (previous.index.clone(), previous.by_quality.clone())
         } else {
@@ -86,8 +83,8 @@ impl ScoreStore {
         ScoreStore {
             pages,
             quality,
-            pagerank: take(&report.current),
-            trends: rows.iter().map(|&r| report.trends[r as usize]).collect(),
+            pagerank: report.current.clone(),
+            trends: report.trends.clone(),
             index,
             by_quality,
         }
@@ -112,21 +109,6 @@ impl ScoreStore {
             pagerank: self.pagerank[i],
             trend: self.trends[i],
         })
-    }
-
-    /// The `i`-th best page in this store's quality order (0 = best), or
-    /// `None` past the end — the cursor primitive the sharded k-way
-    /// merge walks.
-    pub fn nth_best(&self, i: usize) -> Option<(PageId, PageScores)> {
-        let row = *self.by_quality.get(i)? as usize;
-        Some((
-            self.pages[row],
-            PageScores {
-                quality: self.quality[row],
-                pagerank: self.pagerank[row],
-                trend: self.trends[row],
-            },
-        ))
     }
 
     /// The `k` highest-quality pages, best first (ties broken by page
@@ -180,14 +162,9 @@ pub(crate) mod tests {
         run_pipeline(&s, &PipelineConfig::default()).unwrap()
     }
 
-    /// The store of `rows` built from nothing.
-    fn built(r: &PipelineReport, rows: &[u32]) -> ScoreStore {
-        ScoreStore::after(&ScoreStore::empty(), r, rows)
-    }
-
+    /// The store of `r` built from nothing.
     fn whole(r: &PipelineReport) -> ScoreStore {
-        let all: Vec<u32> = (0..r.pages.len() as u32).collect();
-        built(r, &all)
+        ScoreStore::after(&ScoreStore::empty(), r)
     }
 
     #[test]
@@ -215,29 +192,5 @@ pub(crate) mod tests {
         // k beyond the page count truncates
         assert_eq!(store.topk(100).len(), 6);
         assert_eq!(store.topk(2).len(), 2);
-    }
-
-    #[test]
-    fn row_restriction_preserves_bits_and_order() {
-        let r = report();
-        let full = whole(&r);
-        let sub = built(&r, &[4, 1, 3]);
-        assert_eq!(sub.len(), 3);
-        for &row in &[4usize, 1, 3] {
-            let s = sub.score(r.pages[row]).unwrap();
-            assert_eq!(s.quality.to_bits(), r.estimates[row].to_bits());
-            assert_eq!(s.pagerank.to_bits(), r.current[row].to_bits());
-        }
-        assert!(sub.score(r.pages[0]).is_none());
-        // the restricted quality order is the full order filtered
-        let full_order: Vec<PageId> = full
-            .topk(6)
-            .into_iter()
-            .map(|(p, _)| p)
-            .filter(|p| [r.pages[4], r.pages[1], r.pages[3]].contains(p))
-            .collect();
-        let sub_order: Vec<PageId> = (0..3).map(|i| sub.nth_best(i).unwrap().0).collect();
-        assert_eq!(sub_order, full_order);
-        assert!(sub.nth_best(3).is_none());
     }
 }
