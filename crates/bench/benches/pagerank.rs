@@ -9,8 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, pagerank, pagerank_warm, solve_auto_with, solve_many,
-    PageRankConfig,
+    colored_gauss_seidel, gauss_seidel, hits, pagerank, solve_auto_with, solve_many, PageRankConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +43,7 @@ fn bench_solvers(c: &mut Criterion) {
             );
         }
         group.bench_with_input(BenchmarkId::new("auto", n), &g, |b, g| {
-            b.iter(|| black_box(solve_auto_with(g, &cfg, None, 4)))
+            b.iter(|| black_box(solve_auto_with(g, &cfg, 4)))
         });
     }
     group.finish();
@@ -138,29 +137,6 @@ fn bench_colored(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_warm_start(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pagerank_warm_start");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(3);
-    let g = barabasi_albert(50_000, 5, &mut rng);
-    let cfg = PageRankConfig {
-        tolerance: 1e-9,
-        ..Default::default()
-    };
-    let prev = pagerank(&g, &cfg);
-    // next "snapshot": small edge delta
-    let mut edges: Vec<(u32, u32)> = g.edges().collect();
-    for i in 0..200u32 {
-        edges.push((49_000 + i, i));
-    }
-    let g2 = qrank_graph::CsrGraph::from_edges(50_000, &edges);
-    group.bench_function("cold_50k", |b| b.iter(|| black_box(pagerank(&g2, &cfg))));
-    group.bench_function("warm_50k", |b| {
-        b.iter(|| black_box(pagerank_warm(&g2, &cfg, Some(&prev.scores))))
-    });
-    group.finish();
-}
-
 fn bench_hits(c: &mut Criterion) {
     let mut group = c.benchmark_group("hits");
     group.sample_size(10);
@@ -175,7 +151,6 @@ criterion_group!(
     bench_solvers,
     bench_gauss_seidel_shapes,
     bench_colored,
-    bench_warm_start,
     bench_hits
 );
 criterion_main!(benches);

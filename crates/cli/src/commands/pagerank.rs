@@ -17,9 +17,10 @@ options:
                    (default power; `auto` is the solver `estimate` and
                    `serve` publish with: Gauss-Seidel, or its colored
                    schedule on a large graph with threads to spare)
-  --damping D      paper-style damping d = teleport probability (default 0.15)
+  --damping D      paper-style damping d = teleport probability, in (0, 1]
+                   (default 0.15)
   --scale S        probability | per-page (default per-page, as in the paper)
-  --threads T      thread budget of `auto` and `colored` (default:
+  --threads T      thread budget of `auto` and `colored` (default, or 0:
                    QRANK_THREADS or available parallelism, as in `estimate`)
   --top K          print only the top K pages (default: all)
   --out FILE       write `node<TAB>score` TSV (default stdout)
@@ -51,9 +52,20 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         scale,
         ..PageRankConfig::paper_style(damping)
     };
+    // The range `PageRankConfig::validate` asserts for `follow_prob`:
+    // NaN fails it too, and so does a d so small that 1 − d rounds to 1.
+    if !(0.0..1.0).contains(&cfg.follow_prob) {
+        return Err(CliError::usage(
+            format!("--damping must lie in (0, 1], got {damping}"),
+            USAGE,
+        ));
+    }
 
     let solver = p.get("solver").unwrap_or("power");
-    let threads: usize = p.get_or("threads", thread_budget(), USAGE)?;
+    let threads = match p.get_or("threads", 0, USAGE)? {
+        0 => thread_budget(),
+        t => t,
+    };
     // PageRank solvers report per-iteration residuals; the other
     // rankers have no convergence trace to write.
     let (scores, residuals) = match solver {
@@ -66,7 +78,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             (r.scores, Some(r.residuals))
         }
         "auto" => {
-            let r = solve_auto_with(&g, &cfg, None, threads);
+            let r = solve_auto_with(&g, &cfg, threads);
             (r.scores, Some(r.residuals))
         }
         "colored" => {
@@ -251,6 +263,56 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn zero_threads_means_the_default_budget() {
+        let path = write_sample_graph();
+        let dir = path.parent().unwrap();
+        for solver in ["colored", "auto"] {
+            let out = dir.join(format!("{solver}.zero.tsv"));
+            run(&argv(&[
+                "--graph",
+                path.to_str().unwrap(),
+                "--solver",
+                solver,
+                "--threads",
+                "0",
+                "--out",
+                out.to_str().unwrap(),
+            ]))
+            .unwrap_or_else(|e| panic!("{solver}: {e}"));
+            assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 4);
+        }
+    }
+
+    #[test]
+    fn damping_outside_zero_one_is_usage_error() {
+        let path = write_sample_graph();
+        for damping in ["0", "1.5", "nan", "-0.2", "1e-300"] {
+            assert!(
+                matches!(
+                    run(&argv(&[
+                        "--graph",
+                        path.to_str().unwrap(),
+                        "--damping",
+                        damping,
+                    ])),
+                    Err(CliError::Usage(_))
+                ),
+                "--damping {damping}"
+            );
+        }
+        let out = path.parent().unwrap().join("teleport_only.tsv");
+        run(&argv(&[
+            "--graph",
+            path.to_str().unwrap(),
+            "--damping",
+            "1",
+            "--out",
+            out.to_str().unwrap(),
+        ]))
+        .expect("d = 1 is pure teleport");
     }
 
     #[test]

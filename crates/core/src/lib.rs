@@ -23,7 +23,7 @@
 //!    crawler or real crawl data) and align them to their common pages.
 //! 2. Compute a popularity trajectory per page
 //!    ([`trajectory::compute_trajectories`]) under a chosen
-//!    [`metric::PopularityMetric`] (PageRank, in-degree, HITS authority).
+//!    [`metric::PopularityMetric`] (PageRank or in-degree).
 //! 3. Classify each page's trend ([`classify`]) — the paper sets
 //!    `I(p,t) = 0` for pages whose PageRank oscillates.
 //! 4. Estimate quality ([`estimator`]) and evaluate

@@ -16,8 +16,6 @@ pub enum PopularityMetric {
     PageRank(PageRankConfig),
     /// Raw in-link count (footnote 4's alternative).
     InDegree,
-    /// HITS authority score.
-    HitsAuthority,
 }
 
 impl PopularityMetric {
@@ -37,7 +35,6 @@ impl PopularityMetric {
         match self {
             PopularityMetric::PageRank(cfg) => qrank_rank::solve_auto(g, cfg, None).scores,
             PopularityMetric::InDegree => qrank_rank::indegree_scores(g),
-            PopularityMetric::HitsAuthority => qrank_rank::hits(g, 1e-10, 200).authorities,
         }
     }
 
@@ -48,16 +45,14 @@ impl PopularityMetric {
     /// The columns of a window are independent, so PageRank solves them
     /// side by side ([`qrank_rank::solve_many`]): the thread budget goes
     /// to whole columns first and only what is left to the inside of a
-    /// solve. The other metrics are single passes and run in turn.
+    /// solve. In-degree is a single pass and runs in turn.
     pub fn compute_many(&self, graphs: &[&CsrGraph]) -> Vec<Vec<f64>> {
         match self {
             PopularityMetric::PageRank(cfg) => qrank_rank::solve_many(graphs, cfg)
                 .into_iter()
                 .map(|solved| solved.scores)
                 .collect(),
-            PopularityMetric::InDegree | PopularityMetric::HitsAuthority => {
-                graphs.iter().map(|g| self.compute(g)).collect()
-            }
+            PopularityMetric::InDegree => graphs.iter().map(|g| self.compute(g)).collect(),
         }
     }
 }
@@ -91,14 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn hits_metric_is_normalized() {
-        let m = PopularityMetric::HitsAuthority;
-        let scores = m.compute(&g());
-        let norm: f64 = scores.iter().map(|x| x * x).sum::<f64>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn compute_many_is_one_compute_per_graph() {
         let graphs = [
             g(),
@@ -109,7 +96,6 @@ mod tests {
         for m in [
             PopularityMetric::paper_pagerank(),
             PopularityMetric::InDegree,
-            PopularityMetric::HitsAuthority,
         ] {
             let each: Vec<Vec<f64>> = graphs.iter().map(|g| m.compute(g)).collect();
             assert_eq!(m.compute_many(&refs), each, "{m:?}");

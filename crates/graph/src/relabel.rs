@@ -99,17 +99,6 @@ pub fn inverse_scores(relabeled_scores: &[f64], r: &Relabeling) -> Vec<f64> {
         .collect()
 }
 
-/// Permute a vector *into* relabeled order: `out[perm[old]] = v[old]`.
-/// Use this to carry a warm-start vector onto the relabeled graph.
-pub fn forward_vector(v: &[f64], r: &Relabeling) -> Vec<f64> {
-    assert_eq!(v.len(), r.len(), "vector and permutation length differ");
-    let mut out = vec![0.0; v.len()];
-    for (old, &x) in v.iter().enumerate() {
-        out[r.perm[old] as usize] = x;
-    }
-    out
-}
-
 impl CsrGraph {
     /// The same graph with node ids renamed by `r` (`perm[old] = new`).
     ///
@@ -176,7 +165,11 @@ mod tests {
         let g = star_plus_chain();
         let r = degree_order(&g);
         let v: Vec<f64> = (0..10).map(|i| i as f64 * 0.5).collect();
-        let fwd = forward_vector(&v, &r);
+        // into relabeled order: fwd[perm[old]] = v[old]
+        let mut fwd = vec![0.0; v.len()];
+        for (old, &x) in v.iter().enumerate() {
+            fwd[r.new_id(old as u32) as usize] = x;
+        }
         assert_eq!(inverse_scores(&fwd, &r), v);
     }
 

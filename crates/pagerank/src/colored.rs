@@ -43,7 +43,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use qrank_graph::relabel::{forward_vector, Relabeling};
+use qrank_graph::relabel::Relabeling;
 use qrank_graph::CsrGraph;
 
 use crate::gauss_seidel::HEAD;
@@ -291,39 +291,24 @@ fn sweep(
     (residuals.len(), false, residuals)
 }
 
-/// Colored Gauss–Seidel PageRank (cold start).
-///
-/// See [`colored_gauss_seidel_warm`].
-pub fn colored_gauss_seidel(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    threads: usize,
-) -> PageRankResult {
-    colored_gauss_seidel_warm(g, config, None, threads)
-}
-
-/// Colored Gauss–Seidel PageRank with an optional warm start.
+/// Colored Gauss–Seidel PageRank, from the uniform vector.
 ///
 /// Converges to the same fixed point as [`crate::pagerank`] and
 /// [`crate::gauss_seidel()`] (within solver tolerance). The returned
 /// vector is **bitwise identical for every `threads` value** — the
 /// property the deterministic simulation and serving layers build on.
-/// Warm vectors follow the same acceptance rules as
-/// [`crate::gauss_seidel_warm`].
 ///
 /// # Panics
 /// Panics if `threads == 0`.
-pub fn colored_gauss_seidel_warm(
+pub fn colored_gauss_seidel(
     g: &CsrGraph,
     config: &PageRankConfig,
-    warm: Option<&[f64]>,
     threads: usize,
 ) -> PageRankResult {
     let mut out = PageRankResult::unsolved(g.num_nodes());
     colored_into(
         g,
         config,
-        warm,
         threads,
         |g| Relabeling::identity(g.num_nodes()),
         &mut out,
@@ -332,15 +317,14 @@ pub fn colored_gauss_seidel_warm(
 }
 
 /// The colored sweep over `g`'s nodes renamed by `rename(g)`, into `out`
-/// (one zeroed score slot per node), with `warm` and the scores in `g`'s
-/// own node order. Bit for bit the class-by-class sweep over
+/// (one zeroed score slot per node), with the scores in `g`'s own node
+/// order. Bit for bit the class-by-class sweep over
 /// `g.relabeled(&rename(g))` with its scores mapped back: the renamed
 /// graph decides the classes and every summation order, but only the
 /// layout is built.
 pub(crate) fn colored_into(
     g: &CsrGraph,
     config: &PageRankConfig,
-    warm: Option<&[f64]>,
     threads: usize,
     rename: fn(&CsrGraph) -> Relabeling,
     out: &mut PageRankResult,
@@ -359,15 +343,8 @@ pub(crate) fn colored_into(
     let layout_span = qrank_obs::span!("rank.colored.layout");
     let r = rename(g);
     let lay = Layout::new(g, &r);
-    // The start vector is normalized in renamed order, as the renamed
-    // graph's solve would normalize it.
     let mut init = vec![0.0; n];
-    start_vector(
-        &mut init,
-        warm.filter(|w| w.len() == n)
-            .map(|w| forward_vector(w, &r))
-            .as_deref(),
-    );
+    start_vector(&mut init);
     let init_dangling: f64 = (0..n)
         .filter(|&v| lay.inv[lay.pos[v] as usize] == 0.0)
         .map(|v| init[v])
@@ -447,7 +424,6 @@ mod tests {
     fn class_by_class_reference(
         g: &CsrGraph,
         config: &PageRankConfig,
-        warm: Option<&[f64]>,
         threads: usize,
     ) -> PageRankResult {
         let n = g.num_nodes();
@@ -475,7 +451,7 @@ mod tests {
             })
             .collect();
         let mut init = vec![0.0; n];
-        start_vector(&mut init, warm);
+        start_vector(&mut init);
         let x: Vec<AtomicU64> = init.iter().map(|&v| AtomicU64::new(v.to_bits())).collect();
         let w: Vec<AtomicU64> = init
             .iter()
@@ -557,25 +533,17 @@ mod tests {
     fn assert_same_bits(
         g: &CsrGraph,
         config: &PageRankConfig,
-        warm: Option<&[f64]>,
         rename: fn(&CsrGraph) -> Relabeling,
         threads: &[usize],
     ) {
         let n = g.num_nodes();
         let r = rename(g);
-        let forwarded = warm.map(|w| {
-            if w.len() == n {
-                forward_vector(w, &r)
-            } else {
-                w.to_vec()
-            }
-        });
-        let mut want = class_by_class_reference(&g.relabeled(&r), config, forwarded.as_deref(), 1);
+        let mut want = class_by_class_reference(&g.relabeled(&r), config, 1);
         want.scores = inverse_scores(&want.scores, &r);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for &t in threads {
             let mut got = PageRankResult::unsolved(n);
-            colored_into(g, config, warm, t, rename, &mut got);
+            colored_into(g, config, t, rename, &mut got);
             assert_eq!(bits(&got.scores), bits(&want.scores), "scores, {t} threads");
             assert_eq!(
                 bits(&got.residuals),
@@ -587,14 +555,12 @@ mod tests {
         }
     }
 
-    /// Cold, warm on either scale, and every kind of rejected warm
-    /// vector, on both output scales and with a sweep cap that bites.
-    fn assert_same_bits_every_start(
+    /// On both output scales and with a sweep cap that bites.
+    fn assert_same_bits_every_config(
         g: &CsrGraph,
         rename: fn(&CsrGraph) -> Relabeling,
         threads: &[usize],
     ) {
-        let n = g.num_nodes();
         let configs = [
             PageRankConfig::default(),
             PageRankConfig {
@@ -608,26 +574,7 @@ mod tests {
             },
         ];
         for config in &configs {
-            assert_same_bits(g, config, None, rename, threads);
-            let skewed: Vec<f64> = (0..n).map(|v| 1.0 + (v % 7) as f64).collect();
-            let sum: f64 = skewed.iter().sum();
-            let probability: Vec<f64> = skewed.iter().map(|v| v / sum).collect();
-            for warm in [skewed, probability] {
-                assert_same_bits(g, config, Some(&warm), rename, threads);
-            }
-            let mut negative = vec![1.0; n];
-            if let Some(first) = negative.first_mut() {
-                *first = -1.0;
-            }
-            for rejected in [
-                vec![0.0; n],
-                vec![1.0; n + 1],
-                vec![f64::NAN; n],
-                vec![f64::MAX; n],
-                negative,
-            ] {
-                assert_same_bits(g, config, Some(&rejected), rename, threads);
-            }
+            assert_same_bits(g, config, rename, threads);
         }
     }
 
@@ -660,7 +607,7 @@ mod tests {
             let rename = RENAMINGS[renaming];
             let r = rename(&g);
             prop_assert_eq!(layout_classes(&g, &r), reference_coloring(&g.relabeled(&r)));
-            assert_same_bits_every_start(&g, rename, &[threads]);
+            assert_same_bits_every_config(&g, rename, &[threads]);
         }
     }
 
@@ -681,7 +628,7 @@ mod tests {
         let g = CsrGraph::from_edges(n as usize, &edges);
         assert!(g.in_degree(long) >= 1_000);
         for rename in RENAMINGS {
-            assert_same_bits_every_start(&g, rename, &[1, 2, 3]);
+            assert_same_bits_every_config(&g, rename, &[1, 2, 3]);
         }
     }
 
@@ -694,7 +641,7 @@ mod tests {
             CsrGraph::from_edges(5, &[]),
         ] {
             for rename in RENAMINGS {
-                assert_same_bits_every_start(&g, rename, &[1, 2, 3]);
+                assert_same_bits_every_config(&g, rename, &[1, 2, 3]);
             }
         }
     }
@@ -766,43 +713,6 @@ mod tests {
         let col = colored_gauss_seidel(&g, &cfg, 3);
         for (i, (a, b)) in seq.scores.iter().zip(&col.scores).enumerate() {
             assert!((a - b).abs() < 1e-7, "node {i}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn warm_start_reaches_cold_fixed_point() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let g = erdos_renyi_gnm(400, 2400, &mut rng);
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let cold = colored_gauss_seidel(&g, &cfg, 2);
-        let mut edges: Vec<(u32, u32)> = g.edges().collect();
-        edges.extend((0..10u32).map(|i| (380 + i, 100 + i)));
-        let g2 = CsrGraph::from_edges(400, &edges);
-        let cold2 = colored_gauss_seidel(&g2, &cfg, 2);
-        let warm2 = colored_gauss_seidel_warm(&g2, &cfg, Some(&cold.scores), 2);
-        assert!(warm2.converged);
-        assert!(
-            warm2.iterations <= cold2.iterations,
-            "warm {} vs cold {}",
-            warm2.iterations,
-            cold2.iterations
-        );
-        for (a, b) in cold2.scores.iter().zip(&warm2.scores) {
-            assert!((a - b).abs() < 1e-9, "cold {a} vs warm {b}");
-        }
-    }
-
-    #[test]
-    fn degenerate_warm_vectors_fall_back_to_uniform() {
-        let g = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
-        let cfg = PageRankConfig::default();
-        let cold = colored_gauss_seidel(&g, &cfg, 2);
-        for bad in [vec![0.0; 5], vec![1.0; 4], vec![f64::NAN; 5]] {
-            let r = colored_gauss_seidel_warm(&g, &cfg, Some(&bad), 2);
-            assert_eq!(cold.scores, r.scores);
         }
     }
 

@@ -15,30 +15,14 @@ use qrank_graph::CsrGraph;
 use crate::power::{apply_scale, inv_out_degrees, renormalize, start_vector, PageRankResult};
 use crate::PageRankConfig;
 
-/// Compute PageRank by Gauss–Seidel iteration.
+/// Compute PageRank by Gauss–Seidel iteration, from the uniform vector.
 ///
 /// Converges to the same fixed point as [`crate::pagerank`] (this is
 /// tested), usually in noticeably fewer sweeps. The residual reported per
 /// sweep is the L1 distance between consecutive sweep results.
 pub fn gauss_seidel(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
-    gauss_seidel_warm(g, config, None)
-}
-
-/// Gauss–Seidel PageRank with an optional warm start.
-///
-/// Seeding the sweeps with a previous (similar) graph's vector cuts the
-/// sweep count the same way [`crate::pagerank_warm`] does for power
-/// iteration — the trick an incremental re-ranking service relies on.
-/// The warm vector may be on either score scale (it is renormalized to a
-/// distribution); a zero-sum, negative, or wrong-length vector falls
-/// back to the uniform cold start.
-pub fn gauss_seidel_warm(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    warm: Option<&[f64]>,
-) -> PageRankResult {
     let mut out = PageRankResult::unsolved(g.num_nodes());
-    gauss_seidel_into(g, config, warm, &mut out);
+    gauss_seidel_into(g, config, &mut out);
     out
 }
 
@@ -77,16 +61,11 @@ fn pull_heads(g: &CsrGraph) -> Vec<[u32; HEAD]> {
     heads
 }
 
-/// [`gauss_seidel_warm`] into `out`, which the caller allocated with one
+/// [`gauss_seidel()`] into `out`, which the caller allocated with one
 /// score slot per node ([`PageRankResult::unsolved`]): the iterate lives
 /// in `out.scores` from the first sweep on, so a worker thread solving a
 /// column returns nothing it allocated itself but the residual list.
-pub(crate) fn gauss_seidel_into(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    warm: Option<&[f64]>,
-    out: &mut PageRankResult,
-) {
+pub(crate) fn gauss_seidel_into(g: &CsrGraph, config: &PageRankConfig, out: &mut PageRankResult) {
     let _span = qrank_obs::span!("rank.gauss_seidel");
     config.validate();
     let n = g.num_nodes();
@@ -99,7 +78,7 @@ pub(crate) fn gauss_seidel_into(
     let inv = inv_out_degrees(g);
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
-    start_vector(x, warm);
+    start_vector(x);
     let heads = pull_heads(g);
     // w[u] = x[u] / c_u, refreshed where x[u] is written: the pull below
     // then costs one random read per edge instead of two, and adds the
@@ -172,11 +151,7 @@ mod tests {
     /// The sweep [`pull_heads`] replaced, kept as its oracle: every row
     /// pulled through the graph's own in-adjacency in row order, the
     /// dangling share formed afresh for every row.
-    fn row_order_reference(
-        g: &CsrGraph,
-        config: &PageRankConfig,
-        warm: Option<&[f64]>,
-    ) -> PageRankResult {
+    fn row_order_reference(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
         let n = g.num_nodes();
         let mut out = PageRankResult::unsolved(n);
         if n == 0 {
@@ -187,7 +162,7 @@ mod tests {
         let inv = inv_out_degrees(g);
         let alpha = config.follow_prob;
         let teleport = (1.0 - alpha) / n as f64;
-        start_vector(x, warm);
+        start_vector(x);
         let mut w: Vec<f64> = x.iter().zip(&inv).map(|(&x, &i)| x * i).collect();
         let mut dangling_mass: f64 = (0..n).filter(|&u| inv[u] == 0.0).map(|u| x[u]).sum();
         while out.iterations < config.max_iterations {
@@ -219,9 +194,9 @@ mod tests {
     }
 
     /// Scores and residuals by bit pattern, sweep count and verdict.
-    fn assert_same_bits(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) {
-        let got = gauss_seidel_warm(g, config, warm);
-        let want = row_order_reference(g, config, warm);
+    fn assert_same_bits(g: &CsrGraph, config: &PageRankConfig) {
+        let got = gauss_seidel(g, config);
+        let want = row_order_reference(g, config);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got.scores), bits(&want.scores), "scores");
         assert_eq!(bits(&got.residuals), bits(&want.residuals), "residuals");
@@ -229,10 +204,8 @@ mod tests {
         assert_eq!(got.converged, want.converged);
     }
 
-    /// Cold, warm on either scale, and every kind of rejected warm
-    /// vector, on both output scales and with a sweep cap that bites.
-    fn assert_same_bits_every_start(g: &CsrGraph) {
-        let n = g.num_nodes();
+    /// On both output scales and with a sweep cap that bites.
+    fn assert_same_bits_every_config(g: &CsrGraph) {
         let configs = [
             PageRankConfig::default(),
             PageRankConfig {
@@ -246,20 +219,7 @@ mod tests {
             },
         ];
         for config in &configs {
-            assert_same_bits(g, config, None);
-            let skewed: Vec<f64> = (0..n).map(|v| 1.0 + (v % 7) as f64).collect();
-            let sum: f64 = skewed.iter().sum();
-            let probability: Vec<f64> = skewed.iter().map(|v| v / sum).collect();
-            for warm in [skewed, probability] {
-                assert_same_bits(g, config, Some(&warm));
-            }
-            let mut negative = vec![1.0; n];
-            if let Some(first) = negative.first_mut() {
-                *first = -1.0;
-            }
-            for rejected in [vec![0.0; n], vec![1.0; n + 1], vec![f64::NAN; n], negative] {
-                assert_same_bits(g, config, Some(&rejected));
-            }
+            assert_same_bits(g, config);
         }
     }
 
@@ -277,7 +237,7 @@ mod tests {
                 .into_iter()
                 .map(|(u, v)| (u % n as u32, v % n as u32))
                 .collect();
-            assert_same_bits_every_start(&CsrGraph::from_edges(n, &edges));
+            assert_same_bits_every_config(&CsrGraph::from_edges(n, &edges));
         }
     }
 
@@ -300,15 +260,15 @@ mod tests {
             assert_eq!(g.in_degree(v), v as usize);
         }
         assert!(g.in_degree(long) >= 1_000);
-        assert_same_bits_every_start(&g);
+        assert_same_bits_every_config(&g);
     }
 
     #[test]
     fn layout_matches_on_degenerate_graphs() {
-        assert_same_bits_every_start(&CsrGraph::from_edges(0, &[]));
-        assert_same_bits_every_start(&CsrGraph::from_edges(1, &[]));
-        assert_same_bits_every_start(&CsrGraph::from_edges(1, &[(0, 0)]));
-        assert_same_bits_every_start(&CsrGraph::from_edges(5, &[]));
+        assert_same_bits_every_config(&CsrGraph::from_edges(0, &[]));
+        assert_same_bits_every_config(&CsrGraph::from_edges(1, &[]));
+        assert_same_bits_every_config(&CsrGraph::from_edges(1, &[(0, 0)]));
+        assert_same_bits_every_config(&CsrGraph::from_edges(5, &[]));
     }
 
     fn random_graph(n: usize, m: usize, seed: u64) -> CsrGraph {
@@ -387,48 +347,6 @@ mod tests {
         let r = gauss_seidel(&CsrGraph::from_edges(0, &[]), &PageRankConfig::default());
         assert!(r.scores.is_empty());
         assert!(r.converged);
-    }
-
-    #[test]
-    fn warm_start_converges_to_cold_fixed_point_in_fewer_sweeps() {
-        let g = random_graph(400, 2400, 11);
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let cold = gauss_seidel(&g, &cfg);
-        // perturb: a handful of extra edges between low-traffic nodes
-        let mut edges: Vec<(u32, u32)> = g.edges().collect();
-        edges.extend((0..10u32).map(|i| (380 + i, 100 + i)));
-        let g2 = CsrGraph::from_edges(400, &edges);
-        let cold2 = gauss_seidel(&g2, &cfg);
-        let warm2 = gauss_seidel_warm(&g2, &cfg, Some(&cold.scores));
-        assert!(warm2.converged);
-        for (a, b) in cold2.scores.iter().zip(&warm2.scores) {
-            assert!((a - b).abs() < 1e-9, "cold {a} vs warm {b}");
-        }
-        assert!(
-            warm2.iterations <= cold2.iterations,
-            "warm {} vs cold {}",
-            warm2.iterations,
-            cold2.iterations
-        );
-    }
-
-    #[test]
-    fn warm_start_rejects_degenerate_vectors() {
-        let g = random_graph(50, 200, 13);
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let cold = gauss_seidel(&g, &cfg);
-        for bad in [vec![0.0; 50], vec![1.0; 49], vec![f64::NAN; 50]] {
-            let r = gauss_seidel_warm(&g, &cfg, Some(&bad));
-            for (a, b) in cold.scores.iter().zip(&r.scores) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!
 //! The three PageRank kernels are schedules for one fixed point and agree
 //! to solver tolerance (tested); each is bit-deterministic on its own.
+//! Every solve starts from the uniform vector `1/n` (the paper's "initial
+//! value 1 per page" on the probability scale), so a kernel's bits are a
+//! function of the graph and the [`PageRankConfig`] alone.
 //! All follow the paper's footnote 2: a page with no outgoing links is
 //! taken to link to every page, so its rank mass is spread uniformly.
 //!
@@ -45,12 +48,12 @@ pub mod indegree;
 pub mod power;
 pub mod solver;
 
-pub use colored::{colored_gauss_seidel, colored_gauss_seidel_warm};
+pub use colored::colored_gauss_seidel;
 pub use config::{PageRankConfig, ScoreScale};
-pub use gauss_seidel::{gauss_seidel, gauss_seidel_warm};
+pub use gauss_seidel::gauss_seidel;
 pub use hits::{hits, HitsResult};
 pub use indegree::indegree_scores;
-pub use power::{pagerank, pagerank_warm, PageRankResult};
+pub use power::{pagerank, PageRankResult};
 pub use solver::{
     select_solver, set_thread_budget, solve_auto, solve_auto_with, solve_many, thread_budget,
     SolverChoice, PARALLEL_MIN_NODES,

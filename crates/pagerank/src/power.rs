@@ -1,4 +1,5 @@
-//! Power-iteration PageRank — the reference solver.
+//! Power-iteration PageRank — the reference solver — and the helpers the
+//! three kernels share, among them their one start: the uniform vector.
 
 use qrank_graph::CsrGraph;
 
@@ -88,23 +89,10 @@ pub(crate) fn renormalize(scores: &mut [f64]) {
     }
 }
 
-/// Fill `x` with the solvers' starting distribution: `warm` normalized
-/// to sum 1 when it is usable (right length, finite, non-negative,
-/// finite positive sum — either score scale), else uniform.
-pub(crate) fn start_vector(x: &mut [f64], warm: Option<&[f64]>) {
-    let n = x.len();
-    let usable = |w: &&[f64]| w.len() == n && w.iter().all(|&v| v.is_finite() && v >= 0.0);
-    if let Some(w) = warm.filter(usable) {
-        // A sum that overflows would turn every entry into 0.
-        let sum: f64 = w.iter().sum();
-        if sum.is_finite() && sum > 0.0 {
-            for (x, &v) in x.iter_mut().zip(w) {
-                *x = v / sum;
-            }
-            return;
-        }
-    }
-    x.fill(1.0 / n as f64);
+/// Fill `x` with the solvers' one starting distribution, uniform: the
+/// paper's "initial value 1 per page" on the probability scale.
+pub(crate) fn start_vector(x: &mut [f64]) {
+    x.fill(1.0 / x.len() as f64);
 }
 
 /// `1 / out-degree` of `u`, `0.0` for a dangling page.
@@ -132,27 +120,10 @@ pub(crate) fn apply_scale(scores: &mut [f64], scale: ScoreScale) {
     }
 }
 
-/// Compute PageRank by power iteration.
+/// Compute PageRank by power iteration, from the uniform vector.
 ///
 /// Returns uniform scores for an empty graph (trivially converged).
 pub fn pagerank(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
-    pagerank_warm(g, config, None)
-}
-
-/// Power-iteration PageRank with an optional warm start.
-///
-/// Between consecutive web snapshots most scores barely move, so seeding
-/// the iteration with the previous snapshot's vector cuts the iteration
-/// count substantially — exactly the trick a production pipeline uses
-/// when recomputing ranks after each crawl. The warm vector may be on
-/// either score scale (it is renormalized to a distribution); a
-/// zero-sum, negative, or wrong-length vector falls back to the uniform
-/// cold start.
-pub fn pagerank_warm(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    warm: Option<&[f64]>,
-) -> PageRankResult {
     let _span = qrank_obs::span!("rank.power");
     config.validate();
     let n = g.num_nodes();
@@ -166,7 +137,7 @@ pub fn pagerank_warm(
     }
     let inv = inv_out_degrees(g);
     let mut x = vec![0.0; n];
-    start_vector(&mut x, warm);
+    start_vector(&mut x);
     let mut next = vec![0.0; n];
     let mut residuals = Vec::new();
     let mut converged = false;
@@ -363,78 +334,6 @@ mod tests {
         let r = pagerank(&g, &PageRankConfig::default());
         for &s in &r.scores {
             assert!((s - 0.25).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_converges_to_same_fixed_point_faster() {
-        use qrank_graph::generators::barabasi_albert;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(77);
-        let g = barabasi_albert(2000, 3, &mut rng);
-        let cfg = PageRankConfig {
-            tolerance: 1e-11,
-            ..Default::default()
-        };
-        let cold = pagerank(&g, &cfg);
-        // perturb the graph slightly: a few extra links from low-degree
-        // late nodes (touching hub out-degrees would redistribute a big
-        // share of their outflow and defeat the warm start on purpose)
-        let mut edges: Vec<(u32, u32)> = g.edges().collect();
-        edges.extend((0..20u32).map(|i| (1950 + i, 500 + i)));
-        let g2 = CsrGraph::from_edges(2000, &edges);
-        let cold2 = pagerank(&g2, &cfg);
-        let warm2 = pagerank_warm(&g2, &cfg, Some(&cold.scores));
-        assert!(warm2.converged);
-        for (a, b) in cold2.scores.iter().zip(&warm2.scores) {
-            assert!((a - b).abs() < 1e-8);
-        }
-        assert!(
-            warm2.iterations < cold2.iterations,
-            "warm {} vs cold {}",
-            warm2.iterations,
-            cold2.iterations
-        );
-    }
-
-    #[test]
-    fn warm_start_accepts_per_page_scale_and_rejects_garbage() {
-        let g = cycle(6);
-        let cfg = PageRankConfig::default();
-        let base = pagerank(&g, &cfg);
-        // per-page scale input (sums to n) still works
-        let scaled: Vec<f64> = base.scores.iter().map(|s| s * 6.0).collect();
-        let warm = pagerank_warm(&g, &cfg, Some(&scaled));
-        for (a, b) in base.scores.iter().zip(&warm.scores) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // garbage warm starts fall back to cold start, never panic
-        for bad in [vec![0.0; 6], vec![1.0; 3], vec![f64::NAN; 6], vec![-1.0; 6]] {
-            let r = pagerank_warm(&g, &cfg, Some(&bad));
-            assert!(r.converged);
-            let sum: f64 = r.scores.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn a_warm_vector_whose_sum_overflows_starts_every_solver_cold() {
-        use crate::{colored_gauss_seidel_warm, gauss_seidel_warm};
-        let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (0, 2), (3, 0), (4, 3)]);
-        let cfg = PageRankConfig::default();
-        let huge = vec![f64::MAX; 6];
-        assert_eq!(pagerank_warm(&g, &cfg, Some(&huge)), pagerank(&g, &cfg));
-        assert_eq!(
-            gauss_seidel_warm(&g, &cfg, Some(&huge)),
-            gauss_seidel_warm(&g, &cfg, None)
-        );
-        for threads in [1, 3] {
-            assert_eq!(
-                colored_gauss_seidel_warm(&g, &cfg, Some(&huge), threads),
-                colored_gauss_seidel_warm(&g, &cfg, None, threads),
-                "threads = {threads}"
-            );
         }
     }
 

@@ -10,7 +10,7 @@
 //!   sequential in-place Gauss–Seidel sweep. Below
 //!   [`PARALLEL_MIN_NODES`] nodes it is always the choice.
 //! * **Large graphs with threads to spare**: the multi-color parallel
-//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel_warm`]) over the
+//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel()`]) over the
 //!   graph renamed in degree order. The renaming packs hub rows into a
 //!   contiguous prefix (cache locality) and is never materialized: the
 //!   sweep builds its layout from the graph and the permutation.
@@ -21,9 +21,9 @@
 //! on a 2-core host) is that the colored sweep gains nothing from a
 //! second thread at that size, and that since its class-major layout
 //! the colored sweep on one thread takes less time per column than the
-//! sequential one. The threshold and the choice are owned by ROADMAP.md
-//! item 5, "One column schedule", which asks for the crossover curve
-//! first.
+//! sequential one. The threshold and the choice are owned by the
+//! ROADMAP.md item "One column schedule", which asks for the crossover
+//! curve first.
 //!
 //! Equation 1 wants the PageRank of one page set at several crawls, so
 //! the pipeline's unit of work is a *batch* of independent solves.
@@ -118,8 +118,17 @@ pub fn select_solver(num_nodes: usize, threads: usize) -> SolverChoice {
 
 /// Solve PageRank with the fastest solver for this graph size and the
 /// global [`thread_budget`]. See [`solve_auto_with`].
-pub fn solve_auto(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) -> PageRankResult {
-    solve_auto_with(g, config, warm, thread_budget())
+///
+/// The third parameter can only be `None`: every solve starts from the
+/// uniform vector. It is kept only because the benchmark harness
+/// (`benchmark/src`) calls `solve_auto(.., None)`; the ROADMAP.md item
+/// "Benchmark harness v2" retires it.
+pub fn solve_auto(
+    g: &CsrGraph,
+    config: &PageRankConfig,
+    _: Option<std::convert::Infallible>,
+) -> PageRankResult {
+    solve_auto_with(g, config, thread_budget())
 }
 
 /// Solve PageRank with an explicit thread budget.
@@ -127,24 +136,19 @@ pub fn solve_auto(g: &CsrGraph, config: &PageRankConfig, warm: Option<&[f64]>) -
 /// Dispatches per [`select_solver`]. Results are deterministic for a
 /// fixed choice of solver: the sequential path is trivially so, and the
 /// colored path is bit-identical for any thread count — so two calls
-/// with the same graph, config, and warm vector agree bitwise whenever
+/// with the same graph and config agree bitwise whenever
 /// they select the same solver (which depends only on `num_nodes` and
 /// `threads`). The colored sweep runs on at most the machine's available
 /// parallelism however large the budget.
-pub fn solve_auto_with(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    warm: Option<&[f64]>,
-    threads: usize,
-) -> PageRankResult {
+pub fn solve_auto_with(g: &CsrGraph, config: &PageRankConfig, threads: usize) -> PageRankResult {
     let _span = qrank_obs::span!("rank.solve_auto");
-    solve_batch(&[(g, warm)], config, threads, None)
+    solve_batch(&[g], config, threads, None)
         .pop()
         .expect("one job, one result")
 }
 
-/// Solve a batch of independent graphs — a window's columns — cold
-/// under the global [`thread_budget`], results in input order.
+/// Solve a batch of independent graphs — a window's columns — under
+/// the global [`thread_budget`], results in input order.
 ///
 /// `result[i]` is `solve_auto(graphs[i], config, None)` bit for bit
 /// (scores, iteration count, residuals) at every budget and on every
@@ -153,12 +157,8 @@ pub fn solve_auto_with(
 /// workers, and only threads left over go inside a colored sweep.
 pub fn solve_many(graphs: &[&CsrGraph], config: &PageRankConfig) -> Vec<PageRankResult> {
     let _span = qrank_obs::span!("rank.solve_many");
-    let jobs: Vec<Job<'_>> = graphs.iter().map(|&g| (g, None)).collect();
-    solve_batch(&jobs, config, thread_budget(), None)
+    solve_batch(graphs, config, thread_budget(), None)
 }
-
-/// A graph to solve and its optional warm start.
-type Job<'a> = (&'a CsrGraph, Option<&'a [f64]>);
 
 /// Split `budget` threads over `columns` independent solves on a machine
 /// with `cpus` hardware threads: `(workers, threads inside each solve)`.
@@ -173,37 +173,37 @@ fn plan(columns: usize, budget: usize, cpus: usize) -> (usize, usize) {
 }
 
 /// The batch entry under every public solve: one [`solve_column`] per
-/// job on [`plan`]'s workers. `forced` overrides [`select_solver`] (for
+/// graph on [`plan`]'s workers. `forced` overrides [`select_solver`] (for
 /// tests: it makes the colored path reachable on small graphs).
 ///
 /// The result vectors are allocated here, on the calling thread, and the
 /// workers fill them: memory a spawned thread allocates comes from that
 /// thread's own malloc arena and stays there after the thread is gone.
 pub(crate) fn solve_batch(
-    jobs: &[Job<'_>],
+    graphs: &[&CsrGraph],
     config: &PageRankConfig,
     budget: usize,
     forced: Option<SolverChoice>,
 ) -> Vec<PageRankResult> {
     let budget = budget.max(1);
-    let (workers, inner) = plan(jobs.len(), budget, available_cpus());
+    let (workers, inner) = plan(graphs.len(), budget, available_cpus());
     // Summed over columns, where the `rank.solve_many` span is the wall
     // time of the batch: the ratio is the overlap the workers achieved.
     let column_ns = qrank_obs::enabled().then(|| {
         let reg = qrank_obs::global();
         reg.counter("rank.solve_many.columns")
-            .add(jobs.len() as u64);
+            .add(graphs.len() as u64);
         reg.counter("rank.solve_many.workers").add(workers as u64);
         reg.counter("rank.solve_many.column_ns")
     });
-    let mut solved: Vec<PageRankResult> = jobs
+    let mut solved: Vec<PageRankResult> = graphs
         .iter()
-        .map(|(g, _)| PageRankResult::unsolved(g.num_nodes()))
+        .map(|g| PageRankResult::unsolved(g.num_nodes()))
         .collect();
-    for_each_slot(&mut solved, jobs, workers, |out, &(g, warm)| {
+    for_each_slot(&mut solved, graphs, workers, |out, &g| {
         let started = Instant::now();
         let choice = forced.unwrap_or_else(|| select_solver(g.num_nodes(), budget));
-        solve_column(g, config, warm, choice, inner, out);
+        solve_column(g, config, choice, inner, out);
         if let Some(total) = &column_ns {
             total.add(started.elapsed().as_nanos() as u64);
         }
@@ -217,17 +217,16 @@ pub(crate) fn solve_batch(
 fn solve_column(
     g: &CsrGraph,
     config: &PageRankConfig,
-    warm: Option<&[f64]>,
     choice: SolverChoice,
     inner: usize,
     out: &mut PageRankResult,
 ) {
     match choice {
-        SolverChoice::GaussSeidel => gauss_seidel_into(g, config, warm, out),
+        SolverChoice::GaussSeidel => gauss_seidel_into(g, config, out),
         // Degree-ordered renaming: hub rows first for cache locality. The
         // sweep's layout is built from `g` and the renaming directly.
         SolverChoice::ColoredGaussSeidel { .. } => {
-            colored_into(g, config, warm, inner, degree_order, out);
+            colored_into(g, config, inner, degree_order, out);
         }
     }
 }
@@ -235,10 +234,8 @@ fn solve_column(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::colored::colored_gauss_seidel_warm;
     use crate::gauss_seidel::gauss_seidel;
     use qrank_graph::generators::barabasi_albert;
-    use qrank_graph::relabel::forward_vector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -260,7 +257,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = barabasi_albert(300, 4, &mut rng);
         let cfg = PageRankConfig::default();
-        let auto = solve_auto_with(&g, &cfg, None, 8);
+        let auto = solve_auto_with(&g, &cfg, 8);
         let gs = gauss_seidel(&g, &cfg);
         assert_eq!(auto.scores, gs.scores, "small graph must take the GS path");
     }
@@ -315,7 +312,7 @@ mod tests {
             &[],
         ] {
             let graphs = webs(sizes);
-            let jobs: Vec<Job<'_>> = graphs.iter().map(|g| (g, None)).collect();
+            let jobs: Vec<&CsrGraph> = graphs.iter().collect();
             for choice in [
                 SolverChoice::GaussSeidel,
                 SolverChoice::ColoredGaussSeidel { threads: 1 },
@@ -357,38 +354,23 @@ mod tests {
     fn solve_many_equals_solve_auto_per_graph_at_every_budget() {
         let cfg = PageRankConfig::default();
         let graphs = webs(&[300, 900, 50, 600, 450]);
-        let jobs: Vec<Job<'_>> = graphs.iter().map(|g| (g, None)).collect();
+        let refs: Vec<&CsrGraph> = graphs.iter().collect();
         for budget in [1, 2, 3, 8] {
             let expect: Vec<PageRankResult> = graphs
                 .iter()
-                .map(|g| solve_auto_with(g, &cfg, None, budget))
+                .map(|g| solve_auto_with(g, &cfg, budget))
                 .collect();
             assert_eq!(
-                solve_batch(&jobs, &cfg, budget, None),
+                solve_batch(&refs, &cfg, budget, None),
                 expect,
                 "budget {budget}"
             );
         }
         // the public entry: same batch under the global budget
-        let refs: Vec<&CsrGraph> = graphs.iter().collect();
         let expect: Vec<PageRankResult> =
             graphs.iter().map(|g| solve_auto(g, &cfg, None)).collect();
         assert_eq!(solve_many(&refs, &cfg), expect);
         assert!(solve_many(&[], &cfg).is_empty());
-    }
-
-    #[test]
-    fn warm_starts_reach_the_forced_colored_path_in_original_node_order() {
-        let cfg = PageRankConfig::default();
-        let g = &webs(&[800])[0];
-        let warm: Vec<f64> = (0..800).map(|i| 1.0 + (i % 5) as f64).collect();
-        let colored = SolverChoice::ColoredGaussSeidel { threads: 2 };
-        let got = solve_batch(&[(g, Some(&warm))], &cfg, 2, Some(colored));
-        let r = degree_order(g);
-        let mut expect =
-            colored_gauss_seidel_warm(&g.relabeled(&r), &cfg, Some(&forward_vector(&warm, &r)), 2);
-        expect.scores = qrank_graph::relabel::inverse_scores(&expect.scores, &r);
-        assert_eq!(got, [expect]);
     }
 
     #[test]
@@ -409,21 +391,6 @@ mod tests {
                     assert!(workers * inner <= budget.clamp(1, cpus.max(1)));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn warm_auto_converges_to_cold_auto() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = barabasi_albert(400, 4, &mut rng);
-        let cfg = PageRankConfig {
-            tolerance: 1e-12,
-            ..Default::default()
-        };
-        let cold = solve_auto_with(&g, &cfg, None, 2);
-        let warm = solve_auto_with(&g, &cfg, Some(&cold.scores), 2);
-        for (a, b) in cold.scores.iter().zip(&warm.scores) {
-            assert!((a - b).abs() < 1e-9);
         }
     }
 }

@@ -1,15 +1,17 @@
-//! Golden digests of the two solvers the pipeline reaches.
+//! Golden digests of the three PageRank kernels.
 //!
 //! The published scores are a function of the solvers' exact update
 //! schedule and summation order, so a kernel rewrite that is "the same
-//! arithmetic" has to prove it bit for bit. The digests below were
-//! computed at commit 4ee874b (before the sweeps kept `x[u] / c_u`
-//! up to date at the write and before Gauss–Seidel folded its residual
-//! into the sweep) and cover scores, iteration count and every
-//! per-sweep residual, cold and warm.
+//! arithmetic" has to prove it bit for bit. The Gauss–Seidel and colored
+//! digests were computed at commit 4ee874b (before the sweeps kept
+//! `x[u] / c_u` up to date at the write and before Gauss–Seidel folded
+//! its residual into the sweep); the power-iteration digest (the
+//! simulator's visit weights) at commit 84e4548, before warm start left
+//! the kernels. Each covers scores, iteration count and every per-sweep
+//! residual of a solve from the uniform vector.
 
 use qrank_graph::CsrGraph;
-use qrank_rank::{colored_gauss_seidel_warm, gauss_seidel_warm, PageRankConfig, PageRankResult};
+use qrank_rank::{colored_gauss_seidel, gauss_seidel, pagerank, PageRankConfig, PageRankResult};
 
 /// 2 000 pages, ~9 000 links from a fixed LCG: hubs, self-loops, and a
 /// tail of pages with no out-links (footnote 2 has work to do).
@@ -48,37 +50,35 @@ fn digest(r: &PageRankResult) -> u64 {
     h
 }
 
-/// Cold, then warm.
-const GAUSS_SEIDEL: [u64; 2] = [0x8697_ef43_d784_8168, 0x8f93_d632_7cdb_a466];
-const COLORED: [u64; 2] = [0x3bdf_8928_12b2_5d67, 0x1a10_38d6_e579_71d6];
+const GAUSS_SEIDEL: u64 = 0x8697_ef43_d784_8168;
+const COLORED: u64 = 0x3bdf_8928_12b2_5d67;
+const POWER: u64 = 0xe1be_7e32_1d17_30db;
 
-fn digests(
-    solve: impl Fn(&CsrGraph, &PageRankConfig, Option<&[f64]>) -> PageRankResult,
-) -> [u64; 2] {
-    let g = web();
-    let warm: Vec<f64> = (0..g.num_nodes()).map(|i| 1.0 + (i % 7) as f64).collect();
+fn solved_digest(solve: impl Fn(&CsrGraph, &PageRankConfig) -> PageRankResult) -> u64 {
     let cfg = PageRankConfig {
         tolerance: 1e-10,
         ..Default::default()
     };
-    [
-        digest(&solve(&g, &cfg, None)),
-        digest(&solve(&g, &cfg, Some(&warm))),
-    ]
+    digest(&solve(&web(), &cfg))
 }
 
 #[test]
 fn gauss_seidel_scores_are_the_bits_of_4ee874b() {
-    assert_eq!(digests(gauss_seidel_warm), GAUSS_SEIDEL, "cold, warm");
+    assert_eq!(solved_digest(gauss_seidel), GAUSS_SEIDEL);
 }
 
 #[test]
 fn colored_scores_are_the_bits_of_4ee874b() {
     for threads in [1, 3] {
         assert_eq!(
-            digests(|g, cfg, warm| colored_gauss_seidel_warm(g, cfg, warm, threads)),
+            solved_digest(|g, cfg| colored_gauss_seidel(g, cfg, threads)),
             COLORED,
             "threads = {threads}"
         );
     }
+}
+
+#[test]
+fn power_scores_are_the_bits_of_84e4548() {
+    assert_eq!(solved_digest(pagerank), POWER);
 }

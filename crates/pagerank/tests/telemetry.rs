@@ -68,7 +68,7 @@ fn every_solver_records_one_residual_per_iteration() {
 
     // solve_auto on a sub-threshold graph dispatches to sequential GS,
     // and the per-solver counter is the record of which solver ran.
-    let auto = solve_auto_with(&graph(315), &cfg, None, 4);
+    let auto = solve_auto_with(&graph(315), &cfg, 4);
     assert_trace_matches("gauss_seidel", 315, &auto);
     let solved = obs::global()
         .snapshot()

@@ -34,7 +34,7 @@ fn all_solvers_agree_on_simulated_crawl() {
 
     let gs = gauss_seidel(&g, &cfg);
     let colored = colored_gauss_seidel(&g, &cfg, 3);
-    let auto = solve_auto_with(&g, &cfg, None, 4);
+    let auto = solve_auto_with(&g, &cfg, 4);
 
     for (name, scores) in [
         ("gauss-seidel", &gs.scores),
