@@ -122,15 +122,30 @@ fn connection_cap_rejects_at_accept_with_a_hint() {
     assert!(a.request("score 1").contains(r#""ok":true"#));
     drop(a);
     for _ in 0..100 {
-        let mut retry = Client::connect(server.addr());
-        let response = retry.request("health");
-        if response.contains(r#""status":"serving""#) {
+        if health_on_a_fresh_connection(server.addr())
+            .is_some_and(|response| response.contains(r#""status":"serving""#))
+        {
             server.shutdown();
             return;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
     panic!("connection slot never freed after close");
+}
+
+/// One `health` round trip on a new connection, or `None` when the
+/// server closed it first: until the closed slot is freed, a retry is
+/// rejected at accept, so its write can fail, its read can fail, or it
+/// can read EOF before a whole line.
+fn health_on_a_fresh_connection(addr: std::net::SocketAddr) -> Option<String> {
+    let stream = TcpStream::connect(addr).ok()?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .ok()?;
+    stream.try_clone().ok()?.write_all(b"health\n").ok()?;
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).ok()?;
+    line.ends_with('\n').then_some(line)
 }
 
 #[test]
