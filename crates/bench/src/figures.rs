@@ -295,7 +295,7 @@ const TREND_CENSUS_NOTE: &str = "paper observations reproduced:
   - \"the majority of pages did not show a significant change\": the
     flat + sub-5% population dominates;
   - decreasing pages appear once forgetting is enabled (pass a third
-    argument, e.g. `exp_trend_census paper 42 0.25`);
+    argument, e.g. `paper exp_trend_census paper 42 0.25`);
   - oscillating pages (PageRank up then down) exist in every regime and
     are handled with the paper's I := 0 rule.
 ";

@@ -36,10 +36,9 @@ fn check(name: &str) {
 }
 
 macro_rules! results_match {
-    ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
+    ($($name:ident),* $(,)?) => {
         $(
             #[test]
-            $(#[$attr])*
             fn $name() {
                 check(stringify!($name));
             }
@@ -68,10 +67,6 @@ results_match!(
     ablation_forgetting,
     ablation_intervals,
     ablation_noise,
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "15 s in a debug build; CI regenerates its file"
-    )]
     ablation_visit_models,
     exp_traffic_quality,
     exp_trend_census,

@@ -2,7 +2,8 @@
 //! several threads. Two things must hold whatever the schedule: turning
 //! observability on changes no bit of the report, and the time spent on
 //! worker threads is attributed to the stage that fanned out — not to
-//! root spans that would count the stage twice.
+//! root spans that would count the stage twice, and not to the
+//! caller's trace, which shows the stage but none of its workers' spans.
 //!
 //! The same engine then slides its window by one crawl, and the solver's
 //! own counters must agree with the stage cache that exactly one column
@@ -57,8 +58,11 @@ fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
     let off = run(&mut cold_engine(), &series);
     obs::set_enabled(true);
     obs::reset();
+    let tracer = obs::Tracer::new(obs::TraceConfig::default());
     let mut engine = cold_engine();
+    let trace = tracer.begin("pipeline").expect("observability is on");
     let on = run(&mut engine, &series);
+    tracer.finish(trace, true);
     obs::set_enabled(false);
     qrank_rank::set_thread_budget(0);
 
@@ -88,6 +92,18 @@ fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
     assert!(
         roots.is_empty(),
         "worker spans surfaced as roots: {roots:?}"
+    );
+    let traced = &tracer.slowest(None)[0];
+    let stages: Vec<&str> = traced.stages.iter().map(|s| s.name.as_str()).collect();
+    assert!(
+        stages.contains(&"pipeline.run/pipeline.stage.columns/rank.solve_many"),
+        "the batch is a stage of the caller's trace: {stages:?}"
+    );
+    assert!(
+        !stages
+            .iter()
+            .any(|name| name.ends_with("rank.gauss_seidel")),
+        "a column solved on a fan-out worker is not: {stages:?}"
     );
 
     assert_eq!(snap.counter("rank.solve_many.columns"), Some(4));

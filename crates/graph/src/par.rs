@@ -20,7 +20,9 @@ use std::sync::Mutex;
 ///
 /// Spawned workers adopt the caller's open spans
 /// ([`qrank_obs::span::adopt`]), so spans opened inside `work` record
-/// under the stage that fanned out, on whichever thread they ran.
+/// under the stage that fanned out, on whichever thread they ran. None
+/// of them enters the caller's trace, the caller's own share included
+/// ([`qrank_obs::span::untraced`]).
 ///
 /// A panic in `work` propagates to the caller once every thread is
 /// joined.
@@ -49,7 +51,7 @@ where
                 drain();
             });
         }
-        drain();
+        qrank_obs::span::untraced(drain);
     });
 }
 

@@ -10,17 +10,19 @@
 //!   `Arc`-shared plain atomics, so the record path is a single relaxed
 //!   `fetch_add`; the registry lock is touched only at registration and
 //!   snapshot time.
-//! * **[`mod@span`]** — hierarchical timing spans (`span!("rank.solve")`)
-//!   built on a thread-local name stack and monotonic clocks. Each
-//!   closed span lands in a `span.<parent/child>` histogram and in the
-//!   flight recorder.
+//! * **[`mod@span`]** — hierarchical timing spans (`span!("rank.solve")`),
+//!   the one stage timer, built on a thread-local name stack and
+//!   monotonic clocks. Each closed span lands in a
+//!   `span.<parent/child>` histogram, in the flight recorder, and in the
+//!   trace current on its thread, if any.
 //! * **[`recorder`]** — a bounded ring buffer of recent events (the
 //!   flight recorder), dumpable on demand or automatically on panic via
 //!   [`recorder::install_panic_hook`].
 //! * **[`convergence`]** — per-solve PageRank convergence traces:
 //!   solver tag, per-iteration residuals, iteration count, node count.
-//! * **[`trace`]** — request-scoped tracing: deterministically sampled
-//!   per-request stage breakdowns, slowest-K retention per verb, and
+//! * **[`trace`]** — request-scoped tracing: a trace is the spans its
+//!   request or refresh cycle closed while it was current on its
+//!   thread. Deterministic sampling, slowest-K retention per verb, and
 //!   per-histogram-bucket tail-latency exemplars.
 //! * **[`slo`]** — per-verb rolling windows with multi-window
 //!   error-budget burn rates for latency and availability objectives.

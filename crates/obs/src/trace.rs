@@ -3,10 +3,13 @@
 //!
 //! A [`Tracer`] is owned by whoever serves traffic (one per server
 //! instance, like the serve crate's metrics registry). Each sampled
-//! request gets an [`ActiveTrace`] that records an ordered list of
-//! stages (`parse → cache → store_read → serialize → write` on the
-//! serve path; `wal_append → apply → snapshot → engine → swap` for a
-//! refresh cycle) with wall-time deltas. Finished traces land in a
+//! request gets an [`ActiveTrace`], current on its thread until
+//! [`Tracer::finish`]: its stages are the [`span!`](crate::span!)s that
+//! close on that thread meanwhile, nested ones included (`serve.parse`,
+//! `serve.store_read`, `serve.serialize`, `serve.write` on the serve
+//! path; `wal.append`, `refresh.apply`, `refresh.snapshot`,
+//! `refresh.rerank` and its children for a refresh cycle). See
+//! [`mod@crate::span`] for which spans count. Finished traces land in a
 //! bounded store:
 //!
 //! * **slowest-K per verb** — the tail-latency exemplars worth keeping;
@@ -25,7 +28,8 @@
 //! accounting* ([`Tracer::observe`]) runs for **every** request, traced
 //! or not, so per-verb percentiles and the [`SloMonitor`] see full
 //! traffic; sampling only bounds how many requests pay for stage-level
-//! clock reads.
+//! clock reads: a server mutes the threads it serves on
+//! ([`crate::span::mute`]), so an unsampled request's spans are inert.
 //!
 //! # Disabled runs stay bit-identical
 //!
@@ -41,6 +45,7 @@ use std::time::Instant;
 use crate::json::{array, Obj};
 use crate::registry::{bucket_index, bucket_lower_bound, Histogram};
 use crate::slo::{SloMonitor, VerbSlo, AVAILABILITY_GOAL, LATENCY_GOAL};
+use crate::span;
 
 /// Slowest traces retained per verb.
 const SLOWEST_K: usize = 8;
@@ -73,19 +78,23 @@ impl Default for TraceConfig {
     }
 }
 
-/// One stage of a finished trace, relative to the trace start.
+/// One stage of a finished trace — a span that closed while the trace
+/// was current — relative to the trace start.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stage {
-    /// Stage name (`"parse"`, `"store_read"`, `"write"`, …).
-    pub name: &'static str,
+    /// The span's path below the trace's root (`"serve.parse"`,
+    /// `"refresh.rerank/pipeline.run"`, …).
+    pub name: String,
     /// Nanoseconds from trace start to stage start.
     pub start_ns: u64,
     /// Stage duration in nanoseconds.
     pub dur_ns: u64,
+    /// Nesting below the root: 1 for a top-level stage.
+    pub depth: u32,
 }
 
 /// A finished request- or refresh-scoped trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Tracer-unique id (dense, starting at 1).
     pub id: u64,
@@ -100,7 +109,7 @@ pub struct Trace {
     pub total_ns: u64,
     /// Did the request succeed?
     pub ok: bool,
-    /// Ordered stages with wall-time deltas.
+    /// Stages in start order, each before its children.
     pub stages: Vec<Stage>,
     /// Free-form detail (`generation=7 columns_solved=1`…).
     pub detail: String,
@@ -112,9 +121,10 @@ impl Trace {
     pub fn to_json(&self) -> String {
         let stages = array(self.stages.iter().map(|s| {
             Obj::new()
-                .str("name", s.name)
+                .str("name", &s.name)
                 .int("start_ns", s.start_ns)
                 .int("dur_ns", s.dur_ns)
+                .int("depth", u64::from(s.depth))
                 .finish()
         }));
         Obj::new()
@@ -129,69 +139,84 @@ impl Trace {
             .raw("stages", &stages)
             .finish()
     }
+
+    /// The report's lines for this trace: a header, then each stage
+    /// with its time and share of the total, indented by depth, then
+    /// `(other)`: the time no top-level stage covers.
+    fn report_lines(&self, out: &mut String) {
+        let detail = if self.detail.is_empty() {
+            String::new()
+        } else {
+            format!(" [{}]", self.detail)
+        };
+        let ok = if self.ok { "ok" } else { "ERROR" };
+        let ms = self.total_ns as f64 / 1e6;
+        out.push_str(&format!(
+            "  #{} {} {ms:.3}ms {ok}{detail}\n",
+            self.id, self.verb
+        ));
+        let mut line = |indent: usize, name: &str, ns: u64| {
+            out.push_str(&format!(
+                "      {:indent$}{name:<w$} {:>10.3}ms {:>5.1}%\n",
+                "",
+                ns as f64 / 1e6,
+                ns as f64 * 100.0 / self.total_ns.max(1) as f64,
+                w = 24usize.saturating_sub(indent),
+            ));
+        };
+        for s in &self.stages {
+            let leaf = s.name.rsplit('/').next().unwrap_or(&s.name);
+            line(2 * (s.depth as usize - 1), leaf, s.dur_ns);
+        }
+        let top_level: u64 = self
+            .stages
+            .iter()
+            .filter(|s| s.depth == 1)
+            .map(|s| s.dur_ns)
+            .sum();
+        let other = self.total_ns.saturating_sub(top_level);
+        if other > 0 {
+            line(0, "(other)", other);
+        }
+    }
 }
 
-/// A trace being recorded. Stages are sequential: opening the next
-/// stage closes the previous one (the serve path is a straight line per
-/// request), and [`Tracer::finish`] closes whatever is still open.
+/// A trace being recorded: current on the thread that began it, which
+/// must also [`finish`](Tracer::finish) it. Dropping it unfinished (a
+/// panic unwinding through the request, say) detaches it and keeps
+/// nothing.
 #[derive(Debug)]
 pub struct ActiveTrace {
-    id: u64,
-    verb: &'static str,
-    seq: u64,
     started: Instant,
-    start_ns: u64,
-    stages: Vec<Stage>,
-    open: Option<(&'static str, Instant)>,
-    detail: String,
+    /// Everything but the stages, the total and the outcome.
+    trace: Trace,
+}
+
+impl Drop for ActiveTrace {
+    fn drop(&mut self) {
+        span::detach(self.trace.id);
+    }
 }
 
 impl ActiveTrace {
     /// This trace's id (stable through `finish`).
     pub fn id(&self) -> u64 {
-        self.id
+        self.trace.id
     }
 
     /// Re-verb the trace once the verb is actually known (the serve
     /// path begins the trace before parsing the request line).
     pub fn set_verb(&mut self, verb: &'static str) {
-        self.verb = verb;
-    }
-
-    /// Close the open stage (if any) and start a new one.
-    pub fn stage(&mut self, name: &'static str) {
-        self.close_open();
-        self.open = Some((name, Instant::now()));
-    }
-
-    /// Close the open stage without starting another.
-    pub fn end_stage(&mut self) {
-        self.close_open();
+        self.trace.verb = verb;
     }
 
     /// Append to the trace's detail string (`"; "`-joined).
     pub fn note(&mut self, detail: &str) {
-        if !self.detail.is_empty() {
-            self.detail.push_str("; ");
+        let d = &mut self.trace.detail;
+        if !d.is_empty() {
+            d.push_str("; ");
         }
-        self.detail.push_str(detail);
-    }
-
-    /// Nanoseconds since the trace started.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
-    fn close_open(&mut self) {
-        if let Some((name, at)) = self.open.take() {
-            let start_ns = at.duration_since(self.started).as_nanos() as u64;
-            let dur_ns = at.elapsed().as_nanos() as u64;
-            self.stages.push(Stage {
-                name,
-                start_ns,
-                dur_ns,
-            });
-        }
+        d.push_str(detail);
     }
 }
 
@@ -254,7 +279,8 @@ impl Tracer {
     }
 
     /// Head-based sampling entry point: count this request and return a
-    /// trace iff its index is a multiple of `sample_every`. `None` when
+    /// trace, current on the calling thread (see [`mod@crate::span`]), iff
+    /// its index is a multiple of `sample_every`. `None` when
     /// observability is disabled, `sample_every` is 0, or the request
     /// is simply not sampled.
     pub fn begin_sampled(&self, verb: &'static str) -> Option<ActiveTrace> {
@@ -280,17 +306,17 @@ impl Tracer {
     }
 
     fn start(&self, verb: &'static str, seq: u64) -> ActiveTrace {
-        let started = Instant::now();
-        ActiveTrace {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let started = span::attach(id);
+        let start_ns = started.duration_since(self.epoch).as_nanos() as u64;
+        let trace = Trace {
+            id,
             verb,
             seq,
-            start_ns: started.duration_since(self.epoch).as_nanos() as u64,
-            started,
-            stages: Vec::with_capacity(8),
-            open: None,
-            detail: String::new(),
-        }
+            start_ns,
+            ..Trace::default()
+        };
+        ActiveTrace { started, trace }
     }
 
     /// Latency accounting for **every** request (traced or not): feeds
@@ -303,22 +329,18 @@ impl Tracer {
         self.slo.record(verb, self.now_ns(), latency_ns, ok);
     }
 
-    /// Close and store a trace; returns its end-to-end duration. The
+    /// Detach and store a trace; returns its end-to-end duration. The
     /// caller still calls [`observe`](Self::observe) separately (once
     /// per request, sampled or not).
     pub fn finish(&self, mut trace: ActiveTrace, ok: bool) -> u64 {
-        trace.close_open();
         let total_ns = trace.started.elapsed().as_nanos() as u64;
-        let done = Arc::new(Trace {
-            id: trace.id,
-            verb: trace.verb,
-            seq: trace.seq,
-            start_ns: trace.start_ns,
-            total_ns,
-            ok,
-            stages: trace.stages,
-            detail: trace.detail,
-        });
+        let mut done = std::mem::take(&mut trace.trace);
+        (done.total_ns, done.ok) = (total_ns, ok);
+        done.stages = span::detach(done.id);
+        // spans close children first; a parent starts no later than its
+        // children, so this puts each stage before its children
+        done.stages.sort_by_key(|s| (s.start_ns, s.depth));
+        let done = Arc::new(done);
         let mut store = self.store.lock().unwrap();
         let slowest = store.slowest.entry(done.verb).or_default();
         let pos = slowest
@@ -459,7 +481,8 @@ impl Tracer {
 
     /// Human-readable latency-attribution report: sampling counters,
     /// objectives, per-verb summaries with burn rates, and the slowest
-    /// traces broken down stage by stage (time and share of total).
+    /// traces broken down stage by stage (time and share of total,
+    /// nested stages indented under their parents).
     pub fn report_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -511,40 +534,7 @@ impl Tracer {
         } else {
             out.push_str("slowest traces:\n");
             for t in slowest.iter().take(16) {
-                out.push_str(&format!(
-                    "  #{} {} {:.3}ms {}{}\n",
-                    t.id,
-                    t.verb,
-                    t.total_ns as f64 / 1e6,
-                    if t.ok { "ok" } else { "ERROR" },
-                    if t.detail.is_empty() {
-                        String::new()
-                    } else {
-                        format!(" [{}]", t.detail)
-                    }
-                ));
-                let attributed: u64 = t.stages.iter().map(|s| s.dur_ns).sum();
-                for s in &t.stages {
-                    out.push_str(&format!(
-                        "      {:<12} {:>10.3}ms {:>5.1}%\n",
-                        s.name,
-                        s.dur_ns as f64 / 1e6,
-                        if t.total_ns == 0 {
-                            0.0
-                        } else {
-                            s.dur_ns as f64 * 100.0 / t.total_ns as f64
-                        }
-                    ));
-                }
-                let other = t.total_ns.saturating_sub(attributed);
-                if t.total_ns > 0 && other > 0 {
-                    out.push_str(&format!(
-                        "      {:<12} {:>10.3}ms {:>5.1}%\n",
-                        "(other)",
-                        other as f64 / 1e6,
-                        other as f64 * 100.0 / t.total_ns as f64
-                    ));
-                }
+                t.report_lines(&mut out);
             }
         }
         out
@@ -600,9 +590,10 @@ mod tests {
         let t = test_tracer(1);
         for i in 0..=SLOWEST_K {
             let mut tr = t.begin_sampled("topk").unwrap();
-            tr.stage("parse");
-            tr.stage("serialize");
-            tr.stage("write");
+            for stage in ["parse", "serialize", "write"] {
+                let _s = crate::span!(stage);
+                let _nested = crate::span!("inner");
+            }
             tr.note(&format!("i={i}"));
             t.finish(tr, true);
         }
@@ -613,8 +604,19 @@ mod tests {
             "sorted slowest first"
         );
         let tr = &slowest[0];
-        let names: Vec<&str> = tr.stages.iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["parse", "serialize", "write"]);
+        let names: Vec<(&str, u32)> = tr.stages.iter().map(|s| (&*s.name, s.depth)).collect();
+        assert_eq!(
+            names,
+            [
+                ("parse", 1),
+                ("parse/inner", 2),
+                ("serialize", 1),
+                ("serialize/inner", 2),
+                ("write", 1),
+                ("write/inner", 2)
+            ],
+            "each stage before its children"
+        );
         assert!(
             tr.stages.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
             "stages ordered by start"
@@ -622,8 +624,46 @@ mod tests {
         assert!(tr.detail.starts_with("i="));
         let json = tr.to_json();
         assert!(json.contains(r#""verb":"topk""#), "{json}");
-        assert!(json.contains(r#""name":"parse""#));
+        assert!(json.contains(r#""name":"parse","start_ns":"#), "{json}");
+        assert!(json.contains(r#""name":"parse/inner""#), "{json}");
         crate::set_enabled(false);
+    }
+
+    #[test]
+    fn other_is_what_no_top_level_stage_covers() {
+        let stage = |name: &str, start_ns, dur_ns, depth| Stage {
+            name: name.to_string(),
+            start_ns,
+            dur_ns,
+            depth,
+        };
+        let trace = Trace {
+            id: 1,
+            verb: "refresh",
+            seq: 0,
+            start_ns: 0,
+            total_ns: 1_000_000,
+            ok: true,
+            stages: vec![
+                stage("a", 0, 600_000, 1),
+                stage("a/b", 100_000, 400_000, 2),
+                stage("c", 600_000, 300_000, 1),
+            ],
+            detail: String::new(),
+        };
+        let mut out = String::new();
+        trace.report_lines(&mut out);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{out}");
+        assert!(
+            lines[2].starts_with("        b "),
+            "nested stage indented: {out}"
+        );
+        // 100 µs: a/b lies inside a, so it is not subtracted again
+        assert!(
+            lines[4].contains("(other)") && lines[4].contains("0.100ms  10.0%"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -59,8 +59,8 @@ fn retention_stays_bounded_and_slo_sees_full_traffic() {
         latency_objective_ns: 1_000,
     });
     for i in 0..500u64 {
-        let mut t = tracer.begin_sampled("topk").unwrap();
-        t.stage("serialize");
+        let t = tracer.begin_sampled("topk").unwrap();
+        drop(qrank_obs::span!("serialize"));
         tracer.finish(t, true);
         // Synthetic latencies: every 100th request misses the objective.
         let latency = if i % 100 == 0 { 50_000 } else { 500 };

@@ -4,7 +4,7 @@
 //! [`ShardedStore`]; the TCP workers enter through `handle_admitted`,
 //! which first applies the connection layer's admission control (the
 //! `shutdown` verb, the [`ShedPolicy`](crate::ShedPolicy)). Every verb
-//! reads the store's sealed view once, in the `store_read` stage, and
+//! reads the store's sealed view once, in the `serve.store_read` span, and
 //! answers from that one view — a briefly-held read lock around an
 //! `Arc` clone, so a refresh publish never stalls the request path, and
 //! no two verbs can answer from different generations of one publish.
@@ -25,7 +25,7 @@ use crate::protocol::{
 use crate::server::Context;
 use crate::shard::{ShardView, ShardedStore};
 
-/// Serve one request line; shared by the TCP workers and direct tests.
+/// Serve one request line, untraced.
 pub fn handle_request(
     line: &str,
     store: &ShardedStore,
@@ -82,17 +82,19 @@ pub(crate) fn handle_admitted(line: &str, ctx: &Context) -> (String, Option<Acti
 /// (a draining instance reports unready so load balancers stop routing
 /// to it before it stops).
 ///
-/// When `tracer` is set and the head-based sampler elects this request,
-/// the returned [`ActiveTrace`] carries the handler stages
-/// (`parse → store_read → [cache_lookup →] serialize`, the serialize
-/// stage skipped on a `topk` cache hit); the caller owns the `write`
-/// stage and must [`Tracer::finish`] the trace after the response hits
-/// the socket. Latency accounting ([`Tracer::observe`], for per-verb
-/// percentiles and the SLO monitor) happens here for **every** request,
-/// sampled or not, and covers the handler only — the write stage is
-/// visible in traces but not in the latency histograms, which keeps the
-/// histogram identical to what the untraced `serve.latency_ns` metric
-/// records.
+/// The handler's stages are spans: `serve.parse`, `serve.store_read`,
+/// `serve.cache_lookup` (`topk` only) and `serve.serialize` (skipped on
+/// a `topk` cache hit). When `tracer` is set and the head-based sampler
+/// elects this request, the returned [`ActiveTrace`] collects them and
+/// stays current until the caller, which owns the `serve.write` span,
+/// calls [`Tracer::finish`] after the response hits the socket; any
+/// other request mutes its thread ([`qrank_obs::span::mute`]), so its
+/// spans time nothing. Latency accounting ([`Tracer::observe`], for
+/// per-verb percentiles and the SLO monitor) happens here for **every**
+/// request, sampled or not, and covers the handler only — the write
+/// stage is visible in traces but not in the latency histograms, which
+/// keeps the histogram identical to what the untraced
+/// `serve.latency_ns` metric records.
 fn dispatch(
     line: &str,
     store: &ShardedStore,
@@ -102,18 +104,19 @@ fn dispatch(
     draining: bool,
 ) -> (String, Option<ActiveTrace>) {
     let mut trace = tracer.and_then(|t| t.begin_sampled("request"));
+    let _untimed = (trace.is_none() && qrank_obs::enabled()).then(qrank_obs::span::mute);
     let started = Instant::now();
-    if let Some(t) = trace.as_mut() {
-        t.stage("parse");
-    }
-    let request = match parse_request(line) {
+    let parsed = {
+        let _s = qrank_obs::span!("serve.parse");
+        parse_request(line)
+    };
+    let request = match parsed {
         Ok(r) => r,
         Err(msg) => {
             metrics.record_error();
             if let Some(t) = trace.as_mut() {
                 t.set_verb("error");
                 t.note(&msg);
-                t.end_stage();
             }
             if let Some(tr) = tracer {
                 tr.observe("error", started.elapsed().as_nanos() as u64, false);
@@ -123,14 +126,14 @@ fn dispatch(
     };
     if let Some(t) = trace.as_mut() {
         t.set_verb(verb_name(&request));
-        t.stage("store_read");
     }
-    let view = store.current();
+    let view = {
+        let _s = qrank_obs::span!("serve.store_read");
+        store.current()
+    };
     let cached = match request {
         Request::TopK(k) => {
-            if let Some(t) = trace.as_mut() {
-                t.stage("cache_lookup");
-            }
+            let _s = qrank_obs::span!("serve.cache_lookup");
             let hit = cache.lock().get(view.generation(), k);
             let note = if hit.is_some() {
                 metrics.cache_hit();
@@ -149,9 +152,7 @@ fn dispatch(
     let response = match cached {
         Some(hit) => hit,
         None => {
-            if let Some(t) = trace.as_mut() {
-                t.stage("serialize");
-            }
+            let _s = qrank_obs::span!("serve.serialize");
             let rendered = render(request, &view, metrics, tracer, draining);
             if let Request::TopK(k) = request {
                 cache.lock().put(view.generation(), k, rendered.clone());
@@ -161,9 +162,6 @@ fn dispatch(
     };
     let latency_ns = started.elapsed().as_nanos() as u64;
     metrics.record(latency_ns);
-    if let Some(t) = trace.as_mut() {
-        t.end_stage();
-    }
     if let Some(tr) = tracer {
         let ok = !response.starts_with(r#"{"ok":false"#);
         tr.observe(verb_name(&request), latency_ns, ok);

@@ -33,8 +33,9 @@
 //!   terminated by `# EOF`.
 //! * **Tracing** — with `--trace-sample N` (ServerConfig
 //!   `trace_sample`), every N-th request gets a [`qrank_obs::Trace`]
-//!   with per-stage latency attribution (parse → store read → cache
-//!   lookup → serialize → write), retained slowest-first per verb and
+//!   whose stages are the request's spans (`serve.parse`,
+//!   `serve.store_read`, `serve.cache_lookup`, `serve.serialize`,
+//!   `serve.write`), retained slowest-first per verb and
 //!   queryable over the wire via the `trace` verb; an SLO monitor
 //!   watches every request (sampled or not) against latency and
 //!   availability objectives. See [`qrank_obs::trace`].
@@ -103,3 +104,12 @@ pub use store::{PageScores, ScoreStore};
 pub use worker::{
     spawn_refresh_worker, spawn_refresh_worker_with, RefreshMsg, RefreshWorkerOptions,
 };
+
+/// Unit tests that turn observability on serialize on this lock: the
+/// enabled flag and the registry are process-global.
+#[cfg(test)]
+pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -408,16 +408,14 @@ mod tests {
     #[test]
     fn trace_renders_against_a_live_tracer() {
         use qrank_obs::TraceConfig;
-        // The tracer only records while the global obs gate is on; tests
-        // in this binary that toggle it are serialized by running this
-        // sequence atomically against a fresh tracer either way.
+        let _obs = crate::obs_lock();
         qrank_obs::set_enabled(true);
         let t = Tracer::new(TraceConfig {
             sample_every: 1,
             ..TraceConfig::default()
         });
-        let mut active = t.begin_sampled("score").unwrap();
-        active.stage("serialize");
+        let active = t.begin_sampled("score").unwrap();
+        drop(qrank_obs::span!("t.serialize"));
         let id = active.id();
         t.finish(active, true);
         t.observe("score", 1_000, true);

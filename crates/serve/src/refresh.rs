@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use qrank_core::{PipelineConfig, PipelineEngine, PipelineReport};
 use qrank_graph::{CsrGraph, DynamicGraph, NodeId, PageId, Snapshot, SnapshotSeries};
-use qrank_obs::trace::{ActiveTrace, Tracer};
+use qrank_obs::trace::Tracer;
 
 use crate::delta::EdgeDelta;
 use crate::durability::{self, DurabilityConfig, Journal, RecoveryReport, RetryPolicy};
@@ -133,9 +133,11 @@ impl RefreshEngine {
 
     /// Attach (or detach) a request tracer. Every subsequent live
     /// [`RefreshEngine::ingest`] records a *forced* (never sampled-out)
-    /// `refresh` trace with the full stage breakdown — wal append →
-    /// apply → snapshot → engine → checkpoint — and feeds the cycle's
-    /// wall time into the tracer's per-verb histograms and SLO monitor.
+    /// `refresh` trace whose stages are the cycle's spans — `wal.append`,
+    /// `refresh.apply`, `refresh.snapshot`, `refresh.rerank` and, when
+    /// due, `refresh.checkpoint`, each with its children — and feeds the
+    /// cycle's wall time into the tracer's per-verb histograms and SLO
+    /// monitor.
     /// Recovery in [`RefreshEngine::open_durable`] happens before any
     /// tracer can be attached and stays span-level (`refresh.recover`
     /// over `refresh.restore`, `refresh.replay` and one
@@ -230,7 +232,7 @@ impl RefreshEngine {
             if let Some(series) = seed {
                 for snap in series.snapshots() {
                     let delta = engine.delta_from_snapshot(snap);
-                    engine.ingest_inner(&delta, &mut None)?;
+                    engine.ingest_inner(&delta)?;
                 }
             }
         }
@@ -540,38 +542,26 @@ impl RefreshEngine {
     pub fn ingest(&mut self, delta: &EdgeDelta) -> Result<Option<RefreshStats>, ServeError> {
         let _span = qrank_obs::span!("refresh.ingest");
         let tracer = self.tracer.clone();
-        let mut trace = tracer.as_deref().and_then(|t| t.begin("refresh"));
-        let outcome = self.ingest_inner(delta, &mut trace);
-        if let Some(t) = tracer.as_deref() {
-            let total_ns = trace.as_ref().map(|tr| tr.elapsed_ns()).unwrap_or_default();
-            if let Some(mut tr) = trace {
-                tr.end_stage();
-                match &outcome {
-                    Ok(Some(stats)) => tr.note(&format!(
-                        "gen={} pages={} columns_solved={} columns_reused={}",
-                        stats.generation,
-                        stats.num_pages,
-                        stats.columns_solved,
-                        stats.columns_reused
-                    )),
-                    Ok(None) => tr.note("window still filling; nothing published"),
-                    Err(e) => tr.note(&e.to_string()),
-                }
-                t.finish(tr, outcome.is_ok());
-                t.observe("refresh", total_ns, outcome.is_ok());
+        let trace = tracer.as_deref().and_then(|t| t.begin("refresh"));
+        let outcome = self.ingest_inner(delta);
+        if let (Some(t), Some(mut tr)) = (tracer.as_deref(), trace) {
+            match &outcome {
+                Ok(Some(stats)) => tr.note(&format!(
+                    "gen={} pages={} columns_solved={} columns_reused={}",
+                    stats.generation, stats.num_pages, stats.columns_solved, stats.columns_reused
+                )),
+                Ok(None) => tr.note("window still filling; nothing published"),
+                Err(e) => tr.note(&e.to_string()),
             }
+            let total_ns = t.finish(tr, outcome.is_ok());
+            t.observe("refresh", total_ns, outcome.is_ok());
         }
         outcome
     }
 
-    /// The ingest body. `trace` carries the refresh trace (`None` while
-    /// [`Self::open_durable`] seeds a fresh directory — the tracer is
-    /// attached after it returns).
-    fn ingest_inner(
-        &mut self,
-        delta: &EdgeDelta,
-        trace: &mut Option<ActiveTrace>,
-    ) -> Result<Option<RefreshStats>, ServeError> {
+    /// The ingest body; its spans are the stages of the refresh trace
+    /// [`Self::ingest`] holds current.
+    fn ingest_inner(&mut self, delta: &EdgeDelta) -> Result<Option<RefreshStats>, ServeError> {
         // Chaos site sits before the write-ahead append: an injected
         // failure (error or panic) is a clean no-op on both engine state
         // and the journal, which is what makes post-fault recovery
@@ -582,29 +572,15 @@ impl RefreshEngine {
             )));
         }
         if let Some(j) = self.journal.as_mut() {
-            if let Some(t) = trace.as_mut() {
-                t.stage("wal_append");
-            }
             j.append(delta)?;
         }
-        if let Some(t) = trace.as_mut() {
-            t.stage("apply");
-        }
-        self.apply_delta(delta)?;
-        if let Some(t) = trace.as_mut() {
-            t.stage("snapshot");
+        {
+            let _s = qrank_obs::span!("refresh.apply");
+            self.apply_delta(delta)?;
         }
         self.push_snapshot(delta.time)?;
-        if let Some(t) = trace.as_mut() {
-            // Covers the stage engine's align/solve work plus the store
-            // swap — everything between snapshot capture and publish.
-            t.stage("engine");
-        }
         let stats = self.rerank()?;
         if self.journal.as_ref().is_some_and(|j| j.due()) {
-            if let Some(t) = trace.as_mut() {
-                t.stage("checkpoint");
-            }
             self.checkpoint_now()?;
         }
         Ok(stats)
@@ -1030,5 +1006,137 @@ commit 2.0
         assert_eq!(handle.current().generation(), 2);
         assert_eq!(errors.len(), 1);
         assert!(errors[0].contains("unknown page"), "{errors:?}");
+    }
+
+    /// `n` pages on a ring plus `4n` links that churn with each of
+    /// `snapshots` crawls.
+    fn churning_web(n: u32, snapshots: u32) -> SnapshotSeries {
+        let pages: Vec<PageId> = (0..u64::from(n)).map(PageId).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut series = SnapshotSeries::new();
+        for t in 0..snapshots {
+            let mut edges: Vec<(u32, u32)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+            for _ in 0..4 * n {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                edges.push(((state >> 33) as u32 % n, (state >> 13) as u32 % n));
+            }
+            let graph = CsrGraph::from_edges(n as usize, &edges);
+            series
+                .push(Snapshot::new(f64::from(t), graph, pages.clone()).unwrap())
+                .unwrap();
+        }
+        series
+    }
+
+    #[test]
+    fn refresh_trace_stages_cover_the_cycle() {
+        let _obs = crate::obs_lock();
+        let dir = std::env::temp_dir().join(format!("qrank_trace_cover_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dur = DurabilityConfig {
+            dir: dir.clone(),
+            fsync: FsyncPolicy::Never,
+            checkpoint_every: 1,
+        };
+        // large enough that a debug-build ingest takes well over 10 ms,
+        // next to which beginning and finishing a trace is noise
+        let web = churning_web(1_500, 3);
+        let handle = Arc::new(ShardedStore::new(1));
+        let (mut engine, _) = RefreshEngine::open_durable(cfg(), &dur, handle, Some(&web)).unwrap();
+        let tracer = Arc::new(Tracer::new(qrank_obs::TraceConfig::default()));
+        engine.set_tracer(Some(Arc::clone(&tracer)));
+        qrank_obs::set_enabled(true);
+        for i in 0..3u64 {
+            let delta = EdgeDelta {
+                time: 3.0 + i as f64,
+                added: vec![(i, 7 * i + 11)],
+                ..Default::default()
+            };
+            engine.ingest(&delta).unwrap();
+        }
+        qrank_obs::set_enabled(false);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let traces = tracer.slowest(Some("refresh"));
+        assert_eq!(traces.len(), 3);
+        for t in &traces {
+            let top = t.stages.iter().filter(|s| s.depth == 1);
+            assert_eq!(
+                top.map(|s| s.name.as_str()).collect::<Vec<_>>(),
+                [
+                    "wal.append",
+                    "refresh.apply",
+                    "refresh.snapshot",
+                    "refresh.rerank",
+                    "refresh.checkpoint"
+                ]
+            );
+        }
+        // best of three: one preemption cannot fail it
+        let (covered, total_ns) = traces
+            .iter()
+            .map(|t| {
+                let top = t.stages.iter().filter(|s| s.depth == 1);
+                let covered = top.map(|s| s.dur_ns).sum::<u64>() as f64 / t.total_ns as f64;
+                (covered, t.total_ns)
+            })
+            .fold((0.0, 0), |best, c| if c.0 > best.0 { c } else { best });
+        assert!(
+            covered >= 0.98,
+            "top-level stages cover {:.2} % of a {:.1} ms cycle",
+            covered * 100.0,
+            total_ns as f64 / 1e6
+        );
+    }
+
+    #[test]
+    fn a_contained_panic_leaves_the_next_refresh_trace_its_own() {
+        let _obs = crate::obs_lock();
+        qrank_obs::set_enabled(true);
+        let tracer = Arc::new(Tracer::new(qrank_obs::TraceConfig::default()));
+        let mut engine =
+            RefreshEngine::from_series(&seed_series(3), cfg(), Arc::new(ShardedStore::new(1)))
+                .unwrap();
+        engine.set_tracer(Some(Arc::clone(&tracer)));
+        // a traced cycle that panics after one stage closed, inside another
+        let mut poisoned = false;
+        let failed =
+            crate::worker::contained(&mut poisoned, "refresh", || -> Result<(), ServeError> {
+                let _cycle = qrank_obs::span!("refresh.ingest");
+                let _trace = tracer.begin("refresh");
+                drop(qrank_obs::span!("t.done"));
+                let _doomed = qrank_obs::span!("t.doomed");
+                panic!("injected")
+            });
+        assert!(poisoned);
+        assert_eq!(failed.as_deref(), Some("refresh panicked: injected"));
+        {
+            // a muted thread's spans time nothing unless a trace is current
+            let _quiet = qrank_obs::span::mute();
+            drop(qrank_obs::span!("t.after"));
+        }
+        let snap = qrank_obs::global().snapshot();
+        assert!(
+            snap.histogram("span.t.after").is_none(),
+            "the unwind detached the trace"
+        );
+        assert!(
+            tracer.slowest(None).is_empty(),
+            "an unfinished trace is not kept"
+        );
+        drop(qrank_obs::span!("t.between"));
+        let next = EdgeDelta {
+            time: 3.0,
+            added: vec![(0, 1)],
+            ..Default::default()
+        };
+        engine.ingest(&next).unwrap();
+        qrank_obs::set_enabled(false);
+        let traces = tracer.slowest(None);
+        assert_eq!(traces.len(), 1);
+        let names: Vec<&str> = traces[0].stages.iter().map(|s| s.name.as_str()).collect();
+        assert!(names.contains(&"refresh.rerank"), "{names:?}");
+        assert!(!names.iter().any(|n| n.starts_with("t.")), "{names:?}");
     }
 }

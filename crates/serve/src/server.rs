@@ -425,6 +425,9 @@ fn serve_connection(mut conn: TcpStream, ctx: &Context) {
         let _ = conn.set_write_timeout(Some(t));
     }
     let _ = conn.set_nodelay(true);
+    // only a sampled request's trace makes this thread's spans time,
+    // its `serve.write` included
+    let _untimed = qrank_obs::span::mute();
     let mut pending: Vec<u8> = Vec::new();
     let mut buf = [0u8; 4096];
     // Reset whenever a complete request is answered; an idle or
@@ -435,12 +438,12 @@ fn serve_connection(mut conn: TcpStream, ctx: &Context) {
         while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
             let line: Vec<u8> = pending.drain(..=pos).collect();
             let line = String::from_utf8_lossy(&line);
-            let (response, mut trace) = handle_admitted(line.trim(), ctx);
-            if let Some(t) = trace.as_mut() {
-                t.stage("write");
-            }
-            let wrote = write_line(&mut conn, &response);
-            if let (Some(tr), Some(t)) = (ctx.tracer.as_deref(), trace.take()) {
+            let (response, trace) = handle_admitted(line.trim(), ctx);
+            let wrote = {
+                let _s = qrank_obs::span!("serve.write");
+                write_line(&mut conn, &response)
+            };
+            if let (Some(tr), Some(t)) = (ctx.tracer.as_deref(), trace) {
                 tr.finish(t, wrote && !response.starts_with(r#"{"ok":false"#));
             }
             if !wrote {
@@ -513,6 +516,64 @@ mod tests {
         assert_eq!(s.errors, 1);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_hits, 1);
+    }
+
+    #[test]
+    fn unsampled_requests_time_no_serve_spans_and_retain_no_trace() {
+        use std::io::{BufRead, BufReader, Write};
+        let _obs = crate::obs_lock();
+        qrank_obs::set_enabled(true);
+        let serve_spans = || {
+            let snap = qrank_obs::global().snapshot();
+            let spans = snap
+                .histograms
+                .iter()
+                .filter(|(n, _)| n.starts_with("span.serve."));
+            spans.map(|(n, h)| (n.clone(), h.count)).collect::<Vec<_>>()
+        };
+        // three `health` requests on one connection, each answered
+        // after its parse span closed
+        let served = |trace_sample| {
+            let cfg = ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                trace_sample,
+                ..Default::default()
+            };
+            let server = serve(Arc::new(ShardedStore::new(1)), &cfg).unwrap();
+            let conn = TcpStream::connect(server.addr()).unwrap();
+            let mut answers = BufReader::new(conn.try_clone().unwrap());
+            for _ in 0..3 {
+                (&conn).write_all(b"health\n").unwrap();
+                answers.read_line(&mut String::new()).unwrap();
+            }
+            server
+        };
+        let untraced = served(0);
+        let store = ShardedStore::new(1);
+        handle_request(
+            "health",
+            &store,
+            &Metrics::new(),
+            &Mutex::new(LruCache::new(4)),
+        );
+        assert_eq!(serve_spans(), [], "no tracer: every request is unsampled");
+        // 1 in 3: request 0 is sampled, requests 1 and 2 are not
+        let traced = served(3);
+        let tracer = traced.tracer().unwrap();
+        assert_eq!((tracer.requests(), tracer.sampled()), (3, 1));
+        let parses = serve_spans()
+            .into_iter()
+            .find(|(n, _)| n == "span.serve.parse");
+        assert_eq!(parses, Some(("span.serve.parse".to_string(), 1)));
+        assert_eq!(
+            tracer.slowest(None).len(),
+            1,
+            "only the sampled trace is retained"
+        );
+        qrank_obs::set_enabled(false);
+        untraced.shutdown();
+        traced.shutdown();
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub fn spawn_refresh_worker_with(
 /// succeeded, otherwise why it failed. A panic is caught, counted under
 /// `refresh.panic`, reported as `"<what> panicked: …"`, and poisons the
 /// worker.
-fn contained<T>(
+pub(crate) fn contained<T>(
     poisoned: &mut bool,
     what: &str,
     call: impl FnOnce() -> Result<T, ServeError>,
@@ -117,7 +117,7 @@ fn contained<T>(
             if qrank_obs::enabled() {
                 qrank_obs::global().counter("refresh.panic").inc();
             }
-            Some(format!("{what} panicked: {}", panic_message(&panic)))
+            Some(format!("{what} panicked: {}", panic_message(&*panic)))
         }
     }
 }

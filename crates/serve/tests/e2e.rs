@@ -182,7 +182,12 @@ fn trace_verb_attributes_latency_end_to_end() {
     let slowest = client.request("trace slowest score");
     assert!(slowest.contains(r#""ok":true"#), "{slowest}");
     assert!(slowest.contains(r#""verb":"score""#), "{slowest}");
-    for stage in ["parse", "store_read", "serialize", "write"] {
+    for stage in [
+        "serve.parse",
+        "serve.store_read",
+        "serve.serialize",
+        "serve.write",
+    ] {
         assert!(
             slowest.contains(&format!(r#""name":"{stage}""#)),
             "stage {stage} missing from {slowest}"
@@ -220,7 +225,7 @@ fn trace_verb_attributes_latency_end_to_end() {
     }
     let refresh = client.request("trace slowest refresh");
     assert!(refresh.contains(r#""verb":"refresh""#), "{refresh}");
-    for stage in ["apply", "snapshot", "engine"] {
+    for stage in ["refresh.apply", "refresh.snapshot", "refresh.rerank"] {
         assert!(
             refresh.contains(&format!(r#""name":"{stage}""#)),
             "stage {stage} missing from {refresh}"
