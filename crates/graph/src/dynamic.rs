@@ -9,57 +9,55 @@
 
 use crate::{CsrGraph, GraphError, NodeId};
 
-/// One entry in the edge event log.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EdgeEvent {
-    /// Edge `src -> dst` came into existence at `at`.
-    Added {
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Timestamp.
-        at: f64,
-    },
-    /// Edge `src -> dst` was removed at `at` (a page dropped a link —
-    /// needed by the paper's "decreasing popularity" future-work model).
-    Removed {
-        /// Source node.
-        src: NodeId,
-        /// Destination node.
-        dst: NodeId,
-        /// Timestamp.
-        at: f64,
-    },
+/// Node ids the log can name: a destination takes 31 bits of a record.
+const MAX_NODES: usize = 1 << 31;
+
+/// Edge `src -> dst` appearing (`added`) or disappearing, as one log
+/// record: `src << 32 | dst << 1 | added`. The low half is the key
+/// [`DynamicGraph::materialize`] sorts a source's events by.
+fn record(src: NodeId, dst: NodeId, added: bool) -> u64 {
+    u64::from(src) << 32 | u64::from(dst) << 1 | u64::from(added)
 }
 
-impl EdgeEvent {
-    /// Timestamp of the event.
-    pub fn at(&self) -> f64 {
-        match *self {
-            EdgeEvent::Added { at, .. } | EdgeEvent::Removed { at, .. } => at,
-        }
-    }
+/// The source node of a record.
+fn source(rec: u64) -> NodeId {
+    (rec >> 32) as NodeId
+}
 
-    /// `(src, dst, is an add)`.
-    fn parts(&self) -> (NodeId, NodeId, bool) {
-        match *self {
-            EdgeEvent::Added { src, dst, .. } => (src, dst, true),
-            EdgeEvent::Removed { src, dst, .. } => (src, dst, false),
-        }
+/// A record's sort key within its source's row, `dst << 1 | added`.
+fn row_key(rec: u64) -> u64 {
+    rec & u64::from(u32::MAX)
+}
+
+/// The id a log holding `held` nodes gives its next one, or the error
+/// for a node past the ids a record can name.
+fn next_node_id(held: usize) -> Result<NodeId, GraphError> {
+    if held < MAX_NODES {
+        Ok(held as NodeId)
+    } else {
+        Err(GraphError::NodeOutOfBounds {
+            node: held as u64,
+            num_nodes: MAX_NODES as u64,
+        })
     }
 }
 
 /// An evolving directed graph recorded as an event log.
 ///
 /// Events must be appended in non-decreasing time order (enforced), which
-/// lets [`snapshot_at`](Self::snapshot_at) replay a prefix with a binary
-/// search instead of a full scan sort.
+/// lets [`snapshot_at`](Self::snapshot_at) replay a prefix found by a
+/// binary search instead of a full scan sort. The log stores no time per
+/// event: one 8-byte record per event, and one *run* per distinct event
+/// time holding that time and the number of events logged up to it.
 #[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     /// `node_birth[u]` = time node `u` was created.
     node_birth: Vec<f64>,
-    events: Vec<EdgeEvent>,
+    /// Every edge event in log order, one [`record`] each.
+    events: Vec<u64>,
+    /// `(time, events logged at or before it)` per distinct event time,
+    /// ascending in both.
+    runs: Vec<(f64, usize)>,
 }
 
 impl DynamicGraph {
@@ -76,43 +74,53 @@ impl DynamicGraph {
     /// Create a node at time `at`; returns its id.
     ///
     /// Node creations may interleave with edge events but must also be
-    /// non-decreasing in time relative to the event log.
+    /// non-decreasing in time relative to the event log. A log holds at
+    /// most 2³¹ nodes; the next one is refused as out of bounds.
     pub fn add_node(&mut self, at: f64) -> Result<NodeId, GraphError> {
         self.check_order(at)?;
-        let id = self.node_birth.len() as NodeId;
+        let id = next_node_id(self.node_birth.len())?;
         self.node_birth.push(at);
         Ok(id)
     }
 
     /// Record edge `src -> dst` appearing at time `at`.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, at: f64) -> Result<(), GraphError> {
-        self.check_order(at)?;
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        self.events.push(EdgeEvent::Added { src, dst, at });
-        Ok(())
+        self.push_event(src, dst, true, at)
     }
 
     /// Record edge `src -> dst` disappearing at time `at`.
     pub fn remove_edge(&mut self, src: NodeId, dst: NodeId, at: f64) -> Result<(), GraphError> {
+        self.push_event(src, dst, false, at)
+    }
+
+    fn push_event(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        added: bool,
+        at: f64,
+    ) -> Result<(), GraphError> {
         self.check_order(at)?;
         self.check_node(src)?;
         self.check_node(dst)?;
-        self.events.push(EdgeEvent::Removed { src, dst, at });
+        self.events.push(record(src, dst, added));
+        match self.runs.last_mut() {
+            Some(run) if run.0 == at => run.1 = self.events.len(),
+            _ => self.runs.push((at, self.events.len())),
+        }
         Ok(())
     }
 
     fn latest_time(&self) -> f64 {
-        let ev = self
-            .events
-            .last()
-            .map(EdgeEvent::at)
-            .unwrap_or(f64::NEG_INFINITY);
+        let ev = self.runs.last().map_or(f64::NEG_INFINITY, |run| run.0);
         let nb = self.node_birth.last().copied().unwrap_or(f64::NEG_INFINITY);
         ev.max(nb)
     }
 
     fn check_order(&self, at: f64) -> Result<(), GraphError> {
+        if !at.is_finite() {
+            return Err(GraphError::NonFiniteTime(at));
+        }
         let latest = self.latest_time();
         if at < latest {
             return Err(GraphError::OutOfOrderEvent { at, latest });
@@ -128,6 +136,15 @@ impl DynamicGraph {
                 node: u as u64,
                 num_nodes: self.node_birth.len() as u64,
             })
+        }
+    }
+
+    /// Number of events at or before `t`: the log prefix a graph at `t`
+    /// is built from.
+    fn events_at(&self, t: f64) -> usize {
+        match self.runs.partition_point(|&(at, _)| at <= t) {
+            0 => 0,
+            i => self.runs[i - 1].1,
         }
     }
 
@@ -214,7 +231,7 @@ impl DynamicGraph {
     /// per new event (plus one per event of the longest row), freed on
     /// return.
     fn materialize(&self, base: Option<(&CsrGraph, usize)>, t: f64, n: usize) -> Materialized {
-        let events = self.events.partition_point(|e| e.at() <= t);
+        let events = self.events_at(t);
         let base = base.filter(|&(g, held)| held <= events && g.num_nodes() <= n);
         let (base_nodes, base_edges, base_events) =
             base.map_or((0, 0, 0), |(g, held)| (g.num_nodes(), g.num_edges(), held));
@@ -224,20 +241,18 @@ impl DynamicGraph {
         // and, once the scatter has filled the row, is one past its last.
         let mut row_end = vec![0usize; n + 1];
         let mut adds = 0;
-        for e in tail {
-            let (src, _, added) = e.parts();
-            row_end[src as usize + 1] += 1;
-            adds += usize::from(added);
+        for &rec in tail {
+            row_end[source(rec) as usize + 1] += 1;
+            adds += (rec & 1) as usize;
         }
         for u in 0..n {
             row_end[u + 1] += row_end[u];
         }
         // `dst << 1 | is_add`, so that sorting by `>> 1` groups by edge.
         let mut keyed = vec![0u64; tail.len()];
-        for e in tail {
-            let (src, dst, added) = e.parts();
-            let slot = &mut row_end[src as usize];
-            keyed[*slot] = u64::from(dst) << 1 | u64::from(added);
+        for &rec in tail {
+            let slot = &mut row_end[source(rec) as usize];
+            keyed[*slot] = row_key(rec);
             *slot += 1;
         }
 
@@ -360,13 +375,27 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    /// The log as `(time, src, dst, is an add)` per event, each event's
+    /// time read off its run by a forward walk, not a search.
+    fn timed_events(d: &DynamicGraph) -> Vec<(f64, NodeId, NodeId, bool)> {
+        let mut out = Vec::new();
+        let mut first = 0;
+        for &(at, end) in &d.runs {
+            for &rec in &d.events[first..end] {
+                out.push((at, source(rec), (row_key(rec) >> 1) as NodeId, rec & 1 == 1));
+            }
+            first = end;
+        }
+        assert_eq!(out.len(), d.events.len(), "the runs cover the log");
+        out
+    }
+
     /// The materializer's oracle: replay the log prefix into an ordered
     /// set, one insert or remove per event. Obviously right, and what
     /// `edges_at` did before it became a sort.
     fn replayed_edges_at(d: &DynamicGraph, t: f64) -> Vec<(NodeId, NodeId)> {
         let mut alive = BTreeSet::new();
-        for e in d.events.iter().take_while(|e| e.at() <= t) {
-            let (src, dst, added) = e.parts();
+        for (_, src, dst, added) in timed_events(d).into_iter().take_while(|e| e.0 <= t) {
             if added {
                 alive.insert((src, dst));
             } else {
@@ -473,7 +502,10 @@ mod tests {
                     );
                     let built = d.graph_at_full_from(Some((&base.graph, base.events)), t2);
                     prop_assert_eq!(&built.graph, &fresh, "{} events to t = {}", base.events, t2);
-                    prop_assert_eq!(built.events, d.events.partition_point(|e| e.at() <= t2));
+                    prop_assert_eq!(
+                        built.events,
+                        timed_events(&d).iter().take_while(|e| e.0 <= t2).count()
+                    );
                     let extended = base.events <= built.events;
                     prop_assert_eq!(
                         built.events_sorted,
@@ -688,18 +720,81 @@ mod tests {
     }
 
     #[test]
-    fn event_timestamp_accessor() {
-        let e = EdgeEvent::Added {
-            src: 0,
-            dst: 1,
-            at: 2.5,
-        };
-        assert_eq!(e.at(), 2.5);
-        let e = EdgeEvent::Removed {
-            src: 0,
-            dst: 1,
-            at: 3.5,
-        };
-        assert_eq!(e.at(), 3.5);
+    fn rejects_non_finite_times() {
+        let mut d = DynamicGraph::new();
+        let a = d.add_node(0.0).unwrap();
+        for at in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(d.add_node(at), Err(GraphError::NonFiniteTime(_))));
+            assert!(matches!(
+                d.add_edge(a, a, at),
+                Err(GraphError::NonFiniteTime(_))
+            ));
+            assert!(matches!(
+                d.remove_edge(a, a, at),
+                Err(GraphError::NonFiniteTime(_))
+            ));
+        }
+        // nothing was logged, so the clock still stands at 0
+        assert_eq!((d.num_nodes(), d.events.len(), d.runs.len()), (1, 0, 0));
+        d.add_edge(a, a, 0.0).unwrap();
+        assert_eq!(d.edges_at(0.0), vec![(a, a)]);
+    }
+
+    #[test]
+    fn node_ids_stop_where_a_record_runs_out_of_bits() {
+        // a log of 2^31 nodes is 16 GiB of birth times, so the limit is
+        // checked where `add_node` takes its id
+        assert_eq!(next_node_id(0).unwrap(), 0);
+        let last = next_node_id(MAX_NODES - 1).unwrap();
+        assert_eq!(last, (1 << 31) - 1);
+        assert!(matches!(
+            next_node_id(MAX_NODES),
+            Err(GraphError::NodeOutOfBounds { node, num_nodes })
+                if node == 1 << 31 && num_nodes == 1 << 31
+        ));
+        // the highest id round-trips through a record as either endpoint
+        for added in [false, true] {
+            let rec = record(last, last, added);
+            assert_eq!(source(rec), last);
+            assert_eq!(row_key(rec), u64::from(last) << 1 | u64::from(added));
+        }
+    }
+
+    #[test]
+    fn events_at_one_time_form_one_run() {
+        let mut d = DynamicGraph::new();
+        for _ in 0..3 {
+            d.add_node(0.0).unwrap();
+        }
+        d.add_edge(0, 1, 1.0).unwrap();
+        // a node birth between events of one time starts no run
+        let late = d.add_node(2.0).unwrap();
+        for i in 0..500u32 {
+            d.add_edge(i % 3, late, 2.0).unwrap();
+            d.remove_edge(i % 3, late, 2.0).unwrap();
+        }
+        d.add_edge(2, late, 2.0).unwrap();
+        d.add_edge(late, 0, 3.0).unwrap();
+        assert_eq!(d.runs, vec![(1.0, 1), (2.0, 1002), (3.0, 1003)]);
+        let below = |t: f64| t - t * f64::EPSILON;
+        let above = |t: f64| t + t * f64::EPSILON;
+        for (t, events) in [
+            (below(1.0), 0),
+            (1.0, 1),
+            (above(1.0), 1),
+            (below(2.0), 1),
+            (2.0, 1002),
+            (above(2.0), 1002),
+            (below(3.0), 1002),
+            (3.0, 1003),
+            (above(3.0), 1003),
+        ] {
+            assert_eq!(d.events_at(t), events, "t = {t}");
+            let built = d.graph_at_full_from(None, t);
+            assert_eq!(built.events, events, "t = {t}");
+            assert_eq!(d.edges_at(t), replayed_edges_at(&d, t), "t = {t}");
+        }
+        assert_eq!(d.edges_at(2.0), vec![(0, 1), (2, late)]);
+        assert_eq!(d.edges_at(3.0), vec![(0, 1), (2, late), (late, 0)]);
     }
 }

@@ -24,6 +24,8 @@ pub enum GraphError {
         /// Latest timestamp seen before it.
         latest: f64,
     },
+    /// A timestamped event log was given a NaN or infinite time.
+    NonFiniteTime(f64),
     /// Parse failure while reading a text edge list.
     Parse {
         /// 1-based line number.
@@ -51,6 +53,7 @@ impl fmt::Display for GraphError {
             GraphError::OutOfOrderEvent { at, latest } => {
                 write!(f, "event at t={at} precedes latest t={latest}")
             }
+            GraphError::NonFiniteTime(at) => write!(f, "event time {at} is not finite"),
             GraphError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
             GraphError::Decode(msg) => write!(f, "decode error: {msg}"),
             GraphError::Io(e) => write!(f, "io error: {e}"),

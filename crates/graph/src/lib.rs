@@ -73,7 +73,7 @@ pub use align::restrict_snapshots;
 pub use bowtie::{BowTie, BowTieRegion};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
-pub use dynamic::{DynamicGraph, EdgeEvent, Materialized};
+pub use dynamic::{DynamicGraph, Materialized};
 pub use error::GraphError;
 pub use fingerprint::{pages_fingerprint, Fingerprinter};
 pub use relabel::{degree_order, Relabeling};

@@ -40,7 +40,8 @@
 //! tests and sets bits in one row, and nothing else. Only forgetting
 //! picks an aware user *by index*, so only a world that forgets
 //! (`forget_rate > 0`) also keeps each page's aware users as a list in
-//! discovery order.
+//! discovery order, and only it removes links, so only it keeps the set
+//! of navigation links that a forgotten like must not take with it.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -98,12 +99,13 @@ pub struct World {
     site_pages: Vec<Vec<u32>>,
     /// The evolving link graph; node ids == page indices.
     links: DynamicGraph,
-    /// Navigation edges that must survive forgetting.
+    /// Navigation edges, which forgetting must not remove — kept only
+    /// when `forget_rate > 0`, else empty.
     structural: HashSet<(u32, u32)>,
-    /// Like-links ever created (telemetry). User `u`'s like of page `p`
-    /// is the link `homepage[u] -> p`, and exists iff `homepage[u] != p`,
-    /// so no per-like record is kept.
-    like_links: usize,
+    /// Links ever created, navigation and like-links (telemetry). User
+    /// `u`'s like of page `p` is the link `homepage[u] -> p`, and exists
+    /// iff `homepage[u] != p`, so no per-like record is kept.
+    links_created: usize,
     /// Cached PageRank for the ByPageRank visit model.
     cached_pr: Vec<f64>,
     cached_pr_pages: usize,
@@ -163,7 +165,7 @@ impl World {
             site_pages: vec![Vec::new(); config.num_sites],
             links: DynamicGraph::new(),
             structural: HashSet::new(),
-            like_links: 0,
+            links_created: 0,
             cached_pr: Vec::new(),
             cached_pr_pages: 0,
             steps_taken: 0,
@@ -237,7 +239,10 @@ impl World {
         if src != dst {
             self.version += 1;
             self.links.add_edge(src, dst, self.time)?;
-            self.structural.insert((src, dst));
+            self.links_created += 1;
+            if self.config.forget_rate > 0.0 {
+                self.structural.insert((src, dst));
+            }
         }
         Ok(())
     }
@@ -266,7 +271,7 @@ impl World {
         let src = self.homepage[user as usize];
         if src != page {
             self.links.add_edge(src, page, self.time)?;
-            self.like_links += 1;
+            self.links_created += 1;
         }
         Ok(())
     }
@@ -280,7 +285,7 @@ impl World {
         // draws randomness or branches the simulation, so enabling
         // observability cannot perturb the history (see the obs-on/off
         // fingerprint test in tests/determinism.rs).
-        let links_before = self.like_links + self.structural.len();
+        let links_before = self.links_created;
 
         // 1. Page births.
         let births_span = qrank_obs::span!("sim.step.births");
@@ -320,8 +325,7 @@ impl World {
             self.record_like(p, user)?;
         }
         drop(likes_span);
-        let links_created =
-            (self.like_links + self.structural.len()).saturating_sub(links_before) as u64;
+        let links_created = (self.links_created - links_before) as u64;
 
         // 3. Forgetting.
         let mut forgets = 0u64;
@@ -1037,6 +1041,7 @@ mod tests {
             .unwrap();
             w.run_until(4.0);
             assert_eq!(w.aware_members.is_empty(), forget_rate == 0.0);
+            assert_eq!(w.structural.is_empty(), forget_rate == 0.0);
             let popcount = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
             for p in 0..w.num_pages() {
                 let (aware, liked) = (w.aware.row(p), w.liked.row(p));
