@@ -137,6 +137,21 @@ impl Parsed {
             }),
         }
     }
+
+    /// Finite `f64` option with a default: `NaN` and the infinities
+    /// parse as `f64` but are usage errors here (an Equation 1 constant
+    /// or a change threshold must be a number).
+    pub fn get_finite(&self, key: &str, default: f64, usage: &str) -> Result<f64, CliError> {
+        let v: f64 = self.get_or(key, default, usage)?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(CliError::usage(
+                format!("`--{key}` must be finite, got `{v}`"),
+                usage,
+            ))
+        }
+    }
 }
 
 /// Write `lines` to `path`, or stdout when `path` is `None` or `-`.

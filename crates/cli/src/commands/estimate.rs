@@ -58,6 +58,9 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         println!("{USAGE}");
         return Ok(());
     }
+    let defaults = PipelineConfig::default();
+    let c = p.get_finite("c", defaults.c, USAGE)?;
+    let min_change = p.get_finite("min-change", defaults.min_relative_change, USAGE)?;
     let series = load_series(&p)?;
 
     let metric = match p.get("metric").unwrap_or("pagerank") {
@@ -65,9 +68,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         "indegree" => PopularityMetric::InDegree,
         other => return Err(CliError::usage(format!("unknown metric `{other}`"), USAGE)),
     };
-    let defaults = PipelineConfig::default();
-    let c: f64 = p.get_or("c", defaults.c, USAGE)?;
-    let min_change: f64 = p.get_or("min-change", defaults.min_relative_change, USAGE)?;
     let paper = PipelineConfig { c, ..defaults }.estimator();
     let adaptive = AdaptiveWindow {
         c,
@@ -404,5 +404,16 @@ mod tests {
             run(&argv(&["--graphs", "a,b,c", "--times", "0,1,x"])),
             Err(CliError::Usage(_))
         ));
+        // a non-finite Equation 1 constant or threshold is a usage
+        // error, not a panic or a report of `inf` estimates
+        for (key, raw) in [("--c", "NaN"), ("--c", "inf"), ("--min-change", "NaN")] {
+            assert!(
+                matches!(
+                    run(&argv(&["--series", "x", key, raw])),
+                    Err(CliError::Usage(_))
+                ),
+                "{key} {raw}"
+            );
+        }
     }
 }

@@ -5,9 +5,9 @@
 //! collects the Prometheus text exposition up to the `# EOF`
 //! terminator, and either passes it through (`--format prom`) or
 //! re-encodes each sample as a JSON object. With `--series` it runs
-//! the quality-estimation pipeline locally with observability enabled
-//! and writes the full in-process snapshot (registry, convergence
-//! traces, flight-recorder events) from [`qrank_obs::dump_json`].
+//! the quality-estimation pipeline locally, at its default settings and
+//! with observability enabled, and writes the global registry's
+//! snapshot (counters and histograms).
 
 use qrank_core::{run_pipeline, PipelineConfig};
 use qrank_graph::io::decode_series;
@@ -23,20 +23,18 @@ options:
   --addr HOST:PORT   fetch the `metrics` exposition from a running
                      `qrank serve` instance
   --series FILE      run the estimation pipeline on a snapshot series
-                     locally (observability enabled) and dump the full
-                     in-process snapshot
-  --c C              Equation 1 constant for --series (default 0.1)
-  --min-change X     report filter for --series (default 0.05)
+                     locally (default settings, observability enabled)
+                     and dump the registry it filled
   --format F         json | prom (default json)
   --out FILE         write the snapshot to FILE (default stdout)
 
 json output from --addr is an array of {name, labels, value} samples;
-json output from --series is the {registry, convergence, events}
+json output from --series is the registry's {counters, histograms}
 snapshot. prom output is Prometheus text terminated by `# EOF`.";
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let allowed = ["addr", "series", "c", "min-change", "format", "out"];
+    let allowed = ["addr", "series", "format", "out"];
     let p = parse(argv, &allowed, USAGE)?;
     if p.help {
         println!("{USAGE}");
@@ -64,16 +62,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             let was_enabled = qrank_obs::enabled();
             qrank_obs::set_enabled(true);
             qrank_obs::reset();
-            let defaults = PipelineConfig::default();
-            let cfg = PipelineConfig {
-                c: p.get_or("c", defaults.c, USAGE)?,
-                min_relative_change: p.get_or("min-change", defaults.min_relative_change, USAGE)?,
-                ..defaults
-            };
-            let result = run_pipeline(&series, &cfg);
+            let result = run_pipeline(&series, &PipelineConfig::default());
+            let snapshot = qrank_obs::global().snapshot();
             let dump = match format {
-                "prom" => format!("{}# EOF", qrank_obs::global().snapshot().prometheus_text()),
-                _ => qrank_obs::dump_json(),
+                "prom" => format!("{}# EOF", snapshot.prometheus_text()),
+                _ => snapshot.to_json(),
             };
             qrank_obs::set_enabled(was_enabled);
             result.map_err(|e| CliError::Runtime(e.to_string()))?;
@@ -218,11 +211,10 @@ mod tests {
         ]))
         .unwrap();
         let json = std::fs::read_to_string(&out).unwrap();
-        assert!(json.contains(r#""registry""#), "{json}");
-        assert!(json.contains(r#""convergence""#), "{json}");
+        assert!(json.contains(r#""counters""#), "{json}");
         // the pipeline ranks every aligned snapshot, so at least one
-        // solver must have left a convergence trace behind
-        assert!(json.contains(r#""solver""#), "{json}");
+        // solver must have counted a solve
+        assert!(json.contains(r#""rank.solve."#), "{json}");
         assert!(json.contains("span.pipeline.run"), "{json}");
     }
 
@@ -235,6 +227,11 @@ mod tests {
         ));
         assert!(matches!(
             run(&argv(&["--addr", "127.0.0.1:1", "--format", "xml"])),
+            Err(CliError::Usage(_))
+        ));
+        // the pipeline runs at its defaults: no Equation 1 knobs
+        assert!(matches!(
+            run(&argv(&["--series", "x", "--c", "0.2"])),
             Err(CliError::Usage(_))
         ));
         // nothing listens on port 9

@@ -168,8 +168,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     let defaults = RefreshConfig::default();
     let refresh_cfg = RefreshConfig {
         pipeline: PipelineConfig {
-            c: p.get_or("c", defaults.pipeline.c, USAGE)?,
-            min_relative_change: p.get_or(
+            c: p.get_finite("c", defaults.pipeline.c, USAGE)?,
+            min_relative_change: p.get_finite(
                 "min-change",
                 defaults.pipeline.min_relative_change,
                 USAGE,
@@ -603,5 +603,15 @@ mod tests {
             run(&argv(&["--series", "x", "--shards", "2"])),
             Err(CliError::Usage(_))
         ));
+        // a NaN constant would serve `"quality":null` for every page
+        for (key, raw) in [("--c", "NaN"), ("--c", "inf"), ("--min-change", "NaN")] {
+            assert!(
+                matches!(
+                    run(&argv(&["--series", "x", key, raw])),
+                    Err(CliError::Usage(_))
+                ),
+                "{key} {raw}"
+            );
+        }
     }
 }

@@ -6,13 +6,13 @@
 //! `"outer/inner"`, so the histogram names themselves encode the call
 //! tree (`span.pipeline.run/pipeline.trajectories`, …).
 //!
-//! When observability is [`crate::enabled`] a closed span lands in a
-//! `span.<path>` nanosecond histogram in the global registry, an event
-//! in the [`crate::recorder`] ring, and, when it closes deeper than a
-//! [`crate::trace`] current on its thread began, that trace's stages,
-//! named by its path below the trace's root. When disabled, or on a
-//! [`mute`]d thread with no trace current, the guard is inert — no
-//! clock read, no allocation, no lock.
+//! When observability is [`crate::enabled`] a closed span is written
+//! once: into a `span.<path>` nanosecond histogram in the global
+//! registry and, when it closes deeper than a [`crate::trace`] current
+//! on its thread began, into that trace's stages, named by its path
+//! below the trace's root. When disabled, or on a [`mute`]d thread with
+//! no trace current, the guard is inert — no clock read, no
+//! allocation, no lock.
 //!
 //! The stack is per thread, so a span opened on a freshly spawned
 //! worker would record as a *root* and the stage that fanned out would
@@ -27,7 +27,6 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::recorder;
 use crate::trace::Stage;
 
 /// One thread's spans: those open (outermost first), whether it is
@@ -166,7 +165,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur_ns = start.elapsed().as_nanos() as u64;
-        let (path, depth) = THREAD.with(|t| {
+        let path = THREAD.with(|t| {
             let Thread { stack, trace, .. } = &mut *t.borrow_mut();
             let (path, depth) = (stack.join("/"), stack.len());
             if let Some(c) = trace.as_mut().filter(|c| depth > c.base) {
@@ -182,12 +181,11 @@ impl Drop for SpanGuard {
             if stack.last() == Some(&self.name) {
                 stack.pop();
             }
-            (path, depth)
+            path
         });
         crate::global()
             .histogram(&format!("span.{path}"))
             .record(dur_ns);
-        recorder::record(&path, dur_ns, depth as u32, "");
     }
 }
 

@@ -47,7 +47,9 @@ use qrank_graph::relabel::Relabeling;
 use qrank_graph::CsrGraph;
 
 use crate::gauss_seidel::HEAD;
-use crate::power::{apply_scale, inv_out_degree, renormalize, start_vector, PageRankResult};
+use crate::power::{
+    apply_scale, count_solve, inv_out_degree, renormalize, start_vector, PageRankResult,
+};
 use crate::PageRankConfig;
 
 #[inline]
@@ -373,7 +375,7 @@ pub(crate) fn colored_into(
     for (score, &new) in out.scores.iter_mut().zip(&r.perm) {
         *score = scores[new as usize];
     }
-    qrank_obs::convergence::record_solve("colored", n, iterations, converged, &residuals);
+    count_solve("colored", iterations);
     out.iterations = iterations;
     out.converged = converged;
     out.residuals = residuals;

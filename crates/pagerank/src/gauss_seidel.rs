@@ -12,7 +12,9 @@
 
 use qrank_graph::CsrGraph;
 
-use crate::power::{apply_scale, inv_out_degrees, renormalize, start_vector, PageRankResult};
+use crate::power::{
+    apply_scale, count_solve, inv_out_degrees, renormalize, start_vector, PageRankResult,
+};
 use crate::PageRankConfig;
 
 /// Compute PageRank by Gauss–Seidel iteration, from the uniform vector.
@@ -129,13 +131,7 @@ pub(crate) fn gauss_seidel_into(g: &CsrGraph, config: &PageRankConfig, out: &mut
     // GS does not preserve the simplex exactly en route; project back.
     renormalize(x);
     apply_scale(x, config.scale);
-    qrank_obs::convergence::record_solve(
-        "gauss_seidel",
-        n,
-        out.iterations,
-        out.converged,
-        &out.residuals,
-    );
+    count_solve("gauss_seidel", out.iterations);
 }
 
 #[cfg(test)]

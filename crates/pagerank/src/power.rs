@@ -14,8 +14,9 @@ pub struct PageRankResult {
     pub iterations: usize,
     /// Whether the tolerance was met before the iteration cap.
     pub converged: bool,
-    /// L1 residual after each iteration (probability scale); useful for
-    /// convergence studies.
+    /// L1 residual after each iteration (probability scale): the
+    /// solve's convergence curve, one entry per iteration
+    /// (`qrank pagerank --trace` writes it).
     pub residuals: Vec<f64>,
 }
 
@@ -111,6 +112,20 @@ pub(crate) fn inv_out_degrees(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
+/// Count one finished solve under its solver's name: `rank.solve.<solver>`
+/// by one, `rank.iterations.<solver>` by its iterations. No-op when
+/// observability is off.
+pub(crate) fn count_solve(solver: &str, iterations: usize) {
+    if !qrank_obs::enabled() {
+        return;
+    }
+    let registry = qrank_obs::global();
+    registry.counter(&format!("rank.solve.{solver}")).inc();
+    registry
+        .counter(&format!("rank.iterations.{solver}"))
+        .add(iterations as u64);
+}
+
 pub(crate) fn apply_scale(scores: &mut [f64], scale: ScoreScale) {
     if scale == ScoreScale::PerPage {
         let n = scores.len() as f64;
@@ -153,7 +168,7 @@ pub fn pagerank(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
         }
     }
     apply_scale(&mut x, config.scale);
-    qrank_obs::convergence::record_solve("power", n, iterations, converged, &residuals);
+    count_solve("power", iterations);
     PageRankResult {
         scores: x,
         iterations,

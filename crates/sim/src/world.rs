@@ -365,16 +365,6 @@ impl World {
             registry.counter("sim.likes").add(likes);
             registry.counter("sim.links_created").add(links_created);
             registry.counter("sim.forgets").add(forgets);
-            qrank_obs::recorder::record(
-                "sim.step",
-                0,
-                0,
-                &format!(
-                    "step={} t={:.4} births={births} visits={visits} likes={likes} \
-                     links={links_created} forgets={forgets}",
-                    self.steps_taken, self.time
-                ),
-            );
         }
         Ok(())
     }
