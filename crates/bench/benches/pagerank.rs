@@ -111,10 +111,11 @@ fn bench_gauss_seidel_shapes(c: &mut Criterion) {
 }
 
 /// The colored sweep at the `batch_rank` size: one column on one and on
-/// two threads (the kernel in the graph's own order), and a window of
-/// four nested prefixes of the web through `solve_many`, which renames
-/// every column by degree and, under a budget of two or more, solves the
-/// columns side by side with the colored sweep.
+/// two threads (the kernel in the graph's own order), beside the
+/// sequential sweep on the same web, and a window of four nested
+/// prefixes of the web through `solve_many`, which renames every column
+/// by degree and, under a budget of two or more, solves the columns side
+/// by side with the colored sweep.
 fn bench_colored(c: &mut Criterion) {
     let mut group = c.benchmark_group("colored");
     group.sample_size(10);
@@ -126,6 +127,9 @@ fn bench_colored(c: &mut Criterion) {
             b.iter(|| black_box(colored_gauss_seidel(&web, &cfg, threads)))
         });
     }
+    group.bench_function("sequential", |b| {
+        b.iter(|| black_box(gauss_seidel(&web, &cfg)))
+    });
     let columns: Vec<CsrGraph> = [101_000u32, 102_000, 103_500, 105_000]
         .into_iter()
         .map(|pages| web.induced_subgraph_sorted(&(0..pages).collect::<Vec<u32>>()))

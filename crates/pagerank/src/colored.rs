@@ -25,7 +25,7 @@
 //! and the out-degrees are indexed by position. A row is the node's
 //! renamed in-row sorted ascending — the row the renamed graph would
 //! hold — mapped to positions and stored as a padded head of `HEAD`
-//! entries plus a tail, as in the sequential sweep. A node's
+//! entries, as in the sequential sweep, plus an unpadded tail. A node's
 //! residual term goes to a slot indexed by its renamed id and is summed
 //! in renamed order; a class's dangling delta is reduced over its
 //! positions, which is ascending renamed id. Every addend and every

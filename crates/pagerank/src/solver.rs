@@ -17,13 +17,15 @@
 //!   Coloring makes the sweep deterministic for any thread count.
 //!
 //! The threshold is a setting, not a measured crossover. What has been
-//! measured (EXPERIMENTS.md "Solver crossover", one web of 105 k pages
-//! on a 2-core host) is that the colored sweep gains nothing from a
-//! second thread at that size, and that since its class-major layout
-//! the colored sweep on one thread takes less time per column than the
-//! sequential one. The threshold and the choice are owned by the
-//! ROADMAP.md item "One column schedule", which asks for the crossover
-//! curve first.
+//! measured (EXPERIMENTS.md "Solver crossover" and "Pull layout head
+//! width", one web of 105 k pages on a 2-core host) is that the colored
+//! sweep gains nothing from a second thread at that size, and that on
+//! one thread the two sweeps now take about as long per column: the
+//! sequential sweep's row-record layout brought it from well behind the
+//! colored one to level with it (criterion `colored/sequential` against
+//! `colored/colored_1t` on the same web, 93–107 against 95–99 ms). The
+//! threshold and the choice are owned by the ROADMAP.md item "One column
+//! schedule", which asks for the crossover curve first.
 //!
 //! Equation 1 wants the PageRank of one page set at several crawls, so
 //! the pipeline's unit of work is a *batch* of independent solves.
