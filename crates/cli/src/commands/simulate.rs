@@ -23,8 +23,9 @@ options:
   --interval M       months between estimation snapshots (default 1)
   --future M         months from first snapshot to the held-out one (default 6)
   --seed S           RNG seed (default 42)
-  --threads T        visit-phase worker threads (default 1; the simulated
-                     history is bit-identical for every value)
+  --threads T        visit-phase worker threads (default: the thread
+                     budget, QRANK_THREADS or the available cores; the
+                     simulated history is bit-identical for every value)
 
 the snapshot times are: burn-in + 0, interval, 2*interval, ...,
 (K-2)*interval, and burn-in + future for the last snapshot.";
@@ -83,7 +84,7 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
 
     let mut world = World::bootstrap(cfg).map_err(|e| CliError::Runtime(e.to_string()))?;
-    world.set_thread_budget(p.get_or("threads", 1, USAGE)?);
+    world.set_thread_budget(p.get_or("threads", qrank_rank::thread_budget(), USAGE)?);
     let schedule = SnapshotSchedule { times };
     let series = Crawler::default()
         .crawl_schedule(&mut world, &schedule)

@@ -71,9 +71,8 @@ impl CsrGraph {
     /// `in_degree[v]` counts the lists that name `v` (every producer has a
     /// pass over its edges in which counting them is free). Only the
     /// transposed arrays are derived here, so producers that emit rows in
-    /// order ([`crate::DynamicGraph::graph_at_full`],
-    /// [`Self::restrict_relabel`]) skip the edge-pair detour. Debug builds
-    /// assert the precondition.
+    /// order ([`crate::DynamicGraph::graph_at_full`]) skip the edge-pair
+    /// detour. Debug builds assert the precondition.
     pub(crate) fn from_sorted_rows(
         out_offsets: Vec<usize>,
         out_targets: Vec<NodeId>,
@@ -245,13 +244,17 @@ impl CsrGraph {
     /// `old_to_new[u]`. `old_to_new` must map the surviving nodes
     /// bijectively onto `0..new_n` (debug-asserted).
     ///
-    /// This is the alignment hot path: it emits the output CSR directly —
-    /// one counting pass over the surviving adjacency, one fill pass, a
-    /// per-node sort of the (short) remapped neighbor lists — with no
-    /// intermediate edge vector, no hashing, and no second relabel pass.
-    /// The result is identical to composing [`Self::induced_subgraph`]
-    /// with [`Self::relabel`], which the property suite proves
-    /// edge-for-edge on arbitrary graphs and keep sets.
+    /// This is the alignment hot path: it emits the output CSR directly.
+    /// The survivors' out-rows and in-rows are filtered and renamed in
+    /// new-id order into arrays of exactly the surviving edge count, with
+    /// no intermediate edge vector, no transpose scatter, no hashing and
+    /// no second relabel pass. A renamed row is sorted only when the
+    /// renaming is not monotone (checked once): a restriction that keeps
+    /// the old order — the crawler's, or the common set of id-sorted
+    /// snapshots — sorts nothing. The result is identical to composing
+    /// [`Self::induced_subgraph`] with [`Self::relabel`], which the
+    /// property suite proves edge-for-edge on arbitrary graphs and keep
+    /// sets.
     pub fn restrict_relabel(&self, old_to_new: &[NodeId], new_n: usize) -> CsrGraph {
         let n = self.num_nodes();
         debug_assert_eq!(old_to_new.len(), n, "old_to_new must cover every node");
@@ -268,43 +271,42 @@ impl CsrGraph {
             old_of_new.iter().all(|&o| o != NodeId::MAX),
             "old_to_new must be onto 0..new_n"
         );
+        let monotone = old_of_new.windows(2).all(|w| w[0] < w[1]);
 
-        // Counting pass: surviving out-degree per new node.
-        let mut out_offsets = vec![0usize; new_n + 1];
-        for (new_u, &old_u) in old_of_new.iter().enumerate() {
-            let survivors = self
-                .out_neighbors(old_u)
-                .iter()
-                .filter(|&&v| old_to_new[v as usize] != NodeId::MAX)
-                .count();
-            out_offsets[new_u + 1] = survivors;
-        }
-        for i in 0..new_n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-
-        // Fill pass: remap each surviving neighbor list and sort it in
-        // place (the remap is not monotone when the new order differs
-        // from the old, so per-list sorting restores the CSR invariant).
-        let mut out_targets: Vec<NodeId> = vec![0; out_offsets[new_n]];
-        let mut in_degree = vec![0usize; new_n];
-        for (new_u, &old_u) in old_of_new.iter().enumerate() {
-            let start = out_offsets[new_u];
-            let mut cursor = start;
-            for &old_v in self.out_neighbors(old_u) {
-                let new_v = old_to_new[old_v as usize];
-                if new_v != NodeId::MAX {
-                    out_targets[cursor] = new_v;
-                    cursor += 1;
+        // One row kind at a time: the rows of the survivors in new-id
+        // order, each filtered to its surviving neighbors and renamed.
+        let restrict_rows = |offsets: &[usize], targets: &[NodeId], capacity: usize| {
+            let mut new_offsets = Vec::with_capacity(new_n + 1);
+            let mut new_targets = Vec::with_capacity(capacity);
+            new_offsets.push(0);
+            for &old_u in &old_of_new {
+                let start = new_targets.len();
+                let row = &targets[offsets[old_u as usize]..offsets[old_u as usize + 1]];
+                new_targets.extend(
+                    row.iter()
+                        .map(|&old_v| old_to_new[old_v as usize])
+                        .filter(|&new_v| new_v != NodeId::MAX),
+                );
+                if !monotone {
+                    new_targets[start..].sort_unstable();
                 }
+                new_offsets.push(new_targets.len());
             }
-            let list = &mut out_targets[start..cursor];
-            list.sort_unstable();
-            for &v in list.iter() {
-                in_degree[v as usize] += 1;
-            }
+            (new_offsets, new_targets)
+        };
+        let kept_out_degrees: usize = old_of_new.iter().map(|&u| self.out_degree(u)).sum();
+        let (out_offsets, mut out_targets) =
+            restrict_rows(&self.out_offsets, &self.out_targets, kept_out_degrees);
+        out_targets.shrink_to_fit();
+        let (in_offsets, in_sources) =
+            restrict_rows(&self.in_offsets, &self.in_sources, out_targets.len());
+        debug_assert_eq!(in_sources.len(), out_targets.len());
+        CsrGraph {
+            out_offsets,
+            out_targets,
+            in_offsets,
+            in_sources,
         }
-        Self::from_sorted_rows(out_offsets, out_targets, &in_degree)
     }
 
     /// Relabel nodes by `perm`, where `perm[old] = new`. `perm` must be a

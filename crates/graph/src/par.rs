@@ -1,15 +1,18 @@
 //! The workspace's one fan-out: independent jobs over scoped threads,
 //! the calling thread working as one of them.
 //!
-//! Both users — [`crate::restrict_snapshots`] and `qrank_rank`'s
-//! column-parallel solve — have a handful of jobs that are pure
+//! Its three users — [`crate::restrict_snapshots`], `qrank_rank`'s
+//! column-parallel solve and `qrank_sim`'s visit phase (one job per
+//! chunk of pages, every step) — have a handful of jobs that are pure
 //! functions of their inputs and write to disjoint result slots, so the
 //! outcome cannot depend on which thread ran what. What the threads *do*
 //! differ in is where their allocations land: glibc gives every spawned
 //! thread its own malloc arena and keeps what was freed there, so a
 //! caller that parks while `workers` fresh threads build the results
 //! pays for `workers` arenas on top of its own. Here the caller is
-//! worker 0 and only `workers − 1` threads are spawned.
+//! worker 0 and only `workers − 1` threads are spawned. A job that must
+//! grow a buffer is best handed one the caller allocated: glibc grows
+//! a block in the arena it came from, whichever thread asks.
 
 use std::sync::Mutex;
 

@@ -104,7 +104,7 @@ impl CsrGraph {
     ///
     /// A renaming is a restriction that drops nothing, so this is
     /// [`CsrGraph::restrict_relabel`] with every node surviving: rows are
-    /// counted, placed and sorted by new id directly, with no edge list
+    /// renamed, placed and sorted by new id directly, with no edge list
     /// in between. Neighbor lists are sorted, so the result is the graph
     /// [`CsrGraph::from_edges`] builds from the mapped edge list —
     /// including the row order that fixes a solver's summation order.

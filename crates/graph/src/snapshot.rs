@@ -132,6 +132,46 @@ impl PageSet {
             Some(order) => order.iter().map(|&n| self.ids[n as usize]).collect(),
         }
     }
+
+    /// `old_to_new[node]`: the node of `keep` labeled like this set's
+    /// `node`, `NodeId::MAX` for a page `keep` lacks — one merge of the
+    /// two sets' ids in ascending order, walking `order` where the ids
+    /// are unsorted.
+    ///
+    /// A page of `keep` that this set lacks is an
+    /// [`UnknownPage`](GraphError::UnknownPage) naming the first such
+    /// page in `keep`'s node order, whatever order the merge meets them.
+    fn renaming_onto(&self, keep: &PageSet) -> Result<Vec<NodeId>, GraphError> {
+        let mut old_to_new = vec![NodeId::MAX; self.len()];
+        let mut unknown = NodeId::MAX;
+        let mut k = 0;
+        for rank in 0..keep.len() {
+            let new = keep.node_by_rank(rank);
+            let page = keep.ids[new as usize];
+            while k < self.len() && self.ids[self.node_by_rank(k) as usize] < page {
+                k += 1;
+            }
+            if k < self.len() && self.ids[self.node_by_rank(k) as usize] == page {
+                old_to_new[self.node_by_rank(k) as usize] = new;
+                k += 1;
+            } else {
+                unknown = unknown.min(new);
+            }
+        }
+        match keep.ids.get(unknown as usize) {
+            Some(page) => Err(GraphError::UnknownPage(page.0)),
+            None => Ok(old_to_new),
+        }
+    }
+
+    /// The node holding the `rank`-th smallest id.
+    #[inline]
+    fn node_by_rank(&self, rank: usize) -> NodeId {
+        match &self.order {
+            None => rank as NodeId,
+            Some(order) => order[rank],
+        }
+    }
 }
 
 impl std::ops::Deref for PageSet {
@@ -236,9 +276,12 @@ impl Snapshot {
 
     /// [`Snapshot::restrict_to`] against a shared page universe: the
     /// restricted snapshot holds an `Arc` of `keep` rather than its own
-    /// copy, and the restriction is a single fused pass
-    /// ([`CsrGraph::restrict_relabel`]) — no intermediate edge list, no
-    /// second relabel pass, no hashing.
+    /// copy. Old ids are mapped to new ones by one merge of the two id
+    /// lists in ascending order, and the graph is restricted in one
+    /// filtering pass ([`CsrGraph::restrict_relabel`]) — no per-page
+    /// search, no intermediate edge list, no second relabel pass, no
+    /// hashing. An unknown page is reported as the first one in `keep`'s
+    /// node order.
     ///
     /// When `keep` lists exactly this snapshot's pages in this snapshot's
     /// node order the restriction is the identity: the result is this
@@ -258,11 +301,7 @@ impl Snapshot {
         }
         let graph = {
             let _span = qrank_obs::span!("align.restrict");
-            let mut old_to_new = vec![NodeId::MAX; self.graph.num_nodes()];
-            for (new, &p) in keep.ids().iter().enumerate() {
-                let old = self.node_of(p).ok_or(GraphError::UnknownPage(p.0))?;
-                old_to_new[old as usize] = new as NodeId;
-            }
+            let old_to_new = self.pages.renaming_onto(keep)?;
             self.graph.restrict_relabel(&old_to_new, keep.len())
         };
         Snapshot::from_page_set(self.time, graph, Arc::clone(keep))

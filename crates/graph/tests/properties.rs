@@ -5,10 +5,21 @@ use qrank_graph::io::{decode_graph, decode_series, encode_graph, encode_series};
 use qrank_graph::relabel::Relabeling;
 use qrank_graph::scc::tarjan_scc;
 use qrank_graph::traversal::{bfs, weakly_connected_components};
-use qrank_graph::{CsrGraph, NodeId, PageId, PageSet, Snapshot, SnapshotSeries};
+use qrank_graph::{CsrGraph, GraphError, NodeId, PageId, PageSet, Snapshot, SnapshotSeries};
 
 fn arbitrary_edges(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0..max_nodes, 0..max_nodes), 0..max_edges)
+}
+
+/// Shuffle `items` in place with a seeded LCG (Fisher–Yates).
+fn shuffle<T>(items: &mut [T], seed: u64) {
+    let mut s = seed;
+    for i in (1..items.len()).rev() {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        items.swap(i, (s >> 33) as usize % (i + 1));
+    }
 }
 
 /// Reachability test via BFS.
@@ -202,13 +213,7 @@ proptest! {
             (0..24u32).filter(|&u| keep_sel[u as usize] == 1).collect();
         // An arbitrary keep order: restriction must honor any labeling.
         let mut keep = sorted_keep.clone();
-        let mut s = shuffle_seed;
-        for i in (1..keep.len()).rev() {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            keep.swap(i, (s >> 33) as usize % (i + 1));
-        }
+        shuffle(&mut keep, shuffle_seed);
 
         // Reference: induced subgraph in sorted order, then a full
         // relabel pass mapping sorted position -> keep position.
@@ -278,6 +283,64 @@ proptest! {
         prop_assert_eq!(restricted.fingerprint(), reference.fingerprint());
     }
 
+    /// Restriction with unsorted labels on both sides: the snapshot's
+    /// labels are shuffled and `keep` lists its pages in an arbitrary
+    /// order, so the id merge walks both sets' sorted permutations and
+    /// the renamed rows need sorting. The result is `induced_subgraph` +
+    /// `relabel` rebuilt through `Snapshot::new`, fingerprint included.
+    /// With two unknown pages in `keep`, the error names the first of
+    /// them in `keep`'s order, whichever the merge meets first.
+    #[test]
+    fn unsorted_restriction_matches_rebuilt_reference(
+        edges in arbitrary_edges(16, 80),
+        keep_sel in prop::collection::vec(0u8..2, 16..17),
+        label_seed in 0u64..u64::MAX,
+        keep_seed in 0u64..u64::MAX,
+        unknown_at in (0usize..17, 0usize..18),
+    ) {
+        let g = CsrGraph::from_edges(16, &edges);
+        let mut pages: Vec<PageId> = (0..16u64).map(|p| PageId(p * 7 + 1)).collect();
+        shuffle(&mut pages, label_seed);
+        let snap = Snapshot::new(2.5, g.clone(), pages.clone()).unwrap();
+        let mut keep_nodes: Vec<NodeId> =
+            (0..16u32).filter(|&u| keep_sel[u as usize] == 1).collect();
+        shuffle(&mut keep_nodes, keep_seed);
+        let keep_pages: Vec<PageId> =
+            keep_nodes.iter().map(|&u| pages[u as usize]).collect();
+
+        let restricted = snap.restrict_to(&keep_pages).unwrap();
+
+        // Reference: the induced subgraph in ascending node order, then
+        // renamed into keep order by the edge-list relabel.
+        let (sub, sorted_nodes) = g.induced_subgraph(&keep_nodes);
+        let perm: Vec<NodeId> = sorted_nodes
+            .iter()
+            .map(|u| keep_nodes.iter().position(|k| k == u).unwrap() as NodeId)
+            .collect();
+        let reference =
+            Snapshot::new(2.5, sub.relabel(&perm).unwrap(), keep_pages.clone()).unwrap();
+        prop_assert_eq!(&restricted.graph, &reference.graph);
+        prop_assert_eq!(restricted.pages(), reference.pages());
+        prop_assert_eq!(restricted.fingerprint(), reference.fingerprint());
+
+        // Labels are 1 mod 7: page 700 sorts after every label and page
+        // 14 among them, so the merge meets 14 first wherever it stands.
+        let mut with_unknown = keep_pages;
+        with_unknown.insert(unknown_at.0.min(with_unknown.len()), PageId(700));
+        with_unknown.insert(unknown_at.1.min(with_unknown.len()), PageId(14));
+        let first_unknown = *with_unknown
+            .iter()
+            .find(|&&p| snap.node_of(p).is_none())
+            .unwrap();
+        prop_assert!(
+            matches!(
+                snap.restrict_to(&with_unknown),
+                Err(GraphError::UnknownPage(p)) if p == first_unknown.0
+            ),
+            "the error must name {}", first_unknown
+        );
+    }
+
     /// Restricting a snapshot to exactly its own pages in its own node
     /// order skips the fused pass; what comes back is what the pass
     /// would have built — the four CSR arrays, the fingerprint — under
@@ -291,13 +354,7 @@ proptest! {
         let g = CsrGraph::from_edges(16, &edges);
         let mut pages: Vec<PageId> = (0..16u64).map(|p| PageId(p * 7 + 1)).collect();
         if sorted == 0 {
-            let mut s = shuffle_seed;
-            for i in (1..pages.len()).rev() {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                pages.swap(i, (s >> 33) as usize % (i + 1));
-            }
+            shuffle(&mut pages, shuffle_seed);
         }
         let snap = Snapshot::new(2.5, g.clone(), pages.clone()).unwrap();
         let keep = PageSet::new(pages).unwrap();

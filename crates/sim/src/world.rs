@@ -27,10 +27,24 @@
 //! counter-based stream keyed on `(seed, step, page)`
 //! ([`crate::rng::StreamRng`]), so its outcome is a pure function of the
 //! config: identical configs give **bit-identical histories for any
-//! thread count**. [`World::set_thread_budget`] picks how many worker
-//! threads process page chunks; like-link mutations are collected
-//! per-thread and applied in page order afterwards, keeping the graph
-//! event log identical too.
+//! thread count**.
+//!
+//! The phase runs on the thread budget ([`qrank_rank::thread_budget`],
+//! read once at bootstrap; [`World::set_thread_budget`] overrides it)
+//! through the workspace's one fan-out,
+//! [`qrank_graph::par::for_each_slot`]. Pages are cut into about four
+//! contiguous chunks a thread, each holding the same number of
+//! unsaturated pages (a saturated page returns before it draws
+//! anything), and a free worker takes the next chunk, which evens out
+//! what the count does not (an older page has more likes, so more
+//! visits). A
+//! chunk owns its pages' rows of both bit tables, their counts and a
+//! like buffer: a like sets its bit and count inside the chunk, after
+//! the page's rate was read from its count, so no page reads what
+//! another page's visits wrote. Only the like-links touch shared state;
+//! they are appended afterwards, on the calling thread, in page order
+//! (discovery order within a page), so the graph event log is the same
+//! at every thread count too.
 //!
 //! ## State layout
 //!
@@ -46,6 +60,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
+use qrank_graph::par::for_each_slot;
 use qrank_graph::{CsrGraph, DynamicGraph, GraphError};
 use qrank_model::noise::binomial;
 use rand::rngs::StdRng;
@@ -114,6 +129,10 @@ pub struct World {
     /// Worker threads for the visit phase (execution knob only; the
     /// history is bit-identical for every value).
     threads: usize,
+    /// One like buffer per visit chunk, emptied by every step's like
+    /// step and kept for the next: allocated on the calling thread, so
+    /// their growth stays in its malloc arena (see `qrank_graph::par`).
+    like_buffers: Vec<Vec<(u32, u32)>>,
     /// Bumped on every state mutation (page birth, link add/remove,
     /// like/unlike); keys the derived-view caches below.
     version: u64,
@@ -169,7 +188,8 @@ impl World {
             cached_pr: Vec::new(),
             cached_pr_pages: 0,
             steps_taken: 0,
-            threads: 1,
+            threads: qrank_rank::thread_budget(),
+            like_buffers: Vec::new(),
             version: 0,
             cached_graph: Mutex::new(None),
             cached_pops: Mutex::new(None),
@@ -258,14 +278,20 @@ impl World {
         }
     }
 
-    /// A user starts liking a page: update popularity and create the
-    /// like-link from their home page.
+    /// A user starts liking a page outside the visit phase: update
+    /// popularity and create the like-link from their home page.
     fn record_like(&mut self, page: u32, user: u32) -> Result<(), GraphError> {
         if !self.liked.set(page as usize, user) {
             return Ok(());
         }
-        self.version += 1;
         self.liked_count[page as usize] += 1;
+        self.link_like(page, user)
+    }
+
+    /// The rest of a like once its bit and count are set: the state
+    /// changed, and the liker's home page links to the page.
+    fn link_like(&mut self, page: u32, user: u32) -> Result<(), GraphError> {
+        self.version += 1;
         // Bootstrap creates a user's home page before the user's first
         // like (which is of that very page, hence no link).
         let src = self.homepage[user as usize];
@@ -311,19 +337,24 @@ impl World {
 
         // 2. Visits. Every page draws from its own (seed, step, page)
         // stream, so the phase parallelizes over page chunks with a
-        // bit-identical outcome for any thread count; like events come
-        // back in page order and are applied here, on one thread, so the
-        // graph event log is order-independent too.
+        // bit-identical outcome for any thread count. A chunk sets its
+        // own likes' bits and counts; their links are appended here, on
+        // one thread, in page order, so the graph event log is
+        // order-independent too.
         let visits_span = qrank_obs::span!("sim.step.visits");
         let visit_weights = self.visit_weights();
         self.steps_taken += 1;
-        let (like_events, visits) = self.visit_phase(visit_weights.as_deref());
+        let visits = self.visit_phase(visit_weights.as_deref());
         drop(visits_span);
         let likes_span = qrank_obs::span!("sim.step.likes");
-        let likes = like_events.len() as u64;
-        for (p, user) in like_events {
-            self.record_like(p, user)?;
-        }
+        let mut buffers = std::mem::take(&mut self.like_buffers);
+        let likes = buffers.iter().map(|b| b.len() as u64).sum();
+        let linked = buffers
+            .iter_mut()
+            .flat_map(|b| b.drain(..))
+            .try_for_each(|(page, user)| self.link_like(page, user));
+        self.like_buffers = buffers;
+        linked?;
         drop(likes_span);
         let links_created = (self.links_created - links_before) as u64;
 
@@ -369,17 +400,30 @@ impl World {
         Ok(())
     }
 
-    /// The visit phase of one step: mutates awareness in place and
-    /// returns the like events `(page, user)` in page order (discovery
-    /// order within a page) plus the total visits drawn (telemetry
-    /// only). Pages are processed in disjoint contiguous chunks on up
-    /// to [`World::set_thread_budget`] worker threads, each owning its
-    /// pages' rows of the awareness table; each page's randomness comes
-    /// from its own counter-based stream, so the result is bit-identical
-    /// for any thread count.
-    fn visit_phase(&mut self, visit_weights: Option<&[f64]>) -> (Vec<(u32, u32)>, u64) {
+    /// The visit phase of one step: mutates awareness and likes in
+    /// place, leaves the like events `(page, user)` in `like_buffers`
+    /// (page order across the buffers, discovery order within a page) and
+    /// returns the total visits drawn (telemetry only).
+    ///
+    /// Pages are cut into contiguous chunks holding the same number of
+    /// unsaturated pages (a saturated page draws nothing), about
+    /// [`CHUNKS_PER_THREAD`] a thread, and a free worker among the
+    /// [`World::set_thread_budget`] threads takes the next chunk
+    /// ([`qrank_graph::par::for_each_slot`]). A chunk owns its pages' rows
+    /// of both tables, their counts and its like buffer; each page's
+    /// randomness comes from its own counter-based stream and its rate
+    /// from its own like count before its own discoveries, so the result
+    /// is bit-identical for any thread count.
+    fn visit_phase(&mut self, visit_weights: Option<&[f64]>) -> u64 {
         let num_pages = self.pages.len();
-        let threads = self.threads.clamp(1, num_pages.max(1));
+        let chunks = CHUNKS_PER_THREAD * self.threads;
+        let starts = chunk_starts(&self.aware_count, self.config.num_users, chunks);
+        if self.like_buffers.len() < starts.len() {
+            // a nonzero capacity, so that a worker's first push grows
+            // this thread's allocation instead of making its own
+            self.like_buffers
+                .resize_with(starts.len(), || Vec::with_capacity(LIKE_BUFFER_START));
+        }
         let step = VisitStep {
             num_users: self.config.num_users,
             streams: StepStreams::new(self.config.seed, self.steps_taken),
@@ -388,48 +432,33 @@ impl World {
                     weights,
                     dt: self.config.dt,
                 },
-                None => VisitRates::ByLikes {
-                    table: &self.rate_by_likes,
-                    liked_count: &self.liked_count,
-                },
+                None => VisitRates::ByLikes(&self.rate_by_likes),
             },
             pages: &self.pages,
         };
         let mut rest = PageChunk {
-            first_page: 0,
             stride: self.aware.stride(),
-            rows: self.aware.rows_mut(),
-            counts: &mut self.aware_count,
+            aware: self.aware.rows_mut(),
+            aware_counts: &mut self.aware_count,
             members: &mut self.aware_members,
+            liked: self.liked.rows_mut(),
+            liked_counts: &mut self.liked_count,
         };
-        if threads == 1 {
-            let mut likes = Vec::new();
-            let visits = step.visit_chunk(rest, &mut likes);
-            return (likes, visits);
+        let ends = starts.iter().skip(1).copied().chain([num_pages]);
+        let mut jobs = Vec::with_capacity(starts.len());
+        for ((&start, end), likes) in starts.iter().zip(ends).zip(&mut self.like_buffers) {
+            let (pages, tail) = rest.split_at(end - start);
+            rest = tail;
+            jobs.push(VisitJob {
+                pages,
+                likes,
+                visits: 0,
+            });
         }
-        let chunk = num_pages.div_ceil(threads);
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            while !rest.counts.is_empty() {
-                let (head, tail) = rest.split_at(chunk);
-                rest = tail;
-                let step = &step;
-                handles.push(s.spawn(move || {
-                    let mut likes = Vec::new();
-                    let visits = step.visit_chunk(head, &mut likes);
-                    (likes, visits)
-                }));
-            }
-            // joining in spawn order keeps the events in page order
-            let mut all_likes = Vec::new();
-            let mut visits = 0u64;
-            for h in handles {
-                let (likes, v) = h.join().expect("visit worker panicked");
-                all_likes.extend(likes);
-                visits += v;
-            }
-            (all_likes, visits)
-        })
+        for_each_slot(&mut jobs, &starts, self.threads, |job, &first_page| {
+            step.visit_chunk(first_page, job);
+        });
+        jobs.iter().map(|job| job.visits).sum()
     }
 
     /// Drop `user`'s like of `page` (if any) and the associated
@@ -633,63 +662,118 @@ impl World {
         g
     }
 
-    /// Set the number of worker threads the visit phase may use. Purely
-    /// an execution knob: the history is bit-identical for every value
-    /// (see the module docs). Clamped to at least 1.
+    /// Set the number of worker threads the visit phase may use (by
+    /// default [`qrank_rank::thread_budget`] at bootstrap). Purely an
+    /// execution knob: the history is bit-identical for every value (see
+    /// the module docs). Clamped to at least 1.
     pub fn set_thread_budget(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
+}
+
+/// Visit chunks a thread of the visit phase's budget; more than one,
+/// so a worker whose chunks ran fast takes over the rest of the work.
+const CHUNKS_PER_THREAD: usize = 4;
+
+/// The capacity a visit chunk's like buffer starts with.
+const LIKE_BUFFER_START: usize = 256;
+
+/// The first page of each visit chunk: at most `chunks` (at least one)
+/// contiguous runs of pages, each holding the same number of unsaturated
+/// pages give or take one. A chunk starts at an unsaturated page, except
+/// the first, which starts at page 0.
+fn chunk_starts(aware_counts: &[u32], num_users: usize, chunks: usize) -> Vec<usize> {
+    let unsaturated = aware_counts
+        .iter()
+        .filter(|&&c| (c as usize) < num_users)
+        .count();
+    let chunks = chunks.clamp(1, unsaturated.max(1));
+    let mut starts = Vec::with_capacity(chunks);
+    starts.push(0);
+    let mut seen = 0;
+    for (page, &count) in aware_counts.iter().enumerate() {
+        if count as usize == num_users {
+            continue;
+        }
+        // chunk `i` begins at the unsaturated page of rank
+        // `i·unsaturated/chunks`, a rank of at least 1 for every i ≥ 1
+        if starts.len() < chunks && seen == starts.len() * unsaturated / chunks {
+            starts.push(page);
+        }
+        seen += 1;
+    }
+    starts
 }
 
 /// One step's visit rate of each page.
 #[derive(Debug)]
 enum VisitRates<'a> {
     /// Proposition 1: the rate is a function of the page's like count,
-    /// tabulated at bootstrap.
-    ByLikes {
-        table: &'a [PoissonRate],
-        liked_count: &'a [u32],
-    },
+    /// tabulated at bootstrap (entry `l` for `l` likes).
+    ByLikes(&'a [PoissonRate]),
     /// Visits per unit time of each page, before `dt` scaling.
     PerPage { weights: &'a [f64], dt: f64 },
 }
 
 /// A contiguous run of pages as the visit phase mutates them: their rows
-/// of the awareness table, the rows' popcounts and, in a world that
-/// forgets, their member lists (`members` is empty otherwise).
+/// of the awareness and like tables, the rows' popcounts and, in a world
+/// that forgets, their member lists (`members` is empty otherwise).
 struct PageChunk<'a> {
-    first_page: usize,
     /// Words per row.
     stride: usize,
-    rows: &'a mut [u64],
-    counts: &'a mut [u32],
+    aware: &'a mut [u64],
+    aware_counts: &'a mut [u32],
     members: &'a mut [Vec<u32>],
+    liked: &'a mut [u64],
+    liked_counts: &'a mut [u32],
 }
 
 impl<'a> PageChunk<'a> {
     /// The first `pages` pages (or all, if fewer) and the rest.
     fn split_at(self, pages: usize) -> (PageChunk<'a>, PageChunk<'a>) {
-        let pages = pages.min(self.counts.len());
-        let (rows, rows_rest) = self.rows.split_at_mut(pages * self.stride);
-        let (counts, counts_rest) = self.counts.split_at_mut(pages);
+        let pages = pages.min(self.aware_counts.len());
+        let words = pages * self.stride;
+        let (aware, aware_rest) = self.aware.split_at_mut(words);
+        let (aware_counts, aware_counts_rest) = self.aware_counts.split_at_mut(pages);
         let (members, members_rest) = self.members.split_at_mut(pages.min(self.members.len()));
+        let (liked, liked_rest) = self.liked.split_at_mut(words);
+        let (liked_counts, liked_counts_rest) = self.liked_counts.split_at_mut(pages);
         (
             PageChunk {
-                first_page: self.first_page,
                 stride: self.stride,
-                rows,
-                counts,
+                aware,
+                aware_counts,
                 members,
+                liked,
+                liked_counts,
             },
             PageChunk {
-                first_page: self.first_page + pages,
                 stride: self.stride,
-                rows: rows_rest,
-                counts: counts_rest,
+                aware: aware_rest,
+                aware_counts: aware_counts_rest,
                 members: members_rest,
+                liked: liked_rest,
+                liked_counts: liked_counts_rest,
             },
         )
     }
+}
+
+/// One page's state in a [`PageChunk`].
+struct PageRow<'r> {
+    aware: &'r mut [u64],
+    aware_count: &'r mut u32,
+    members: Option<&'r mut Vec<u32>>,
+    liked: &'r mut [u64],
+    liked_count: &'r mut u32,
+}
+
+/// A visit chunk as one worker takes it: the pages, the buffer their
+/// like events go to, and the visits they drew.
+struct VisitJob<'a> {
+    pages: PageChunk<'a>,
+    likes: &'a mut Vec<(u32, u32)>,
+    visits: u64,
 }
 
 /// What every page's visits in one step read and none of them writes.
@@ -701,16 +785,36 @@ struct VisitStep<'a> {
 }
 
 impl VisitStep<'_> {
-    /// Visit every page of `chunk` in page order; like events append to
-    /// `likes`. Returns the visits drawn.
-    fn visit_chunk(&self, chunk: PageChunk, likes: &mut Vec<(u32, u32)>) -> u64 {
-        let mut members = chunk.members.iter_mut();
-        let rows = chunk.rows.chunks_exact_mut(chunk.stride);
-        let mut visits = 0u64;
-        for (i, (row, count)) in rows.zip(chunk.counts).enumerate() {
-            visits += self.visit_page(chunk.first_page + i, row, count, members.next(), likes);
+    /// Visit every page of `job`, the first of which is `first_page`, in
+    /// page order.
+    fn visit_chunk(&self, first_page: usize, job: &mut VisitJob) {
+        // The jobs lie side by side, and so do the like buffers' headers:
+        // count and push into locals, so that workers do not write to
+        // one cache line page after page.
+        let mut likes = std::mem::take(job.likes);
+        let mut visits = 0;
+        let c = &mut job.pages;
+        let mut members = c.members.iter_mut();
+        let aware = c
+            .aware
+            .chunks_exact_mut(c.stride)
+            .zip(c.aware_counts.iter_mut());
+        let liked = c
+            .liked
+            .chunks_exact_mut(c.stride)
+            .zip(c.liked_counts.iter_mut());
+        for (i, ((aware, aware_count), (liked, liked_count))) in aware.zip(liked).enumerate() {
+            let row = PageRow {
+                aware,
+                aware_count,
+                members: members.next(),
+                liked,
+                liked_count,
+            };
+            visits += self.visit_page(first_page + i, row, &mut likes);
         }
-        visits
+        *job.likes = likes;
+        job.visits = visits;
     }
 
     /// Visits to one page within one step, drawn from the page's own
@@ -721,25 +825,26 @@ impl VisitStep<'_> {
     /// by a uniformly random unaware user. (Within one step the thinning
     /// probability is held at its start-of-step value — an O(dt²)
     /// approximation, like the step discretization itself.) The page's
-    /// awareness `row`, its popcount and (where kept) its member list
-    /// are updated in place; like events append to `likes` in discovery
+    /// `row` is updated in place; a like sets its bit and count there
+    /// and its event `(page, user)` appends to `likes` in discovery
     /// order. Returns the number of visits drawn (telemetry only — pages
     /// whose stream is never sampled report 0).
-    fn visit_page(
-        &self,
-        page: usize,
-        row: &mut [u64],
-        aware_count: &mut u32,
-        mut members: Option<&mut Vec<u32>>,
-        likes: &mut Vec<(u32, u32)>,
-    ) -> u64 {
+    fn visit_page(&self, page: usize, row: PageRow, likes: &mut Vec<(u32, u32)>) -> u64 {
+        let PageRow {
+            aware,
+            aware_count,
+            mut members,
+            liked,
+            liked_count,
+        } = row;
         let num_users = self.num_users;
         let unaware = num_users - *aware_count as usize;
         if unaware == 0 {
             return 0; // saturated: visits cannot change anything
         }
+        // the rate reads the like count before this page's discoveries
         let rate = match self.rates {
-            VisitRates::ByLikes { table, liked_count } => table[liked_count[page] as usize],
+            VisitRates::ByLikes(table) => table[*liked_count as usize],
             VisitRates::PerPage { weights, dt } => PoissonRate::new(weights[page] * dt),
         };
         let mut rng = self.streams.for_page(page as u64);
@@ -755,17 +860,20 @@ impl VisitStep<'_> {
             // total work bounded by n bit tests
             let user = loop {
                 let u = rng.random_range(0..num_users) as u32;
-                if !test_bit(row, u) {
+                if !test_bit(aware, u) {
                     break u;
                 }
             };
-            set_bit(row, user);
+            set_bit(aware, user);
             *aware_count += 1;
             if let Some(members) = members.as_deref_mut() {
                 members.push(user);
             }
-            // first discovery: like with probability Q(p)
+            // first discovery: like with probability Q(p); nobody likes
+            // a page they did not know, so the bit is clear
             if rng.random::<f64>() < quality {
+                set_bit(liked, user);
+                *liked_count += 1;
                 likes.push((page as u32, user));
             }
         }
