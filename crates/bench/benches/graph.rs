@@ -1,11 +1,9 @@
 //! Criterion micro-benchmarks for the graph substrate: construction,
 //! subgraph extraction (the paper's common-page restriction), traversal,
-//! and SCC/bow-tie analysis.
+//! binary I/O and link-graph materialization.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qrank_graph::bowtie::bowtie_decomposition;
 use qrank_graph::generators::barabasi_albert;
-use qrank_graph::scc::tarjan_scc;
 use qrank_graph::traversal::bfs;
 use qrank_graph::{CsrGraph, DynamicGraph, GraphBuilder, NodeId};
 use rand::rngs::StdRng;
@@ -46,8 +44,6 @@ fn bench_ops(c: &mut Criterion) {
     });
     group.bench_function("transpose", |b| b.iter(|| black_box(g.transpose())));
     group.bench_function("bfs_full", |b| b.iter(|| black_box(bfs(&g, 0))));
-    group.bench_function("tarjan_scc", |b| b.iter(|| black_box(tarjan_scc(&g))));
-    group.bench_function("bowtie", |b| b.iter(|| black_box(bowtie_decomposition(&g))));
     group.finish();
 }
 

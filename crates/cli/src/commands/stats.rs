@@ -1,26 +1,19 @@
 //! `qrank stats` — structural summary of a web graph.
 
-use qrank_graph::bowtie::bowtie_decomposition;
-use qrank_graph::distance::sample_distances;
 use qrank_graph::io::read_edge_list;
-use qrank_graph::scc::tarjan_scc;
 use qrank_graph::stats::summarize;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::args::{parse, CliError};
 
 const USAGE: &str = "\
-qrank stats --graph <file> [options]
+qrank stats --graph <file>
 
 options:
-  --graph FILE       input edge list
-  --distance-samples N   BFS sources for the distance survey (default 8; 0 to skip)
-  --seed S           RNG seed for sampling (default 42)";
+  --graph FILE       input edge list";
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let p = parse(argv, &["graph", "distance-samples", "seed"], USAGE)?;
+    let p = parse(argv, &["graph"], USAGE)?;
     if p.help {
         println!("{USAGE}");
         return Ok(());
@@ -42,31 +35,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         None => println!("in-degree power-law alpha: not estimable"),
     }
 
-    if s.nodes > 0 {
-        let scc = tarjan_scc(&g);
-        println!("strongly connected components: {}", scc.num_components);
-        let bt = bowtie_decomposition(&g);
-        let (core, inn, out, tendril, disc) = bt.counts();
-        println!(
-            "bow tie: core {core} ({:.1}%), in {inn}, out {out}, tendrils {tendril}, disconnected {disc}",
-            100.0 * bt.core_fraction()
-        );
-
-        let samples: usize = p.get_or("distance-samples", 8, USAGE)?;
-        if samples > 0 {
-            let seed: u64 = p.get_or("seed", 42, USAGE)?;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let d = sample_distances(&g, samples, &mut rng);
-            println!(
-                "distances ({} sources): mean {:.2}, effective diameter {}, max {}, reachable {:.1}%",
-                d.sources_sampled,
-                d.mean_distance,
-                d.effective_diameter,
-                d.max_observed,
-                100.0 * d.reachable_fraction
-            );
-        }
-    }
     Ok(())
 }
 
@@ -85,14 +53,6 @@ mod tests {
         let path = dir.join("g.edges");
         std::fs::write(&path, "0 1\n1 2\n2 0\n3 1\n").unwrap();
         run(&argv(&["--graph", path.to_str().unwrap()])).unwrap();
-        // skipping the distance survey also works
-        run(&argv(&[
-            "--graph",
-            path.to_str().unwrap(),
-            "--distance-samples",
-            "0",
-        ]))
-        .unwrap();
     }
 
     #[test]

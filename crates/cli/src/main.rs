@@ -23,7 +23,7 @@ qrank <command> [options]
 commands:
   generate   write a synthetic web graph as an edge list
   pagerank   compute PageRank (or HITS/in-degree) scores for a graph
-  stats      structural summary of a graph (degrees, bow-tie, power law)
+  stats      structural summary of a graph (degrees, power law)
   simulate   run the agent-based web simulator and crawl snapshots
   estimate   estimate page quality from a snapshot series
   serve      run the quality-score TCP service over a snapshot series

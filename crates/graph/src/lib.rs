@@ -17,10 +17,8 @@
 //! * [`Snapshot`] / [`SnapshotSeries`] — externally-identified page sets
 //!   captured at specific times, with the paper's *common-page
 //!   intersection* and consistent relabeling across snapshots.
-//! * [`traversal`], [`scc`], [`bowtie`], [`distance`] — BFS, Tarjan
-//!   strongly connected components, the Broder et al. bow-tie
-//!   decomposition, and distance/diameter surveys, all referenced in
-//!   the paper's related work.
+//! * [`traversal`] — breadth-first search (the snapshot crawler) and
+//!   weakly connected components.
 //! * [`stats`] — degree distributions and power-law exponent fits (the
 //!   paper cites the power-law in-degree structure of the web).
 //! * [`generators`] — Erdős–Rényi G(n, m), Barabási–Albert preferential
@@ -52,11 +50,8 @@
 #![warn(missing_docs)]
 
 pub mod align;
-pub mod bowtie;
 pub mod builder;
-pub mod clustering;
 pub mod csr;
-pub mod distance;
 pub mod dynamic;
 pub mod error;
 pub mod fingerprint;
@@ -64,13 +59,11 @@ pub mod generators;
 pub mod io;
 pub mod par;
 pub mod relabel;
-pub mod scc;
 pub mod snapshot;
 pub mod stats;
 pub mod traversal;
 
 pub use align::restrict_snapshots;
-pub use bowtie::{BowTie, BowTieRegion};
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use dynamic::{DynamicGraph, Materialized};

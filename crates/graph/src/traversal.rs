@@ -83,20 +83,14 @@ impl BfsScratch {
 /// This mirrors the paper's per-site crawl cap ("the maximum of 200,000
 /// pages"): traversal stops once `limit` pages have been discovered.
 pub fn bfs_limited(g: &CsrGraph, start: NodeId, limit: usize) -> Vec<NodeId> {
-    bfs_multi(g, &[start], limit)
+    let mut scratch = BfsScratch::new(g.num_nodes());
+    scratch.bfs(g, &[start], limit);
+    scratch.order
 }
 
 /// Breadth-first order of all nodes reachable from `start`.
 pub fn bfs(g: &CsrGraph, start: NodeId) -> Vec<NodeId> {
     bfs_limited(g, start, usize::MAX)
-}
-
-/// Multi-source BFS: nodes reachable from any of `starts`, each node
-/// once, visiting at most `limit` nodes.
-pub fn bfs_multi(g: &CsrGraph, starts: &[NodeId], limit: usize) -> Vec<NodeId> {
-    let mut scratch = BfsScratch::new(g.num_nodes());
-    scratch.bfs(g, starts, limit);
-    scratch.order
 }
 
 /// Weakly connected components: `component[u]` is a dense component index,
@@ -166,14 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn bfs_multi_unions_sources() {
+    fn scratch_bfs_unions_starts() {
         let g = CsrGraph::from_edges(6, &[(0, 1), (2, 3), (4, 5)]);
-        let mut got = bfs_multi(&g, &[0, 4], usize::MAX);
+        let mut scratch = BfsScratch::new(g.num_nodes());
+        let mut got = scratch.bfs(&g, &[0, 4], usize::MAX).to_vec();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 4, 5]);
-        // duplicate and out-of-range sources are ignored
-        let got = bfs_multi(&g, &[0, 0, 99], usize::MAX);
-        assert_eq!(got.len(), 2);
+        // duplicate and out-of-range starts are ignored
+        assert_eq!(scratch.bfs(&g, &[0, 0, 99], usize::MAX), &[0, 1]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Quickstart: build a tiny web, compute PageRank, and estimate page
 //! quality from three snapshots.
 //!
-//! Run with `cargo run --example quickstart`.
+//! Run with `cargo run --example quickstart`. It asserts the two claims
+//! it prints, so a run that exits cleanly has checked them.
 
 use qrank::core::{run_pipeline, PipelineConfig};
 use qrank::graph::{GraphBuilder, PageId, Snapshot, SnapshotSeries};
@@ -74,12 +75,23 @@ fn main() {
             report.trends[i],
         );
     }
+    let (estimate, future, current) = (report.estimates[2], report.future[2], report.current[2]);
     println!(
-        "\nrising page 2: estimate {:.3} is closer to its future PageRank {:.3} than the current {:.3}",
-        report.estimates[2], report.future[2], report.current[2]
+        "\nrising page 2: estimate {estimate:.3} is closer to its future PageRank {future:.3} than the current {current:.3}"
+    );
+    assert!(
+        (estimate - future).abs() < (current - future).abs(),
+        "page 2's estimate should beat its current PageRank"
+    );
+    let (err_estimate, err_current) = (
+        report.summary_estimate.mean_error,
+        report.summary_current.mean_error,
     );
     println!(
-        "mean relative error: quality estimate {:.3} vs current-PageRank baseline {:.3}",
-        report.summary_estimate.mean_error, report.summary_current.mean_error
+        "mean relative error: quality estimate {err_estimate:.3} vs current-PageRank baseline {err_current:.3}"
+    );
+    assert!(
+        err_estimate < err_current,
+        "the estimate's mean relative error should be below the baseline's"
     );
 }

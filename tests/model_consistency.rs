@@ -2,6 +2,7 @@
 //! forms (qrank-model), numerical integration (qrank-model::ode), and
 //! the stochastic agent simulation (qrank-sim) must tell the same story.
 
+use qrank::model::forgetting::ForgettingModel;
 use qrank::model::ode::closed_form_deviation;
 use qrank::model::popularity;
 use qrank::model::ModelParams;
@@ -144,5 +145,46 @@ fn theorem_2_discretized_recovers_quality_from_sim_popularity() {
     assert!(
         (q_est - quality).abs() < 0.25,
         "discretized Theorem 2 gives {q_est}, want ~{quality}"
+    );
+}
+
+#[test]
+fn forgetting_world_saturates_at_the_effective_quality() {
+    // Users forget pages at rate phi, so the analytic model saturates at
+    // Q_eff = Q - phi*n/r = 0.6 - 0.3/1.5 = 0.4, not at Q. The agent
+    // world with the same parameters (no births) must follow it there.
+    let (quality, forget_rate, visit_ratio, users) = (0.6, 0.3, 1.5, 3_000);
+    let n = users as f64;
+    let params = ModelParams::new(quality, n, visit_ratio * n, 1.0 / n).unwrap();
+    let model = ForgettingModel::new(params, forget_rate).unwrap();
+    let q_eff = model.effective_quality();
+    assert!((q_eff - 0.4).abs() < 1e-12, "Q_eff {q_eff}");
+
+    let cfg = SimConfig {
+        num_users: users,
+        num_sites: 4,
+        visit_ratio,
+        page_birth_rate: 0.0,
+        quality_dist: QualityDist::Fixed(quality),
+        forget_rate,
+        dt: 0.05,
+        seed: 4242,
+        ..Default::default()
+    };
+    let mut world = World::bootstrap(cfg).expect("bootstrap");
+    let root = world.site_roots()[0];
+    for step in 0..=10 {
+        world.run_until(step as f64 * 2.0);
+        let p = world.popularity(root);
+        assert!(
+            p < quality - 0.1,
+            "popularity {p} at t = {} climbs towards Q = {quality}, not Q_eff = {q_eff}",
+            world.time()
+        );
+    }
+    let saturation = world.popularity(root);
+    assert!(
+        (saturation - q_eff).abs() < 0.05,
+        "saturation {saturation} vs Q_eff {q_eff}"
     );
 }
