@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, pagerank, solve_auto_with, solve_many, PageRankConfig,
+    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, solve_many, PageRankConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,20 +141,10 @@ fn bench_colored(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_hits(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hits");
-    group.sample_size(10);
-    let mut rng = StdRng::seed_from_u64(2);
-    let g = barabasi_albert(10_000, 5, &mut rng);
-    group.bench_function("hits_10k", |b| b.iter(|| black_box(hits(&g, 1e-9, 200))));
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_solvers,
     bench_gauss_seidel_shapes,
     bench_colored,
-    bench_hits
 );
 criterion_main!(benches);

@@ -3,17 +3,17 @@
 use qrank_core::estimator::{CurrentPopularity, DerivativeOnly, LogisticFit, PaperEstimator};
 use qrank_core::smoothing::{ewma_smooth, AdaptiveWindow};
 use qrank_core::{
-    run_pipeline, EvalSummary, PipelineConfig, PipelineEngine, PopularityMetric, QualityEstimator,
+    EvalSummary, PipelineConfig, PipelineEngine, PipelineReport, PopularityMetric, QualityEstimator,
 };
 use qrank_graph::SnapshotSeries;
-use qrank_sim::{Crawler, SimConfig, SnapshotSchedule, World};
+use qrank_sim::{Crawler, SimConfig};
 
-use crate::scenario::{snapshot_study, snapshot_study_with, Scale};
+use crate::scenario::{paper_report, Scale, Study};
 use crate::{table, Run};
 
 /// One ablation row: a label plus the estimator-vs-baseline summaries.
 #[derive(Debug, Clone)]
-pub struct AblationRow {
+pub(crate) struct AblationRow {
     /// Configuration label.
     pub label: String,
     /// Summary for the variant under test.
@@ -24,11 +24,25 @@ pub struct AblationRow {
     pub selected: usize,
 }
 
+impl AblationRow {
+    /// A report's row: its estimate against its current-PageRank
+    /// baseline, over the pages it selected.
+    fn new(label: impl Into<String>, report: &PipelineReport) -> AblationRow {
+        AblationRow {
+            label: label.into(),
+            summary: report.summary_estimate.clone(),
+            baseline: report.summary_current.clone(),
+            selected: report.num_selected(),
+        }
+    }
+}
+
 /// ABL-C: sweep the Equation 1 constant `C`. The paper: "The value 0.1
 /// showed the best result out of all values that we tested. Small
 /// variations in the constant did not affect our result significantly."
-pub fn c_sweep(scale: Scale, seed: u64, cs: &[f64]) -> Vec<AblationRow> {
-    let (series, _world) = snapshot_study(scale, seed);
+fn c_sweep(scale: Scale, seed: u64, cs: &[f64]) -> Vec<AblationRow> {
+    let study = scale.study(scale.sim_config(seed));
+    let series = study.series(&Crawler::default(), &scale.paper_times());
     // one engine solves the series once; each C only re-estimates
     let mut engine = PipelineEngine::new(PipelineConfig::default().metric);
     cs.iter()
@@ -40,23 +54,31 @@ pub fn c_sweep(scale: Scale, seed: u64, cs: &[f64]) -> Vec<AblationRow> {
             let report = engine
                 .run(&series, &cfg.estimator(), cfg.min_relative_change)
                 .expect("pipeline");
-            let selected = report.num_selected();
-            AblationRow {
-                label: format!("C = {c}"),
-                summary: report.summary_estimate,
-                baseline: report.summary_current,
-                selected,
-            }
+            AblationRow::new(format!("C = {c}"), &report)
         })
         .collect()
+}
+
+/// The whole-curve logistic fit in PageRank units. It needs an upper
+/// bound on popularity in metric units: a margin above the largest score
+/// in the first snapshot.
+fn logistic_fit(series: &SnapshotSeries, visit_ratio: f64) -> LogisticFit {
+    let scores = PopularityMetric::paper_pagerank().compute(&series.snapshots()[0].graph);
+    LogisticFit {
+        visit_ratio,
+        q_max: 3.0 * scores.iter().cloned().fold(1.0, f64::max),
+        flat_tolerance: 1e-3,
+        max_boost: 4.0,
+    }
 }
 
 /// ABL-EST: estimator variants on identical data — the paper estimator
 /// on PageRank, the paper estimator on raw link counts (footnote 4),
 /// derivative-only, current popularity, logistic whole-curve fit, and
 /// the adaptive-window variant from the discussion section.
-pub fn estimator_variants(scale: Scale, seed: u64) -> Vec<AblationRow> {
-    let (series, _world) = snapshot_study(scale, seed);
+fn estimator_variants(scale: Scale, seed: u64) -> Vec<AblationRow> {
+    let study = scale.study(scale.sim_config(seed));
+    let series = study.series(&Crawler::default(), &scale.paper_times());
     // one engine per metric, so each metric's columns are solved once
     let mut pagerank = PipelineEngine::new(PopularityMetric::paper_pagerank());
     let mut indegree = PipelineEngine::new(PopularityMetric::InDegree);
@@ -76,28 +98,10 @@ pub fn estimator_variants(scale: Scale, seed: u64) -> Vec<AblationRow> {
         threshold: 1.0,
         flat_tolerance: 0.0,
     };
-    // the logistic fit needs an upper bound on popularity in metric
-    // units; take a margin above the largest score in the first snapshot
-    let q_max = {
-        let scores = PopularityMetric::paper_pagerank().compute(&series.snapshots()[0].graph);
-        3.0 * scores.iter().cloned().fold(1.0, f64::max)
-    };
-    let logistic = LogisticFit {
-        visit_ratio: scale.sim_config(seed).visit_ratio,
-        q_max,
-        flat_tolerance: 1e-3,
-        max_boost: 4.0,
-    };
+    let logistic = logistic_fit(&series, scale.sim_config(seed).visit_ratio);
 
     let row = |label: &str, engine: &mut PipelineEngine, est: &dyn QualityEstimator| {
-        let report = engine.run(&series, est, 0.05).expect("pipeline");
-        let selected = report.num_selected();
-        AblationRow {
-            label: label.to_string(),
-            summary: report.summary_estimate,
-            baseline: report.summary_current,
-            selected,
-        }
+        AblationRow::new(label, &engine.run(&series, est, 0.05).expect("pipeline"))
     };
     vec![
         row("paper / pagerank", &mut pagerank, &paper),
@@ -111,37 +115,24 @@ pub fn estimator_variants(scale: Scale, seed: u64) -> Vec<AblationRow> {
 
 /// ABL-INT: snapshot-interval sensitivity. Each run keeps the future
 /// snapshot at the same absolute time but varies the estimation-window
-/// spacing.
-pub fn interval_sweep(scale: Scale, seed: u64, intervals: &[f64]) -> Vec<AblationRow> {
+/// spacing: one world, crawled on each schedule.
+fn interval_sweep(scale: Scale, seed: u64, intervals: &[f64]) -> Vec<AblationRow> {
+    let study = scale.study(scale.sim_config(seed));
+    let (start, future) = (scale.burn_in(), scale.paper_times()[3]);
     intervals
         .iter()
         .map(|&iv| {
-            let cfg = scale.sim_config(seed);
-            let start = scale.burn_in();
-            let future = start + 6.0;
-            let schedule = SnapshotSchedule {
-                times: vec![start, start + iv, start + 2.0 * iv, future],
-            };
-            let (series, _world) = snapshot_study_with(cfg, &schedule);
-            let pcfg = PipelineConfig {
-                c: scale.calibrated_c(),
-                ..Default::default()
-            };
-            let report = run_pipeline(&series, &pcfg).expect("pipeline");
-            let selected = report.num_selected();
-            AblationRow {
-                label: format!("interval = {iv} months"),
-                summary: report.summary_estimate,
-                baseline: report.summary_current,
-                selected,
-            }
+            let times = [start, start + iv, start + 2.0 * iv, future];
+            let series = study.series(&Crawler::default(), &times);
+            let report = paper_report(&series, scale.calibrated_c());
+            AblationRow::new(format!("interval = {iv} months"), &report)
         })
         .collect()
 }
 
 /// ABL-FORGET: does the estimator still beat the baseline when users
 /// forget pages (popularity can decline, the paper's anomaly)?
-pub fn forgetting_sweep(scale: Scale, seed: u64, rates: &[f64]) -> Vec<AblationRow> {
+fn forgetting_sweep(scale: Scale, seed: u64, rates: &[f64]) -> Vec<AblationRow> {
     rates
         .iter()
         .map(|&rate| {
@@ -149,39 +140,25 @@ pub fn forgetting_sweep(scale: Scale, seed: u64, rates: &[f64]) -> Vec<AblationR
                 forget_rate: rate,
                 ..scale.sim_config(seed)
             };
-            let schedule = SnapshotSchedule::paper_timeline(scale.burn_in());
-            let (series, _world) = snapshot_study_with(cfg, &schedule);
-            let pcfg = PipelineConfig {
-                c: scale.calibrated_c(),
-                ..Default::default()
-            };
-            let report = run_pipeline(&series, &pcfg).expect("pipeline");
-            let selected = report.num_selected();
-            AblationRow {
-                label: format!("forget_rate = {rate}"),
-                summary: report.summary_estimate,
-                baseline: report.summary_current,
-                selected,
-            }
+            let series = scale
+                .study(cfg)
+                .series(&Crawler::default(), &scale.paper_times());
+            let report = paper_report(&series, scale.calibrated_c());
+            AblationRow::new(format!("forget_rate = {rate}"), &report)
         })
         .collect()
 }
 
-/// ABL-NOISE: EWMA smoothing under crawl noise. Noise is injected by
-/// randomly dropping a fraction of each snapshot's *like* links
-/// (simulating an incomplete mirror), then estimating with and without
-/// smoothing.
-pub fn noise_sweep(scale: Scale, seed: u64, alphas: &[f64]) -> Vec<AblationRow> {
-    // Re-crawl with a smaller page cap to induce per-snapshot variance.
-    let cfg = scale.sim_config(seed);
-    let mut world = World::bootstrap(cfg).expect("bootstrap");
-    let schedule = SnapshotSchedule::paper_timeline(scale.burn_in());
+/// ABL-NOISE: EWMA smoothing under crawl noise. Noise comes from an
+/// incomplete mirror: a 400-page-per-site cap, so each snapshot's
+/// boundary jitters. Estimates with and without smoothing.
+fn noise_sweep(scale: Scale, seed: u64, alphas: &[f64]) -> Vec<AblationRow> {
     let crawler = Crawler {
         max_pages_per_site: 400,
     };
-    let series: SnapshotSeries = crawler
-        .crawl_schedule(&mut world, &schedule)
-        .expect("crawl");
+    let series = scale
+        .study(scale.sim_config(seed))
+        .series(&crawler, &scale.paper_times());
 
     // the trajectories and the report filter do not depend on alpha
     let aligned = series.aligned_to_common().expect("align");
@@ -231,30 +208,20 @@ pub fn noise_sweep(scale: Scale, seed: u64, alphas: &[f64]) -> Vec<AblationRow> 
 /// for slow-growing pages and the fit fails badly; the sweep shows how
 /// many snapshots (over the same two-month window) the whole-curve
 /// approach needs before it becomes competitive.
-pub fn fit_budget_sweep(scale: Scale, seed: u64, counts: &[usize]) -> Vec<AblationRow> {
+fn fit_budget_sweep(scale: Scale, seed: u64, counts: &[usize]) -> Vec<AblationRow> {
+    let cfg = scale.sim_config(seed);
+    let study = scale.study(cfg);
+    let (start, future) = (scale.burn_in(), scale.paper_times()[3]);
     let mut rows = Vec::new();
     for &count in counts {
         assert!(count >= 3, "logistic fit needs >= 3 estimation snapshots");
-        let cfg = scale.sim_config(seed);
-        let start = scale.burn_in();
         let mut times: Vec<f64> = (0..count)
             .map(|i| start + 2.0 * i as f64 / (count - 1) as f64)
             .collect();
-        times.push(start + 6.0); // held-out future
-        let schedule = SnapshotSchedule { times };
-        let (series, _world) = snapshot_study_with(cfg, &schedule);
+        times.push(future); // held-out future
+        let series = study.series(&Crawler::default(), &times);
 
-        let q_max = {
-            let metric = PopularityMetric::paper_pagerank();
-            let scores = metric.compute(&series.snapshots()[0].graph);
-            3.0 * scores.iter().cloned().fold(1.0, f64::max)
-        };
-        let logistic = LogisticFit {
-            visit_ratio: cfg.visit_ratio,
-            q_max,
-            flat_tolerance: 1e-3,
-            max_boost: 4.0,
-        };
+        let logistic = logistic_fit(&series, cfg.visit_ratio);
         let paper = PaperEstimator {
             c: scale.calibrated_c(),
             flat_tolerance: 0.0,
@@ -262,13 +229,11 @@ pub fn fit_budget_sweep(scale: Scale, seed: u64, counts: &[usize]) -> Vec<Ablati
         // one engine, so both estimators read one solve of the series
         let mut engine = PipelineEngine::new(PopularityMetric::paper_pagerank());
         let fit_report = engine.run(&series, &logistic, 0.05).expect("pipeline");
-        let paper_report = engine.run(&series, &paper, 0.05).expect("pipeline");
-        let selected = fit_report.num_selected();
+        let two_point = engine.run(&series, &paper, 0.05).expect("pipeline");
         rows.push(AblationRow {
-            label: format!("logistic fit, {count} snapshots"),
-            summary: fit_report.summary_estimate,
-            baseline: paper_report.summary_estimate, // baseline = paper estimator here
-            selected,
+            // baseline = paper estimator here
+            baseline: two_point.summary_estimate,
+            ..AblationRow::new(format!("logistic fit, {count} snapshots"), &fit_report)
         });
     }
     rows
@@ -281,21 +246,9 @@ pub fn fit_budget_sweep(scale: Scale, seed: u64, counts: &[usize]) -> Vec<Ablati
 /// visits, and position-biased search exposure, and reports both the
 /// future-PageRank prediction errors and the ground-truth quality
 /// correlation of each ranking.
-pub fn visit_model_sweep(scale: Scale, seed: u64) -> Vec<(AblationRow, f64, f64)> {
-    visit_model_sweep_with(
-        scale.sim_config(seed),
-        &SnapshotSchedule::paper_timeline(scale.burn_in()),
-        scale.calibrated_c(),
-    )
-}
-
-/// [`visit_model_sweep`] with explicit configuration (used by tests to
-/// keep corpora tiny).
-pub fn visit_model_sweep_with(
-    base: SimConfig,
-    schedule: &SnapshotSchedule,
-    c: f64,
-) -> Vec<(AblationRow, f64, f64)> {
+/// `base` sets everything but the visit model; the last of `times` is
+/// each study's end.
+fn visit_model_sweep(base: SimConfig, times: &[f64], c: f64) -> Vec<(AblationRow, f64, f64)> {
     use qrank_core::correlation::spearman;
     use qrank_sim::VisitModel;
     let models = [
@@ -309,6 +262,7 @@ pub fn visit_model_sweep_with(
             VisitModel::BySearchRank { bias: 1.0 },
         ),
     ];
+    let end = *times.last().expect("capture times");
     models
         .into_iter()
         .map(|(label, vm)| {
@@ -316,31 +270,18 @@ pub fn visit_model_sweep_with(
                 visit_model: vm,
                 ..base
             };
-            let (series, world) = snapshot_study_with(cfg, schedule);
-            let pcfg = PipelineConfig {
-                c,
-                ..Default::default()
-            };
-            let report = run_pipeline(&series, &pcfg).expect("pipeline");
-            let selected = report.num_selected();
+            let study = Study::shared(cfg, end);
+            let series = study.series(&Crawler::default(), times);
+            let report = paper_report(&series, c);
             // ground-truth rank quality of the two rankings
             let truths: Vec<f64> = report
                 .pages
                 .iter()
-                .map(|p| world.page(p.0 as u32).quality)
+                .map(|p| study.world().page(p.0 as u32).quality)
                 .collect();
             let rho_est = spearman(&report.estimates, &truths);
             let rho_cur = spearman(&report.current, &truths);
-            (
-                AblationRow {
-                    label: label.to_string(),
-                    summary: report.summary_estimate,
-                    baseline: report.summary_current,
-                    selected,
-                },
-                rho_est,
-                rho_cur,
-            )
+            (AblationRow::new(label, &report), rho_est, rho_cur)
         })
         .collect()
 }
@@ -485,7 +426,9 @@ two effects appear under search-mediated discovery:
 /// paper's introduction and whether the temporal estimator still helps
 /// under it.
 pub(crate) fn render_visit_models(run: &Run) -> String {
-    let rows: Vec<Vec<String>> = visit_model_sweep(run.scale, run.seed)
+    let (scale, times) = (run.scale, run.scale.paper_times());
+    let sweep = visit_model_sweep(scale.sim_config(run.seed), &times, scale.calibrated_c());
+    let rows: Vec<Vec<String>> = sweep
         .iter()
         .map(|(r, rho_est, rho_cur)| {
             let mut cells = error_cells(r);
@@ -552,8 +495,8 @@ mod tests {
             seed: 7,
             ..Default::default()
         };
-        let schedule = SnapshotSchedule::paper_timeline(6.0);
-        let rows = visit_model_sweep_with(cfg, &schedule, 1.0);
+        let times = qrank_sim::SnapshotSchedule::paper_timeline(6.0).times;
+        let rows = visit_model_sweep(cfg, &times, 1.0);
         assert_eq!(rows.len(), 3);
         for (row, rho_est, rho_cur) in &rows {
             assert!(row.selected > 0);

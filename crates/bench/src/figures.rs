@@ -3,25 +3,23 @@
 
 use qrank_core::classify::classify_all;
 use qrank_core::correlation::{precision_at_k, spearman};
-use qrank_core::{
-    bootstrap_mean_ci, run_pipeline, ErrorHistogram, PipelineConfig, PipelineReport, Trend,
-};
+use qrank_core::{bootstrap_mean_ci, ErrorHistogram, PipelineReport, Trend};
 use qrank_model::stages::{stage_at, stage_transitions, StageThresholds};
 use qrank_model::{popularity, ModelParams};
-use qrank_sim::{SimConfig, SnapshotSchedule, World};
+use qrank_sim::{Crawler, SimConfig, World};
 
-use crate::scenario::{snapshot_study, snapshot_study_with, Scale};
+use crate::scenario::{paper_report, Scale};
 use crate::{table, Run};
 
 /// Figure 1: the sigmoidal popularity evolution for `Q = 0.8`,
 /// `n = r = 1e8`, `P(p,0) = 1e-8`, over `t ∈ [0, 40]` — `(t, P(p,t))`.
-pub fn fig1_series(steps: usize) -> Vec<(f64, f64)> {
+fn fig1_series(steps: usize) -> Vec<(f64, f64)> {
     popularity::popularity_series(&ModelParams::figure1(), 40.0, steps)
 }
 
 /// Figure 2: `I(p,t)` and `P(p,t)` for `Q = 0.2`, `P(p,0) = 1e-9` over
 /// `t ∈ [0, 150]` — rows of `(t, I, P)`.
-pub fn fig2_series(steps: usize) -> Vec<(f64, f64, f64)> {
+fn fig2_series(steps: usize) -> Vec<(f64, f64, f64)> {
     let p = ModelParams::figure2();
     popularity::popularity_series(&p, 150.0, steps)
         .into_iter()
@@ -31,7 +29,7 @@ pub fn fig2_series(steps: usize) -> Vec<(f64, f64, f64)> {
 
 /// Figure 3: `I(p,t) + P(p,t)` over the same range — `(t, I + P)`; flat
 /// at `Q = 0.2` (Theorem 2).
-pub fn fig3_series(steps: usize) -> Vec<(f64, f64)> {
+fn fig3_series(steps: usize) -> Vec<(f64, f64)> {
     let p = ModelParams::figure2();
     popularity::quality_estimate_series(&p, 150.0, steps)
 }
@@ -39,7 +37,7 @@ pub fn fig3_series(steps: usize) -> Vec<(f64, f64)> {
 /// Output of the Figure 5 / headline-table experiment, including
 /// ground-truth diagnostics the paper could not compute.
 #[derive(Debug, Clone)]
-pub struct Fig5Output {
+pub(crate) struct Fig5Output {
     /// Pipeline report (histograms, per-page errors, summaries).
     pub report: PipelineReport,
     /// Spearman correlation between the quality estimate and ground-truth
@@ -56,18 +54,15 @@ pub struct Fig5Output {
 }
 
 /// Run the paper's Section 8 experiment end to end on the simulator.
-pub fn fig5(scale: Scale, seed: u64) -> Fig5Output {
-    let (series, world) = snapshot_study(scale, seed);
-    let cfg = PipelineConfig {
-        c: scale.calibrated_c(),
-        ..Default::default()
-    };
-    let report = run_pipeline(&series, &cfg).expect("pipeline");
-    ground_truth_diagnostics(report, &world)
+fn fig5(scale: Scale, seed: u64) -> Fig5Output {
+    let study = scale.study(scale.sim_config(seed));
+    let series = study.series(&Crawler::default(), &scale.paper_times());
+    let report = paper_report(&series, scale.calibrated_c());
+    ground_truth_diagnostics(report, study.world())
 }
 
 /// Attach ground-truth rank diagnostics to a pipeline report.
-pub fn ground_truth_diagnostics(report: PipelineReport, world: &World) -> Fig5Output {
+fn ground_truth_diagnostics(report: PipelineReport, world: &World) -> Fig5Output {
     let mut est = Vec::new();
     let mut cur = Vec::new();
     let mut truth = Vec::new();
@@ -288,7 +283,7 @@ pub(crate) fn render_headline_table(run: &Run) -> String {
 /// PageRank jitters at the fourth decimal for every page, so strict
 /// comparison would report zero flat pages no matter how static the
 /// corpus is.
-pub const CENSUS_FLAT_TOLERANCE: f64 = 0.02;
+pub(crate) const CENSUS_FLAT_TOLERANCE: f64 = 0.02;
 
 /// What `exp_trend_census` prints below its table.
 const TREND_CENSUS_NOTE: &str = "paper observations reproduced:
@@ -310,16 +305,10 @@ pub(crate) fn render_trend_census(run: &Run) -> String {
         forget_rate,
         ..scale.sim_config(run.seed)
     };
-    let schedule = SnapshotSchedule::paper_timeline(scale.burn_in());
-    let (series, _world) = snapshot_study_with(cfg, &schedule);
-    let report = run_pipeline(
-        &series,
-        &PipelineConfig {
-            c: scale.calibrated_c(),
-            ..Default::default()
-        },
-    )
-    .expect("pipeline");
+    let series = scale
+        .study(cfg)
+        .series(&Crawler::default(), &scale.paper_times());
+    let report = paper_report(&series, scale.calibrated_c());
 
     let total = report.trends.len();
     let trends = classify_all(&report.trajectories.values, CENSUS_FLAT_TOLERANCE);

@@ -5,8 +5,9 @@
 //! text committed as `results/<name>.txt` (paper scale, seed 42) and
 //! `results/small/<name>.txt` (small scale, seed 42). The one binary,
 //! `paper <name> [small|paper] [seed]`, prints that text;
-//! `tests/results.rs` compares it with the committed files. The
-//! Criterion benches drive the same library code.
+//! `tests/results.rs` compares it with the committed files. Every
+//! simulated experiment but EXT-TRAFFIC crawls a shared
+//! [`scenario::Study`], one simulated world per configuration.
 //!
 //! | Paper artifact | Name |
 //! |---|---|

@@ -21,7 +21,7 @@ use crate::{table, Run};
 
 /// Result of the traffic-data experiment.
 #[derive(Debug, Clone)]
-pub struct TrafficResult {
+pub(crate) struct TrafficResult {
     /// Number of pages evaluated (positive popularity, born before the
     /// first measurement).
     pub pages: usize,
@@ -44,7 +44,7 @@ pub struct TrafficResult {
 /// Theorem 2 discretized for traffic data: `Q ≈ (n/r)·(ΔP/Δt)/P̄ + P̄`
 /// with the mid-window popularity `P̄`. Unlike Equation 1's calibrated
 /// `C`, the constant here is the *model-exact* `n/r`.
-pub fn theorem2_estimate(first: f64, last: f64, dt: f64, visit_ratio: f64) -> f64 {
+fn theorem2_estimate(first: f64, last: f64, dt: f64, visit_ratio: f64) -> f64 {
     let mid = 0.5 * (first + last);
     if mid <= 0.0 || dt <= 0.0 {
         return last;
@@ -55,9 +55,11 @@ pub fn theorem2_estimate(first: f64, last: f64, dt: f64, visit_ratio: f64) -> f6
 /// Run the traffic-data experiment: sample every page's popularity at
 /// `samples` evenly spaced times over `[start, start + window]`, then
 /// estimate quality three ways and score against ground truth.
-pub fn traffic_experiment(scale: Scale, seed: u64, samples: usize, window: f64) -> TrafficResult {
+fn traffic_experiment(scale: Scale, seed: u64, samples: usize, window: f64) -> TrafficResult {
     assert!(samples >= 3, "need >= 3 samples for the logistic fit");
     let cfg = scale.sim_config(seed);
+    // a world of its own, not a shared `Study`: the tracer samples live
+    // popularity, which cannot be read back at an earlier time
     let mut world = World::bootstrap(cfg).expect("bootstrap");
     let start = scale.burn_in();
 

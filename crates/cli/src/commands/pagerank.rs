@@ -2,8 +2,8 @@
 
 use qrank_graph::io::read_edge_list;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, hits, indegree_scores, pagerank, solve_auto_with,
-    thread_budget, PageRankConfig, ScoreScale,
+    colored_gauss_seidel, gauss_seidel, indegree_scores, pagerank, solve_auto_with, thread_budget,
+    PageRankConfig, ScoreScale,
 };
 
 use crate::args::{parse, write_output, CliError};
@@ -13,7 +13,7 @@ qrank pagerank --graph <file> [options]
 
 options:
   --graph FILE     input edge list
-  --solver NAME    auto | power | gauss-seidel | colored | hits | indegree
+  --solver NAME    auto | power | gauss-seidel | colored | indegree
                    (default power; `auto` is the solver `estimate` and
                    `serve` publish with: Gauss-Seidel, or its colored
                    schedule on a large graph with threads to spare)
@@ -66,8 +66,8 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
         0 => thread_budget(),
         t => t,
     };
-    // PageRank solvers report per-iteration residuals; the other
-    // rankers have no convergence trace to write.
+    // PageRank solvers report per-iteration residuals; in-degree has
+    // no convergence trace to write.
     let (scores, residuals) = match solver {
         "power" => {
             let r = pagerank(&g, &cfg);
@@ -85,7 +85,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             let r = colored_gauss_seidel(&g, &cfg, threads);
             (r.scores, Some(r.residuals))
         }
-        "hits" => (hits(&g, 1e-10, 200).authorities, None),
         "indegree" => (indegree_scores(&g), None),
         other => return Err(CliError::usage(format!("unknown solver `{other}`"), USAGE)),
     };
@@ -153,14 +152,7 @@ mod tests {
     fn scores_all_solvers() {
         let path = write_sample_graph();
         let dir = path.parent().unwrap();
-        for solver in [
-            "power",
-            "gauss-seidel",
-            "auto",
-            "colored",
-            "hits",
-            "indegree",
-        ] {
+        for solver in ["power", "gauss-seidel", "auto", "colored", "indegree"] {
             let out = dir.join(format!("{solver}.tsv"));
             run(&argv(&[
                 "--graph",

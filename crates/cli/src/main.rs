@@ -22,7 +22,7 @@ qrank <command> [options]
 
 commands:
   generate   write a synthetic web graph as an edge list
-  pagerank   compute PageRank (or HITS/in-degree) scores for a graph
+  pagerank   compute PageRank (or in-degree) scores for a graph
   stats      structural summary of a graph (degrees, power law)
   simulate   run the agent-based web simulator and crawl snapshots
   estimate   estimate page quality from a snapshot series

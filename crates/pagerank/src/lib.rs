@@ -15,8 +15,6 @@
 //! * [`solve_auto`] / [`solve_many`] — what the pipeline calls: one of the
 //!   two Gauss–Seidel schedules, picked by graph size and thread budget
 //!   ([`select_solver`]), for one graph or a window's columns.
-//! * [`hits()`] — Kleinberg's Hub & Authority (\[13\]), the other
-//!   second-generation metric the paper discusses.
 //! * [`indegree`] — raw link-count popularity, the paper's footnote-4
 //!   alternative to PageRank inside the quality estimator.
 //!
@@ -43,7 +41,6 @@
 pub mod colored;
 pub mod config;
 pub mod gauss_seidel;
-pub mod hits;
 pub mod indegree;
 pub mod power;
 pub mod solver;
@@ -51,7 +48,6 @@ pub mod solver;
 pub use colored::colored_gauss_seidel;
 pub use config::{PageRankConfig, ScoreScale};
 pub use gauss_seidel::gauss_seidel;
-pub use hits::{hits, HitsResult};
 pub use indegree::indegree_scores;
 pub use power::{pagerank, PageRankResult};
 pub use solver::{

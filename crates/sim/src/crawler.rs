@@ -43,7 +43,7 @@ impl SnapshotSchedule {
 }
 
 /// A per-site breadth-first snapshot crawler.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crawler {
     /// Per-site page cap (the paper uses 200,000).
     pub max_pages_per_site: usize,

@@ -21,7 +21,7 @@
 //! | Re-export | Crate | Contents |
 //! |---|---|---|
 //! | [`graph`] | `qrank-graph` | CSR graphs, dynamic graphs, snapshots, BFS, degree statistics, generators, I/O |
-//! | [`rank`] | `qrank-rank` | PageRank (power, Gauss–Seidel, colored Gauss–Seidel), HITS, in-degree |
+//! | [`rank`] | `qrank-rank` | PageRank (power, Gauss–Seidel, colored Gauss–Seidel), in-degree |
 //! | [`model`] | `qrank-model` | The user-visitation model: closed forms, ODE cross-check, life stages, extensions |
 //! | [`sim`] | `qrank-sim` | Agent-based web evolution simulator and snapshot crawler |
 //! | [`core`] | `qrank-core` | Quality estimators, evaluation, and the end-to-end pipeline |
