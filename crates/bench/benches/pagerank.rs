@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, solve_many, PageRankConfig,
+    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto, solve_many, PageRankConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,18 +32,13 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gauss_seidel", n), &g, |b, g| {
             b.iter(|| black_box(gauss_seidel(g, &cfg)))
         });
-        // the threaded sweep itself, even below PARALLEL_MIN_NODES where
-        // `auto` falls back to sequential — this group is where the
-        // crossover documented in `qrank_rank::solver` comes from
-        for threads in [2, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("colored_gs_{threads}t"), n),
-                &g,
-                |b, g| b.iter(|| black_box(colored_gauss_seidel(g, &cfg, threads))),
-            );
-        }
+        // the colored sweep itself, even below PARALLEL_MIN_NODES where
+        // `auto` takes the sequential one
+        group.bench_with_input(BenchmarkId::new("colored_gs", n), &g, |b, g| {
+            b.iter(|| black_box(colored_gauss_seidel(g, &cfg)))
+        });
         group.bench_with_input(BenchmarkId::new("auto", n), &g, |b, g| {
-            b.iter(|| black_box(solve_auto_with(g, &cfg, 4)))
+            b.iter(|| black_box(solve_auto(g, &cfg, None)))
         });
     }
     group.finish();
@@ -110,23 +105,20 @@ fn bench_gauss_seidel_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-/// The colored sweep at the `batch_rank` size: one column on one and on
-/// two threads (the kernel in the graph's own order), beside the
-/// sequential sweep on the same web, and a window of four nested
-/// prefixes of the web through `solve_many`, which renames every column
-/// by degree and, under a budget of two or more, solves the columns side
-/// by side with the colored sweep.
+/// The colored sweep at the `batch_rank` size: one column (the kernel in
+/// the graph's own order) beside the sequential sweep on the same web,
+/// and a window of four nested prefixes of the web through `solve_many`,
+/// which renames every column by degree and solves the columns side by
+/// side with the colored sweep, one thread a column.
 fn bench_colored(c: &mut Criterion) {
     let mut group = c.benchmark_group("colored");
     group.sample_size(10);
     let cfg = PageRankConfig::default();
     let mut rng = StdRng::seed_from_u64(42);
     let web = arrival_ordered_web(105_000, &mut rng);
-    for threads in [1, 2] {
-        group.bench_function(format!("colored_{threads}t"), |b| {
-            b.iter(|| black_box(colored_gauss_seidel(&web, &cfg, threads)))
-        });
-    }
+    group.bench_function("colored", |b| {
+        b.iter(|| black_box(colored_gauss_seidel(&web, &cfg)))
+    });
     group.bench_function("sequential", |b| {
         b.iter(|| black_box(gauss_seidel(&web, &cfg)))
     });

@@ -2,8 +2,8 @@
 
 use qrank_graph::io::read_edge_list;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, indegree_scores, pagerank, solve_auto_with, thread_budget,
-    PageRankConfig, ScoreScale,
+    colored_gauss_seidel, gauss_seidel, indegree_scores, pagerank, solve_auto, PageRankConfig,
+    ScoreScale,
 };
 
 use crate::args::{parse, write_output, CliError};
@@ -16,12 +16,11 @@ options:
   --solver NAME    auto | power | gauss-seidel | colored | indegree
                    (default power; `auto` is the solver `estimate` and
                    `serve` publish with: Gauss-Seidel, or its colored
-                   schedule on a large graph with threads to spare)
+                   schedule on a graph of 100 000 pages or more; every
+                   solver runs on one thread)
   --damping D      paper-style damping d = teleport probability, in (0, 1]
                    (default 0.15)
   --scale S        probability | per-page (default per-page, as in the paper)
-  --threads T      thread budget of `auto` and `colored` (default, or 0:
-                   QRANK_THREADS or available parallelism, as in `estimate`)
   --top K          print only the top K pages (default: all)
   --out FILE       write `node<TAB>score` TSV (default stdout)
   --trace FILE     write the solver's per-iteration convergence trace as
@@ -30,9 +29,7 @@ options:
 
 /// Entry point.
 pub fn run(argv: &[String]) -> Result<(), CliError> {
-    let allowed = [
-        "graph", "solver", "damping", "scale", "threads", "top", "out", "trace",
-    ];
+    let allowed = ["graph", "solver", "damping", "scale", "top", "out", "trace"];
     let p = parse(argv, &allowed, USAGE)?;
     if p.help {
         println!("{USAGE}");
@@ -62,10 +59,6 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
     }
 
     let solver = p.get("solver").unwrap_or("power");
-    let threads = match p.get_or("threads", 0, USAGE)? {
-        0 => thread_budget(),
-        t => t,
-    };
     // PageRank solvers report per-iteration residuals; in-degree has
     // no convergence trace to write.
     let (scores, residuals) = match solver {
@@ -78,11 +71,11 @@ pub fn run(argv: &[String]) -> Result<(), CliError> {
             (r.scores, Some(r.residuals))
         }
         "auto" => {
-            let r = solve_auto_with(&g, &cfg, threads);
+            let r = solve_auto(&g, &cfg, None);
             (r.scores, Some(r.residuals))
         }
         "colored" => {
-            let r = colored_gauss_seidel(&g, &cfg, threads);
+            let r = colored_gauss_seidel(&g, &cfg);
             (r.scores, Some(r.residuals))
         }
         "indegree" => (indegree_scores(&g), None),
@@ -169,35 +162,42 @@ mod tests {
     }
 
     #[test]
-    fn auto_without_threads_solves_under_the_global_budget() {
-        // Above PARALLEL_MIN_NODES the budget picks the solver, and with
-        // it the bits: `pagerank --solver auto` must print what
-        // `estimate` would publish, not what a budget of its own picks.
+    fn auto_prints_the_same_bytes_at_every_budget() {
+        // From PARALLEL_MIN_NODES on `auto` runs the colored schedule; the
+        // bits it prints must not depend on the thread budget the
+        // process runs under.
         let n = qrank_rank::PARALLEL_MIN_NODES;
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
         let g = qrank_graph::generators::barabasi_albert(n, 3, &mut rng);
         let dir = write_sample_graph();
         let dir = dir.parent().unwrap();
-        let (path, out) = (dir.join("large.edges"), dir.join("large.tsv"));
+        let path = dir.join("large.edges");
         let mut text = Vec::new();
         qrank_graph::io::write_edge_list(&g, &mut text).unwrap();
         std::fs::write(&path, text).unwrap();
 
-        qrank_rank::set_thread_budget(1);
-        let ran = run(&argv(&[
-            "--graph",
-            path.to_str().unwrap(),
-            "--solver",
-            "auto",
-            "--out",
-            out.to_str().unwrap(),
-        ]));
-        let expect = qrank_rank::solve_auto(&g, &PageRankConfig::paper_style(0.15), None);
-        qrank_rank::set_thread_budget(0);
-        ran.unwrap();
+        let printed: Vec<String> = [1, 2]
+            .into_iter()
+            .map(|budget| {
+                let out = dir.join(format!("large.{budget}.tsv"));
+                qrank_rank::set_thread_budget(budget);
+                let ran = run(&argv(&[
+                    "--graph",
+                    path.to_str().unwrap(),
+                    "--solver",
+                    "auto",
+                    "--out",
+                    out.to_str().unwrap(),
+                ]));
+                qrank_rank::set_thread_budget(0);
+                ran.unwrap();
+                std::fs::read_to_string(&out).unwrap()
+            })
+            .collect();
+        assert_eq!(printed[0].lines().count(), n);
         assert!(
-            std::fs::read_to_string(&out).unwrap() == render_scores(&expect.scores, n),
-            "auto printed other bits than solve_auto under the same budget"
+            printed[0] == printed[1],
+            "auto printed other bits at budget 2 than at budget 1"
         );
     }
 
@@ -255,27 +255,6 @@ mod tests {
             ])),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn zero_threads_means_the_default_budget() {
-        let path = write_sample_graph();
-        let dir = path.parent().unwrap();
-        for solver in ["colored", "auto"] {
-            let out = dir.join(format!("{solver}.zero.tsv"));
-            run(&argv(&[
-                "--graph",
-                path.to_str().unwrap(),
-                "--solver",
-                solver,
-                "--threads",
-                "0",
-                "--out",
-                out.to_str().unwrap(),
-            ]))
-            .unwrap_or_else(|e| panic!("{solver}: {e}"));
-            assert_eq!(std::fs::read_to_string(&out).unwrap().lines().count(), 4);
-        }
     }
 
     #[test]

@@ -29,8 +29,7 @@ impl PopularityMetric {
     ///
     /// PageRank is solved by [`qrank_rank::solve_auto`]: sequential
     /// Gauss–Seidel on small graphs, the degree-relabeled multi-color
-    /// parallel sweep on large ones — whichever is fastest for the graph
-    /// size and [`qrank_rank::thread_budget`].
+    /// sweep on large ones, chosen by the graph's size alone.
     pub fn compute(&self, g: &CsrGraph) -> Vec<f64> {
         match self {
             PopularityMetric::PageRank(cfg) => qrank_rank::solve_auto(g, cfg, None).scores,
@@ -43,9 +42,9 @@ impl PopularityMetric {
     /// bit for bit.
     ///
     /// The columns of a window are independent, so PageRank solves them
-    /// side by side ([`qrank_rank::solve_many`]): the thread budget goes
-    /// to whole columns first and only what is left to the inside of a
-    /// solve. In-degree is a single pass and runs in turn.
+    /// side by side ([`qrank_rank::solve_many`]), one thread a column, on
+    /// up to the thread budget. In-degree is a single pass and runs in
+    /// turn.
     pub fn compute_many(&self, graphs: &[&CsrGraph]) -> Vec<Vec<f64>> {
         match self {
             PopularityMetric::PageRank(cfg) => qrank_rank::solve_many(graphs, cfg)

@@ -9,12 +9,30 @@
 //! own counters must agree with the stage cache that exactly one column
 //! was solved.
 //!
-//! Observability and the thread budget are process-global, so the whole
-//! scenario lives in one `#[test]`.
+//! A window whose columns are large enough for the colored schedule
+//! gives one report at every thread budget: a column's bits are a
+//! function of its graph and `PageRankConfig` alone.
+//!
+//! Observability and the thread budget are process-global, so each
+//! scenario is one `#[test]`, and the two take turns on one lock.
 
-use qrank_core::{PaperEstimator, PipelineEngine, PipelineReport, PopularityMetric};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use qrank_core::{
+    run_pipeline, PaperEstimator, PipelineConfig, PipelineEngine, PipelineReport, PopularityMetric,
+};
+use qrank_graph::generators::barabasi_albert;
 use qrank_graph::{CsrGraph, PageId, Snapshot, SnapshotSeries};
 use qrank_obs as obs;
+use qrank_rank::{set_thread_budget, solve_auto, solve_many, PageRankConfig, PARALLEL_MIN_NODES};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Held by each test while it sets the thread budget or observability.
+fn process_globals() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Crawls `times` of one 300-page site whose links churn with `t`.
 fn crawls(times: std::ops::Range<u64>) -> SnapshotSeries {
@@ -48,11 +66,12 @@ fn run(engine: &mut PipelineEngine, series: &SnapshotSeries) -> PipelineReport {
 
 #[test]
 fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
+    let _globals = process_globals();
     let series = crawls(0..4);
     let cold_engine = || PipelineEngine::new(PopularityMetric::paper_pagerank());
     // more threads than most CI boxes have: the batch clamps to the
     // machine, and every assertion below holds for any worker count
-    qrank_rank::set_thread_budget(4);
+    set_thread_budget(4);
 
     obs::set_enabled(false);
     let off = run(&mut cold_engine(), &series);
@@ -64,7 +83,7 @@ fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
     let on = run(&mut engine, &series);
     tracer.finish(trace, true);
     obs::set_enabled(false);
-    qrank_rank::set_thread_budget(0);
+    set_thread_budget(0);
 
     assert_eq!(off.pages, on.pages);
     assert_eq!(off.estimates, on.estimates);
@@ -129,4 +148,90 @@ fn observability_changes_no_bit_and_worker_time_rolls_up_under_the_stage() {
     let snap = obs::global().snapshot();
     assert_eq!(snap.counter("rank.solve.gauss_seidel"), Some(1));
     assert_eq!(snap.counter("rank.solve_many.columns"), Some(1));
+}
+
+/// Four crawls of one preferential-attachment web of
+/// [`PARALLEL_MIN_NODES`] pages, each holding every page and a nested
+/// 70/80/90/100 % of the links: the common set is every page, so every
+/// aligned column takes the colored schedule.
+fn large_window() -> SnapshotSeries {
+    let n = PARALLEL_MIN_NODES;
+    let mut rng = StdRng::seed_from_u64(48);
+    let links: Vec<(u32, u32)> = barabasi_albert(n, 3, &mut rng).edges().collect();
+    let pages: Vec<PageId> = (0..n as u64).map(PageId).collect();
+    let mut series = SnapshotSeries::new();
+    for t in 0..4u64 {
+        let kept: Vec<(u32, u32)> = (0u64..)
+            .zip(&links)
+            .filter(|(j, _)| j.wrapping_mul(7_919) % 10 < 7 + t)
+            .map(|(_, &link)| link)
+            .collect();
+        let graph = CsrGraph::from_edges(n, &kept);
+        series
+            .push(Snapshot::new(t as f64, graph, pages.clone()).unwrap())
+            .unwrap();
+    }
+    series
+}
+
+/// FNV-1a over the bit pattern of every per-page value of a report and
+/// of its headline ratio.
+fn digest(report: &PipelineReport) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for page in &report.pages {
+        word(page.0);
+    }
+    for &selected in &report.selected {
+        word(u64::from(selected));
+    }
+    let columns = [
+        &report.estimates,
+        &report.current,
+        &report.future,
+        &report.err_estimate,
+        &report.err_current,
+    ];
+    let trajectories = report.trajectories.values.iter();
+    for v in columns.into_iter().chain(trajectories).flatten() {
+        word(v.to_bits());
+    }
+    word(report.improvement_factor().to_bits());
+    h
+}
+
+#[test]
+fn a_window_of_colored_columns_gives_one_report_at_every_budget() {
+    let _globals = process_globals();
+    let series = large_window();
+    let digests: Vec<u64> = [1, 2, 8]
+        .into_iter()
+        .map(|budget| {
+            set_thread_budget(budget);
+            let report = run_pipeline(&series, &PipelineConfig::default()).unwrap();
+            assert_eq!(report.pages.len(), PARALLEL_MIN_NODES);
+            digest(&report)
+        })
+        .collect();
+    assert_eq!(
+        digests, [digests[0]; 3],
+        "report digests at budgets 1, 2, 8"
+    );
+
+    let cfg = PageRankConfig::paper_style(0.15);
+    let columns: Vec<&CsrGraph> = series.snapshots().iter().map(|s| &s.graph).collect();
+    set_thread_budget(1);
+    let one_by_one: Vec<_> = columns.iter().map(|g| solve_auto(g, &cfg, None)).collect();
+    for budget in [2, 8] {
+        set_thread_budget(budget);
+        assert!(
+            solve_many(&columns, &cfg) == one_by_one,
+            "solve_many at budget {budget} is not solve_auto per column"
+        );
+    }
+    set_thread_budget(0);
 }

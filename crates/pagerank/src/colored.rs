@@ -1,21 +1,13 @@
-//! Multi-color parallel Gauss–Seidel PageRank.
+//! Multi-color Gauss–Seidel PageRank.
 //!
-//! A sequential Gauss–Seidel sweep has a loop-carried dependency: node
-//! `v` reads values already updated earlier in the same sweep. Graph
-//! coloring breaks that dependency *structurally*: nodes are partitioned
-//! into classes such that no two nodes in a class share an edge (in
-//! either direction), so within one class every update reads only values
-//! frozen since the previous class. Updates inside a class are therefore
-//! order-independent — each node's new value is a pure function of state
-//! at the class boundary — which gives the solver its headline property:
-//!
-//! > **Bit-identical results for any thread count.** Chunking a color
-//! > class across 1, 2, or 64 threads changes only *who* computes each
-//! > node, never *what* is computed.
-//!
-//! Per-sweep reductions (dangling-mass delta, residual) are computed
-//! redundantly by every worker in a fixed order, so workers always agree
-//! bitwise on convergence and no coordinator is needed.
+//! A sequential Gauss–Seidel sweep visits the nodes in one fixed order.
+//! This sweep visits them class by class of a graph coloring: nodes are
+//! partitioned into classes such that no two nodes in a class share an
+//! edge (in either direction), so within one class every update reads
+//! only values frozen since the previous class. It is one thread's
+//! sweep, and a column's bits are a function of its graph and
+//! [`PageRankConfig`] alone; a window's columns run side by side through
+//! [`crate::solve_many`] instead.
 //!
 //! **The layout.** A solve runs over a private class-major pull layout
 //! built straight from the graph and a renaming of its nodes (the
@@ -40,8 +32,7 @@
 //! colors, information still propagates through up to `k` graph hops per
 //! sweep.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::cell::Cell;
 
 use qrank_graph::relabel::Relabeling;
 use qrank_graph::CsrGraph;
@@ -51,16 +42,6 @@ use crate::power::{
     apply_scale, count_solve, inv_out_degree, renormalize, start_vector, PageRankResult,
 };
 use crate::PageRankConfig;
-
-#[inline]
-fn f64_load(a: &AtomicU64) -> f64 {
-    f64::from_bits(a.load(Ordering::Relaxed))
-}
-
-#[inline]
-fn f64_store(a: &AtomicU64, v: f64) {
-    a.store(v.to_bits(), Ordering::Relaxed);
-}
 
 /// Greedy first-fit coloring of the graph's *conflict* structure (u
 /// conflicts with v when an edge runs between them in either direction),
@@ -194,54 +175,24 @@ impl Layout {
     }
 }
 
-/// The iterate by position (`x`), its shares `w = x / c` by position
-/// with the sentinel's slot last, and each node's last change
-/// `new − old` by renamed id (`step`).
-struct State {
-    x: Vec<AtomicU64>,
-    w: Vec<AtomicU64>,
-    step: Vec<AtomicU64>,
-}
-
-impl State {
-    /// The state of `init`, a distribution in renamed order.
-    fn new(lay: &Layout, init: Vec<f64>) -> State {
-        let x: Vec<AtomicU64> = lay
-            .id
-            .iter()
-            .map(|&r| AtomicU64::new(init[r as usize].to_bits()))
-            .collect();
-        drop(init);
-        let w = x
-            .iter()
-            .zip(&lay.inv)
-            .map(|(x, &i)| AtomicU64::new((f64_load(x) * i).to_bits()))
-            .chain([AtomicU64::new(0.0f64.to_bits())])
-            .collect();
-        let step = (0..lay.len()).map(|_| AtomicU64::new(0)).collect();
-        State { x, w, step }
-    }
-}
-
 /// Sweeps run, whether the tolerance was met, and the residual of each
 /// sweep.
 type Sweeps = (usize, bool, Vec<f64>);
 
-/// Worker `tid` of `threads`: in every class it updates its share of the
-/// positions, waits for the others, and reduces the class's dangling
-/// delta as every worker does; every sweep ends with the residual summed
-/// in renamed order and one more wait. All workers therefore hold the
-/// same totals and take the same branches.
-fn sweep(
-    lay: &Layout,
-    st: &State,
-    config: &PageRankConfig,
-    init_dangling: f64,
-    tid: usize,
-    threads: usize,
-    barrier: &Barrier,
-) -> Sweeps {
+/// Sweep the iterate `x`, by position, until the tolerance or the sweep
+/// cap: in every class, update its positions and then reduce the class's
+/// dangling delta; every sweep ends with the residual summed in renamed
+/// order.
+fn sweep(lay: &Layout, x: &mut [f64], config: &PageRankConfig, init_dangling: f64) -> Sweeps {
     let n = lay.len();
+    // The shares `x / c` by position, with the sentinel's slot last. A
+    // row of the class being swept reads no other row of that class, but
+    // it may read its own slot (a self-loop), so the slots are cells.
+    let mut w: Vec<f64> = x.iter().zip(&lay.inv).map(|(x, i)| x * i).collect();
+    w.push(0.0);
+    let w = Cell::from_mut(&mut w[..]).as_slice_of_cells();
+    // Each node's last change `new − old`, by renamed id.
+    let mut step = vec![0.0; n];
     let alpha = config.follow_prob;
     let teleport = (1.0 - alpha) / n as f64;
     let mut dangling_mass = init_dangling;
@@ -250,41 +201,33 @@ fn sweep(
         for (c, class) in lay.classes.windows(2).enumerate() {
             // Footnote 2: a dangling page links to every page.
             let dangling_share = alpha * dangling_mass / n as f64;
-            let chunk = (class[1] - class[0]).div_ceil(threads);
-            let lo = (class[0] + tid * chunk).min(class[1]);
-            let hi = (lo + chunk).min(class[1]);
+            let (lo, hi) = (class[0], class[1]);
             let rows = lay.heads[lo..hi]
                 .iter()
                 .zip(lay.tail_at[lo..=hi].windows(2))
                 .zip(&lay.id[lo..hi])
                 .zip(&lay.inv[lo..hi])
-                .zip(&st.x[lo..hi])
-                .zip(&st.w[lo..hi]);
-            for (((((head, tail), &r), &inv), x), w) in rows {
+                .zip(&mut x[lo..hi])
+                .zip(&w[lo..hi]);
+            for (((((head, tail), &r), &inv), x), w_at) in rows {
                 let mut acc = 0.0;
                 for u in *head {
-                    acc += f64_load(&st.w[u as usize]);
+                    acc += w[u as usize].get();
                 }
                 for &u in &lay.tails[tail[0]..tail[1]] {
-                    acc += f64_load(&st.w[u as usize]);
+                    acc += w[u as usize].get();
                 }
                 let new_v = teleport + dangling_share + alpha * acc;
                 // Every node is written exactly once per sweep, here.
-                f64_store(&st.step[r as usize], new_v - f64_load(x));
-                f64_store(x, new_v);
-                f64_store(w, new_v * inv);
+                step[r as usize] = new_v - *x;
+                *x = new_v;
+                w_at.set(new_v * inv);
             }
-            barrier.wait();
             for &r in &lay.dangling[lay.dangling_at[c]..lay.dangling_at[c + 1]] {
-                dangling_mass += f64_load(&st.step[r as usize]);
+                dangling_mass += step[r as usize];
             }
         }
-        let residual: f64 = st.step.iter().map(|d| f64_load(d).abs()).sum();
-        // Hold everyone until the residual pass is done: the next sweep
-        // starts by overwriting `step`, and a worker racing ahead would
-        // corrupt the sums still being read — workers could then
-        // disagree on convergence and deadlock.
-        barrier.wait();
+        let residual: f64 = step.iter().map(|d| d.abs()).sum();
         residuals.push(residual);
         if residual < config.tolerance {
             return (residuals.len(), true, residuals);
@@ -293,28 +236,14 @@ fn sweep(
     (residuals.len(), false, residuals)
 }
 
-/// Colored Gauss–Seidel PageRank, from the uniform vector.
+/// Colored Gauss–Seidel PageRank, from the uniform vector, over the
+/// graph's own node order.
 ///
 /// Converges to the same fixed point as [`crate::pagerank`] and
-/// [`crate::gauss_seidel()`] (within solver tolerance). The returned
-/// vector is **bitwise identical for every `threads` value** — the
-/// property the deterministic simulation and serving layers build on.
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn colored_gauss_seidel(
-    g: &CsrGraph,
-    config: &PageRankConfig,
-    threads: usize,
-) -> PageRankResult {
+/// [`crate::gauss_seidel()`] (within solver tolerance).
+pub fn colored_gauss_seidel(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
     let mut out = PageRankResult::unsolved(g.num_nodes());
-    colored_into(
-        g,
-        config,
-        threads,
-        |g| Relabeling::identity(g.num_nodes()),
-        &mut out,
-    );
+    colored_into(g, config, |g| Relabeling::identity(g.num_nodes()), &mut out);
     out
 }
 
@@ -327,20 +256,17 @@ pub fn colored_gauss_seidel(
 pub(crate) fn colored_into(
     g: &CsrGraph,
     config: &PageRankConfig,
-    threads: usize,
     rename: fn(&CsrGraph) -> Relabeling,
     out: &mut PageRankResult,
 ) {
     let _span = qrank_obs::span!("rank.colored");
     config.validate();
-    assert!(threads >= 1, "need at least one thread");
     let n = g.num_nodes();
     assert_eq!(out.scores.len(), n, "one score slot per node");
     if n == 0 {
         out.converged = true;
         return;
     }
-    let threads = threads.min(n);
 
     let layout_span = qrank_obs::span!("rank.colored.layout");
     let r = rename(g);
@@ -353,21 +279,11 @@ pub(crate) fn colored_into(
         .sum();
     drop(layout_span);
 
-    let st = State::new(&lay, init);
-    let barrier = Barrier::new(threads);
-    let work = |tid| sweep(&lay, &st, config, init_dangling, tid, threads, &barrier);
-    let (iterations, converged, residuals) = std::thread::scope(|s| {
-        for tid in 1..threads {
-            s.spawn(move || work(tid));
-        }
-        work(0)
-    });
-    let mut scores: Vec<f64> = lay
-        .pos
-        .iter()
-        .map(|&p| f64_load(&st.x[p as usize]))
-        .collect();
-    drop(st);
+    let mut x: Vec<f64> = lay.id.iter().map(|&r| init[r as usize]).collect();
+    drop(init);
+    let (iterations, converged, residuals) = sweep(&lay, &mut x, config, init_dangling);
+    let mut scores: Vec<f64> = lay.pos.iter().map(|&p| x[p as usize]).collect();
+    drop(x);
     // Like sequential GS, the sweeps do not preserve the simplex en
     // route; project back (summing in renamed order) before scaling.
     renormalize(&mut scores);
@@ -421,13 +337,9 @@ mod tests {
     }
 
     /// The sweep the layout replaced, kept as its oracle: the
-    /// class-by-class loop over the graph as given, every slot an atomic,
-    /// rows read from the graph's in-adjacency, `prev` saved at the write.
-    fn class_by_class_reference(
-        g: &CsrGraph,
-        config: &PageRankConfig,
-        threads: usize,
-    ) -> PageRankResult {
+    /// class-by-class loop over the graph as given, rows read from the
+    /// graph's in-adjacency, `prev` saved at the write.
+    fn class_by_class_reference(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
         let n = g.num_nodes();
         if n == 0 {
             return PageRankResult {
@@ -437,7 +349,6 @@ mod tests {
                 residuals: Vec::new(),
             };
         }
-        let threads = threads.min(n);
         let classes = reference_coloring(g);
         let inv = inv_out_degrees(g);
         let alpha = config.follow_prob;
@@ -452,71 +363,44 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut init = vec![0.0; n];
-        start_vector(&mut init);
-        let x: Vec<AtomicU64> = init.iter().map(|&v| AtomicU64::new(v.to_bits())).collect();
-        let w: Vec<AtomicU64> = init
-            .iter()
-            .zip(&inv)
-            .map(|(&x, &i)| AtomicU64::new((x * i).to_bits()))
-            .collect();
-        let prev: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let init_dangling: f64 = (0..n).filter(|&v| inv[v] == 0.0).map(|v| init[v]).sum();
-        let barrier = Barrier::new(threads);
-        let worker = |tid: usize| -> Sweeps {
-            let mut dangling_mass = init_dangling;
-            let mut residuals = Vec::new();
-            let mut converged = false;
-            let mut iterations = 0;
-            while iterations < config.max_iterations {
-                for (ci, class) in classes.iter().enumerate() {
-                    let dangling_share = alpha * dangling_mass / n as f64;
-                    let cchunk = class.len().div_ceil(threads);
-                    let clo = (tid * cchunk).min(class.len());
-                    let chi = ((tid + 1) * cchunk).min(class.len());
-                    for &v in &class[clo..chi] {
-                        let vu = v as usize;
-                        let mut acc = 0.0;
-                        for &u in g.in_neighbors(v) {
-                            acc += f64_load(&w[u as usize]);
-                        }
-                        let new_v = teleport + dangling_share + alpha * acc;
-                        f64_store(&prev[vu], f64_load(&x[vu]));
-                        f64_store(&x[vu], new_v);
-                        f64_store(&w[vu], new_v * inv[vu]);
+        let mut x = vec![0.0; n];
+        start_vector(&mut x);
+        let mut w: Vec<f64> = x.iter().zip(&inv).map(|(&x, &i)| x * i).collect();
+        let mut prev = vec![0.0; n];
+        let mut dangling_mass: f64 = (0..n).filter(|&v| inv[v] == 0.0).map(|v| x[v]).sum();
+        let mut residuals = Vec::new();
+        let mut converged = false;
+        let mut iterations = 0;
+        while iterations < config.max_iterations {
+            for (ci, class) in classes.iter().enumerate() {
+                let dangling_share = alpha * dangling_mass / n as f64;
+                for &v in class {
+                    let vu = v as usize;
+                    let mut acc = 0.0;
+                    for &u in g.in_neighbors(v) {
+                        acc += w[u as usize];
                     }
-                    barrier.wait();
-                    for &v in &class_dangling[ci] {
-                        dangling_mass += f64_load(&x[v as usize]) - f64_load(&prev[v as usize]);
-                    }
+                    let new_v = teleport + dangling_share + alpha * acc;
+                    prev[vu] = x[vu];
+                    x[vu] = new_v;
+                    w[vu] = new_v * inv[vu];
                 }
-                let residual: f64 = (0..n)
-                    .map(|v| (f64_load(&x[v]) - f64_load(&prev[v])).abs())
-                    .sum();
-                barrier.wait();
-                iterations += 1;
-                residuals.push(residual);
-                if residual < config.tolerance {
-                    converged = true;
-                    break;
+                for &v in &class_dangling[ci] {
+                    dangling_mass += x[v as usize] - prev[v as usize];
                 }
             }
-            (iterations, converged, residuals)
-        };
-        let worker = &worker;
-        let (iterations, converged, residuals) = std::thread::scope(|s| {
-            for tid in 1..threads {
-                s.spawn(move || {
-                    let _ = worker(tid);
-                });
+            let residual: f64 = (0..n).map(|v| (x[v] - prev[v]).abs()).sum();
+            iterations += 1;
+            residuals.push(residual);
+            if residual < config.tolerance {
+                converged = true;
+                break;
             }
-            worker(0)
-        });
-        let mut scores: Vec<f64> = x.iter().map(f64_load).collect();
-        renormalize(&mut scores);
-        apply_scale(&mut scores, config.scale);
+        }
+        renormalize(&mut x);
+        apply_scale(&mut x, config.scale);
         PageRankResult {
-            scores,
+            scores: x,
             iterations,
             converged,
             residuals,
@@ -529,40 +413,28 @@ mod tests {
 
     const RENAMINGS: [fn(&CsrGraph) -> Relabeling; 2] = [identity, degree_order];
 
-    /// The layout's solve at each of `threads` against the oracle run on
-    /// the renamed graph and mapped back: scores and residuals by bit
-    /// pattern, sweep count and verdict.
+    /// The layout's solve against the oracle run on the renamed graph and
+    /// mapped back: scores and residuals by bit pattern, sweep count and
+    /// verdict.
     fn assert_same_bits(
         g: &CsrGraph,
         config: &PageRankConfig,
         rename: fn(&CsrGraph) -> Relabeling,
-        threads: &[usize],
     ) {
-        let n = g.num_nodes();
         let r = rename(g);
-        let mut want = class_by_class_reference(&g.relabeled(&r), config, 1);
+        let mut want = class_by_class_reference(&g.relabeled(&r), config);
         want.scores = inverse_scores(&want.scores, &r);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for &t in threads {
-            let mut got = PageRankResult::unsolved(n);
-            colored_into(g, config, t, rename, &mut got);
-            assert_eq!(bits(&got.scores), bits(&want.scores), "scores, {t} threads");
-            assert_eq!(
-                bits(&got.residuals),
-                bits(&want.residuals),
-                "residuals, {t} threads"
-            );
-            assert_eq!(got.iterations, want.iterations, "{t} threads");
-            assert_eq!(got.converged, want.converged, "{t} threads");
-        }
+        let mut got = PageRankResult::unsolved(g.num_nodes());
+        colored_into(g, config, rename, &mut got);
+        assert_eq!(bits(&got.scores), bits(&want.scores), "scores");
+        assert_eq!(bits(&got.residuals), bits(&want.residuals), "residuals");
+        assert_eq!(got.iterations, want.iterations);
+        assert_eq!(got.converged, want.converged);
     }
 
     /// On both output scales and with a sweep cap that bites.
-    fn assert_same_bits_every_config(
-        g: &CsrGraph,
-        rename: fn(&CsrGraph) -> Relabeling,
-        threads: &[usize],
-    ) {
+    fn assert_same_bits_every_config(g: &CsrGraph, rename: fn(&CsrGraph) -> Relabeling) {
         let configs = [
             PageRankConfig::default(),
             PageRankConfig {
@@ -576,7 +448,7 @@ mod tests {
             },
         ];
         for config in &configs {
-            assert_same_bits(g, config, rename, threads);
+            assert_same_bits(g, config, rename);
         }
     }
 
@@ -598,7 +470,6 @@ mod tests {
         fn layout_matches_class_by_class_sweep_bitwise(
             n in 1usize..24,
             edges in prop::collection::vec((0u32..24, 0u32..24), 0..160),
-            threads in 1usize..=3,
             renaming in 0usize..2,
         ) {
             let edges: Vec<(u32, u32)> = edges
@@ -609,7 +480,7 @@ mod tests {
             let rename = RENAMINGS[renaming];
             let r = rename(&g);
             prop_assert_eq!(layout_classes(&g, &r), reference_coloring(&g.relabeled(&r)));
-            assert_same_bits_every_config(&g, rename, &[threads]);
+            assert_same_bits_every_config(&g, rename);
         }
     }
 
@@ -630,7 +501,7 @@ mod tests {
         let g = CsrGraph::from_edges(n as usize, &edges);
         assert!(g.in_degree(long) >= 1_000);
         for rename in RENAMINGS {
-            assert_same_bits_every_config(&g, rename, &[1, 2, 3]);
+            assert_same_bits_every_config(&g, rename);
         }
     }
 
@@ -643,7 +514,7 @@ mod tests {
             CsrGraph::from_edges(5, &[]),
         ] {
             for rename in RENAMINGS {
-                assert_same_bits_every_config(&g, rename, &[1, 2, 3]);
+                assert_same_bits_every_config(&g, rename);
             }
         }
     }
@@ -682,25 +553,11 @@ mod tests {
         };
         let p = pagerank(&g, &cfg);
         let gs = gauss_seidel(&g, &cfg);
-        let colored = colored_gauss_seidel(&g, &cfg, 3);
+        let colored = colored_gauss_seidel(&g, &cfg);
         assert!(colored.converged);
         for ((a, b), c) in p.scores.iter().zip(&gs.scores).zip(&colored.scores) {
             assert!((a - c).abs() < 1e-8, "power {a} vs colored {c}");
             assert!((b - c).abs() < 1e-8, "gs {b} vs colored {c}");
-        }
-    }
-
-    #[test]
-    fn bit_identical_across_thread_counts() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let g = barabasi_albert(500, 5, &mut rng);
-        let cfg = PageRankConfig::default();
-        let one = colored_gauss_seidel(&g, &cfg, 1);
-        for threads in [2, 3, 8] {
-            let t = colored_gauss_seidel(&g, &cfg, threads);
-            assert_eq!(one.scores, t.scores, "threads={threads}");
-            assert_eq!(one.iterations, t.iterations);
-            assert_eq!(one.residuals, t.residuals);
         }
     }
 
@@ -712,31 +569,23 @@ mod tests {
             ..Default::default()
         };
         let seq = pagerank(&g, &cfg);
-        let col = colored_gauss_seidel(&g, &cfg, 3);
+        let col = colored_gauss_seidel(&g, &cfg);
         for (i, (a, b)) in seq.scores.iter().zip(&col.scores).enumerate() {
             assert!((a - b).abs() < 1e-7, "node {i}: {a} vs {b}");
         }
     }
 
     #[test]
-    fn empty_graph_and_zero_thread_panic() {
-        let r = colored_gauss_seidel(&CsrGraph::from_edges(0, &[]), &PageRankConfig::default(), 4);
+    fn empty_graph() {
+        let r = colored_gauss_seidel(&CsrGraph::from_edges(0, &[]), &PageRankConfig::default());
         assert!(r.scores.is_empty() && r.converged);
-        let result = std::panic::catch_unwind(|| {
-            colored_gauss_seidel(
-                &CsrGraph::from_edges(2, &[(0, 1)]),
-                &PageRankConfig::default(),
-                0,
-            )
-        });
-        assert!(result.is_err());
     }
 
     #[test]
     fn probability_scale_sums_to_one() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = erdos_renyi_gnm(120, 600, &mut rng);
-        let r = colored_gauss_seidel(&g, &PageRankConfig::default(), 4);
+        let r = colored_gauss_seidel(&g, &PageRankConfig::default());
         let sum: f64 = r.scores.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }

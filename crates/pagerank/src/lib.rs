@@ -10,11 +10,12 @@
 //!   the simulator's visit model and the tests compare against it.
 //! * [`gauss_seidel()`] — in-place Gauss–Seidel iteration; fewer sweeps to
 //!   the same tolerance.
-//! * [`colored_gauss_seidel()`] — the same sweep over a graph coloring,
-//!   threaded, bit-identical for every thread count.
+//! * [`colored_gauss_seidel()`] — the same sweep, class by class of a
+//!   graph coloring.
 //! * [`solve_auto`] / [`solve_many`] — what the pipeline calls: one of the
-//!   two Gauss–Seidel schedules, picked by graph size and thread budget
-//!   ([`select_solver`]), for one graph or a window's columns.
+//!   two Gauss–Seidel schedules, picked by graph size
+//!   ([`select_solver`]), for one graph or for a window's columns solved
+//!   side by side on the thread budget, one thread a column.
 //! * [`indegree`] — raw link-count popularity, the paper's footnote-4
 //!   alternative to PageRank inside the quality estimator.
 //!
@@ -51,6 +52,6 @@ pub use gauss_seidel::gauss_seidel;
 pub use indegree::indegree_scores;
 pub use power::{pagerank, PageRankResult};
 pub use solver::{
-    select_solver, set_thread_budget, solve_auto, solve_auto_with, solve_many, thread_budget,
-    SolverChoice, PARALLEL_MIN_NODES,
+    select_solver, set_thread_budget, solve_auto, solve_many, thread_budget, SolverChoice,
+    PARALLEL_MIN_NODES,
 };

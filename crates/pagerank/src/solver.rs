@@ -1,46 +1,37 @@
-//! Automatic solver selection: graph size × thread budget, one column or
-//! a window of them.
+//! Automatic solver selection by graph size, for one column or a window
+//! of them.
 //!
 //! Callers that just want "the fastest correct PageRank" — the pipeline
 //! in `qrank-core`, the refresh engine in `qrank-serve` — should not
-//! hard-code a solver. The right choice depends on the graph and the
-//! machine:
+//! hard-code a solver. The choice is keyed on the graph alone, so a
+//! column's bits are a function of its graph and [`PageRankConfig`] at
+//! every thread budget and on every machine:
 //!
-//! * **Small graphs** (the overwhelming majority of snapshots): the
-//!   sequential in-place Gauss–Seidel sweep. Below
-//!   [`PARALLEL_MIN_NODES`] nodes it is always the choice.
-//! * **Large graphs with threads to spare**: the multi-color parallel
-//!   Gauss–Seidel sweep ([`crate::colored_gauss_seidel()`]) over the
-//!   graph renamed in degree order. The renaming packs hub rows into a
-//!   contiguous prefix (cache locality) and is never materialized: the
-//!   sweep builds its layout from the graph and the permutation.
-//!   Coloring makes the sweep deterministic for any thread count.
+//! * **Graphs below [`PARALLEL_MIN_NODES`] nodes** (the overwhelming
+//!   majority of snapshots): the sequential in-place Gauss–Seidel sweep.
+//! * **Larger graphs**: the multi-color Gauss–Seidel sweep
+//!   ([`crate::colored_gauss_seidel()`]) over the graph renamed in
+//!   degree order. The renaming packs hub rows into a contiguous prefix
+//!   (cache locality) and is never materialized: the sweep builds its
+//!   layout from the graph and the permutation.
 //!
 //! The threshold is a setting, not a measured crossover. What has been
 //! measured (EXPERIMENTS.md "Solver crossover" and "Pull layout head
-//! width", one web of 105 k pages on a 2-core host) is that the colored
-//! sweep gains nothing from a second thread at that size, and that on
-//! one thread the two sweeps now take about as long per column: the
-//! sequential sweep's row-record layout brought it from well behind the
-//! colored one to level with it (criterion `colored/sequential` against
-//! `colored/colored_1t` on the same web, 93–107 against 95–99 ms). The
-//! threshold and the choice are owned by the ROADMAP.md item "One column
-//! schedule", which asks for the crossover curve first.
+//! width", one web of 105 k pages on a 2-core host) is that the two
+//! sweeps take about as long per column (criterion `colored/sequential`
+//! against `colored/colored` on the same web).
 //!
 //! Equation 1 wants the PageRank of one page set at several crawls, so
 //! the pipeline's unit of work is a *batch* of independent solves.
-//! [`solve_many`] gives the thread budget to whole columns first and only
-//! what is left to the inside of a solve: each column runs the solver
-//! [`select_solver`] picks for the full budget — the scores are those of
-//! one [`solve_auto`] call per graph, bit for bit, because the colored
-//! sweep does not depend on its thread count — while the threads that
-//! actually run (workers × threads inside a solve) never exceed the
-//! machine's available parallelism. [`solve_auto`] is the one-column
-//! batch.
+//! [`solve_many`] runs whole columns side by side, one thread each, on
+//! up to the thread budget's worth of workers, and never more than the
+//! machine's available parallelism. Every column is solved on one
+//! thread, so the scores are those of one [`solve_auto`] call per graph,
+//! bit for bit. [`solve_auto`] is the one-column batch.
 //!
 //! The thread budget defaults to the machine's available parallelism and
 //! can be pinned globally with [`set_thread_budget`] (used by benchmarks
-//! to measure scaling) or per call.
+//! to measure scaling).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -54,9 +45,9 @@ use crate::gauss_seidel::gauss_seidel_into;
 use crate::power::PageRankResult;
 use crate::PageRankConfig;
 
-/// Below this node count the threaded colored sweep loses to sequential
-/// Gauss–Seidel (barrier synchronization dwarfs per-iteration work);
-/// callers need not know that — [`solve_auto`] falls back automatically.
+/// At and above this node count [`solve_auto`] and [`solve_many`] solve
+/// a column with the degree-renamed colored sweep, below it with
+/// sequential Gauss–Seidel.
 pub const PARALLEL_MIN_NODES: usize = 100_000;
 
 /// 0 = "auto" (use available parallelism).
@@ -64,10 +55,10 @@ static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
 /// Pin the global solver thread budget (0 restores auto-detection).
 ///
-/// Affects every subsequent [`thread_budget`]/[`solve_auto`] call in the
+/// Affects every subsequent [`thread_budget`]/[`solve_many`] call in the
 /// process — intended for benchmarks and services that reserve cores.
-/// Scores are unaffected: every solver dispatched by [`solve_auto`] is
-/// bit-deterministic for any thread count.
+/// Scores are unaffected: every column is solved on one thread by a
+/// solver chosen from its size.
 pub fn set_thread_budget(threads: usize) {
     THREAD_BUDGET.store(threads, Ordering::Relaxed);
 }
@@ -97,29 +88,28 @@ fn available_cpus() -> usize {
 /// What [`solve_auto`] decided to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverChoice {
-    /// Sequential in-place Gauss–Seidel (small graph or single thread).
+    /// Sequential in-place Gauss–Seidel (a graph below
+    /// [`PARALLEL_MIN_NODES`]).
     GaussSeidel,
-    /// Degree-relabeled multi-color parallel Gauss–Seidel.
-    ColoredGaussSeidel {
-        /// The thread budget the choice was made for. The sweep itself
-        /// runs on what [`solve_many`]'s schedule leaves inside a solve,
-        /// never more than the machine has; the scores do not depend on
-        /// either number.
-        threads: usize,
-    },
+    /// Degree-relabeled multi-color Gauss–Seidel.
+    ColoredGaussSeidel,
 }
 
-/// The selection heuristic, exposed for tests and logging.
-pub fn select_solver(num_nodes: usize, threads: usize) -> SolverChoice {
-    if threads <= 1 || num_nodes < PARALLEL_MIN_NODES {
+/// The selection heuristic, exposed for tests and logging. The choice is
+/// a function of `num_nodes` alone; the second parameter is ignored and
+/// kept only because the benchmark harness (`benchmark/src`) passes a
+/// thread budget. The ROADMAP.md item "Benchmark harness v2" retires it.
+pub fn select_solver(num_nodes: usize, _: usize) -> SolverChoice {
+    if num_nodes < PARALLEL_MIN_NODES {
         SolverChoice::GaussSeidel
     } else {
-        SolverChoice::ColoredGaussSeidel { threads }
+        SolverChoice::ColoredGaussSeidel
     }
 }
 
-/// Solve PageRank with the fastest solver for this graph size and the
-/// global [`thread_budget`]. See [`solve_auto_with`].
+/// Solve PageRank with the solver [`select_solver`] picks for this graph
+/// size, on the calling thread. The result is a function of the graph
+/// and `config` alone.
 ///
 /// The third parameter can only be `None`: every solve starts from the
 /// uniform vector. It is kept only because the benchmark harness
@@ -130,21 +120,8 @@ pub fn solve_auto(
     config: &PageRankConfig,
     _: Option<std::convert::Infallible>,
 ) -> PageRankResult {
-    solve_auto_with(g, config, thread_budget())
-}
-
-/// Solve PageRank with an explicit thread budget.
-///
-/// Dispatches per [`select_solver`]. Results are deterministic for a
-/// fixed choice of solver: the sequential path is trivially so, and the
-/// colored path is bit-identical for any thread count — so two calls
-/// with the same graph and config agree bitwise whenever
-/// they select the same solver (which depends only on `num_nodes` and
-/// `threads`). The colored sweep runs on at most the machine's available
-/// parallelism however large the budget.
-pub fn solve_auto_with(g: &CsrGraph, config: &PageRankConfig, threads: usize) -> PageRankResult {
     let _span = qrank_obs::span!("rank.solve_auto");
-    solve_batch(&[g], config, threads, None)
+    solve_batch(&[g], config, 1, None)
         .pop()
         .expect("one job, one result")
 }
@@ -154,24 +131,19 @@ pub fn solve_auto_with(g: &CsrGraph, config: &PageRankConfig, threads: usize) ->
 ///
 /// `result[i]` is `solve_auto(graphs[i], config, None)` bit for bit
 /// (scores, iteration count, residuals) at every budget and on every
-/// machine. What the budget changes is the schedule: whole columns are
-/// solved side by side first, the calling thread being one of the
-/// workers, and only threads left over go inside a colored sweep.
+/// machine. What the budget changes is how many columns are solved side
+/// by side, the calling thread being one of the workers.
 pub fn solve_many(graphs: &[&CsrGraph], config: &PageRankConfig) -> Vec<PageRankResult> {
     let _span = qrank_obs::span!("rank.solve_many");
     solve_batch(graphs, config, thread_budget(), None)
 }
 
-/// Split `budget` threads over `columns` independent solves on a machine
-/// with `cpus` hardware threads: `(workers, threads inside each solve)`.
-/// Columns come first — a column on its own thread crosses no barrier —
-/// and `workers × inner` never exceeds `cpus`, so an oversized budget
-/// cannot oversubscribe the machine (eight threads spinning on one
-/// core's barrier was the 18 s → 46 s case).
-fn plan(columns: usize, budget: usize, cpus: usize) -> (usize, usize) {
-    let running = budget.clamp(1, cpus.max(1));
-    let workers = running.min(columns).max(1);
-    (workers, running / workers)
+/// The workers that solve `columns` independent columns under `budget`
+/// threads on a machine with `cpus` hardware threads: one a column, and
+/// never more than the machine runs at once, so an oversized budget
+/// cannot oversubscribe it.
+fn plan(columns: usize, budget: usize, cpus: usize) -> usize {
+    budget.clamp(1, cpus.max(1)).min(columns).max(1)
 }
 
 /// The batch entry under every public solve: one [`solve_column`] per
@@ -187,8 +159,7 @@ pub(crate) fn solve_batch(
     budget: usize,
     forced: Option<SolverChoice>,
 ) -> Vec<PageRankResult> {
-    let budget = budget.max(1);
-    let (workers, inner) = plan(graphs.len(), budget, available_cpus());
+    let workers = plan(graphs.len(), budget, available_cpus());
     // Summed over columns, where the `rank.solve_many` span is the wall
     // time of the batch: the ratio is the overlap the workers achieved.
     let column_ns = qrank_obs::enabled().then(|| {
@@ -205,7 +176,7 @@ pub(crate) fn solve_batch(
     for_each_slot(&mut solved, graphs, workers, |out, &g| {
         let started = Instant::now();
         let choice = forced.unwrap_or_else(|| select_solver(g.num_nodes(), budget));
-        solve_column(g, config, choice, inner, out);
+        solve_column(g, config, choice, out);
         if let Some(total) = &column_ns {
             total.add(started.elapsed().as_nanos() as u64);
         }
@@ -214,22 +185,18 @@ pub(crate) fn solve_batch(
 }
 
 /// Solve one graph into `out` (one zeroed score slot per node) with the
-/// chosen solver; a colored sweep runs on `inner` threads, whatever
-/// thread count `choice` names.
+/// chosen solver.
 fn solve_column(
     g: &CsrGraph,
     config: &PageRankConfig,
     choice: SolverChoice,
-    inner: usize,
     out: &mut PageRankResult,
 ) {
     match choice {
         SolverChoice::GaussSeidel => gauss_seidel_into(g, config, out),
         // Degree-ordered renaming: hub rows first for cache locality. The
         // sweep's layout is built from `g` and the renaming directly.
-        SolverChoice::ColoredGaussSeidel { .. } => {
-            colored_into(g, config, inner, degree_order, out);
-        }
+        SolverChoice::ColoredGaussSeidel => colored_into(g, config, degree_order, out),
     }
 }
 
@@ -245,13 +212,16 @@ mod tests {
     fn small_graphs_select_sequential_gs() {
         assert_eq!(select_solver(500, 8), SolverChoice::GaussSeidel);
         assert_eq!(
-            select_solver(PARALLEL_MIN_NODES, 1),
+            select_solver(PARALLEL_MIN_NODES - 1, 8),
             SolverChoice::GaussSeidel
         );
-        assert_eq!(
-            select_solver(PARALLEL_MIN_NODES, 4),
-            SolverChoice::ColoredGaussSeidel { threads: 4 }
-        );
+        // the size picks the solver, never the budget
+        for budget in [1, 4] {
+            assert_eq!(
+                select_solver(PARALLEL_MIN_NODES, budget),
+                SolverChoice::ColoredGaussSeidel
+            );
+        }
     }
 
     #[test]
@@ -259,7 +229,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = barabasi_albert(300, 4, &mut rng);
         let cfg = PageRankConfig::default();
-        let auto = solve_auto_with(&g, &cfg, 8);
+        let auto = solve_auto(&g, &cfg, None);
         let gs = gauss_seidel(&g, &cfg);
         assert_eq!(auto.scores, gs.scores, "small graph must take the GS path");
     }
@@ -293,10 +263,9 @@ mod tests {
     fn reference(g: &CsrGraph, cfg: &PageRankConfig, choice: SolverChoice) -> PageRankResult {
         match choice {
             SolverChoice::GaussSeidel => gauss_seidel(g, cfg),
-            SolverChoice::ColoredGaussSeidel { threads } => {
+            SolverChoice::ColoredGaussSeidel => {
                 let r = degree_order(g);
-                let mut solved =
-                    crate::colored::colored_gauss_seidel(&g.relabeled(&r), cfg, threads);
+                let mut solved = crate::colored::colored_gauss_seidel(&g.relabeled(&r), cfg);
                 solved.scores = qrank_graph::relabel::inverse_scores(&solved.scores, &r);
                 solved
             }
@@ -315,10 +284,7 @@ mod tests {
         ] {
             let graphs = webs(sizes);
             let jobs: Vec<&CsrGraph> = graphs.iter().collect();
-            for choice in [
-                SolverChoice::GaussSeidel,
-                SolverChoice::ColoredGaussSeidel { threads: 1 },
-            ] {
+            for choice in [SolverChoice::GaussSeidel, SolverChoice::ColoredGaussSeidel] {
                 let expect: Vec<PageRankResult> =
                     graphs.iter().map(|g| reference(g, &cfg, choice)).collect();
                 for budget in [1, 2, 3, 8] {
@@ -332,7 +298,7 @@ mod tests {
 
     #[test]
     fn relabeled_parallel_path_agrees_with_sequential() {
-        // Reaching the colored path through `solve_auto_with` takes a
+        // Reaching the colored path through `solve_auto` takes a
         // graph of `PARALLEL_MIN_NODES` nodes; run the relabel, the
         // colored solve and the inverse permutation by hand on a small
         // graph instead, and hold the result to sequential GS.
@@ -344,7 +310,7 @@ mod tests {
         };
         let r = qrank_graph::relabel::degree_order(&g);
         let relabeled = g.relabeled(&r);
-        let solved = crate::colored::colored_gauss_seidel(&relabeled, &cfg, 4);
+        let solved = crate::colored::colored_gauss_seidel(&relabeled, &cfg);
         let back = qrank_graph::relabel::inverse_scores(&solved.scores, &r);
         let gs = gauss_seidel(&g, &cfg);
         for (a, b) in gs.scores.iter().zip(&back) {
@@ -357,11 +323,9 @@ mod tests {
         let cfg = PageRankConfig::default();
         let graphs = webs(&[300, 900, 50, 600, 450]);
         let refs: Vec<&CsrGraph> = graphs.iter().collect();
+        let expect: Vec<PageRankResult> =
+            graphs.iter().map(|g| solve_auto(g, &cfg, None)).collect();
         for budget in [1, 2, 3, 8] {
-            let expect: Vec<PageRankResult> = graphs
-                .iter()
-                .map(|g| solve_auto_with(g, &cfg, budget))
-                .collect();
             assert_eq!(
                 solve_batch(&refs, &cfg, budget, None),
                 expect,
@@ -369,28 +333,27 @@ mod tests {
             );
         }
         // the public entry: same batch under the global budget
-        let expect: Vec<PageRankResult> =
-            graphs.iter().map(|g| solve_auto(g, &cfg, None)).collect();
         assert_eq!(solve_many(&refs, &cfg), expect);
         assert!(solve_many(&[], &cfg).is_empty());
     }
 
     #[test]
     fn the_plan_fills_columns_first_and_never_outruns_the_machine() {
-        // (columns, budget, cpus) -> (workers, threads inside a solve)
-        assert_eq!(plan(4, 2, 2), (2, 1));
-        assert_eq!(plan(4, 8, 8), (4, 2));
-        assert_eq!(plan(3, 8, 8), (3, 2));
-        assert_eq!(plan(1, 8, 8), (1, 8), "one column keeps the whole budget");
-        assert_eq!(plan(4, 8, 1), (1, 1), "budget 8 on one CPU runs one thread");
-        assert_eq!(plan(4, 1, 8), (1, 1));
-        assert_eq!(plan(0, 4, 4), (1, 4));
+        // (columns, budget, cpus) -> workers
+        assert_eq!(plan(4, 2, 2), 2);
+        assert_eq!(plan(4, 8, 8), 4);
+        assert_eq!(plan(3, 8, 8), 3);
+        assert_eq!(plan(1, 8, 8), 1, "one column runs on one thread");
+        assert_eq!(plan(4, 8, 1), 1, "budget 8 on one CPU runs one thread");
+        assert_eq!(plan(4, 1, 8), 1);
+        assert_eq!(plan(0, 4, 4), 1);
         for columns in 0..6 {
             for budget in 0..10 {
                 for cpus in 0..10 {
-                    let (workers, inner) = plan(columns, budget, cpus);
-                    assert!(workers >= 1 && inner >= 1);
-                    assert!(workers * inner <= budget.clamp(1, cpus.max(1)));
+                    let workers = plan(columns, budget, cpus);
+                    assert!(workers >= 1);
+                    assert!(workers <= budget.clamp(1, cpus.max(1)));
+                    assert!(workers <= columns.max(1));
                 }
             }
         }

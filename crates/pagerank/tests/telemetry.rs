@@ -11,7 +11,7 @@ use qrank_graph::generators::barabasi_albert;
 use qrank_graph::CsrGraph;
 use qrank_obs as obs;
 use qrank_rank::{
-    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, PageRankConfig, PageRankResult,
+    colored_gauss_seidel, gauss_seidel, pagerank, solve_auto, PageRankConfig, PageRankResult,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,17 +63,16 @@ fn every_solver_records_one_residual_per_iteration() {
     let cfg = PageRankConfig::default();
     assert_counted("power", || pagerank(&graph(311), &cfg));
     assert_counted("gauss_seidel", || gauss_seidel(&graph(312), &cfg));
-    assert_counted("colored", || colored_gauss_seidel(&graph(313), &cfg, 4));
+    assert_counted("colored", || colored_gauss_seidel(&graph(313), &cfg));
     // solve_auto on a sub-threshold graph dispatches to sequential GS,
     // and the per-solver counter is the record of which solver ran.
-    assert_counted("gauss_seidel", || solve_auto_with(&graph(315), &cfg, 4));
+    assert_counted("gauss_seidel", || solve_auto(&graph(315), &cfg, None));
     obs::set_enabled(false);
 }
 
 /// The colored solve's set-up (renaming, coloring, layout) is its own
-/// span, opened on the calling thread under `rank.colored`, so a dump
-/// tells set-up from sweeps; the sweep threads open none. The solver
-/// counter still counts one solve per column.
+/// span nested under `rank.colored`, so a dump tells set-up from sweeps.
+/// The solver counter counts one solve per column.
 #[test]
 fn colored_layout_span_nests_under_the_solve_and_each_column_counts_once() {
     let _serial = serial();
@@ -86,8 +85,8 @@ fn colored_layout_span_nests_under_the_solve_and_each_column_counts_once() {
     };
     let before = layout_spans();
     let columns = [graph(331), graph(332), graph(333)];
-    for (column, threads) in columns.iter().zip([1, 2, 3]) {
-        assert_counted("colored", || colored_gauss_seidel(column, &cfg, threads));
+    for column in &columns {
+        assert_counted("colored", || colored_gauss_seidel(column, &cfg));
     }
     assert_eq!(layout_spans() - before, 3, "one layout span per column");
     let snap = obs::global().snapshot();
@@ -107,8 +106,8 @@ fn disabled_observability_records_nothing_and_changes_nothing() {
     let before = solvers.map(counters);
     let off = pagerank(&graph(441), &cfg);
     gauss_seidel(&graph(442), &cfg);
-    colored_gauss_seidel(&graph(443), &cfg, 2);
-    solve_auto_with(&graph(444), &cfg, 2);
+    colored_gauss_seidel(&graph(443), &cfg);
+    solve_auto(&graph(444), &cfg, None);
     assert_eq!(solvers.map(counters), before, "no counter moves while off");
     obs::set_enabled(true);
     let on = pagerank(&graph(441), &cfg);

@@ -2,7 +2,7 @@
 //! the ranking substrate behaves sanely on web-shaped inputs.
 
 use qrank::graph::generators::{barabasi_albert, site_structured, SiteWebParams};
-use qrank::rank::{colored_gauss_seidel, gauss_seidel, pagerank, solve_auto_with, PageRankConfig};
+use qrank::rank::{colored_gauss_seidel, gauss_seidel, pagerank, solve_auto, PageRankConfig};
 use qrank::sim::{Crawler, SimConfig, World};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,8 +33,8 @@ fn all_solvers_agree_on_simulated_crawl() {
     assert!(reference.converged);
 
     let gs = gauss_seidel(&g, &cfg);
-    let colored = colored_gauss_seidel(&g, &cfg, 3);
-    let auto = solve_auto_with(&g, &cfg, 4);
+    let colored = colored_gauss_seidel(&g, &cfg);
+    let auto = solve_auto(&g, &cfg, None);
 
     for (name, scores) in [
         ("gauss-seidel", &gs.scores),
