@@ -245,15 +245,13 @@ pub fn should_fail(site: &str) -> bool {
         installed.injected += 1;
         kind
     };
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter("chaos.injected").inc();
-        let name = match kind {
-            FaultKind::Error => "chaos.error",
-            FaultKind::Panic => "chaos.panic",
-            FaultKind::DelayMs(_) => "chaos.delay",
-        };
-        qrank_obs::global().counter(name).inc();
-    }
+    qrank_obs::count("chaos.injected", 1);
+    let name = match kind {
+        FaultKind::Error => "chaos.error",
+        FaultKind::Panic => "chaos.panic",
+        FaultKind::DelayMs(_) => "chaos.delay",
+    };
+    qrank_obs::count(name, 1);
     match kind {
         FaultKind::Error => true,
         FaultKind::Panic => panic!("chaos: injected panic at {site}"),

@@ -110,12 +110,6 @@ pub fn check_window(series: &SnapshotSeries) -> Result<(), CoreError> {
     Ok(())
 }
 
-fn bump(name: &'static str) {
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter(name).inc();
-    }
-}
-
 /// The estimation pipeline with a memory.
 ///
 /// Construct once with the popularity metric, then call
@@ -252,11 +246,11 @@ impl PipelineEngine {
                 let key = (snap.fingerprint(), common_fp);
                 if let Some(hit) = self.restrict_cache.get(&key) {
                     self.stats.restrict_hits += 1;
-                    bump("pipeline.stage.restrict.hit");
+                    qrank_obs::count("pipeline.stage.restrict.hit", 1);
                     aligned[i] = Some(Arc::clone(hit));
                 } else {
                     self.stats.restrict_misses += 1;
-                    bump("pipeline.stage.restrict.miss");
+                    qrank_obs::count("pipeline.stage.restrict.miss", 1);
                     missed.push(snap);
                     missed_at.push(i);
                 }
@@ -294,10 +288,10 @@ impl PipelineEngine {
             for snap in &aligned {
                 if self.column_cache.contains_key(&snap.fingerprint()) {
                     self.stats.column_hits += 1;
-                    bump("pipeline.stage.column.hit");
+                    qrank_obs::count("pipeline.stage.column.hit", 1);
                 } else {
                     self.stats.column_misses += 1;
-                    bump("pipeline.stage.column.miss");
+                    qrank_obs::count("pipeline.stage.column.miss", 1);
                     missed.push(snap);
                 }
             }

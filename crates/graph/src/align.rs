@@ -32,10 +32,8 @@ pub fn restrict_snapshots<S: std::borrow::Borrow<Snapshot> + Sync>(
     threads: usize,
 ) -> Result<Vec<Snapshot>, GraphError> {
     let workers = threads.clamp(1, snaps.len().max(1));
-    if qrank_obs::enabled() && !snaps.is_empty() {
-        qrank_obs::global()
-            .counter("align.parallel_chunks")
-            .add(workers as u64);
+    if !snaps.is_empty() {
+        qrank_obs::count("align.parallel_chunks", workers as u64);
     }
     let mut slots: Vec<Option<Result<Snapshot, GraphError>>> = Vec::new();
     slots.resize_with(snaps.len(), || None);

@@ -30,8 +30,10 @@
 //! # Zero cost when disabled
 //!
 //! Global instrumentation is gated on one process-wide [`enabled`] flag
-//! (a relaxed atomic load). When the flag is off — the default — spans
-//! skip the clock reads entirely and no counter is touched. Crucially,
+//! (a relaxed atomic load), and the flag is read in this crate: [`count`]
+//! is the entry point of every global counter, [`mod@span`] of every
+//! stage timer. When the flag is off — the default — spans skip the
+//! clock reads entirely and no counter is touched. Crucially,
 //! instrumentation *never* participates in any computation: enabling
 //! observability cannot change a single bit of simulated histories,
 //! PageRank scores, or served responses (asserted by the determinism
@@ -67,6 +69,18 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// Add `n` to the global counter `name`; nothing when observability is
+/// off. The counter is registered even when `n == 0`, so a stage that
+/// counted nothing still shows in a snapshot. Every global counter in
+/// the workspace goes through here: off, a call is the one relaxed load
+/// of [`enabled`].
+#[inline]
+pub fn count(name: &'static str, n: u64) {
+    if enabled() {
+        global().counter(name).add(n);
+    }
 }
 
 /// Turn global instrumentation on or off for the whole process.
@@ -113,5 +127,26 @@ mod tests {
         assert!(enabled());
         set_enabled(false);
         assert!(!enabled());
+    }
+
+    #[test]
+    fn count_is_gated_and_registers_at_zero() {
+        let _serial = test_lock();
+        let registered = |name: &str| global().snapshot().counter(name);
+        set_enabled(false);
+        count("obs.test.count", 0);
+        count("obs.test.count", 5);
+        assert_eq!(registered("obs.test.count"), None, "off: not registered");
+
+        set_enabled(true);
+        count("obs.test.count", 0);
+        assert_eq!(registered("obs.test.count"), Some(0), "n = 0 registers");
+        count("obs.test.count", 3);
+        count("obs.test.count", 4);
+        let handle = global().counter("obs.test.count");
+        assert_eq!(handle.get(), 7, "count feeds the handle global() returns");
+        set_enabled(false);
+        count("obs.test.count", 100);
+        assert_eq!(handle.get(), 7, "off: the counter does not move");
     }
 }

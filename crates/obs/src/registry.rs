@@ -246,26 +246,29 @@ impl Registry {
     /// If `name` is already registered as a different metric kind —
     /// that is a programming error, not a runtime condition.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
+        match self.get_or_insert(name, || Metric::Counter(Arc::default())) {
+            Metric::Counter(c) => c,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
     /// Get or register the histogram `name` (same contract as [`counter`](Self::counter)).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
+        match self.get_or_insert(name, || Metric::Histogram(Arc::default())) {
+            Metric::Histogram(h) => h,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
+    }
+
+    /// The metric `name`, registered from `new` if absent. The key is
+    /// allocated only on insert: a lookup of an existing metric (every
+    /// count and every span close after the first) allocates nothing.
+    fn get_or_insert(&self, name: &str, new: impl FnOnce() -> Metric) -> Metric {
+        let mut m = self.metrics.lock().unwrap();
+        if let Some(metric) = m.get(name) {
+            return metric.clone();
+        }
+        m.entry(name.to_string()).or_insert_with(new).clone()
     }
 
     /// Zero every registered metric **in place** — outstanding handles

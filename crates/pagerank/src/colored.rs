@@ -38,9 +38,7 @@ use qrank_graph::relabel::Relabeling;
 use qrank_graph::CsrGraph;
 
 use crate::gauss_seidel::HEAD;
-use crate::power::{
-    apply_scale, count_solve, inv_out_degree, renormalize, start_vector, PageRankResult,
-};
+use crate::power::{apply_scale, inv_out_degree, renormalize, start_vector, PageRankResult};
 use crate::PageRankConfig;
 
 /// Greedy first-fit coloring of the graph's *conflict* structure (u
@@ -291,7 +289,8 @@ pub(crate) fn colored_into(
     for (score, &new) in out.scores.iter_mut().zip(&r.perm) {
         *score = scores[new as usize];
     }
-    count_solve("colored", iterations);
+    qrank_obs::count("rank.solve.colored", 1);
+    qrank_obs::count("rank.iterations.colored", iterations as u64);
     out.iterations = iterations;
     out.converged = converged;
     out.residuals = residuals;

@@ -23,9 +23,7 @@
 
 use qrank_graph::CsrGraph;
 
-use crate::power::{
-    apply_scale, count_solve, inv_out_degree, renormalize, start_vector, PageRankResult,
-};
+use crate::power::{apply_scale, inv_out_degree, renormalize, start_vector, PageRankResult};
 use crate::PageRankConfig;
 
 /// Compute PageRank by Gauss–Seidel iteration, from the uniform vector.
@@ -180,7 +178,8 @@ pub(crate) fn gauss_seidel_into(g: &CsrGraph, config: &PageRankConfig, out: &mut
     // GS does not preserve the simplex exactly en route; project back.
     renormalize(x);
     apply_scale(x, config.scale);
-    count_solve("gauss_seidel", out.iterations);
+    qrank_obs::count("rank.solve.gauss_seidel", 1);
+    qrank_obs::count("rank.iterations.gauss_seidel", out.iterations as u64);
 }
 
 #[cfg(test)]

@@ -112,20 +112,6 @@ pub(crate) fn inv_out_degrees(g: &CsrGraph) -> Vec<f64> {
         .collect()
 }
 
-/// Count one finished solve under its solver's name: `rank.solve.<solver>`
-/// by one, `rank.iterations.<solver>` by its iterations. No-op when
-/// observability is off.
-pub(crate) fn count_solve(solver: &str, iterations: usize) {
-    if !qrank_obs::enabled() {
-        return;
-    }
-    let registry = qrank_obs::global();
-    registry.counter(&format!("rank.solve.{solver}")).inc();
-    registry
-        .counter(&format!("rank.iterations.{solver}"))
-        .add(iterations as u64);
-}
-
 pub(crate) fn apply_scale(scores: &mut [f64], scale: ScoreScale) {
     if scale == ScoreScale::PerPage {
         let n = scores.len() as f64;
@@ -168,7 +154,8 @@ pub fn pagerank(g: &CsrGraph, config: &PageRankConfig) -> PageRankResult {
         }
     }
     apply_scale(&mut x, config.scale);
-    count_solve("power", iterations);
+    qrank_obs::count("rank.solve.power", 1);
+    qrank_obs::count("rank.iterations.power", iterations as u64);
     PageRankResult {
         scores: x,
         iterations,

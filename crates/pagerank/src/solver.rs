@@ -160,15 +160,8 @@ pub(crate) fn solve_batch(
     forced: Option<SolverChoice>,
 ) -> Vec<PageRankResult> {
     let workers = plan(graphs.len(), budget, available_cpus());
-    // Summed over columns, where the `rank.solve_many` span is the wall
-    // time of the batch: the ratio is the overlap the workers achieved.
-    let column_ns = qrank_obs::enabled().then(|| {
-        let reg = qrank_obs::global();
-        reg.counter("rank.solve_many.columns")
-            .add(graphs.len() as u64);
-        reg.counter("rank.solve_many.workers").add(workers as u64);
-        reg.counter("rank.solve_many.column_ns")
-    });
+    qrank_obs::count("rank.solve_many.columns", graphs.len() as u64);
+    qrank_obs::count("rank.solve_many.workers", workers as u64);
     let mut solved: Vec<PageRankResult> = graphs
         .iter()
         .map(|g| PageRankResult::unsolved(g.num_nodes()))
@@ -177,9 +170,12 @@ pub(crate) fn solve_batch(
         let started = Instant::now();
         let choice = forced.unwrap_or_else(|| select_solver(g.num_nodes(), budget));
         solve_column(g, config, choice, out);
-        if let Some(total) = &column_ns {
-            total.add(started.elapsed().as_nanos() as u64);
-        }
+        // Summed over columns, where the `rank.solve_many` span is the wall
+        // time of the batch: the ratio is the overlap the workers achieved.
+        qrank_obs::count(
+            "rank.solve_many.column_ns",
+            started.elapsed().as_nanos() as u64,
+        );
     });
     solved
 }

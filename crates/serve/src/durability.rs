@@ -175,17 +175,15 @@ fn with_retry<T>(
             Ok(v) => return Ok(v),
             Err(WalError::Io(_)) if attempt < attempts => {
                 *retries += 1;
-                if qrank_obs::enabled() {
-                    qrank_obs::global().counter("wal.retry").inc();
-                }
+                qrank_obs::count("wal.retry", 1);
                 std::thread::sleep(std::time::Duration::from_millis(
                     policy.backoff_ms(attempt, *retries),
                 ));
                 attempt += 1;
             }
             Err(e) => {
-                if attempt > 1 && qrank_obs::enabled() {
-                    qrank_obs::global().counter("wal.retry.exhausted").inc();
+                if attempt > 1 {
+                    qrank_obs::count("wal.retry.exhausted", 1);
                 }
                 return Err(e);
             }

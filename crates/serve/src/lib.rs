@@ -106,7 +106,10 @@ pub use worker::{
 };
 
 /// Unit tests that turn observability on serialize on this lock: the
-/// enabled flag and the registry are process-global.
+/// enabled flag and the registry are process-global. So do unit tests
+/// that answer requests: a request that starts while the flag is off is
+/// not muted, so if another test turns the flag on mid-request, its
+/// later `serve.*` spans land in the global registry.
 #[cfg(test)]
 pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -485,15 +485,8 @@ impl RefreshEngine {
     pub fn push_snapshot(&mut self, t: f64) -> Result<(), ServeError> {
         let _span = qrank_obs::span!("refresh.snapshot");
         let (built, alive) = self.graph.snapshot_at_from(self.newest_capture(), t);
-        if qrank_obs::enabled() {
-            let registry = qrank_obs::global();
-            registry
-                .counter("refresh.snapshot.events_sorted")
-                .add(built.events_sorted as u64);
-            registry
-                .counter("refresh.snapshot.edges_copied")
-                .add(built.edges_copied as u64);
-        }
+        qrank_obs::count("refresh.snapshot.events_sorted", built.events_sorted as u64);
+        qrank_obs::count("refresh.snapshot.edges_copied", built.edges_copied as u64);
         let pages: Vec<PageId> = alive
             .iter()
             .map(|&n| PageId(self.page_of_node[n as usize]))
@@ -818,6 +811,7 @@ mod tests {
 
     /// Every response a reader could get for the test web.
     fn served(store: &ShardedStore) -> Vec<String> {
+        let _obs = crate::obs_lock();
         let metrics = Metrics::new();
         let cache = parking_lot::Mutex::new(LruCache::new(4));
         let mut requests = vec!["health".to_string(), "topk 64".to_string()];

@@ -109,6 +109,7 @@ fn scratch_dir() -> PathBuf {
 /// Every response a reader could get, as the server renders it: health,
 /// the whole ranking, and a `score` for every id a delta could name.
 fn served(store: &ShardedStore) -> Vec<String> {
+    let _obs = crate::obs_lock();
     let metrics = Metrics::new();
     let cache = parking_lot::Mutex::new(LruCache::new(4));
     let mut lines = vec![

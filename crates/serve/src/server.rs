@@ -501,6 +501,7 @@ mod tests {
 
     #[test]
     fn handle_request_counts_and_caches() {
+        let _obs = crate::obs_lock();
         let store = ShardedStore::new(1);
         let metrics = Metrics::new();
         let cache = Mutex::new(LruCache::new(4));
@@ -578,6 +579,7 @@ mod tests {
 
     #[test]
     fn metrics_verb_answers_prometheus_text() {
+        let _obs = crate::obs_lock();
         let store = ShardedStore::new(1);
         let metrics = Metrics::new();
         let cache = Mutex::new(LruCache::new(4));
@@ -590,6 +592,7 @@ mod tests {
 
     #[test]
     fn ready_and_shutdown_over_the_direct_handler() {
+        let _obs = crate::obs_lock();
         let store = ShardedStore::new(1);
         let metrics = Metrics::new();
         let cache = Mutex::new(LruCache::new(4));

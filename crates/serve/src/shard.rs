@@ -133,9 +133,7 @@ impl ShardedStore {
         };
         let _s = qrank_obs::span!("shard.seal");
         *self.view.write() = Arc::new(view);
-        if qrank_obs::enabled() {
-            qrank_obs::global().counter("shard.seal").inc();
-        }
+        qrank_obs::count("shard.seal", 1);
     }
 }
 

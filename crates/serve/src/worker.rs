@@ -114,9 +114,7 @@ pub(crate) fn contained<T>(
         Ok(Err(e)) => Some(e.to_string()),
         Err(panic) => {
             *poisoned = true;
-            if qrank_obs::enabled() {
-                qrank_obs::global().counter("refresh.panic").inc();
-            }
+            qrank_obs::count("refresh.panic", 1);
             Some(format!("{what} panicked: {}", panic_message(&*panic)))
         }
     }
@@ -145,15 +143,11 @@ fn quarantine_delta(
     errors: &mut Vec<String>,
 ) {
     let Some(path) = path else { return };
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter("quarantine.deltas").inc();
-    }
+    qrank_obs::count("quarantine.deltas", 1);
     let entry = match format_delta(delta) {
         Ok(body) => format!("# quarantined: {}\n{body}", reason.replace('\n', " ")),
         Err(e) => {
-            if qrank_obs::enabled() {
-                qrank_obs::global().counter("quarantine.errors").inc();
-            }
+            qrank_obs::count("quarantine.errors", 1);
             errors.push(format!("quarantine: delta not formattable: {e}"));
             return;
         }
@@ -164,9 +158,7 @@ fn quarantine_delta(
         .open(path)
         .and_then(|mut f| f.write_all(entry.as_bytes()));
     if let Err(e) = written {
-        if qrank_obs::enabled() {
-            qrank_obs::global().counter("quarantine.errors").inc();
-        }
+        qrank_obs::count("quarantine.errors", 1);
         errors.push(format!(
             "quarantine append to {} failed: {e}",
             path.display()

@@ -130,18 +130,9 @@ impl Crawler {
         // ids, ascending, so no duplicate check is needed either).
         let sub = g.induced_subgraph_sorted(&captured);
         let pages = PageSet::from_sorted(captured.iter().map(|&p| PageId(p as u64)).collect());
-        if qrank_obs::enabled() {
-            let registry = qrank_obs::global();
-            registry
-                .counter("sim.crawl.pages")
-                .add(captured.len() as u64);
-            registry
-                .counter("sim.crawl.edges")
-                .add(sub.num_edges() as u64);
-            registry
-                .counter("sim.crawl.roots_skipped")
-                .add(roots_skipped);
-        }
+        qrank_obs::count("sim.crawl.pages", captured.len() as u64);
+        qrank_obs::count("sim.crawl.edges", sub.num_edges() as u64);
+        qrank_obs::count("sim.crawl.roots_skipped", roots_skipped);
         Snapshot::from_page_set(t, sub, pages)
     }
 

@@ -388,15 +388,12 @@ impl World {
             }
         }
 
-        if qrank_obs::enabled() {
-            let registry = qrank_obs::global();
-            registry.counter("sim.steps").inc();
-            registry.counter("sim.pages_born").add(births);
-            registry.counter("sim.visits").add(visits);
-            registry.counter("sim.likes").add(likes);
-            registry.counter("sim.links_created").add(links_created);
-            registry.counter("sim.forgets").add(forgets);
-        }
+        qrank_obs::count("sim.steps", 1);
+        qrank_obs::count("sim.pages_born", births);
+        qrank_obs::count("sim.visits", visits);
+        qrank_obs::count("sim.likes", likes);
+        qrank_obs::count("sim.links_created", links_created);
+        qrank_obs::count("sim.forgets", forgets);
         Ok(())
     }
 
@@ -585,15 +582,11 @@ impl World {
         let mut guard = self.cached_pops.lock().expect("popularity cache poisoned");
         if let Some((version, pops)) = guard.as_ref() {
             if *version == self.version {
-                if qrank_obs::enabled() {
-                    qrank_obs::global().counter("sim.pops_cache.hit").inc();
-                }
+                qrank_obs::count("sim.pops_cache.hit", 1);
                 return pops.clone();
             }
         }
-        if qrank_obs::enabled() {
-            qrank_obs::global().counter("sim.pops_cache.miss").inc();
-        }
+        qrank_obs::count("sim.pops_cache.miss", 1);
         let pops: Vec<f64> = (0..self.pages.len() as u32)
             .map(|p| self.popularity(p))
             .collect();
@@ -626,15 +619,11 @@ impl World {
         let mut guard = self.cached_graph.lock().expect("graph cache poisoned");
         if let Some(c) = guard.as_ref() {
             if c.version == self.version && c.time.to_bits() == t.to_bits() {
-                if qrank_obs::enabled() {
-                    qrank_obs::global().counter("sim.graph_cache.hit").inc();
-                }
+                qrank_obs::count("sim.graph_cache.hit", 1);
                 return Arc::clone(&c.graph);
             }
         }
-        if qrank_obs::enabled() {
-            qrank_obs::global().counter("sim.graph_cache.miss").inc();
-        }
+        qrank_obs::count("sim.graph_cache.miss", 1);
         let _span = qrank_obs::span!("sim.link_graph");
         // The link log only grows, so whatever graph is cached — this
         // version's at another time or an older version's — is the graph
@@ -643,15 +632,8 @@ impl World {
         // sorts every event once) and starts over when it is not.
         let base = guard.as_ref().map(|c| (&*c.graph, c.events));
         let built = self.links.graph_at_full_from(base, t);
-        if qrank_obs::enabled() {
-            let registry = qrank_obs::global();
-            registry
-                .counter("sim.link_graph.events_sorted")
-                .add(built.events_sorted as u64);
-            registry
-                .counter("sim.link_graph.edges_copied")
-                .add(built.edges_copied as u64);
-        }
+        qrank_obs::count("sim.link_graph.events_sorted", built.events_sorted as u64);
+        qrank_obs::count("sim.link_graph.edges_copied", built.edges_copied as u64);
         let g = Arc::new(built.graph);
         *guard = Some(GraphCache {
             version: self.version,

@@ -17,18 +17,6 @@ use crate::checkpoint::{self, Checkpoint};
 use crate::segment::{self, SegmentTail, FRAME_OVERHEAD, HEADER_LEN};
 use crate::{FsyncPolicy, WalError, WalOptions};
 
-fn bump(name: &'static str) {
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter(name).inc();
-    }
-}
-
-fn bump_by(name: &'static str, n: u64) {
-    if qrank_obs::enabled() {
-        qrank_obs::global().counter(name).add(n);
-    }
-}
-
 /// `fsync` the directory itself so renames and unlinks are durable.
 fn sync_dir(dir: &Path) -> Result<(), WalError> {
     // Directories cannot be opened for writing; a read handle suffices
@@ -244,7 +232,7 @@ impl Wal {
                 f.set_len(*valid_len)?;
                 f.sync_all()?;
                 torn_tail = Some(reason.clone());
-                bump("wal.recover.torn");
+                qrank_obs::count("wal.recover.torn", 1);
             }
             let end_lsn = read.first_lsn + read.records.len() as u64;
             if is_newest {
@@ -315,7 +303,7 @@ impl Wal {
             .into_iter()
             .filter(|(lsn, _)| *lsn >= replay_from)
             .collect();
-        bump_by("wal.recover.records", records.len() as u64);
+        qrank_obs::count("wal.recover.records", records.len() as u64);
 
         // Open (or create) the active segment for appending.
         let active = match segments.last() {
@@ -413,7 +401,7 @@ impl Wal {
             self.set_end_lsn(lsn);
             return Err(e);
         }
-        bump("wal.append");
+        qrank_obs::count("wal.append", 1);
         Ok(lsn)
     }
 
@@ -434,7 +422,7 @@ impl Wal {
         }
         self.active.sync_data()?;
         self.unsynced = 0;
-        bump("wal.sync");
+        qrank_obs::count("wal.sync", 1);
         Ok(())
     }
 
@@ -455,7 +443,7 @@ impl Wal {
             first_lsn: self.next_lsn,
             end_lsn: self.next_lsn,
         });
-        bump("wal.rotate");
+        qrank_obs::count("wal.rotate", 1);
         Ok(())
     }
 
@@ -478,7 +466,7 @@ impl Wal {
         sync_dir(&self.dir)?;
         self.fallback_lsn = Some(self.last_checkpoint.map_or(lsn, |(_, prev)| prev));
         self.last_checkpoint = Some((seq, lsn));
-        bump("wal.checkpoint");
+        qrank_obs::count("wal.checkpoint", 1);
         self.compact()?;
         Ok(lsn)
     }
@@ -515,7 +503,7 @@ impl Wal {
         }
         if removed > 0 {
             sync_dir(&self.dir)?;
-            bump_by("wal.compact.segments", removed);
+            qrank_obs::count("wal.compact.segments", removed);
         }
         Ok(removed)
     }
