@@ -6,15 +6,11 @@ use std::net::TcpStream;
 use crate::args::CliError;
 
 pub mod bench_load;
-pub mod cohort;
 pub mod estimate;
-pub mod generate;
-pub mod model;
 pub mod obs_dump;
 pub mod pagerank;
 pub mod serve;
 pub mod simulate;
-pub mod stats;
 pub mod trace;
 pub mod wal;
 

@@ -2,10 +2,10 @@
 //!
 //! Used to (a) seed the web-evolution simulator with a plausible initial
 //! web, and (b) stress-test ranking algorithms on graphs with known
-//! structure. The Barabási–Albert and copy models generate the power-law
-//! in-degree distributions the paper's related work documents for the
-//! real web; [`site_structured`] mirrors the paper's corpus of 154
-//! distinct sites with dense intra-site and sparse cross-site linkage.
+//! structure. The Barabási–Albert model generates the power-law in-degree
+//! distribution the paper's related work documents for the real web;
+//! [`site_structured`] mirrors the paper's corpus of 154 distinct sites
+//! with dense intra-site and sparse cross-site linkage.
 
 use rand::Rng;
 
@@ -70,52 +70,6 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> CsrG
             mass.push(t);
         }
         mass.push(new as NodeId); // the +1 baseline mass for the new node
-    }
-    builder.build()
-}
-
-/// The copy model (Kleinberg et al.): each new node picks a random
-/// prototype and, for each of `out_deg` link slots, copies the
-/// prototype's corresponding link with probability `copy_prob`, otherwise
-/// links to a uniformly random earlier node. Generates power-law
-/// in-degrees with tunable exponent.
-pub fn copy_model<R: Rng + ?Sized>(
-    n: usize,
-    out_deg: usize,
-    copy_prob: f64,
-    rng: &mut R,
-) -> CsrGraph {
-    assert!(
-        (0.0..=1.0).contains(&copy_prob),
-        "copy_prob must be a probability"
-    );
-    assert!(out_deg >= 1, "out_deg must be >= 1");
-    let seed = out_deg + 1;
-    assert!(n >= seed, "need at least out_deg+1 nodes");
-    let mut builder = GraphBuilder::with_nodes(n);
-    // adjacency we can copy from
-    let mut out: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for (i, links) in out.iter_mut().enumerate().take(seed) {
-        for k in 1..=out_deg {
-            let t = ((i + k) % seed) as NodeId;
-            links.push(t);
-            builder.add_edge(i as NodeId, t);
-        }
-    }
-    for new in seed..n {
-        let proto = rng.random_range(0..new);
-        let mut links = Vec::with_capacity(out_deg);
-        for slot in 0..out_deg {
-            let copied = rng.random::<f64>() < copy_prob && slot < out[proto].len();
-            let t = if copied {
-                out[proto][slot]
-            } else {
-                rng.random_range(0..new) as NodeId
-            };
-            links.push(t);
-            builder.add_edge(new as NodeId, t);
-        }
-        out[new] = links;
     }
     builder.build()
 }
@@ -273,31 +227,6 @@ mod tests {
     fn ba_rejects_too_few_nodes() {
         let mut rng = StdRng::seed_from_u64(6);
         let _ = barabasi_albert(2, 3, &mut rng);
-    }
-
-    #[test]
-    fn copy_model_shape() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = copy_model(1000, 3, 0.6, &mut rng);
-        assert_eq!(g.num_nodes(), 1000);
-        // every non-seed node has at most out_deg distinct out links
-        for u in 4..1000 {
-            assert!(g.out_degree(u as NodeId) <= 3);
-            assert!(g.out_degree(u as NodeId) >= 1);
-        }
-    }
-
-    #[test]
-    fn copy_model_high_copy_prob_concentrates_links() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let concentrated = copy_model(2000, 2, 0.9, &mut rng);
-        let uniform = copy_model(2000, 2, 0.0, &mut rng);
-        let max_c = (0..2000).map(|u| concentrated.in_degree(u)).max().unwrap();
-        let max_u = (0..2000).map(|u| uniform.in_degree(u)).max().unwrap();
-        assert!(
-            max_c > max_u,
-            "copying should concentrate in-degree: {max_c} vs {max_u}"
-        );
     }
 
     #[test]

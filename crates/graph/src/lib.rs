@@ -19,11 +19,11 @@
 //!   intersection* and consistent relabeling across snapshots.
 //! * [`traversal`] — breadth-first search (the snapshot crawler) and
 //!   weakly connected components.
-//! * [`stats`] — degree distributions and power-law exponent fits (the
+//! * [`stats`] — power-law exponent fits of degree distributions (the
 //!   paper cites the power-law in-degree structure of the web).
 //! * [`generators`] — Erdős–Rényi G(n, m), Barabási–Albert preferential
-//!   attachment, the Kleinberg copy model, and a site-structured web
-//!   generator mirroring the paper's 154-site corpus.
+//!   attachment, and a site-structured web generator mirroring the
+//!   paper's 154-site corpus.
 //! * [`io`] — text edge-list and binary serialization for graphs and
 //!   snapshot series.
 //! * [`par`] — the scoped-thread fan-out shared by window alignment and

@@ -1,10 +1,9 @@
-//! Degree statistics and power-law fitting.
+//! Power-law fitting of degree distributions.
 //!
 //! The paper's related work ([3, 6] in its bibliography) establishes that
 //! web in/out-degree follows a power law; a faithful simulated web should
-//! too. This module provides degree distributions, a discrete power-law
-//! maximum-likelihood exponent estimate (Clauset–Shalizi–Newman style with
-//! fixed `x_min`), and link reciprocity.
+//! too. This module provides a discrete power-law maximum-likelihood
+//! exponent estimate (Clauset–Shalizi–Newman style with fixed `x_min`).
 
 use crate::CsrGraph;
 
@@ -18,7 +17,7 @@ pub enum DegreeKind {
 }
 
 /// All node degrees of the chosen kind.
-pub fn degrees(g: &CsrGraph, kind: DegreeKind) -> Vec<usize> {
+fn degrees(g: &CsrGraph, kind: DegreeKind) -> Vec<usize> {
     (0..g.num_nodes() as u32)
         .map(|u| match kind {
             DegreeKind::In => g.in_degree(u),
@@ -52,62 +51,6 @@ pub fn power_law_alpha_mle(samples: &[usize], x_min: usize) -> Option<f64> {
 /// Convenience: power-law exponent of a graph's degree distribution.
 pub fn degree_power_law_alpha(g: &CsrGraph, kind: DegreeKind, x_min: usize) -> Option<f64> {
     power_law_alpha_mle(&degrees(g, kind), x_min)
-}
-
-/// Fraction of edges `u -> v` for which `v -> u` also exists. Self-loops
-/// count as reciprocated. Returns 0 for an edgeless graph.
-pub fn reciprocity(g: &CsrGraph) -> f64 {
-    let m = g.num_edges();
-    if m == 0 {
-        return 0.0;
-    }
-    let recip = g.edges().filter(|&(u, v)| g.has_edge(v, u)).count();
-    recip as f64 / m as f64
-}
-
-/// Mean out-degree (equals mean in-degree).
-pub fn mean_degree(g: &CsrGraph) -> f64 {
-    if g.num_nodes() == 0 {
-        return 0.0;
-    }
-    g.num_edges() as f64 / g.num_nodes() as f64
-}
-
-/// Summary statistics bundle for reporting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSummary {
-    /// Node count.
-    pub nodes: usize,
-    /// Edge count.
-    pub edges: usize,
-    /// Mean degree.
-    pub mean_degree: f64,
-    /// Maximum in-degree.
-    pub max_in_degree: usize,
-    /// Maximum out-degree.
-    pub max_out_degree: usize,
-    /// Number of dangling (zero out-degree) nodes.
-    pub dangling: usize,
-    /// Link reciprocity.
-    pub reciprocity: f64,
-    /// In-degree power-law exponent at `x_min = 2`, if estimable.
-    pub in_degree_alpha: Option<f64>,
-}
-
-/// Compute a [`GraphSummary`].
-pub fn summarize(g: &CsrGraph) -> GraphSummary {
-    let in_ds = degrees(g, DegreeKind::In);
-    let out_ds = degrees(g, DegreeKind::Out);
-    GraphSummary {
-        nodes: g.num_nodes(),
-        edges: g.num_edges(),
-        mean_degree: mean_degree(g),
-        max_in_degree: in_ds.iter().copied().max().unwrap_or(0),
-        max_out_degree: out_ds.iter().copied().max().unwrap_or(0),
-        dangling: out_ds.iter().filter(|&&d| d == 0).count(),
-        reciprocity: reciprocity(g),
-        in_degree_alpha: power_law_alpha_mle(&in_ds, 2),
-    }
 }
 
 #[cfg(test)]
@@ -145,35 +88,5 @@ mod tests {
     #[should_panic(expected = "x_min")]
     fn power_law_mle_rejects_zero_xmin() {
         let _ = power_law_alpha_mle(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    fn reciprocity_values() {
-        let g = CsrGraph::from_edges(2, &[(0, 1), (1, 0)]);
-        assert!((reciprocity(&g) - 1.0).abs() < 1e-12);
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        assert_eq!(reciprocity(&g), 0.0);
-        let g = CsrGraph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 0)]);
-        assert!((reciprocity(&g) - 0.5).abs() < 1e-12);
-        let g = CsrGraph::from_edges(1, &[]);
-        assert_eq!(reciprocity(&g), 0.0);
-    }
-
-    #[test]
-    fn self_loop_counts_as_reciprocated() {
-        let g = CsrGraph::from_edges(1, &[(0, 0)]);
-        assert!((reciprocity(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 0)]);
-        let s = summarize(&g);
-        assert_eq!(s.nodes, 4);
-        assert_eq!(s.edges, 4);
-        assert_eq!(s.dangling, 1); // node 3
-        assert_eq!(s.max_in_degree, 2);
-        assert_eq!(s.max_out_degree, 2);
-        assert!((s.mean_degree - 1.0).abs() < 1e-12);
     }
 }

@@ -203,16 +203,21 @@ mod tests {
 
     #[test]
     fn fit_is_robust_to_mild_noise() {
-        use crate::noise::NoiseModel;
+        use crate::noise::standard_normal;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(11);
         let p = ModelParams::new(0.4, 1e8, 1e8, 1e-4).unwrap();
         let clean = popularity_series(&p, 40.0, 40);
+        // mean-preserving log-normal crawl noise, P·exp(σZ − σ²/2); then
         // drop the t=0 point and keep strictly interior popularity
-        let noisy: Vec<(f64, f64)> = NoiseModel::LogNormal { sigma: 0.02 }
-            .observe_series(&mut rng, &clean)
+        let sigma = 0.02;
+        let noisy: Vec<(f64, f64)> = clean
             .into_iter()
+            .map(|(t, v)| {
+                let z = standard_normal(&mut rng);
+                (t, v * (sigma * z - sigma * sigma / 2.0).exp())
+            })
             .filter(|&(_, v)| v > 0.0 && v < 0.39)
             .collect();
         let fit = fit_quality(&noisy, 1.0).unwrap();

@@ -3,9 +3,10 @@
 //! Sections 5–7 of *Page Quality: In Search of an Unbiased Web Ranking*
 //! (SIGMOD 2005) build a model of how web users visit pages and create
 //! links, from which the paper's quality estimator falls out analytically.
-//! This crate implements the model exactly, plus the extensions the paper
-//! lists as future work (forgetting, statistical noise), plus numerical
-//! cross-checks (an RK4 ODE integrator) and curve fitting.
+//! This crate implements the model exactly, plus the forgetting extension
+//! the paper lists as future work, the binomial and normal draws the
+//! simulator is made of, numerical cross-checks (an RK4 ODE integrator)
+//! and curve fitting.
 //!
 //! ## Notation (Table 1 of the paper)
 //!
@@ -46,7 +47,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cohort;
 pub mod fitting;
 pub mod forgetting;
 pub mod noise;

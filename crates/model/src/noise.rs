@@ -1,43 +1,17 @@
-//! Measurement noise on popularity observations.
+//! Sampling noise: the random draws the simulator is made of.
 //!
 //! The paper's discussion section flags **statistical noise** as a real
 //! concern: "when we are measuring the rare event of a page with low
 //! popularity receiving a new link, there is the potential that noise
-//! could cause such a page to be promoted prematurely." This module
-//! models the observation process so estimators can be stress-tested:
-//!
-//! * [`NoiseModel::Binomial`] — the physically-motivated noise: the
-//!   observed popularity of a page is the *count* of users who like it,
-//!   `P̂ = Binomial(n, P)/n`. Relative noise scales like `1/√(nP)`, so
-//!   low-popularity pages are the noisiest, exactly as the paper warns.
-//! * [`NoiseModel::LogNormal`] — multiplicative crawl noise (mirror
-//!   incompleteness, duplicate detection differences between snapshots).
-//! * [`NoiseModel::Gaussian`] — additive instrument noise, mostly useful
-//!   as a worst case since it does not shrink for tiny pages.
+//! could cause such a page to be promoted prematurely." In `qrank-sim`
+//! that noise is not added to an observation afterwards; it comes from
+//! the draws themselves. The number of users a page's visits make aware
+//! of it is a [`binomial`] draw, whose relative spread scales like
+//! `1/√(nP)`, so low-popularity pages are the noisiest, exactly as the
+//! paper warns. [`standard_normal`] feeds the simulator's gamma and
+//! large-mean Poisson draws.
 
 use rand::Rng;
-
-/// An observation noise model for popularity measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NoiseModel {
-    /// No noise; observations are exact.
-    None,
-    /// `P̂ = Binomial(n, P) / n` with `n` users.
-    Binomial {
-        /// Number of users the count is taken over.
-        n: u64,
-    },
-    /// `P̂ = P · exp(σ·Z − σ²/2)` (mean-preserving multiplicative noise).
-    LogNormal {
-        /// Log-scale standard deviation.
-        sigma: f64,
-    },
-    /// `P̂ = max(P + σ·Z, 0)`.
-    Gaussian {
-        /// Standard deviation.
-        sigma: f64,
-    },
-}
 
 /// Draw a standard normal via Box–Muller (keeps `rand` as the only
 /// dependency; `rand_distr` is not in the sanctioned set).
@@ -93,50 +67,11 @@ pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     (mean + sd * z + 0.5).clamp(0.0, n as f64) as u64
 }
 
-impl NoiseModel {
-    /// Observe popularity `p` through this noise model.
-    pub fn observe<R: Rng + ?Sized>(&self, rng: &mut R, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        match *self {
-            NoiseModel::None => p,
-            NoiseModel::Binomial { n } => {
-                if n == 0 {
-                    return 0.0;
-                }
-                binomial(rng, n, p) as f64 / n as f64
-            }
-            NoiseModel::LogNormal { sigma } => {
-                let z = standard_normal(rng);
-                p * (sigma * z - sigma * sigma / 2.0).exp()
-            }
-            NoiseModel::Gaussian { sigma } => (p + sigma * standard_normal(rng)).max(0.0),
-        }
-    }
-
-    /// Observe an entire `(t, P)` series.
-    pub fn observe_series<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: &[(f64, f64)],
-    ) -> Vec<(f64, f64)> {
-        series
-            .iter()
-            .map(|&(t, p)| (t, self.observe(rng, p)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn none_is_identity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(NoiseModel::None.observe(&mut rng, 0.37), 0.37);
-    }
 
     #[test]
     fn standard_normal_moments() {
@@ -192,10 +127,12 @@ mod tests {
         // The paper's statistical-noise warning, quantified: relative
         // standard deviation shrinks as popularity grows.
         let mut rng = StdRng::seed_from_u64(6);
-        let model = NoiseModel::Binomial { n: 100_000 };
+        let n = 100_000;
         let rel_sd = |p: f64, rng: &mut StdRng| {
             let k = 3000;
-            let obs: Vec<f64> = (0..k).map(|_| model.observe(rng, p)).collect();
+            let obs: Vec<f64> = (0..k)
+                .map(|_| binomial(rng, n, p) as f64 / n as f64)
+                .collect();
             let m = obs.iter().sum::<f64>() / k as f64;
             let v = obs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / k as f64;
             v.sqrt() / p
@@ -206,43 +143,5 @@ mod tests {
             noisy_low > 5.0 * noisy_high,
             "low-pop rel sd {noisy_low} should dwarf high-pop {noisy_high}"
         );
-    }
-
-    #[test]
-    fn lognormal_is_mean_preserving() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let model = NoiseModel::LogNormal { sigma: 0.5 };
-        let k = 100_000;
-        let mean = (0..k).map(|_| model.observe(&mut rng, 0.2)).sum::<f64>() / k as f64;
-        assert!((mean - 0.2).abs() < 0.005, "mean {mean}");
-    }
-
-    #[test]
-    fn gaussian_never_negative() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let model = NoiseModel::Gaussian { sigma: 0.5 };
-        for _ in 0..1000 {
-            assert!(model.observe(&mut rng, 0.01) >= 0.0);
-        }
-    }
-
-    #[test]
-    fn observe_series_preserves_times() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let series = vec![(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)];
-        let noisy = NoiseModel::LogNormal { sigma: 0.1 }.observe_series(&mut rng, &series);
-        assert_eq!(noisy.len(), 3);
-        for (a, b) in series.iter().zip(&noisy) {
-            assert_eq!(a.0, b.0);
-            assert!(b.1 > 0.0);
-        }
-    }
-
-    #[test]
-    fn observe_clamps_input() {
-        let mut rng = StdRng::seed_from_u64(10);
-        // out-of-range popularity inputs are clamped, not propagated
-        assert_eq!(NoiseModel::None.observe(&mut rng, 1.7), 1.0);
-        assert_eq!(NoiseModel::None.observe(&mut rng, -0.3), 0.0);
     }
 }

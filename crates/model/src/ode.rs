@@ -18,7 +18,7 @@
 use crate::ModelParams;
 
 /// One fixed-step classical Runge–Kutta (RK4) step for `dy/dt = f(t, y)`.
-pub fn rk4_step<F: Fn(f64, f64) -> f64>(f: &F, t: f64, y: f64, h: f64) -> f64 {
+fn rk4_step<F: Fn(f64, f64) -> f64>(f: &F, t: f64, y: f64, h: f64) -> f64 {
     let k1 = f(t, y);
     let k2 = f(t + h / 2.0, y + h / 2.0 * k1);
     let k3 = f(t + h / 2.0, y + h / 2.0 * k2);

@@ -109,11 +109,6 @@ pub fn popularity_series(p: &ModelParams, t_max: f64, steps: usize) -> Vec<(f64,
     series(p, t_max, steps, popularity)
 }
 
-/// Sample `I(p,t)` like [`popularity_series`] — Figure 2's solid line.
-pub fn relative_increase_series(p: &ModelParams, t_max: f64, steps: usize) -> Vec<(f64, f64)> {
-    series(p, t_max, steps, relative_increase)
-}
-
 /// Sample `I(p,t) + P(p,t)` — Figure 3's (flat) line.
 pub fn quality_estimate_series(p: &ModelParams, t_max: f64, steps: usize) -> Vec<(f64, f64)> {
     series(p, t_max, steps, quality_estimate)
